@@ -9,7 +9,12 @@
 //   2. Artifact-cache effectiveness — hit rate and work counters of a warm
 //      repeat of the full sweep (expected: zero decompilations).
 //   3. Sweep scalability — wall time of the full {18 benchmarks} x
-//      {3 platforms} x {3 strategies} sweep, serial vs. thread pool.
+//      {3 platforms} x {3 strategies} sweep, serial vs. thread pool, and
+//      grid_pool_scaling: serial over pool wall time of cold one-binary
+//      {12-platform grid} x {3 strategies} x {3 objectives} sweeps, summed
+//      over the benchmarks.  Every point of a one-binary sweep shares one
+//      CandidateSet, so contention on it shows here; CI holds the ratio at
+//      or above 1.0 (the pool is never slower than one thread).
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -17,6 +22,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "partition/platform_registry.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
 #include "toolchain/toolchain.hpp"
@@ -59,6 +65,46 @@ int main() {
          cold.wall_ms > 0.0 ? serial_sweep.wall_ms / cold.wall_ms : 0.0);
   json.Record("sweep_wall_serial", serial_sweep.wall_ms, "ms");
   json.Record("sweep_wall_parallel", cold.wall_ms, "ms");
+
+  // ---- 3b. One binary at a time over the design-space grid. --------------
+  // The grid of examples/platform_explorer.cpp.
+  explore::ExploreSpec grid;
+  grid.platforms.clear();
+  for (double mhz : {40.0, 100.0, 200.0, 400.0}) {
+    for (double kgates : {15.0, 50.0, 300.0}) {
+      partition::Platform platform = partition::Platform::WithCpuMhz(mhz);
+      platform.fpga.capacity_gates = kgates * 1000.0;
+      platform.fpga.usable_fraction = 1.0;
+      std::string name = "mips" + std::to_string(static_cast<int>(mhz)) +
+                         "-" + std::to_string(static_cast<int>(kgates)) +
+                         "kg";
+      partition::PlatformRegistry::Global().Register(name, platform);
+      grid.platforms.push_back(std::move(name));
+    }
+  }
+  grid.strategies = spec.strategies;
+  grid.objectives = {partition::Objective::kSpeedup,
+                     partition::Objective::kEnergy,
+                     partition::Objective::kEnergyDelay};
+  double grid_serial_ms = 0.0;
+  double grid_pool_ms = 0.0;
+  for (const NamedBinary& binary : binaries) {
+    grid.binaries = {binary};
+    Toolchain one_thread;  // fresh toolchains: both sweeps cache-cold
+    one_thread.WithThreads(1);
+    grid_serial_ms += one_thread.Explore(grid).wall_ms;
+    grid_pool_ms += Toolchain().Explore(grid).wall_ms;
+  }
+  const double grid_scaling =
+      grid_pool_ms > 0.0 ? grid_serial_ms / grid_pool_ms : 0.0;
+  printf("one-binary grid sweeps (%zu points each, summed over %zu "
+         "benchmarks): serial %.1f ms, pool %.1f ms (%.2fx)\n\n",
+         grid.platforms.size() * grid.strategies.size() *
+             grid.objectives.size(),
+         binaries.size(), grid_serial_ms, grid_pool_ms, grid_scaling);
+  json.Record("grid_sweep_wall_serial", grid_serial_ms, "ms");
+  json.Record("grid_sweep_wall_pool", grid_pool_ms, "ms");
+  json.Record("grid_pool_scaling", grid_scaling, "x");
 
   // ---- 1. Greedy-vs-optimal gap per benchmark (default platform). --------
   printf("%-11s %9s %9s %9s %8s\n", "benchmark", "greedy-x", "optimal-x",

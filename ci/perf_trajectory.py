@@ -89,8 +89,13 @@ ABSOLUTE_GATES = [
 # rates that must stay nonzero there (a zero means the inline caches
 # stopped engaging entirely; the tiny floor is just "strictly positive").
 # block_speedup keeps its own 4x floor so a tier-2 regression cannot hide
-# under tier 3.  Like the equality gates above, a missing record fails —
-# renaming the metric must not silently disable the invariant.
+# under tier 3.  grid_pool_scaling (serial / pool wall time of one-binary
+# grid sweeps, bench_explore) must stay >= 1.0: the explorer pool is never
+# slower than one thread, even when every point shares one CandidateSet.
+# Its name avoids "speedup" on purpose: that rule's tight deterministic
+# trajectory gate does not fit a host-time ratio.  Like the equality gates
+# above, a missing record fails — renaming the metric must not silently
+# disable the invariant.
 ABSOLUTE_MIN_GATES = [
     ("simulator", "translated_speedup", "suite_avg", 6.0),
     ("simulator", "translated_speedup", "switch01", 4.0),
@@ -98,6 +103,7 @@ ABSOLUTE_MIN_GATES = [
     ("simulator", "translate_chain_hit_rate", "switch01", 1e-6),
     ("simulator", "translate_chain_hit_rate", "state02", 1e-6),
     ("simulator", "block_speedup", "suite_avg", 4.0),
+    ("explore", "grid_pool_scaling", "", 1.0),
 ]
 
 # --- trajectory gate rules, first match wins --------------------------------

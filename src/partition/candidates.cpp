@@ -42,6 +42,19 @@ std::vector<std::uint32_t> BlockLeaders(
   return leaders;
 }
 
+// Bitset rows over candidate ids (see CandidateSet::overlap_row).
+void SetBit(std::span<std::uint64_t> row, std::size_t bit) {
+  row[bit / 64] |= std::uint64_t{1} << (bit % 64);
+}
+
+bool Intersects(std::span<const std::uint64_t> a,
+                std::span<const std::uint64_t> b) {
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 CandidateSet CandidateSet::Scan(const decomp::DecompiledProgram& program,
@@ -119,7 +132,47 @@ CandidateSet CandidateSet::Scan(const decomp::DecompiledProgram& program,
                 static_cast<double>(profile.total_cycles)
           : 0.0;
 
-  set.synth_memo_.resize(set.candidates_.size());
+  // Relation tables: every pair of candidates holding a common block
+  // overlaps, and every pair of one function's candidates touching a common
+  // alias region shares an array.  Sorting (key, candidate) pairs puts each
+  // key's holders next to each other.
+  const std::size_t count = set.candidates_.size();
+  set.row_words_ = (count + 63) / 64;
+  set.overlap_rows_.assign(count * set.row_words_, 0);
+  set.array_rows_.assign(count * set.row_words_, 0);
+  using Key = std::pair<std::uintptr_t, int>;
+  std::vector<std::pair<Key, std::size_t>> blocks;
+  std::vector<std::pair<Key, std::size_t>> arrays;
+  for (std::size_t id = 0; id < count; ++id) {
+    const Candidate& candidate = set.candidates_[id];
+    for (const ir::Block* block : candidate.region.blocks) {
+      blocks.push_back({{reinterpret_cast<std::uintptr_t>(block), 0}, id});
+    }
+    for (int region : candidate.alias_regions) {
+      arrays.push_back(
+          {{reinterpret_cast<std::uintptr_t>(candidate.function), region},
+           id});
+    }
+  }
+  const auto relate = [&set](std::vector<std::uint64_t>& rows,
+                             std::vector<std::pair<Key, std::size_t>>& keyed) {
+    std::sort(keyed.begin(), keyed.end());
+    std::size_t end = 0;
+    for (std::size_t begin = 0; begin < keyed.size(); begin = end) {
+      while (end < keyed.size() && keyed[end].first == keyed[begin].first) {
+        ++end;
+      }
+      for (std::size_t a = begin; a < end; ++a) {
+        const std::span<std::uint64_t> row(
+            rows.data() + keyed[a].second * set.row_words_, set.row_words_);
+        for (std::size_t b = begin; b < end; ++b) SetBit(row, keyed[b].second);
+      }
+    }
+  };
+  relate(set.overlap_rows_, blocks);
+  relate(set.array_rows_, arrays);
+
+  set.synth_memo_.resize(count);
   return set;
 }
 
@@ -153,26 +206,6 @@ const Result<synth::SynthesizedRegion>& CandidateSet::Synthesize(
 std::size_t CandidateSet::synthesis_runs() const {
   const std::lock_guard<std::mutex> lock(*memo_mutex_);
   return synthesis_runs_;
-}
-
-bool CandidateSet::Overlaps(std::size_t a, std::size_t b) const {
-  const std::lock_guard<std::mutex> lock(*memo_mutex_);
-  if (block_sets_.empty()) {
-    block_sets_.reserve(candidates_.size());
-    for (const Candidate& candidate : candidates_) {
-      block_sets_.emplace_back(candidate.region.blocks.begin(),
-                               candidate.region.blocks.end());
-    }
-  }
-  const auto& small = block_sets_[a].size() <= block_sets_[b].size()
-                          ? block_sets_[a]
-                          : block_sets_[b];
-  const auto& large = &small == &block_sets_[a] ? block_sets_[b]
-                                                : block_sets_[a];
-  for (const ir::Block* block : small) {
-    if (large.count(block) != 0) return true;
-  }
-  return false;
 }
 
 // ---------------------------------------------------- CandidateSetPool
@@ -262,6 +295,7 @@ SelectionState::SelectionState(const CandidateSet& set,
       platform_(platform),
       options_(options),
       selected_(set.size(), false),
+      chosen_row_(set.row_words(), 0),
       area_budget_(platform.fpga.budget_gates()) {}
 
 void SelectionState::AppendRejection(std::string reason) {
@@ -274,11 +308,9 @@ bool SelectionState::TrySelect(std::size_t id, SelectedBy reason) {
   if (selected_[id]) return false;
   // A region nested inside (or containing) an already-selected region is
   // already covered by that hardware.
-  for (const ir::Block* block : candidate.region.blocks) {
-    if (selected_blocks_.count(block) != 0) {
-      selected_[id] = true;  // subsumed
-      return false;
-    }
+  if (Intersects(set_.overlap_row(id), chosen_row_)) {
+    selected_[id] = true;  // subsumed
+    return false;
   }
   const auto& synthesized = set_.Synthesize(id, options_.synth);
   if (!synthesized.ok()) {
@@ -330,23 +362,17 @@ bool SelectionState::TrySelect(std::size_t id, SelectedBy reason) {
   selected.alias_regions.assign(candidate.alias_regions.begin(),
                                 candidate.alias_regions.end());
   area_used_ += selected.synthesized.area.total_gates;
-  for (const ir::Block* block : candidate.region.blocks) {
-    selected_blocks_.insert(block);
-  }
   result_.hw.push_back(std::move(selected));
   selected_[id] = true;
   chosen_.push_back(id);
+  SetBit(chosen_row_, id);
   return true;
 }
 
 void SelectionState::MarkCovered() {
   for (std::size_t id = 0; id < set_.size(); ++id) {
-    if (selected_[id]) continue;
-    for (const ir::Block* block : set_.candidates()[id].region.blocks) {
-      if (selected_blocks_.count(block) != 0) {
-        selected_[id] = true;
-        break;
-      }
+    if (!selected_[id] && Intersects(set_.overlap_row(id), chosen_row_)) {
+      selected_[id] = true;
     }
   }
 }
@@ -452,72 +478,99 @@ PartitionResult CommitSubset(const CandidateSet& set, const Platform& platform,
   return state.Take();
 }
 
-// -------------------------------------------------------- EvaluateSubset
+// --------------------------------------------------------- SubsetScorer
+
+SubsetScorer::SubsetScorer(const CandidateSet& set, const Platform& platform,
+                           const PartitionOptions& options,
+                           const std::vector<std::size_t>& viable,
+                           const std::vector<std::size_t>& start)
+    : set_(set),
+      platform_(platform),
+      budget_(platform.fpga.budget_gates()),
+      members_(set.size()),
+      kernels_(set.size()),
+      in_subset_(set.row_words(), 0),
+      software_(set.row_words(), 0) {
+  for (const std::vector<std::size_t>* ids : {&viable, &start}) {
+    for (std::size_t id : *ids) {
+      Check(id < set.size(), "SubsetScorer: bad candidate id");
+      Member& member = members_[id];
+      if (member.listed) continue;
+      const Candidate& candidate = set.candidates()[id];
+      const auto& synthesized = set.Synthesize(id, options.synth);
+      member.listed = true;
+      member.synthesized = synthesized.ok();
+      member.touches_arrays = !candidate.alias_regions.empty();
+      KernelEstimate& kernel = member.kernel;
+      kernel.sw_cycles = candidate.sw_cycles;
+      kernel.invocations = candidate.invocations;
+      kernel.comm_words = candidate.comm_words;
+      kernel.mem_accesses = candidate.mem_accesses;
+      if (!synthesized.ok()) continue;
+      kernel.hw_cycles = synthesized.value().hw_cycles;
+      kernel.hw_clock_mhz =
+          std::min(synthesized.value().clock_mhz, platform.fpga.clock_mhz_cap);
+      kernel.area_gates = synthesized.value().area.total_gates;
+    }
+  }
+}
+
+const AppEstimate* SubsetScorer::Score(
+    const std::vector<std::size_t>& subset) {
+  Check(subset.size() <= kernels_.size(), "SubsetScorer::Score: bad subset");
+  scored_ = 0;
+  // Feasibility: every member synthesized, no member overlapping an
+  // earlier one, and the area (summed in subset order) within budget.
+  std::fill(in_subset_.begin(), in_subset_.end(), 0);
+  double area = 0.0;
+  for (std::size_t id : subset) {
+    Check(id < members_.size() && members_[id].listed,
+          "SubsetScorer::Score: candidate not listed");
+    const Member& member = members_[id];
+    if (!member.synthesized ||
+        Intersects(set_.overlap_row(id), in_subset_)) {
+      return nullptr;
+    }
+    SetBit(in_subset_, id);
+    area += member.kernel.area_gates;
+  }
+  if (area > budget_) return nullptr;
+
+  // Residency, mirroring the alias step: a member's arrays are
+  // FPGA-resident iff no candidate left in software (neither a member nor
+  // overlapping one) touches them.
+  for (std::size_t w = 0; w < software_.size(); ++w) {
+    software_[w] = ~in_subset_[w];
+  }
+  for (std::size_t id : subset) {
+    const std::span<const std::uint64_t> row = set_.overlap_row(id);
+    for (std::size_t w = 0; w < software_.size(); ++w) software_[w] &= ~row[w];
+  }
+  for (std::size_t id : subset) {
+    const Member& member = members_[id];
+    KernelEstimate& kernel = kernels_[scored_++];
+    kernel = member.kernel;
+    kernel.arrays_resident = member.touches_arrays &&
+                             !Intersects(set_.array_row(id), software_);
+  }
+  CombineEstimates(platform_, set_.total_sw_cycles(),
+                   std::span<KernelEstimate>(kernels_.data(), scored_),
+                   &estimate_);
+  return &estimate_;
+}
 
 std::optional<AppEstimate> EvaluateSubset(
     const CandidateSet& set, const std::vector<std::size_t>& subset,
     const Platform& platform, const PartitionOptions& options) {
-  // Feasibility: pairwise overlap-free and within the area budget.
-  double area = 0.0;
-  for (std::size_t i = 0; i < subset.size(); ++i) {
-    for (std::size_t j = i + 1; j < subset.size(); ++j) {
-      if (set.Overlaps(subset[i], subset[j])) return std::nullopt;
-    }
-    const auto& synthesized = set.Synthesize(subset[i], options.synth);
-    if (!synthesized.ok()) return std::nullopt;
-    area += synthesized.value().area.total_gates;
+  SubsetScorer scorer(set, platform, options, subset, {});
+  const AppEstimate* scored = scorer.Score(subset);
+  if (scored == nullptr) return std::nullopt;
+  AppEstimate estimate = *scored;
+  estimate.kernels.assign(scorer.kernels().begin(), scorer.kernels().end());
+  for (std::size_t k = 0; k < subset.size(); ++k) {
+    estimate.kernels[k].name = set.candidates()[subset[k]].region.name;
   }
-  if (area > platform.fpga.budget_gates()) return std::nullopt;
-
-  // Residency under this subset, mirroring the alias step: an array is
-  // FPGA-resident iff no candidate left in software (i.e. neither selected
-  // nor overlapping a selected region) touches it.
-  std::vector<bool> covered(set.size(), false);
-  for (std::size_t id : subset) covered[id] = true;
-  for (std::size_t id = 0; id < set.size(); ++id) {
-    if (covered[id]) continue;
-    for (std::size_t sel : subset) {
-      if (set.Overlaps(id, sel)) {
-        covered[id] = true;
-        break;
-      }
-    }
-  }
-  std::set<std::pair<const ir::Function*, int>> sw_arrays;
-  for (std::size_t id = 0; id < set.size(); ++id) {
-    if (covered[id]) continue;
-    const Candidate& candidate = set.candidates()[id];
-    for (int region : candidate.alias_regions) {
-      sw_arrays.insert({candidate.function, region});
-    }
-  }
-
-  std::vector<KernelEstimate> kernels;
-  kernels.reserve(subset.size());
-  for (std::size_t id : subset) {
-    const Candidate& candidate = set.candidates()[id];
-    const auto& synthesized = set.Synthesize(id, options.synth);
-    bool resident = !candidate.alias_regions.empty();
-    for (int region : candidate.alias_regions) {
-      if (sw_arrays.count({candidate.function, region}) != 0) {
-        resident = false;
-        break;
-      }
-    }
-    KernelEstimate kernel;
-    kernel.name = candidate.region.name;
-    kernel.sw_cycles = candidate.sw_cycles;
-    kernel.hw_cycles = synthesized.value().hw_cycles;
-    kernel.invocations = candidate.invocations;
-    kernel.comm_words = candidate.comm_words;
-    kernel.mem_accesses = candidate.mem_accesses;
-    kernel.arrays_resident = resident;
-    kernel.hw_clock_mhz =
-        std::min(synthesized.value().clock_mhz, platform.fpga.clock_mhz_cap);
-    kernel.area_gates = synthesized.value().area.total_gates;
-    kernels.push_back(std::move(kernel));
-  }
-  return CombineEstimates(platform, set.total_sw_cycles(), std::move(kernels));
+  return estimate;
 }
 
 }  // namespace b2h::partition

@@ -12,8 +12,9 @@
 //                    a memoized synthesis result.
 //   SelectionState — commit-side bookkeeping with semantics identical to
 //                    the original three-step partitioner's try_select.
-//   EvaluateSubset — score an arbitrary overlap-free candidate subset the
-//                    way EstimatePartition would, for search strategies.
+//   SubsetScorer   — score arbitrary candidate subsets the way
+//                    EstimatePartition would, for search strategies
+//                    (EvaluateSubset is its one-shot form).
 //
 // Synthesis sharing (the seed-sweep fix): candidate synthesis is memoized
 // at the CandidateSet level, *beneath* the strategy layer — so strategies
@@ -21,9 +22,20 @@
 // StrategyOptions::candidates, populated from a CandidateSetPool) share
 // every synthesis result.  A seed sweep over the annealing strategy — the
 // exact repeated-request shape the b2h-serve daemon sees — synthesizes
-// each candidate once total instead of once per seed.  The memo is
-// mutex-guarded so pooled sets are safe under the Explorer's and the
+// each candidate once total instead of once per seed.  The synthesis memo
+// is mutex-guarded so pooled sets are safe under the Explorer's and the
 // server's concurrent strategy invocations.
+//
+// Lock-free scoring: Scan also builds two dense relation tables, one
+// bitset row per candidate with ceil(n/64) words per row — which
+// candidates share a block (overlap) and which share an alias array.  They
+// never change after Scan, so Overlaps, SelectionState and SubsetScorer
+// read them from any thread without a lock.  A search strategy builds one
+// SubsetScorer per call, which copies the synthesized metrics it needs out
+// of the memo once; scoring a subset then takes no lock and allocates
+// nothing.  Scores stay bit-identical to the original per-subset scorer
+// because the floating-point arithmetic keeps its order: area sums in
+// subset order and one CombineEstimates body prices the kernels.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +43,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -99,9 +112,27 @@ class CandidateSet {
   [[nodiscard]] std::size_t synthesis_runs() const;
 
   /// True when candidates `a` and `b` share at least one block (nested or
-  /// otherwise overlapping loop regions).  Thread-safe (lazy block-set
-  /// build is guarded by the memo mutex).
-  [[nodiscard]] bool Overlaps(std::size_t a, std::size_t b) const;
+  /// otherwise overlapping loop regions).  One bit of the overlap table.
+  [[nodiscard]] bool Overlaps(std::size_t a, std::size_t b) const {
+    return (overlap_row(a)[b / 64] >> (b % 64)) & 1u;
+  }
+
+  /// Rows of the dense relation tables: bitsets over candidate ids (bit b
+  /// of word b / 64), row_words() words long.  Built by Scan, read-only
+  /// afterwards.
+  [[nodiscard]] std::size_t row_words() const { return row_words_; }
+  /// Candidates sharing at least one block with `id` (itself included).
+  [[nodiscard]] std::span<const std::uint64_t> overlap_row(
+      std::size_t id) const {
+    return {overlap_rows_.data() + id * row_words_, row_words_};
+  }
+  /// Candidates of `id`'s function touching an alias region `id` touches
+  /// (itself included when it touches any): the candidates whose staying in
+  /// software keeps `id`'s arrays in main memory.
+  [[nodiscard]] std::span<const std::uint64_t> array_row(
+      std::size_t id) const {
+    return {array_rows_.data() + id * row_words_, row_words_};
+  }
 
  private:
   std::vector<Candidate> candidates_;
@@ -118,14 +149,17 @@ class CandidateSet {
   };
   std::vector<FunctionAnalyses> analyses_;
 
-  // Guards the lazy memos below; owned through a pointer so CandidateSet
+  std::size_t row_words_ = 0;
+  std::vector<std::uint64_t> overlap_rows_;
+  std::vector<std::uint64_t> array_rows_;
+
+  // Guards the lazy synthesis memo; owned through a pointer so CandidateSet
   // stays movable (Scan returns by value).
   mutable std::unique_ptr<std::mutex> memo_mutex_ =
       std::make_unique<std::mutex>();
   mutable std::size_t synthesis_runs_ = 0;
   mutable std::vector<std::optional<Result<synth::SynthesizedRegion>>>
       synth_memo_;
-  mutable std::vector<std::set<const ir::Block*>> block_sets_;  // lazy
 };
 
 /// Shared candidate set for one Partition call: the pre-scanned set handed
@@ -229,7 +263,7 @@ class SelectionState {
   PartitionResult result_;
   std::vector<bool> selected_;
   std::vector<std::size_t> chosen_;
-  std::set<const ir::Block*> selected_blocks_;
+  std::vector<std::uint64_t> chosen_row_;  ///< bitset of chosen_
   double area_used_ = 0.0;
   double area_budget_ = 0.0;
 };
@@ -270,10 +304,64 @@ struct ViableCandidates {
     const std::string& excluded_reason,
     std::vector<std::string> extra_rejections = {});
 
-/// Exact subset scoring for search strategies: synthesize every member,
-/// apply the same residency rules as the alias step, and combine into an
-/// application estimate.  Returns nullopt when any member fails synthesis
-/// or the subset violates the area budget or overlaps internally.
+/// Exact subset scoring for search strategies, one scorer per strategy
+/// call: Score applies the same residency rules as the alias step and
+/// combines the members into an application estimate.  Construction copies
+/// the synthesized metrics of every candidate a subset may contain out of
+/// the set's memo; Score reads only those copies and the set's tables, so
+/// it takes no lock and allocates nothing.  Not thread-safe.
+class SubsetScorer {
+ public:
+  /// `viable` and `start` together list every candidate a scored subset
+  /// may contain (a search's moves and its start subset).  Synthesizes
+  /// through the memo, so candidates already synthesized cost nothing.
+  SubsetScorer(const CandidateSet& set, const Platform& platform,
+               const PartitionOptions& options,
+               const std::vector<std::size_t>& viable,
+               const std::vector<std::size_t>& start);
+
+  /// Score `subset` (candidate ids, each listed at construction).  Returns
+  /// null when a member failed synthesis or the subset overlaps internally
+  /// or exceeds the area budget; otherwise an estimate without kernels,
+  /// valid until the next call.
+  [[nodiscard]] const AppEstimate* Score(
+      const std::vector<std::size_t>& subset);
+
+  /// Kernels priced by the last successful Score, in subset order.  Names
+  /// are left empty.
+  [[nodiscard]] std::span<const KernelEstimate> kernels() const {
+    return {kernels_.data(), scored_};
+  }
+
+  /// Candidate `id`'s unpriced kernel: software and synthesized metrics
+  /// (hw_clock_mhz already capped by the platform).  `id` must have been
+  /// listed at construction and have synthesized.
+  [[nodiscard]] const KernelEstimate& metrics(std::size_t id) const {
+    return members_[id].kernel;
+  }
+
+ private:
+  struct Member {
+    KernelEstimate kernel;
+    bool listed = false;
+    bool synthesized = false;
+    bool touches_arrays = false;
+  };
+
+  const CandidateSet& set_;
+  const Platform& platform_;
+  double budget_ = 0.0;
+  std::vector<Member> members_;           ///< indexed by candidate id
+  std::vector<KernelEstimate> kernels_;   ///< pricing buffer
+  std::size_t scored_ = 0;                ///< kernels_ priced by last Score
+  std::vector<std::uint64_t> in_subset_;  ///< bitset rows, reused per Score
+  std::vector<std::uint64_t> software_;   ///< candidates left in software
+  AppEstimate estimate_;
+};
+
+/// One-shot SubsetScorer: the estimate of `subset` with named kernels, or
+/// nullopt when any member fails synthesis or the subset violates the area
+/// budget or overlaps internally.
 [[nodiscard]] std::optional<AppEstimate> EvaluateSubset(
     const CandidateSet& set, const std::vector<std::size_t>& subset,
     const Platform& platform, const PartitionOptions& options);

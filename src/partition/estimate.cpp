@@ -59,8 +59,16 @@ AppEstimate CombineEstimates(const Platform& platform,
                              std::uint64_t total_sw_cycles,
                              std::vector<KernelEstimate> kernels) {
   AppEstimate app;
+  CombineEstimates(platform, total_sw_cycles, kernels, &app);
+  app.kernels = std::move(kernels);
+  return app;
+}
+
+void CombineEstimates(const Platform& platform, std::uint64_t total_sw_cycles,
+                      std::span<KernelEstimate> kernels, AppEstimate* app) {
   const double cpu_hz = platform.cpu.clock_mhz * 1e6;
-  app.sw_time = static_cast<double>(total_sw_cycles) / cpu_hz;
+  app->sw_time = static_cast<double>(total_sw_cycles) / cpu_hz;
+  app->area_gates = 0.0;
 
   std::uint64_t moved_cycles = 0;
   double hw_time_total = 0.0;
@@ -86,18 +94,18 @@ AppEstimate CombineEstimates(const Platform& platform,
     moved_cycles += kernel.sw_cycles;
     hw_time_total += kernel.hw_time;
     kernel_speedup_sum += kernel.kernel_speedup;
-    app.area_gates += kernel.area_gates;
+    app->area_gates += kernel.area_gates;
     hw_power += platform.fpga.dynamic_watts(kernel.area_gates,
                                             kernel.hw_clock_mhz);
   }
   moved_cycles = std::min(moved_cycles, total_sw_cycles);
   const double remaining_time =
       static_cast<double>(total_sw_cycles - moved_cycles) / cpu_hz;
-  app.partitioned_time = remaining_time + hw_time_total;
-  app.speedup = app.partitioned_time > 0.0
-                    ? app.sw_time / app.partitioned_time
-                    : 1.0;
-  app.avg_kernel_speedup =
+  app->partitioned_time = remaining_time + hw_time_total;
+  app->speedup = app->partitioned_time > 0.0
+                     ? app->sw_time / app->partitioned_time
+                     : 1.0;
+  app->avg_kernel_speedup =
       kernels.empty() ? 0.0 : kernel_speedup_sum / kernels.size();
 
   // Energy.  Baseline = MIPS-only platform (the paper compares "to a MIPS
@@ -105,23 +113,21 @@ AppEstimate CombineEstimates(const Platform& platform,
   // it computes, idle (clock-gated fraction) while the FPGA runs; FPGA
   // draws static power whenever configured plus dynamic while active.
   const double cpu_active = platform.cpu.active_watts();
-  app.sw_energy = cpu_active * app.sw_time;
+  app->sw_energy = cpu_active * app->sw_time;
   if (kernels.empty()) {
     // Nothing mapped to hardware: the FPGA is left unconfigured.
-    app.partitioned_energy = app.sw_energy;
+    app->partitioned_energy = app->sw_energy;
   } else {
-    app.partitioned_energy =
+    app->partitioned_energy =
         cpu_active * remaining_time +
         platform.cpu.idle_watts() * hw_time_total +
         hw_power * hw_time_total +
         platform.fpga.static_watts * remaining_time;
   }
-  app.energy_savings =
-      app.sw_energy > 0.0
-          ? 1.0 - app.partitioned_energy / app.sw_energy
+  app->energy_savings =
+      app->sw_energy > 0.0
+          ? 1.0 - app->partitioned_energy / app->sw_energy
           : 0.0;
-  app.kernels = std::move(kernels);
-  return app;
 }
 
 }  // namespace b2h::partition

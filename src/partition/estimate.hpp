@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,5 +69,12 @@ struct AppEstimate {
 [[nodiscard]] AppEstimate CombineEstimates(
     const Platform& platform, std::uint64_t total_sw_cycles,
     std::vector<KernelEstimate> kernels);
+
+/// The same formula over a kernel buffer the caller owns, for search loops
+/// that price many subsets: fills each kernel's time and speedup fields in
+/// place and writes the application-level numbers to `*app`, leaving
+/// `app->kernels` untouched.  Allocates nothing.
+void CombineEstimates(const Platform& platform, std::uint64_t total_sw_cycles,
+                      std::span<KernelEstimate> kernels, AppEstimate* app);
 
 }  // namespace b2h::partition

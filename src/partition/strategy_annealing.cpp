@@ -38,11 +38,18 @@ class AnnealingStrategy final : public Strategy {
     // Start (and incumbent): the greedy subset.
     std::vector<std::size_t> current =
         GreedyChosenSubset(set, platform, options);
-    auto current_estimate = EvaluateSubset(set, current, platform, options);
-    Check(current_estimate.has_value(), "annealing: greedy start infeasible");
-    double current_score =
-        ObjectiveScore(*current_estimate, strategy_options.objective);
-    std::vector<std::size_t> best = current;
+    SubsetScorer scorer(set, platform, options, viable, current);
+    const AppEstimate* start = scorer.Score(current);
+    Check(start != nullptr, "annealing: greedy start infeasible");
+    double current_score = ObjectiveScore(*start, strategy_options.objective);
+    // Each subset buffer can hold the whole set, so the loop below only
+    // copies and swaps them: no proposal allocates.
+    std::vector<std::size_t> best;
+    std::vector<std::size_t> proposal;
+    current.reserve(set.size());
+    best.reserve(set.size());
+    proposal.reserve(set.size());
+    best = current;
     double best_score = current_score;
 
     std::mt19937_64 rng(strategy_options.seed);
@@ -54,7 +61,7 @@ class AnnealingStrategy final : public Strategy {
           rng() % static_cast<std::uint64_t>(viable.size()));
       const std::size_t id = viable[pick];
 
-      std::vector<std::size_t> proposal = current;
+      proposal = current;
       const auto it = std::find(proposal.begin(), proposal.end(), id);
       if (it != proposal.end()) {
         proposal.erase(it);
@@ -62,8 +69,8 @@ class AnnealingStrategy final : public Strategy {
         proposal.insert(
             std::lower_bound(proposal.begin(), proposal.end(), id), id);
       }
-      const auto estimate = EvaluateSubset(set, proposal, platform, options);
-      if (!estimate.has_value()) continue;  // infeasible move
+      const AppEstimate* estimate = scorer.Score(proposal);
+      if (estimate == nullptr) continue;  // infeasible move
       const double score =
           ObjectiveScore(*estimate, strategy_options.objective);
 
@@ -79,7 +86,7 @@ class AnnealingStrategy final : public Strategy {
           (scale > 0.0 &&
            std::exp((score - current_score) / scale) > unit(rng));
       if (!accept) continue;
-      current = std::move(proposal);
+      current.swap(proposal);
       current_score = score;
       if (current_score > best_score) {
         best_score = current_score;

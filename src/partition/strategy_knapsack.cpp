@@ -68,30 +68,21 @@ class KnapsackStrategy final : public Strategy {
     // Incumbent: the paper-greedy subset, scored under this strategy's
     // whole-subset residency rules.  Guarantees result >= greedy.
     std::vector<std::size_t> best = GreedyChosenSubset(set, platform, options);
-    const auto score_of = [&](const std::vector<std::size_t>& subset) {
-      const auto estimate = EvaluateSubset(set, subset, platform, options);
-      Check(estimate.has_value(), "knapsack: incumbent subset infeasible");
-      return *estimate;
-    };
-    AppEstimate best_estimate = score_of(best);
-    double best_score =
-        ObjectiveScore(best_estimate, strategy_options.objective);
-    double best_saved = best_estimate.sw_time - best_estimate.partitioned_time;
+    SubsetScorer scorer(set, platform, options, viable, best);
+    const AppEstimate* incumbent = scorer.Score(best);
+    Check(incumbent != nullptr, "knapsack: incumbent subset infeasible");
+    double best_score = ObjectiveScore(*incumbent, strategy_options.objective);
+    double best_saved = incumbent->sw_time - incumbent->partitioned_time;
 
     // Per-candidate best case (for the admissible speedup bound): saved
     // seconds with zero communication cost.
     const double cpu_hz = platform.cpu.clock_mhz * 1e6;
     std::vector<double> best_case(viable.size(), 0.0);
     for (std::size_t v = 0; v < viable.size(); ++v) {
-      const Candidate& candidate = candidates[viable[v]];
-      const auto& synthesized = set.Synthesize(viable[v], options.synth);
-      const double fpga_hz =
-          std::min(synthesized.value().clock_mhz,
-                   platform.fpga.clock_mhz_cap) *
-          1e6;
-      best_case[v] =
-          static_cast<double>(candidate.sw_cycles) / cpu_hz -
-          static_cast<double>(synthesized.value().hw_cycles) / fpga_hz;
+      const KernelEstimate& metrics = scorer.metrics(viable[v]);
+      const double fpga_hz = metrics.hw_clock_mhz * 1e6;
+      best_case[v] = static_cast<double>(metrics.sw_cycles) / cpu_hz -
+                     static_cast<double>(metrics.hw_cycles) / fpga_hz;
     }
     // suffix_best[v]: most saved seconds any subset of viable[v..] can add.
     std::vector<double> suffix_best(viable.size() + 1, 0.0);
@@ -99,7 +90,10 @@ class KnapsackStrategy final : public Strategy {
       suffix_best[v] = suffix_best[v + 1] + std::max(0.0, best_case[v]);
     }
 
+    // Subset buffers sized for the whole set: the search never allocates.
     std::vector<std::size_t> taken;
+    taken.reserve(set.size());
+    best.reserve(set.size());
     double taken_best_case = 0.0;
     double taken_area = 0.0;
 
@@ -108,8 +102,8 @@ class KnapsackStrategy final : public Strategy {
         return;  // even a communication-free extension cannot win
       }
       if (v == viable.size()) {
-        const auto estimate = EvaluateSubset(set, taken, platform, options);
-        if (!estimate.has_value()) return;  // unreachable: kept feasible
+        const AppEstimate* estimate = scorer.Score(taken);
+        if (estimate == nullptr) return;  // unreachable: kept feasible
         const double score =
             ObjectiveScore(*estimate, strategy_options.objective);
         if (score > best_score) {
@@ -120,8 +114,7 @@ class KnapsackStrategy final : public Strategy {
         return;
       }
       const std::size_t id = viable[v];
-      const auto& synthesized = set.Synthesize(id, options.synth);
-      const double gates = synthesized.value().area.total_gates;
+      const double gates = scorer.metrics(id).area_gates;
       bool feasible = taken_area + gates <= budget;
       for (std::size_t other : taken) {
         if (!feasible) break;

@@ -6,15 +6,24 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 
 namespace b2h::support {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// How long the rest of a frame may take once its first byte has arrived.
+/// The caller's timeout only bounds the wait for that first byte (an idle
+/// connection); a peer that stalls mid-frame past this bound is treated as
+/// dead, so a reader never resumes mid-frame and desyncs the stream.
+constexpr std::chrono::milliseconds kFrameCompletionBound{5000};
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -44,10 +53,12 @@ IoStatus ReadExact(int fd, void* buffer, std::size_t size,
   while (done < size) {
     int timeout_ms = -1;
     if (deadline != nullptr) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(*deadline - Clock::now()).count();
-      if (remaining <= 0) return IoStatus::kTimeout;
-      timeout_ms = static_cast<int>(remaining);
+      // Round the time left up, and poll even when none is left: giving up
+      // without polling would ignore bytes that have already arrived.
+      const auto remaining = std::chrono::ceil<std::chrono::milliseconds>(
+                                 *deadline - Clock::now()).count();
+      timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
+          remaining, 0, std::numeric_limits<int>::max()));
     }
     pollfd pfd{fd, POLLIN, 0};
     const int polled = ::poll(&pfd, 1, timeout_ms);
@@ -65,20 +76,6 @@ IoStatus ReadExact(int fd, void* buffer, std::size_t size,
     done += static_cast<std::size_t>(n);
   }
   return IoStatus::kOk;
-}
-
-bool WriteExact(int fd, const void* buffer, std::size_t size) {
-  const auto* in = static_cast<const char*>(buffer);
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::send(fd, in + done, size - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace
@@ -140,23 +137,25 @@ int ConnectUnix(const std::string& path, std::string* error) {
 
 FrameStatus ReadFrame(int fd, std::string* payload,
                       std::uint32_t max_frame_bytes, int timeout_ms) {
-  Clock::time_point deadline_storage;
-  const Clock::time_point* deadline = nullptr;
-  if (timeout_ms >= 0) {
-    deadline_storage = Clock::now() + std::chrono::milliseconds(timeout_ms);
-    deadline = &deadline_storage;
-  }
-
+  // Wait for the first byte under the caller's timeout: running out here
+  // consumed nothing, so kTimeout leaves the stream in sync.
+  const Clock::time_point idle_deadline =
+      Clock::now() + std::chrono::milliseconds(timeout_ms);
   unsigned char prefix[4];
-  switch (ReadExact(fd, prefix, sizeof prefix, deadline)) {
+  switch (ReadExact(fd, prefix, 1, timeout_ms >= 0 ? &idle_deadline
+                                                   : nullptr)) {
+    case IoStatus::kOk: break;
+    case IoStatus::kEof: return FrameStatus::kClosed;
+    case IoStatus::kTimeout: return FrameStatus::kTimeout;
+    case IoStatus::kError: return FrameStatus::kError;
+  }
+  // The frame has started: the rest must follow within the completion
+  // bound, and running out now is a truncation, never an idle timeout.
+  const Clock::time_point completion = Clock::now() + kFrameCompletionBound;
+  switch (ReadExact(fd, prefix + 1, sizeof prefix - 1, &completion)) {
     case IoStatus::kOk: break;
     case IoStatus::kEof:
-      // EOF exactly on a frame boundary is a clean close; mid-prefix is a
-      // truncation.  ReadExact cannot distinguish, so probe: a zero `done`
-      // is indistinguishable here — treat any EOF in the prefix as kClosed
-      // (the peer sent no usable frame either way).
-      return FrameStatus::kClosed;
-    case IoStatus::kTimeout: return FrameStatus::kTimeout;
+    case IoStatus::kTimeout: return FrameStatus::kTruncated;
     case IoStatus::kError: return FrameStatus::kError;
   }
   const std::uint32_t length = static_cast<std::uint32_t>(prefix[0]) |
@@ -166,10 +165,10 @@ FrameStatus ReadFrame(int fd, std::string* payload,
   if (length > max_frame_bytes) return FrameStatus::kOversized;
   payload->resize(length);
   if (length == 0) return FrameStatus::kOk;
-  switch (ReadExact(fd, payload->data(), length, deadline)) {
+  switch (ReadExact(fd, payload->data(), length, &completion)) {
     case IoStatus::kOk: return FrameStatus::kOk;
-    case IoStatus::kEof: return FrameStatus::kTruncated;
-    case IoStatus::kTimeout: return FrameStatus::kTimeout;
+    case IoStatus::kEof:
+    case IoStatus::kTimeout: return FrameStatus::kTruncated;
     case IoStatus::kError: return FrameStatus::kError;
   }
   return FrameStatus::kError;

@@ -27,9 +27,9 @@ inline constexpr std::uint32_t kDefaultMaxFrameBytes = 8u << 20;
 enum class FrameStatus {
   kOk,         ///< one complete frame delivered
   kClosed,     ///< clean EOF before any frame byte (peer hung up)
-  kTruncated,  ///< EOF mid-frame (peer died while sending)
+  kTruncated,  ///< EOF or a stall past the completion bound mid-frame
   kOversized,  ///< length prefix beyond the cap; stream no longer in sync
-  kTimeout,    ///< poll timeout expired before a complete frame
+  kTimeout,    ///< no frame byte arrived before the timeout (in sync)
   kError,      ///< errno-level failure
 };
 
@@ -45,10 +45,13 @@ enum class FrameStatus {
 /// Connect to a unix socket.  Returns the fd, or -1 with `*error` set.
 [[nodiscard]] int ConnectUnix(const std::string& path, std::string* error);
 
-/// Read one frame into `*payload`.  `timeout_ms < 0` blocks indefinitely.
-/// On kOversized the prefix was consumed but the payload was not — the
-/// stream is out of sync and the connection should be closed after any
-/// error reply.
+/// Read one frame into `*payload`.  `timeout_ms` bounds only the wait for
+/// the frame's first byte (`< 0` blocks indefinitely), so kTimeout always
+/// means nothing was consumed.  Once a byte has arrived the rest of the
+/// frame must follow within a fixed completion bound (5 s); a peer that
+/// stalls longer yields kTruncated.  On kOversized the prefix was consumed
+/// but the payload was not — the stream is out of sync and the connection
+/// should be closed after any error reply.
 [[nodiscard]] FrameStatus ReadFrame(int fd, std::string* payload,
                                     std::uint32_t max_frame_bytes,
                                     int timeout_ms = -1);

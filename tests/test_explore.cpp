@@ -200,6 +200,53 @@ TEST(Explore, ParallelEqualsSerial) {
   EXPECT_EQ(a.cache_misses, b.cache_misses);
 }
 
+// Many pool threads on ONE binary: every point of the sweep shares one
+// CandidateSet, which ParallelEqualsSerial (three binaries, two objectives)
+// never crowds.  autcor00 is the binary where knapsack-optimal beats the
+// greedy heuristic, so the exact search does real work on the shared set.
+TEST(Explore, OneBinaryGridSweepIsThreadCountInvariant) {
+  ExploreSpec spec;
+  spec.binaries = {{"autcor00", BuildBench("autcor00")}};
+  spec.platforms.clear();
+  // The design-space grid of examples/platform_explorer.cpp.
+  for (double mhz : {40.0, 100.0, 200.0, 400.0}) {
+    for (double kgates : {15.0, 50.0, 300.0}) {
+      partition::Platform platform = partition::Platform::WithCpuMhz(mhz);
+      platform.fpga.capacity_gates = kgates * 1000.0;
+      platform.fpga.usable_fraction = 1.0;
+      std::string name = "mips" + std::to_string(static_cast<int>(mhz)) +
+                         "-" + std::to_string(static_cast<int>(kgates)) +
+                         "kg";
+      partition::PlatformRegistry::Global().Register(name, platform);
+      spec.platforms.push_back(std::move(name));
+    }
+  }
+  spec.strategies = kAllStrategies;
+  spec.objectives = {Objective::kSpeedup, Objective::kEnergy,
+                     Objective::kEnergyDelay};
+
+  Toolchain serial;
+  serial.WithThreads(1);
+  Toolchain parallel;
+  parallel.WithThreads(8);
+  const ExploreResult a = serial.Explore(spec);
+  const ExploreResult b = parallel.Explore(spec);
+  ASSERT_EQ(a.points.size(), 12u * 3u * 3u);
+  EXPECT_EQ(a.Report(), b.Report());
+  const auto synthesis_runs = [](const Toolchain& toolchain) {
+    return toolchain.artifact_cache()->candidate_pool()->stats()
+        .synthesis_runs;
+  };
+  EXPECT_EQ(synthesis_runs(serial), synthesis_runs(parallel));
+  bool knapsack_wins = false;
+  for (std::size_t p = 0; p < spec.platforms.size(); ++p) {
+    const auto& greedy = a.At(0, p, 0, 0);
+    const auto& optimal = a.At(0, p, 1, 0);
+    if (optimal.speedup > greedy.speedup + 1e-9) knapsack_wins = true;
+  }
+  EXPECT_TRUE(knapsack_wins);
+}
+
 TEST(Explore, AnnealingIsDeterministicUnderAFixedSeed) {
   ExploreSpec spec;
   spec.binaries = {{"fir", BuildBench("fir")}, {"crc", BuildBench("crc")}};

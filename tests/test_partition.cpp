@@ -1,13 +1,55 @@
 // Partitioner and estimator tests: the three steps of the paper's
-// algorithm, area budgeting, the performance/energy model, and the platform
-// trends the paper reports (slower CPU -> larger speedup and savings).
+// algorithm, area budgeting, the performance/energy model, the platform
+// trends the paper reports (slower CPU -> larger speedup and savings), and
+// the table-driven subset scorer against the definitions it replaced.
 #include "partition/partitioner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdlib>
+#include <new>
+#include <random>
+#include <set>
+
+#include "minicc/codegen.hpp"
+#include "partition/candidates.hpp"
 #include "partition/flow.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+
+// Counts this thread's global operator new calls, so the scorer test can
+// show that scoring a subset allocates nothing.  Every unaligned new and
+// delete form is replaced, so sanitizer runtimes only ever see matching
+// malloc/free pairs.
+namespace {
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++t_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new(std::size_t size) {
+  if (void* memory = ::operator new(size, std::nothrow)) return memory;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
+void operator delete(void* memory) noexcept { std::free(memory); }
+void operator delete[](void* memory) noexcept { std::free(memory); }
+void operator delete(void* memory, std::size_t) noexcept { std::free(memory); }
+void operator delete[](void* memory, std::size_t) noexcept {
+  std::free(memory);
+}
+void operator delete(void* memory, const std::nothrow_t&) noexcept {
+  std::free(memory);
+}
+void operator delete[](void* memory, const std::nothrow_t&) noexcept {
+  std::free(memory);
+}
 
 namespace b2h::partition {
 namespace {
@@ -165,6 +207,283 @@ TEST(Flow, IndirectJumpBinariesFailCleanly) {
   auto flow = RunFlow(binary.value());
   ASSERT_FALSE(flow.ok());
   EXPECT_EQ(flow.status().kind(), ErrorKind::kIndirectJump);
+}
+
+// ---------------------------------------------------------------------------
+// Subset scorer vs. the pre-table definitions
+// ---------------------------------------------------------------------------
+
+// The oracle: subset scoring as it was defined before the dense tables —
+// overlap by block-set intersection, residency through a std::set of the
+// arrays that software-side candidates touch.
+class OracleScorer {
+ public:
+  explicit OracleScorer(const CandidateSet& set)
+      : set_(set), overlaps_(set.size(), std::vector<bool>(set.size())) {
+    const auto& candidates = set.candidates();
+    for (std::size_t a = 0; a < set.size(); ++a) {
+      const std::set<const ir::Block*> blocks(
+          candidates[a].region.blocks.begin(),
+          candidates[a].region.blocks.end());
+      for (std::size_t b = 0; b < set.size(); ++b) {
+        for (const ir::Block* block : candidates[b].region.blocks) {
+          if (blocks.count(block) != 0) overlaps_[a][b] = true;
+        }
+      }
+    }
+  }
+
+  bool Overlaps(std::size_t a, std::size_t b) const { return overlaps_[a][b]; }
+
+  std::optional<AppEstimate> Evaluate(const std::vector<std::size_t>& subset,
+                                      const Platform& platform,
+                                      const PartitionOptions& options) const {
+    double area = 0.0;
+    for (std::size_t i = 0; i < subset.size(); ++i) {
+      for (std::size_t j = i + 1; j < subset.size(); ++j) {
+        if (Overlaps(subset[i], subset[j])) return std::nullopt;
+      }
+      const auto& synthesized = set_.Synthesize(subset[i], options.synth);
+      if (!synthesized.ok()) return std::nullopt;
+      area += synthesized.value().area.total_gates;
+    }
+    if (area > platform.fpga.budget_gates()) return std::nullopt;
+
+    std::vector<bool> covered(set_.size(), false);
+    for (std::size_t id : subset) covered[id] = true;
+    for (std::size_t id = 0; id < set_.size(); ++id) {
+      if (covered[id]) continue;
+      for (std::size_t sel : subset) {
+        if (Overlaps(id, sel)) {
+          covered[id] = true;
+          break;
+        }
+      }
+    }
+    std::set<std::pair<const ir::Function*, int>> sw_arrays;
+    for (std::size_t id = 0; id < set_.size(); ++id) {
+      if (covered[id]) continue;
+      const Candidate& candidate = set_.candidates()[id];
+      for (int region : candidate.alias_regions) {
+        sw_arrays.insert({candidate.function, region});
+      }
+    }
+    std::vector<KernelEstimate> kernels;
+    for (std::size_t id : subset) {
+      const Candidate& candidate = set_.candidates()[id];
+      const auto& synthesized = set_.Synthesize(id, options.synth);
+      bool resident = !candidate.alias_regions.empty();
+      for (int region : candidate.alias_regions) {
+        if (sw_arrays.count({candidate.function, region}) != 0) {
+          resident = false;
+          break;
+        }
+      }
+      KernelEstimate kernel;
+      kernel.sw_cycles = candidate.sw_cycles;
+      kernel.hw_cycles = synthesized.value().hw_cycles;
+      kernel.invocations = candidate.invocations;
+      kernel.comm_words = candidate.comm_words;
+      kernel.mem_accesses = candidate.mem_accesses;
+      kernel.arrays_resident = resident;
+      kernel.hw_clock_mhz = std::min(synthesized.value().clock_mhz,
+                                     platform.fpga.clock_mhz_cap);
+      kernel.area_gates = synthesized.value().area.total_gates;
+      kernels.push_back(kernel);
+    }
+    return CombineEstimates(platform, set_.total_sw_cycles(),
+                            std::move(kernels));
+  }
+
+ private:
+  const CandidateSet& set_;
+  std::vector<std::vector<bool>> overlaps_;
+};
+
+// Eighty loops in one function: twenty two-deep nests and twenty single
+// loops over five shared arrays, and twenty single loops that each own an
+// array (resident whenever selected).  Half the nests are tiny, so they
+// sort last and overlap entirely within the second 64-bit table word.
+std::string EightyLoopProgram() {
+  std::string globals = "int a0[64];\nint a1[64];\nint a2[64];\n"
+                        "int a3[64];\nint a4[64];\n";
+  std::string body = "int main() {\n  int i;\n  int j;\n  int s = 0;\n";
+  for (int k = 0; k < 60; ++k) {
+    const std::string shared = "a" + std::to_string(k % 5);
+    const std::string other = "a" + std::to_string((k + 2) % 5);
+    const std::string trips = std::to_string(8 + k % 7 * 8);
+    if (k % 3 == 0) {
+      const bool tiny = k >= 30;
+      body += "  for (i = 0; i < " + std::string(tiny ? "2" : "4") +
+              "; i = i + 1) {\n"
+              "    for (j = 0; j < " + (tiny ? "2" : trips) +
+              "; j = j + 1) {\n"
+              "      " + shared + "[j] = " + shared + "[j] + " + other +
+              "[j] * i;\n    }\n  }\n";
+      continue;
+    }
+    const std::string array = k % 3 == 1 ? "p" + std::to_string(k) : shared;
+    if (k % 3 == 1) globals += "int " + array + "[64];\n";
+    body += "  for (i = 0; i < " + trips + "; i = i + 1) {\n"
+            "    " + array + "[i] = " + array + "[i] + i * " +
+            std::to_string(k + 1) + ";\n  }\n";
+  }
+  body += "  for (i = 0; i < 64; i = i + 1) {\n"
+          "    s = s + a0[i] + a1[i] + a2[i] + a3[i] + a4[i];\n  }\n"
+          "  return s;\n}\n";
+  return globals + body;
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// Scores every subset of the viable candidates (or 2000 seeded random
+// ones when there are more than 12) with a reused SubsetScorer, with
+// EvaluateSubset and with the oracle, and requires identical feasibility,
+// bit-identical figures and no allocation by the reused scorer.  Adds to
+// the feasible/infeasible counts.
+void ExpectScorerMatchesOracle(const FlowResult& flow, const Platform& platform,
+                               const std::string& label, int* feasible,
+                               int* infeasible) {
+  const PartitionOptions options;
+  const CandidateSet set =
+      CandidateSet::Scan(*flow.program, flow.software_run.profile);
+  const std::vector<std::size_t> viable =
+      FilterViableCandidates(set, platform, options).ids;
+  const OracleScorer oracle(set);
+  for (std::size_t a = 0; a < set.size(); ++a) {
+    for (std::size_t b = 0; b < set.size(); ++b) {
+      ASSERT_EQ(set.Overlaps(a, b), oracle.Overlaps(a, b))
+          << label << ": " << a << " vs " << b;
+    }
+  }
+  SubsetScorer scorer(set, platform, options, viable, {});
+  const std::size_t synthesis_runs = set.synthesis_runs();
+
+  std::vector<std::vector<std::size_t>> subsets;
+  if (viable.size() <= 12) {
+    for (std::size_t mask = 0; mask < (std::size_t{1} << viable.size());
+         ++mask) {
+      std::vector<std::size_t> subset;
+      for (std::size_t v = 0; v < viable.size(); ++v) {
+        if ((mask >> v) & 1u) subset.push_back(viable[v]);
+      }
+      subsets.push_back(std::move(subset));
+    }
+  } else {
+    // Half the draws are arbitrary (mostly overlapping) subsets; the other
+    // half add candidates in random order while they stay overlap-free, so
+    // the residency and pricing paths get exercised too.
+    std::mt19937_64 rng(13);
+    for (int draw = 0; draw < 2000; ++draw) {
+      std::vector<std::size_t> order = viable;
+      std::shuffle(order.begin(), order.end(), rng);
+      const std::size_t size = 1 + rng() % 10;
+      std::vector<std::size_t> subset;
+      for (std::size_t id : order) {
+        if (subset.size() == size) break;
+        bool fits = true;
+        for (std::size_t member : subset) {
+          if (draw % 2 == 1 && oracle.Overlaps(id, member)) fits = false;
+        }
+        if (fits) subset.push_back(id);
+      }
+      std::sort(subset.begin(), subset.end());
+      subsets.push_back(std::move(subset));
+    }
+  }
+
+  for (const std::vector<std::size_t>& subset : subsets) {
+    const std::optional<AppEstimate> expected =
+        oracle.Evaluate(subset, platform, options);
+    const std::size_t allocations = t_allocations;
+    const AppEstimate* scored = scorer.Score(subset);
+    ASSERT_EQ(t_allocations, allocations) << label << ": Score allocated";
+    const std::optional<AppEstimate> evaluated =
+        EvaluateSubset(set, subset, platform, options);
+    ASSERT_EQ(scored != nullptr, expected.has_value()) << label;
+    ASSERT_EQ(evaluated.has_value(), expected.has_value()) << label;
+    if (!expected.has_value()) {
+      ++*infeasible;
+      continue;
+    }
+    ++*feasible;
+    for (const AppEstimate* actual : {scored, &*evaluated}) {
+      EXPECT_EQ(Bits(actual->speedup), Bits(expected->speedup)) << label;
+      EXPECT_EQ(Bits(actual->partitioned_time),
+                Bits(expected->partitioned_time))
+          << label;
+      EXPECT_EQ(Bits(actual->partitioned_energy),
+                Bits(expected->partitioned_energy))
+          << label;
+      EXPECT_EQ(Bits(actual->area_gates), Bits(expected->area_gates))
+          << label;
+    }
+    ASSERT_EQ(evaluated->kernels.size(), subset.size()) << label;
+    for (std::size_t k = 0; k < subset.size(); ++k) {
+      EXPECT_EQ(evaluated->kernels[k].name,
+                set.candidates()[subset[k]].region.name);
+      EXPECT_EQ(evaluated->kernels[k].arrays_resident,
+                expected->kernels[k].arrays_resident)
+          << label;
+    }
+  }
+  EXPECT_EQ(set.synthesis_runs(), synthesis_runs) << label;
+}
+
+std::string MhzLabel(const Platform& platform) {
+  return std::to_string(static_cast<int>(platform.cpu.clock_mhz)) + " MHz";
+}
+
+std::vector<Platform> ScorerPlatforms() {
+  Platform small = Platform::WithCpuMhz(40.0);
+  small.fpga.capacity_gates = 15'000;
+  small.fpga.usable_fraction = 1.0;
+  Platform large = Platform::WithCpuMhz(400.0);
+  large.fpga.capacity_gates = 300'000;
+  large.fpga.usable_fraction = 1.0;
+  return {small, Platform::WithCpuMhz(200.0), large};
+}
+
+TEST(SubsetScorer, MatchesPreTableDefinitionsOnTheSuite) {
+  int feasible = 0;
+  int infeasible = 0;
+  for (const suite::Benchmark* bench : suite::WorkingBenchmarks()) {
+    auto binary = suite::BuildBinary(*bench, 1);
+    ASSERT_TRUE(binary.ok()) << bench->name;
+    auto flow = RunFlow(binary.value());
+    ASSERT_TRUE(flow.ok()) << bench->name << ": " << flow.status().message();
+    for (const Platform& platform : ScorerPlatforms()) {
+      ExpectScorerMatchesOracle(
+          flow.value(), platform,
+          bench->name + " @ " + MhzLabel(platform),
+          &feasible, &infeasible);
+    }
+  }
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
+}
+
+TEST(SubsetScorer, MatchesPreTableDefinitionsPastOneTableWord) {
+  minicc::CompileOptions compile;
+  compile.opt_level = 1;
+  auto compiled = minicc::Compile(EightyLoopProgram(), compile);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().message();
+  auto flow = RunFlow(compiled.value().binary);
+  ASSERT_TRUE(flow.ok()) << flow.status().message();
+  const FlowResult& result = flow.value();
+  const CandidateSet set =
+      CandidateSet::Scan(*result.program, result.software_run.profile);
+  ASSERT_GT(set.size(), 64u);  // two-word table rows
+  EXPECT_EQ(set.row_words(), 2u);
+  for (const Platform& platform : ScorerPlatforms()) {
+    int feasible = 0;
+    int infeasible = 0;
+    ExpectScorerMatchesOracle(
+        flow.value(), platform,
+        "80 loops @ " + MhzLabel(platform), &feasible, &infeasible);
+    EXPECT_GT(feasible, 0);
+    EXPECT_GT(infeasible, 0);
+  }
 }
 
 TEST(Flow, FaultingBinaryReported) {

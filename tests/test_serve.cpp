@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <map>
@@ -175,6 +176,27 @@ TEST(Framing, ReportsCleanCloseAndTimeout) {
     EXPECT_EQ(support::ReadFrame(pair.fd[1], &payload, 1 << 20, 50),
               FrameStatus::kTimeout);
   }
+}
+
+TEST(Framing, StallAfterPrefixStillDeliversTheFrame) {
+  // The payload arrives after the reader's timeout.  The timeout bounds only
+  // the wait for a frame's first byte, so the reader finishes the frame: a
+  // kTimeout here would leave the payload to be read as the next prefix.
+  SocketPair pair;
+  const std::string body = "late payload";
+  const unsigned char prefix[4] = {static_cast<unsigned char>(body.size()), 0,
+                                   0, 0};
+  ASSERT_EQ(::send(pair.fd[0], prefix, 4, 0), 4);
+  std::thread late([&pair, &body] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    EXPECT_EQ(::send(pair.fd[0], body.data(), body.size(), 0),
+              static_cast<ssize_t>(body.size()));
+  });
+  std::string payload;
+  EXPECT_EQ(support::ReadFrame(pair.fd[1], &payload, 1 << 20, 50),
+            FrameStatus::kOk);
+  late.join();
+  EXPECT_EQ(payload, body);
 }
 
 // ---------------------------------------------------------------------------
@@ -709,6 +731,26 @@ TEST(ServeDaemon, OversizedFrameClosesOnlyThatConnection) {
   // ...while everyone else keeps being served.
   const std::string pong = Call(bystander, R"({"schema":1,"kind":"ping"})");
   EXPECT_TRUE(MustParse(pong).GetBool("ok", false));
+}
+
+TEST(ServeDaemon, ClientStallingMidFrameStillGetsAReply) {
+  TempDir scratch;
+  const std::string socket_path = scratch.path + "/serve.sock";
+  ServerHarness harness({socket_path});
+  ASSERT_TRUE(harness.Start());
+
+  Client client = MustConnect(socket_path);
+  const std::string request = R"({"schema":1,"kind":"ping","id":"slow"})";
+  const char prefix[4] = {static_cast<char>(request.size()), 0, 0, 0};
+  ASSERT_TRUE(client.SendRaw(std::string_view(prefix, 4)));
+  // Longer than the daemon's 100 ms idle-read tick.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ASSERT_TRUE(client.SendRaw(request));
+  std::string response;
+  ASSERT_TRUE(client.Receive(&response, 10000).ok());
+  const JsonValue parsed = MustParse(response);
+  EXPECT_TRUE(parsed.GetBool("ok", false)) << response;
+  EXPECT_EQ(parsed.GetString("id"), "slow");
 }
 
 TEST(ServeDaemon, PartitionReportMatchesLocalToolchain) {
