@@ -7,19 +7,19 @@
 // approaches."
 //
 // Measures the wall time of each flow stage on representative binaries:
-// decompilation alone, partitioning+synthesis alone, and the full flow.
-// For dynamic (on-chip) use the whole flow must be milliseconds-scale.
-// Binaries are held as shared_ptr so the timed loops measure the stages
-// themselves, not the compat shim's defensive binary copy.
+// decompilation alone, partitioning+synthesis alone (the paper-greedy
+// strategy), and the full flow (Toolchain::Run).  For dynamic (on-chip)
+// use the whole flow must be milliseconds-scale.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
-#include "decomp/pipeline.hpp"
+#include "decomp/pass_manager.hpp"
 #include "mips/simulator.hpp"
-#include "partition/flow.hpp"
+#include "partition/strategy.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "toolchain/toolchain.hpp"
 
 using namespace b2h;
 
@@ -41,12 +41,17 @@ Prepared Prepare(const char* name) {
   return prepared;
 }
 
+const decomp::PassManager& DefaultPipeline() {
+  static const decomp::PassManager pipeline =
+      decomp::PassManager::Preset("default").take();
+  return pipeline;
+}
+
 void BM_Decompile(benchmark::State& state, const char* name) {
   const Prepared prepared = Prepare(name);
-  decomp::DecompileOptions options;
-  options.profile = &prepared.run.profile;
   for (auto _ : state) {
-    auto program = decomp::Decompile(prepared.binary, options);
+    auto program =
+        DefaultPipeline().Run(prepared.binary, &prepared.run.profile);
     benchmark::DoNotOptimize(program);
   }
   state.SetLabel(std::to_string(prepared.binary->text.size()) + " instrs");
@@ -54,31 +59,32 @@ void BM_Decompile(benchmark::State& state, const char* name) {
 
 void BM_PartitionAndSynthesize(benchmark::State& state, const char* name) {
   const Prepared prepared = Prepare(name);
-  decomp::DecompileOptions options;
-  options.profile = &prepared.run.profile;
-  auto program = decomp::Decompile(prepared.binary, options);
+  auto program = DefaultPipeline().Run(prepared.binary, &prepared.run.profile);
   if (!program.ok()) {
     state.SkipWithError("decompilation failed");
     return;
   }
+  const auto strategy =
+      partition::StrategyRegistry::Global().Create("paper-greedy");
   const partition::Platform platform;
   for (auto _ : state) {
-    auto result = partition::PartitionProgram(
-        program.value(), prepared.run.profile, platform, {});
+    auto result = strategy->Partition(program.value(), prepared.run.profile,
+                                      platform, {}, {});
     benchmark::DoNotOptimize(result);
   }
 }
 
 void BM_FullFlow(benchmark::State& state, const char* name) {
   const Prepared prepared = Prepare(name);
+  Toolchain toolchain;
+  toolchain.WithThreads(1);
   for (auto _ : state) {
-    auto flow = partition::RunFlow(prepared.binary, {});
-    benchmark::DoNotOptimize(flow);
+    auto run = toolchain.Run(prepared.binary, name);
+    benchmark::DoNotOptimize(run);
   }
 }
 
 }  // namespace
-
 BENCHMARK_CAPTURE(BM_Decompile, fir, "fir");
 BENCHMARK_CAPTURE(BM_Decompile, adpcm_enc, "adpcm_enc");
 BENCHMARK_CAPTURE(BM_Decompile, matmul, "matmul");

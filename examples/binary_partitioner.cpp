@@ -88,14 +88,17 @@ int main(int argc, char** argv) {
     }
   }
   // Pass 2: overrides.
+  bool custom = false;
   for (int i = 2; i + 1 < argc; i += 2) {
     if (std::strcmp(argv[i], "--cpu-mhz") == 0) {
       platform.cpu.clock_mhz = std::atof(argv[i + 1]);
       platform_label += "+custom";
+      custom = true;
     } else if (std::strcmp(argv[i], "--fpga-kgates") == 0) {
       platform.fpga.capacity_gates = std::atof(argv[i + 1]) * 1000.0;
       platform.fpga.usable_fraction = 1.0;
       platform_label += "+custom";
+      custom = true;
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {
       toolchain.WithPipeline(argv[i + 1]);
     } else if (std::strcmp(argv[i], "--out-dir") == 0) {
@@ -106,7 +109,10 @@ int main(int argc, char** argv) {
       toolchain.WithTrace(argv[i + 1]);
     }
   }
-  toolchain.WithPlatform(platform, platform_label);
+  // The toolchain runs on registered platforms only: an overridden one is
+  // registered under its label first.
+  if (custom) PlatformRegistry::Global().Register(platform_label, platform);
+  toolchain.WithPlatform(platform_label);
 
   auto loaded = LoadInput(input);
   if (!loaded.ok()) {

@@ -271,31 +271,6 @@ Result<PassManager> PassManager::FromSpec(std::string_view spec) {
   return manager;
 }
 
-PassManager PassManager::FromOptions(const DecompileOptions& options) {
-  PassManager manager;
-  auto append = [&manager](bool enabled, const char* name) {
-    if (!enabled) return;
-    const Status status = manager.Append(name);
-    Check(status.ok(), "built-in pass missing from registry");
-  };
-  append(options.reroll_loops, "reroll-loops");
-  append(options.simplify_constants, "simplify-constants");
-  append(options.remove_stack_ops, "remove-stack-ops");
-  append(options.remove_stack_ops && options.simplify_constants,
-         "simplify-constants");
-  append(options.inline_small_functions, "inline-small-functions");
-  append(options.inline_small_functions && options.simplify_constants,
-         "simplify-constants");
-  append(options.convert_ifs, "convert-ifs");
-  append(options.convert_ifs && options.simplify_constants,
-         "simplify-constants");
-  append(options.promote_strength, "promote-strength");
-  append(options.reduce_strength, "reduce-strength");
-  append(options.reduce_operator_sizes, "reduce-operator-sizes");
-  manager.SetVerify(options.verify);
-  return manager;
-}
-
 Status PassManager::Append(std::string_view name) {
   const Pass* pass = PassRegistry::Global().Find(name);
   if (pass == nullptr) {

@@ -8,9 +8,6 @@
 // `DecompileStats` plumbing the old hardwired pipeline used — the aggregate
 // struct is still filled in for compatibility, but per-pass numbers now come
 // from `DecompiledProgram::pass_runs`.
-//
-// `Decompile()` (pipeline.hpp) remains as a thin shim that maps the legacy
-// boolean `DecompileOptions` onto a pipeline and runs it here.
 #pragma once
 
 #include <map>
@@ -96,9 +93,6 @@ class PassManager {
   ///   "default,-reroll-loops"      — ablation: default minus one pass
   ///   "simplify-constants,reduce-operator-sizes"
   [[nodiscard]] static Result<PassManager> FromSpec(std::string_view spec);
-
-  /// Exact pipeline the legacy boolean options selected (compat shim).
-  [[nodiscard]] static PassManager FromOptions(const DecompileOptions& options);
 
   /// Append one pass by name; error if unregistered.
   Status Append(std::string_view name);

@@ -1,4 +1,6 @@
-// End-to-end decompilation pipeline: binary -> optimized, annotated CDFG.
+// What the decompilation pipeline produces: binary -> optimized, annotated
+// CDFG.  decomp::PassManager (pass_manager.hpp) builds and runs the
+// pipeline; its "default" preset runs, in order:
 //
 // Pass order (rationale):
 //   1. Lift                 — CFG recovery + SSA construction
@@ -31,19 +33,6 @@
 #include "support/error.hpp"
 
 namespace b2h::decomp {
-
-struct DecompileOptions {
-  const mips::ExecProfile* profile = nullptr;
-  bool reroll_loops = true;
-  bool simplify_constants = true;
-  bool remove_stack_ops = true;
-  bool inline_small_functions = true;
-  bool convert_ifs = true;
-  bool promote_strength = true;
-  bool reduce_strength = true;
-  bool reduce_operator_sizes = true;
-  bool verify = true;  ///< run the IR verifier after the pipeline
-};
 
 /// Aggregated pass statistics for reporting and the ablation benches.
 struct DecompileStats {
@@ -90,20 +79,5 @@ struct DecompiledProgram {
     return RecoverStructure(f);
   }
 };
-
-/// Run the full decompilation pipeline.  Fails (kIndirectJump /
-/// kMalformedBinary) exactly when CDFG recovery is impossible.
-///
-/// Compatibility shim over the PassManager (pass_manager.hpp): the boolean
-/// options select the same pipeline the old hardwired code ran.  The
-/// returned program shares ownership of `binary`.
-[[nodiscard]] Result<DecompiledProgram> Decompile(
-    std::shared_ptr<const mips::SoftBinary> binary,
-    const DecompileOptions& options = {});
-
-/// Reference overload: copies `binary` into shared ownership (the old
-/// non-owning capture is gone — see DecompiledProgram::binary).
-[[nodiscard]] Result<DecompiledProgram> Decompile(
-    const mips::SoftBinary& binary, const DecompileOptions& options = {});
 
 }  // namespace b2h::decomp

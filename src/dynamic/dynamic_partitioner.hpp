@@ -20,7 +20,7 @@
 //
 // The resulting DynamicRun reports the same AppEstimate shape as the static
 // flow, so the dynamic outcome can be compared directly against the static
-// oracle (partition::RunFlow / Toolchain) on the same binary.  Dynamic
+// oracle (Toolchain::RunDynamicOn runs both on the same binary).  Dynamic
 // speedups are expected to trail static ones: pre-detection iterations run
 // in software, and without the global alias view arrays cannot be made
 // FPGA-resident.

@@ -604,6 +604,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     }
     const auto done = partition_done.find(point_keys[i]);
     Check(done != partition_done.end(), "Explorer: missing artifact");
+    point.artifact = done->second;
     const PartitionArtifact& artifact = *done->second;
     point.speedup = artifact.estimate.speedup;
     point.partitioned_time = artifact.estimate.partitioned_time;

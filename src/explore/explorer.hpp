@@ -4,10 +4,11 @@
 // emit every point plus the multi-objective Pareto frontier (speedup vs.
 // energy vs. FPGA area).
 //
-// Layering: the Explorer is built from the same pieces as the Toolchain
-// batch API (pass manager, platform registry, thread-pool fan-out) plus the
-// strategy registry and the content-addressed ArtifactCache.  The Toolchain
-// facade front-doors it as Toolchain::Explore(ExploreSpec).
+// Layering: the Explorer is built from the pass manager, the platform and
+// strategy registries, a thread-pool fan-out and the content-addressed
+// ArtifactCache.  It is the one flow path: the Toolchain facade exposes it
+// as Toolchain::Explore(ExploreSpec), and Toolchain::Run/RunOn/RunMany are
+// paper-greedy views of it (toolchain/toolchain.hpp).
 //
 // Determinism contract (asserted by tests): Report() is bit-identical
 // across thread counts and across cache-cold vs. cache-warm runs; work and
@@ -108,6 +109,12 @@ struct ExplorePoint {
   double decompile_ms = 0.0;  ///< profile simulation + pass pipeline
   double synth_ms = 0.0;      ///< candidate scan + synthesis (pool Obtain)
   double partition_ms = 0.0;  ///< strategy selection over the candidates
+
+  /// The artifact this point was read from (null on failed points).  It
+  /// carries the full PartitionResult the Toolchain views hand out; never
+  /// rendered by Report()/Json().  Artifacts served from the disk tier have
+  /// no program, profile or schedule (see artifact_cache.hpp).
+  std::shared_ptr<const PartitionArtifact> artifact;
 };
 
 /// Metrics the Pareto frontier is computed over: maximize speedup,

@@ -1,7 +1,7 @@
 // Candidate enumeration and selection machinery shared by every
 // partitioning strategy.
 //
-// Historically this lived inline in PartitionProgram.  The exploration
+// Historically this lived inline in the paper partitioner.  The exploration
 // engine needs the same candidate scan (loops + analyses + profile
 // weights), the same selection bookkeeping (overlap subsumption, area
 // accounting, rejection reasons), and the same array-residency rules for

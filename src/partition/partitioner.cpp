@@ -2,20 +2,7 @@
 
 #include <algorithm>
 
-#include "partition/strategy.hpp"
-
 namespace b2h::partition {
-
-Result<PartitionResult> PartitionProgram(
-    const decomp::DecompiledProgram& program,
-    const mips::ExecProfile& profile, const Platform& platform,
-    const PartitionOptions& options) {
-  // The paper's algorithm is the "paper-greedy" strategy; the candidate
-  // scan and selection machinery it shares with the other strategies lives
-  // in candidates.{hpp,cpp}.
-  return MakePaperGreedyStrategy()->Partition(program, profile, platform,
-                                              options, StrategyOptions{});
-}
 
 AppEstimate EstimatePartition(const PartitionResult& partition,
                               const Platform& platform) {

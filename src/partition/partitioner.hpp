@@ -13,7 +13,9 @@
 //
 // Deliberately simple and fast (the paper targets eventual use in *dynamic*
 // partitioning), in contrast to the cited global optimization approaches
-// (Henkel; Kalavade/Lee).
+// (Henkel; Kalavade/Lee).  The algorithm is the "paper-greedy" entry of
+// the partition::StrategyRegistry (strategy.hpp); this header holds the
+// result types every strategy shares and the estimate fold.
 #pragma once
 
 #include <cstdint>
@@ -61,15 +63,6 @@ struct PartitionResult {
   std::uint64_t total_sw_cycles = 0;
   double loop_coverage = 0.0;  ///< fraction of cycles in candidate loops
 };
-
-/// Run the paper's three-step partitioner over a decompiled program with
-/// its profile.  Equivalent to the "paper-greedy" entry of the
-/// partition::StrategyRegistry (strategy.hpp), which also offers optimal
-/// and randomized selection policies behind the same PartitionResult.
-[[nodiscard]] Result<PartitionResult> PartitionProgram(
-    const decomp::DecompiledProgram& program,
-    const mips::ExecProfile& profile, const Platform& platform,
-    const PartitionOptions& options = {});
 
 /// Fold a partition into the application-level performance/energy numbers.
 [[nodiscard]] AppEstimate EstimatePartition(const PartitionResult& partition,

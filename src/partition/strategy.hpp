@@ -8,7 +8,7 @@
 // backends:
 //
 //   "paper-greedy"     — the paper's three-step heuristic (partitioner.hpp);
-//                        bit-identical to PartitionProgram by construction.
+//                        the strategy behind Toolchain::Run/RunOn/RunMany.
 //   "knapsack-optimal" — branch-and-bound over the candidate regions under
 //                        the gate budget; exact on the suite's candidate
 //                        counts (falls back to the top
@@ -67,9 +67,9 @@ struct StrategyOptions {
   /// call partitions, normally served from a CandidateSetPool keyed on the
   /// decompile artifact + partition-options hash.  Strategies sharing one
   /// set share its synthesis memo, so e.g. an annealing seed sweep
-  /// synthesizes each candidate once total.  Null = scan fresh (the
-  /// legacy PartitionProgram path).  NOT part of any artifact key or
-  /// OptionsFingerprint: it changes where work happens, never results.
+  /// synthesizes each candidate once total.  Null = scan fresh.  NOT part
+  /// of any artifact key or OptionsFingerprint: it changes where work
+  /// happens, never results.
   std::shared_ptr<const CandidateSet> candidates;
 };
 

@@ -1,10 +1,9 @@
 // The paper's three-step heuristic as a pluggable Strategy.
 //
-// This is a faithful transplant of the original PartitionProgram body onto
-// the shared CandidateSet/SelectionState machinery: same candidate order,
-// same attempt order, same rejection wording — PartitionProgram (which now
-// delegates here) remains bit-identical to the pre-strategy implementation,
-// and the tests assert parity between the two entry points.
+// This is a faithful transplant of the original single-policy partitioner
+// onto the shared CandidateSet/SelectionState machinery: same candidate
+// order, same attempt order, same rejection wording, so its results are
+// bit-identical to the pre-strategy implementation.
 #include <set>
 #include <utility>
 

@@ -28,36 +28,6 @@ using support::JsonEscape;
 /// connection reads).  Bounds shutdown latency without busy-waiting.
 constexpr int kStopPollMs = 100;
 
-/// ToolchainRun::Json()-shaped report for one explore point — same fields,
-/// same order, same %.9g formatting, so a served `partition` report is
-/// bit-identical to what a local Toolchain::RunOn + Json() produces for
-/// the same request (asserted in test_serve).
-std::string PartitionReportJson(const explore::ExplorePoint& point) {
-  std::ostringstream out;
-  char number[64];
-  out << "{\"schema\":" << kReportSchemaVersion << ",\"binary\":\""
-      << JsonEscape(point.binary_name) << "\",\"platform\":\""
-      << JsonEscape(point.platform_name) << "\"";
-  std::snprintf(number, sizeof number, "%.9g", point.speedup);
-  out << ",\"speedup\":" << number;
-  std::snprintf(number, sizeof number, "%.9g", point.energy_savings);
-  out << ",\"energy_savings\":" << number;
-  std::snprintf(number, sizeof number, "%.9g", point.area_gates);
-  out << ",\"area_gates\":" << number;
-  out << ",\"hw_regions\":[";
-  for (std::size_t i = 0; i < point.hw_names.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "\"" << JsonEscape(point.hw_names[i]) << "\"";
-  }
-  out << "],\"rejected\":[";
-  for (std::size_t i = 0; i < point.rejected.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "\"" << JsonEscape(point.rejected[i]) << "\"";
-  }
-  out << "]}";
-  return out.str();
-}
-
 /// The "progress" object of a progress frame / GET /v1/progress response.
 std::string ProgressJson(const ProgressState& state) {
   std::ostringstream out;
@@ -606,7 +576,9 @@ JobResult Server::DoPartition(Request request, std::string key,
   if (!point.status.ok()) {
     return {false, kErrFlowFailed, point.status.message(), ""};
   }
-  return {true, "", "", PartitionReportJson(point)};
+  // The same renderer as a local Toolchain::RunOn + Json(), so a served
+  // report is bit-identical to it (asserted in test_serve).
+  return {true, "", "", ToolchainRun::FromPoint(point).Json()};
 }
 
 JobResult Server::DoExplore(Request request, std::string key,

@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cstring>
 
+#include "support/socket.hpp"
+
 namespace b2h::support {
 
 namespace {
@@ -24,20 +26,14 @@ std::string Errno(const char* what) {
 enum class IoStatus { kOk, kEof, kTimeout, kError };
 
 /// Read some bytes (at least one) into `out`; respects an optional
-/// absolute deadline.  Same poll-then-recv shape as the framed transport.
+/// absolute deadline.  Same poll-then-recv shape and deadline rule
+/// (PollTimeoutMs) as the framed transport.
 IoStatus RecvSome(int fd, std::string* out,
                   const Clock::time_point* deadline) {
   char buffer[4096];
   while (true) {
-    int timeout_ms = -1;
-    if (deadline != nullptr) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(*deadline - Clock::now()).count();
-      if (remaining <= 0) return IoStatus::kTimeout;
-      timeout_ms = static_cast<int>(remaining);
-    }
     pollfd pfd{fd, POLLIN, 0};
-    const int polled = ::poll(&pfd, 1, timeout_ms);
+    const int polled = ::poll(&pfd, 1, PollTimeoutMs(deadline));
     if (polled == 0) return IoStatus::kTimeout;
     if (polled < 0) {
       if (errno == EINTR) continue;

@@ -1,7 +1,8 @@
-// Minimal work-stealing-free parallel index loop, shared by the Toolchain
-// batch API and the exploration engine.  Results must be written into
-// per-index slots: index order is unspecified but every index runs exactly
-// once, so fan-outs stay deterministic regardless of the thread count.
+// Minimal work-stealing-free parallel index loop, shared by the exploration
+// engine and the Toolchain's dynamic batch mode.  Results must be written
+// into per-index slots: index order is unspecified but every index runs
+// exactly once, so fan-outs stay deterministic regardless of the thread
+// count.
 #pragma once
 
 #include <atomic>

@@ -51,17 +51,8 @@ IoStatus ReadExact(int fd, void* buffer, std::size_t size,
   auto* out = static_cast<char*>(buffer);
   std::size_t done = 0;
   while (done < size) {
-    int timeout_ms = -1;
-    if (deadline != nullptr) {
-      // Round the time left up, and poll even when none is left: giving up
-      // without polling would ignore bytes that have already arrived.
-      const auto remaining = std::chrono::ceil<std::chrono::milliseconds>(
-                                 *deadline - Clock::now()).count();
-      timeout_ms = static_cast<int>(std::clamp<std::int64_t>(
-          remaining, 0, std::numeric_limits<int>::max()));
-    }
     pollfd pfd{fd, POLLIN, 0};
-    const int polled = ::poll(&pfd, 1, timeout_ms);
+    const int polled = ::poll(&pfd, 1, PollTimeoutMs(deadline));
     if (polled == 0) return IoStatus::kTimeout;
     if (polled < 0) {
       if (errno == EINTR) continue;
@@ -79,6 +70,14 @@ IoStatus ReadExact(int fd, void* buffer, std::size_t size,
 }
 
 }  // namespace
+
+int PollTimeoutMs(const Clock::time_point* deadline) {
+  if (deadline == nullptr) return -1;
+  const auto remaining = std::chrono::ceil<std::chrono::milliseconds>(
+                             *deadline - Clock::now()).count();
+  return static_cast<int>(std::clamp<std::int64_t>(
+      remaining, 0, std::numeric_limits<int>::max()));
+}
 
 const char* ToString(FrameStatus status) noexcept {
   switch (status) {

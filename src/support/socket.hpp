@@ -13,6 +13,7 @@
 // deadline-carrying client can give up without wedging on a dead peer.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -55,6 +56,14 @@ enum class FrameStatus {
 [[nodiscard]] FrameStatus ReadFrame(int fd, std::string* payload,
                                     std::uint32_t max_frame_bytes,
                                     int timeout_ms = -1);
+
+/// poll() timeout for a read bounded by `deadline` (null = none: -1,
+/// block).  The time left is rounded up to whole ms and clamped at 0, so a
+/// reader polls at least once even past its deadline: giving up without
+/// polling would ignore bytes that have already arrived.  Both transports
+/// (framed and HTTP) follow this rule.
+[[nodiscard]] int PollTimeoutMs(
+    const std::chrono::steady_clock::time_point* deadline);
 
 /// Write one frame (length prefix + payload).  False on any error,
 /// including a payload larger than `max_frame_bytes`.

@@ -28,8 +28,15 @@ void ComputeLiveSets(HwRegion& region) {
       }
     }
   }
+  // The sets order by heap address; ports (VHDL, RTL simulation) follow
+  // these vectors, so order them by the function's dense instruction ids.
+  const auto by_id = [](const ir::Instr* a, const ir::Instr* b) {
+    return a->id < b->id;
+  };
   region.live_ins.assign(live_in.begin(), live_in.end());
   region.live_outs.assign(live_out.begin(), live_out.end());
+  std::sort(region.live_ins.begin(), region.live_ins.end(), by_id);
+  std::sort(region.live_outs.begin(), region.live_outs.end(), by_id);
 }
 
 void CheckSynthesizable(HwRegion& region) {

@@ -1,37 +1,35 @@
 #include "toolchain/toolchain.hpp"
 
-#include <atomic>
+#include <iomanip>
 #include <sstream>
 
-#include "mips/simulator.hpp"
 #include "obs/obs.hpp"
-#include "partition/partitioner.hpp"
 #include "support/json.hpp"
 #include "support/parallel_for.hpp"
 #include "support/schema.hpp"
 
 namespace b2h {
 
-namespace {
-
 using support::JsonEscape;
-using support::ParallelFor;
-
-bool SameCycleModel(const mips::CycleModel& a, const mips::CycleModel& b) {
-  return a.base == b.base && a.load_extra == b.load_extra &&
-         a.mult_extra == b.mult_extra && a.div_extra == b.div_extra &&
-         a.taken_extra == b.taken_extra;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------- ToolchainRun
+
+ToolchainRun ToolchainRun::FromPoint(const explore::ExplorePoint& point) {
+  Check(point.artifact != nullptr, "ToolchainRun: point has no artifact");
+  ToolchainRun run;
+  run.binary_name = point.binary_name;
+  run.platform_name = point.platform_name;
+  run.software_run = point.artifact->software_run;
+  run.program = point.artifact->program;
+  run.partition = point.artifact->partition;
+  run.estimate = point.artifact->estimate;
+  return run;
+}
 
 std::string ToolchainRun::Report() const {
   std::ostringstream out;
   out << "=== " << binary_name << " on " << platform_name << " ===\n";
-  out << partition::FlowReportBody(*software_run, *program, partition,
-                                   estimate);
+  out << ReportBody();
   if (!program->pass_runs.empty()) {
     out << "passes:";
     for (const auto& run : program->pass_runs) {
@@ -41,6 +39,55 @@ std::string ToolchainRun::Report() const {
     }
     out << "\n";
   }
+  return out.str();
+}
+
+std::string ToolchainRun::ReportBody() const {
+  using partition::SelectedBy;
+  std::ostringstream out;
+  out << std::fixed;
+  out << "software: " << software_run->instructions << " instrs, "
+      << software_run->cycles << " cycles, rv=" << software_run->return_value
+      << "\n";
+  const auto& stats = program->stats;
+  out << "decompile: " << stats.lifted_instrs << " -> " << stats.final_instrs
+      << " ops (stack ops removed " << stats.stack_ops_removed
+      << ", loops rerolled " << stats.loops_rerolled << ", muls recovered "
+      << stats.muls_recovered << ", narrowed " << stats.instrs_narrowed
+      << ")\n";
+  out << "partition: " << partition.hw.size() << " hw region(s), area "
+      << std::setprecision(0) << partition.area_used_gates << " / "
+      << partition.area_budget_gates << " gates, loop coverage "
+      << std::setprecision(1) << partition.loop_coverage * 100.0 << "%\n";
+  for (const auto& selected : partition.hw) {
+    const char* reason = selected.selected_by == SelectedBy::kFrequency
+                             ? "freq"
+                         : selected.selected_by == SelectedBy::kAlias ? "alias"
+                         : selected.selected_by == SelectedBy::kGreedy
+                             ? "greedy"
+                         : selected.selected_by == SelectedBy::kOptimal
+                             ? "optimal"
+                             : "annealed";
+    out << "  [" << reason << "] " << selected.synthesized.region.name
+        << ": sw " << selected.sw_cycles << " cyc -> hw "
+        << selected.synthesized.hw_cycles << " cyc @ "
+        << std::setprecision(0) << selected.synthesized.clock_mhz << " MHz, "
+        << selected.synthesized.area.total_gates << " gates";
+    if (selected.synthesized.schedule.pipeline_ii > 0) {
+      out << ", II=" << selected.synthesized.schedule.pipeline_ii;
+    }
+    if (selected.arrays_resident) out << ", arrays resident";
+    out << "\n";
+  }
+  // Why regions were skipped.
+  for (const std::string& reason :
+       partition::UniqueRejections(partition.rejected)) {
+    out << "  rejected " << reason << "\n";
+  }
+  out << std::setprecision(2);
+  out << "estimate: speedup " << estimate.speedup << "x, kernel speedup "
+      << estimate.avg_kernel_speedup << "x, energy savings "
+      << std::setprecision(1) << estimate.energy_savings * 100.0 << "%\n";
   return out.str();
 }
 
@@ -137,14 +184,6 @@ Toolchain& Toolchain::WithVerifyIr(bool verify) {
 
 Toolchain& Toolchain::WithPlatform(std::string registered_name) {
   default_platform_name_ = std::move(registered_name);
-  custom_platform_.reset();
-  return *this;
-}
-
-Toolchain& Toolchain::WithPlatform(partition::Platform platform,
-                                   std::string label) {
-  custom_platform_ = std::move(platform);
-  default_platform_name_ = std::move(label);
   return *this;
 }
 
@@ -165,15 +204,19 @@ Toolchain& Toolchain::WithArtifactCache(
   return *this;
 }
 
-explore::ExploreResult Toolchain::Explore(
-    const explore::ExploreSpec& spec) const {
+explore::ExplorerConfig Toolchain::Config() const {
   explore::ExplorerConfig config;
   config.pipeline = pipeline_spec_;
   config.partition = partition_options_;
   config.max_sim_instructions = max_sim_instructions_;
   config.threads = threads_;
   config.verify_ir = verify_ir_;
-  return explore::Explorer(std::move(config), artifact_cache_).Run(spec);
+  return config;
+}
+
+explore::ExploreResult Toolchain::Explore(
+    const explore::ExploreSpec& spec) const {
+  return explore::Explorer(Config(), artifact_cache_).Run(spec);
 }
 
 dynamic::DynamicOptions Toolchain::DynamicConfig() const {
@@ -186,67 +229,38 @@ dynamic::DynamicOptions Toolchain::DynamicConfig() const {
   return options;
 }
 
-Result<ToolchainRun> Toolchain::PartitionPrepared(
-    std::string binary_name, std::string platform_name,
-    std::shared_ptr<const mips::SoftBinary> binary,
-    std::shared_ptr<const mips::RunResult> software_run,
-    std::shared_ptr<const decomp::DecompiledProgram> program,
-    const partition::Platform& platform) const {
-  ToolchainRun run;
-  run.binary_name = std::move(binary_name);
-  run.platform_name = std::move(platform_name);
-  run.binary = std::move(binary);
-  run.software_run = std::move(software_run);
-  run.program = std::move(program);
-  obs::ScopedSpan span("toolchain.partition", "partition");
-  span.Arg("binary", run.binary_name).Arg("platform", run.platform_name);
-  auto partitioned =
-      partition::PartitionProgram(*run.program, run.software_run->profile,
-                                  platform, partition_options_);
-  if (!partitioned.ok()) return partitioned.status();
-  run.partition = std::move(partitioned).take();
-  run.estimate = partition::EstimatePartition(run.partition, platform);
-  return run;
-}
+BatchResult Toolchain::Sweep(std::vector<NamedBinary> binaries,
+                             std::vector<std::string> platform_names) const {
+  explore::ExploreSpec spec;
+  spec.binaries = std::move(binaries);
+  spec.platforms = std::move(platform_names);
+  spec.strategies = {"paper-greedy"};
+  spec.objectives = {partition::Objective::kSpeedup};
+  // A null cache gives the sweep a private memory-only one, never
+  // artifact_cache_: see the header comment.
+  const explore::ExploreResult sweep = explore::Explorer(Config()).Run(spec);
 
-Result<ToolchainRun> Toolchain::RunOnPlatform(
-    std::shared_ptr<const mips::SoftBinary> binary, std::string binary_name,
-    const partition::Platform& platform, std::string platform_name) const {
-  Check(binary != nullptr, "Toolchain: null binary");
-
-  // 1. Profile.
-  mips::Simulator simulator(*binary, platform.cpu.cycle_model);
-  auto software_run = std::make_shared<mips::RunResult>(
-      simulator.Run({}, max_sim_instructions_));
-  if (software_run->reason != mips::HaltReason::kReturned) {
-    return Status::Error(
-        ErrorKind::kMalformedBinary,
-        "software run did not complete: " + software_run->fault_message);
+  BatchResult batch;
+  batch.num_platforms = spec.platforms.size();
+  batch.simulations_run = sweep.simulations_run;
+  batch.decompilations_run = sweep.decompilations_run;
+  batch.runs.reserve(sweep.points.size());
+  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+    const explore::ExplorePoint& point = sweep.points[i];
+    if (!point.status.ok()) {
+      batch.runs.emplace_back(point.status);
+      continue;
+    }
+    ToolchainRun run = ToolchainRun::FromPoint(point);
+    run.binary = spec.binaries[i / batch.num_platforms].binary;
+    batch.runs.emplace_back(std::move(run));
   }
-
-  // 2. Decompile through the configured pipeline.
-  auto manager = decomp::PassManager::FromSpec(pipeline_spec_);
-  if (!manager.ok()) return manager.status();
-  auto program = manager.value().SetVerify(verify_ir_).Run(
-      binary, &software_run->profile);
-  if (!program.ok()) return program.status();
-
-  // 3+4. Partition + estimate.
-  return PartitionPrepared(
-      std::move(binary_name), std::move(platform_name), std::move(binary),
-      std::move(software_run),
-      std::make_shared<const decomp::DecompiledProgram>(
-          std::move(program).take()),
-      platform);
+  return batch;
 }
 
 Result<ToolchainRun> Toolchain::Run(
     std::shared_ptr<const mips::SoftBinary> binary,
     std::string binary_name) const {
-  if (custom_platform_.has_value()) {
-    return RunOnPlatform(std::move(binary), std::move(binary_name),
-                         *custom_platform_, default_platform_name_);
-  }
   return RunOn(default_platform_name_, std::move(binary),
                std::move(binary_name));
 }
@@ -255,25 +269,61 @@ Result<ToolchainRun> Toolchain::RunOn(
     std::string_view platform_name,
     std::shared_ptr<const mips::SoftBinary> binary,
     std::string binary_name) const {
-  const auto platform = PlatformRegistry::Global().Find(platform_name);
-  if (!platform.has_value()) {
-    return Status::Error(ErrorKind::kUnsupported,
-                         "unknown platform: " + std::string(platform_name));
-  }
-  return RunOnPlatform(std::move(binary), std::move(binary_name), *platform,
-                       std::string(platform_name));
+  BatchResult batch = Sweep({{std::move(binary_name), std::move(binary)}},
+                            {std::string(platform_name)});
+  return std::move(batch.runs.front());
 }
 
-Result<DynamicToolchainRun> Toolchain::RunDynamicOnPlatform(
-    std::shared_ptr<const mips::SoftBinary> binary, std::string binary_name,
-    const partition::Platform& platform, std::string platform_name) const {
-  auto static_run =
-      RunOnPlatform(binary, binary_name, platform, platform_name);
-  if (!static_run.ok()) return static_run.status();
+BatchResult Toolchain::RunMany(
+    const std::vector<NamedBinary>& binaries,
+    const std::vector<std::string>& platform_names) const {
+  BatchResult batch = Sweep(binaries, platform_names);
+  if (!dynamic_enabled_) return batch;
+  // Each ok pair gets its own simulator + detector, so the fan-out stays
+  // deterministic (parallel == serial).
+  support::ParallelFor(batch.runs.size(), threads_, [&](std::size_t index) {
+    Result<ToolchainRun>& slot = batch.runs[index];
+    if (!slot.ok()) return;
+    try {
+      auto dynamic_run = RunOnline(slot.value());
+      if (!dynamic_run.ok()) {
+        slot = dynamic_run.status();
+        return;
+      }
+      slot.value().dynamic_run = std::make_shared<const dynamic::DynamicRun>(
+          std::move(dynamic_run).take());
+    } catch (const std::exception& e) {
+      slot = Status::Error(ErrorKind::kUnsupported,
+                           std::string("internal error: ") + e.what());
+    }
+  });
+  return batch;
+}
 
-  dynamic::DynamicPartitioner online(platform, DynamicConfig(),
-                                     platform_name);
-  auto dynamic_run = online.Run(std::move(binary), std::move(binary_name));
+Result<dynamic::DynamicRun> Toolchain::RunOnline(
+    const ToolchainRun& run) const {
+  const auto platform = PlatformRegistry::Global().Find(run.platform_name);
+  Check(platform.has_value(), "Toolchain: platform vanished from registry");
+  dynamic::DynamicPartitioner online(*platform, DynamicConfig(),
+                                     run.platform_name);
+  return online.Run(run.binary, run.binary_name);
+}
+
+Result<DynamicToolchainRun> Toolchain::RunDynamic(
+    std::shared_ptr<const mips::SoftBinary> binary,
+    std::string binary_name) const {
+  return RunDynamicOn(default_platform_name_, std::move(binary),
+                      std::move(binary_name));
+}
+
+Result<DynamicToolchainRun> Toolchain::RunDynamicOn(
+    std::string_view platform_name,
+    std::shared_ptr<const mips::SoftBinary> binary,
+    std::string binary_name) const {
+  auto static_run =
+      RunOn(platform_name, std::move(binary), std::move(binary_name));
+  if (!static_run.ok()) return static_run.status();
+  auto dynamic_run = RunOnline(static_run.value());
   if (!dynamic_run.ok()) return dynamic_run.status();
 
   DynamicToolchainRun run;
@@ -286,30 +336,6 @@ Result<DynamicToolchainRun> Toolchain::RunDynamicOnPlatform(
   return run;
 }
 
-Result<DynamicToolchainRun> Toolchain::RunDynamic(
-    std::shared_ptr<const mips::SoftBinary> binary,
-    std::string binary_name) const {
-  if (custom_platform_.has_value()) {
-    return RunDynamicOnPlatform(std::move(binary), std::move(binary_name),
-                                *custom_platform_, default_platform_name_);
-  }
-  return RunDynamicOn(default_platform_name_, std::move(binary),
-                      std::move(binary_name));
-}
-
-Result<DynamicToolchainRun> Toolchain::RunDynamicOn(
-    std::string_view platform_name,
-    std::shared_ptr<const mips::SoftBinary> binary,
-    std::string binary_name) const {
-  const auto platform = PlatformRegistry::Global().Find(platform_name);
-  if (!platform.has_value()) {
-    return Status::Error(ErrorKind::kUnsupported,
-                         "unknown platform: " + std::string(platform_name));
-  }
-  return RunDynamicOnPlatform(std::move(binary), std::move(binary_name),
-                              *platform, std::string(platform_name));
-}
-
 std::string DynamicToolchainRun::Report() const {
   std::ostringstream out;
   out << dynamic_run.Report();
@@ -320,156 +346,6 @@ std::string DynamicToolchainRun::Report() const {
                 static_run.estimate.speedup, convergence * 100.0);
   out << line;
   return out.str();
-}
-
-BatchResult Toolchain::RunMany(
-    const std::vector<NamedBinary>& binaries,
-    const std::vector<std::string>& platform_names) const {
-  const std::size_t num_binaries = binaries.size();
-  const std::size_t num_platforms = platform_names.size();
-  const std::size_t num_runs = num_binaries * num_platforms;
-
-  BatchResult batch;
-  batch.num_platforms = num_platforms;
-  if (num_runs == 0) return batch;
-
-  // Resolve platform names up front (registry lookups off the hot path).
-  std::vector<std::optional<partition::Platform>> platforms;
-  platforms.reserve(num_platforms);
-  for (const std::string& name : platform_names) {
-    platforms.push_back(PlatformRegistry::Global().Find(name));
-  }
-
-  // Stage A — per (binary, cycle model), in parallel: one profiling
-  // simulation and ONE decompilation, shared by every platform whose CPU
-  // cycle model matches.  Clock frequency and FPGA capacity don't affect
-  // cycle counts, so all registered platforms fall into a single group;
-  // custom platforms with a different cycle model get their own profile
-  // rather than silently inheriting another platform's cycle counts.
-  std::vector<mips::CycleModel> model_groups;
-  std::vector<std::size_t> platform_group(num_platforms, 0);
-  for (std::size_t p = 0; p < num_platforms; ++p) {
-    if (!platforms[p].has_value()) continue;
-    const mips::CycleModel& model = platforms[p]->cpu.cycle_model;
-    std::size_t group = model_groups.size();
-    for (std::size_t g = 0; g < model_groups.size(); ++g) {
-      if (SameCycleModel(model_groups[g], model)) {
-        group = g;
-        break;
-      }
-    }
-    if (group == model_groups.size()) model_groups.push_back(model);
-    platform_group[p] = group;
-  }
-  if (model_groups.empty()) model_groups.push_back(mips::CycleModel{});
-  const std::size_t num_groups = model_groups.size();
-
-  struct Prepared {
-    Status status;
-    std::shared_ptr<const mips::RunResult> software_run;
-    std::shared_ptr<const decomp::DecompiledProgram> program;
-  };
-  // prepared[b * num_groups + g]: binary b profiled under model group g.
-  std::vector<Prepared> prepared(num_binaries * num_groups);
-  std::atomic<std::size_t> simulations{0};
-  std::atomic<std::size_t> decompilations{0};
-
-  auto manager = decomp::PassManager::FromSpec(pipeline_spec_);
-  if (!manager.ok()) {
-    for (std::size_t i = 0; i < num_runs; ++i) {
-      batch.runs.push_back(manager.status());
-    }
-    return batch;
-  }
-  const decomp::PassManager pipeline =
-      std::move(manager).take().SetVerify(verify_ir_);
-
-  ParallelFor(num_binaries * num_groups, threads_, [&](std::size_t index) {
-    const std::size_t b = index / num_groups;
-    const std::size_t g = index % num_groups;
-    Prepared& slot = prepared[index];
-    try {
-      if (binaries[b].binary == nullptr) {
-        slot.status = Status::Error(ErrorKind::kMalformedBinary,
-                                    "null binary: " + binaries[b].name);
-        return;
-      }
-      mips::Simulator simulator(*binaries[b].binary, model_groups[g]);
-      auto run = std::make_shared<mips::RunResult>(
-          simulator.Run({}, max_sim_instructions_));
-      simulations.fetch_add(1);
-      if (run->reason != mips::HaltReason::kReturned) {
-        slot.status = Status::Error(
-            ErrorKind::kMalformedBinary,
-            "software run did not complete: " + run->fault_message);
-        return;
-      }
-      auto program = pipeline.Run(binaries[b].binary, &run->profile);
-      decompilations.fetch_add(1);
-      if (!program.ok()) {
-        slot.status = program.status();
-        return;
-      }
-      slot.software_run = std::move(run);
-      slot.program = std::make_shared<const decomp::DecompiledProgram>(
-          std::move(program).take());
-    } catch (const std::exception& e) {
-      slot.status = Status::Error(ErrorKind::kUnsupported,
-                                  std::string("internal error: ") + e.what());
-    }
-  });
-
-  // Stage B — per (binary, platform) pair, in parallel: partition,
-  // synthesize, estimate against the shared decompilation.
-  std::vector<std::optional<Result<ToolchainRun>>> slots(num_runs);
-  ParallelFor(num_runs, threads_, [&](std::size_t index) {
-    const std::size_t b = index / num_platforms;
-    const std::size_t p = index % num_platforms;
-    try {
-      if (!platforms[p].has_value()) {
-        slots[index] = Status::Error(ErrorKind::kUnsupported,
-                                     "unknown platform: " + platform_names[p]);
-        return;
-      }
-      const Prepared& base = prepared[b * num_groups + platform_group[p]];
-      if (!base.status.ok()) {
-        slots[index] = base.status;
-        return;
-      }
-      // base.program is shared across the sweep — the point of the batch.
-      slots[index] = PartitionPrepared(binaries[b].name, platform_names[p],
-                                       binaries[b].binary, base.software_run,
-                                       base.program, *platforms[p]);
-      // Dynamic mode: also run the online partitioner for this pair.  Each
-      // pair gets its own simulator + detector, so the fan-out stays
-      // deterministic (parallel == serial).
-      if (dynamic_enabled_ && slots[index]->ok()) {
-        dynamic::DynamicPartitioner online(*platforms[p], DynamicConfig(),
-                                           platform_names[p]);
-        auto dynamic_run = online.Run(binaries[b].binary, binaries[b].name);
-        if (!dynamic_run.ok()) {
-          slots[index] = dynamic_run.status();
-        } else {
-          slots[index]->value().dynamic_run =
-              std::make_shared<const dynamic::DynamicRun>(
-                  std::move(dynamic_run).take());
-        }
-      }
-    } catch (const std::exception& e) {
-      slots[index] = Status::Error(
-          ErrorKind::kUnsupported,
-          std::string("internal error: ") + e.what());
-    }
-  });
-
-  batch.runs.reserve(num_runs);
-  for (std::size_t index = 0; index < num_runs; ++index) {
-    Check(slots[index].has_value(), "RunMany: missing result slot");
-    batch.runs.push_back(std::move(*slots[index]));
-  }
-  batch.simulations_run = simulations.load();
-  batch.decompilations_run = decompilations.load();
-  return batch;
 }
 
 }  // namespace b2h

@@ -1,31 +1,34 @@
-// b2h::Toolchain — the scalable front door to the whole flow.
+// b2h::Toolchain — the front door to the whole flow.
 //
 //   binary -> profile -> decompile (PassManager pipeline) -> partition ->
 //   synthesize -> estimate
 //
-// Three things the one-shot `partition::RunFlow` cannot do:
+// There is one flow path: every entry point runs on the exploration engine
+// (explore::Explorer).  Run, RunOn and RunMany are views of a sweep over
+// the given binaries x platform names x {"paper-greedy"} x {kSpeedup};
+// each ok point becomes a ToolchainRun.  Explore exposes the full grid.
+// The Toolchain adds:
 //
 //   * a named platform registry ("mips200-xc2v1000", "mips40", "mips400",
 //     plus custom registrations) so sweeps are spelled as name lists;
 //   * builder-style configuration (pipeline spec, partition options,
 //     simulation budget, thread count) shared across every run;
-//   * a batch API, RunMany(binaries, platforms), that profiles and
-//     decompiles each binary exactly ONCE and reuses the result across the
-//     platform sweep, fanning the per-platform partition/synthesis work out
-//     on a thread pool.  Results are deterministic: parallel == serial.
+//   * the online (dynamic) partitioner next to its static oracle.
 //
 // Caching rationale: the decompiled, profile-annotated CDFG depends only on
-// the binary and the CPU cycle model — not on clocks or FPGA capacity — so
-// one decompilation serves every platform whose cycle model matches.
-// RunMany groups the requested platforms by cycle model and profiles /
-// decompiles once per (binary, model group); the paper's three registered
-// platforms share the default model, so that is one decompilation per
-// binary.
+// the binary bytes and the CPU cycle model — not on clocks or FPGA
+// capacity — so one decompilation serves every platform whose cycle model
+// matches.  The paper's three registered platforms share the default
+// model, so a RunMany sweep over them decompiles each binary once.
+//
+// Run, RunOn and RunMany each use a private memory-only artifact cache.  A
+// disk-served PartitionArtifact has no IR, profile or schedule, so it could
+// not fill a ToolchainRun (Report() dereferences `program`).  Only Explore
+// reads and fills the Toolchain's own (optionally disk-backed) cache.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,7 +37,7 @@
 #include "dynamic/dynamic_partitioner.hpp"
 #include "explore/explorer.hpp"
 #include "mips/shared_cache.hpp"
-#include "partition/flow.hpp"
+#include "partition/partitioner.hpp"
 #include "partition/platform.hpp"
 #include "partition/platform_registry.hpp"
 
@@ -45,8 +48,9 @@ namespace b2h {
 using PlatformRegistry = partition::PlatformRegistry;
 
 /// One (binary, platform) flow outcome.  The profiling run and decompiled
-/// program are shared: every platform in a RunMany sweep points at the same
-/// objects for a given binary (asserted by the tests).
+/// program are shared: every platform in a RunMany sweep whose cycle model
+/// matches points at the same objects for a given binary (asserted by the
+/// tests).
 struct ToolchainRun {
   std::string binary_name;
   std::string platform_name;
@@ -59,7 +63,19 @@ struct ToolchainRun {
   /// partitioning outcome for the same (binary, platform) pair.
   std::shared_ptr<const dynamic::DynamicRun> dynamic_run;
 
+  /// The view of one ok explore point: names, partition and estimate, plus
+  /// the program and profiling run when the artifact carries them (not
+  /// when it was served from the disk tier).  `binary` is left unset.
+  [[nodiscard]] static ToolchainRun FromPoint(
+      const explore::ExplorePoint& point);
+
+  /// Header line, ReportBody(), then the per-pass wall times.  Needs
+  /// `software_run` and `program`.
   [[nodiscard]] std::string Report() const;
+  /// The deterministic part of Report(): profile, decompile statistics,
+  /// selected regions, rejections and the estimate, with no header and no
+  /// timings.
+  [[nodiscard]] std::string ReportBody() const;
   /// One JSON object (no trailing newline) with the headline estimate AND
   /// the partitioner's rejection reasons, so machine consumers can explain
   /// why a region was skipped.
@@ -79,6 +95,8 @@ struct DynamicToolchainRun {
 
 /// Batch outcome: one result per (binary, platform) pair in row-major
 /// order (binary index major), plus work counters the caching tests key on.
+/// The counters count distinct (binary bytes, cycle model) pairs: binaries
+/// with identical bytes share one profile and one decompilation.
 struct BatchResult {
   std::vector<Result<ToolchainRun>> runs;
   std::size_t num_platforms = 0;       ///< row stride of `runs`
@@ -97,7 +115,8 @@ class Toolchain {
   /// When the B2H_CACHE_DIR environment variable is set (and non-empty),
   /// every Toolchain starts with a disk-backed artifact cache rooted there
   /// — the CI cache-warm gate points whole processes at a persisted cache
-  /// this way.  Otherwise the cache starts memory-only.
+  /// this way.  Otherwise the cache starts memory-only.  Only Explore uses
+  /// this cache (see the header comment).
   Toolchain();
   /// Flushes the trace to the WithTrace path, if one was configured.
   ~Toolchain();
@@ -108,13 +127,13 @@ class Toolchain {
   Toolchain& WithPipeline(std::string spec);
   Toolchain& WithPartitionOptions(partition::PartitionOptions options);
   Toolchain& WithMaxSimInstructions(std::uint64_t max_instructions);
-  /// Worker threads for RunMany (0 = hardware concurrency, 1 = serial).
+  /// Worker threads for RunMany and Explore (0 = hardware concurrency,
+  /// 1 = serial).
   Toolchain& WithThreads(unsigned threads);
   Toolchain& WithVerifyIr(bool verify);
-  /// Default platform for the platform-less Run overload.
+  /// Default platform for Run and RunDynamic, by registered name.  A
+  /// custom platform is registered first (PlatformRegistry::Register).
   Toolchain& WithPlatform(std::string registered_name);
-  Toolchain& WithPlatform(partition::Platform platform,
-                          std::string label = "custom");
   /// Online-partitioning configuration for RunDynamic and for RunMany in
   /// dynamic mode.  Pipeline spec, verify flag, and simulation budget are
   /// inherited from the toolchain configuration.
@@ -122,8 +141,8 @@ class Toolchain {
   /// When enabled, RunMany additionally executes the online partitioner for
   /// every (binary, platform) pair and attaches ToolchainRun::dynamic_run.
   Toolchain& WithDynamic(bool enabled);
-  /// Share an artifact cache between toolchains (by default every Toolchain
-  /// owns a private cache that persists across its Explore calls).
+  /// Share an artifact cache between toolchains' Explore calls (by default
+  /// every Toolchain owns a private cache that persists across them).
   Toolchain& WithArtifactCache(std::shared_ptr<explore::ArtifactCache> cache);
   /// Persist the artifact cache under `directory` (two-tier: memory +
   /// disk), so warm sweeps survive process restarts.  The B2H_CACHE_DIR
@@ -172,10 +191,13 @@ class Toolchain {
       std::shared_ptr<const mips::SoftBinary> binary,
       std::string binary_name = "binary") const;
 
-  /// Batch: every binary against every platform name.  Decompiles each
-  /// binary once; per-platform partitioning fans out on the thread pool.
-  /// Per-run failures (CDFG recovery, faults, unknown platform names) are
-  /// reported in the corresponding slot without aborting the batch.
+  /// Batch: every binary against every platform name, as one explore sweep
+  /// with the paper-greedy strategy.  Profiles and decompiles once per
+  /// (binary bytes, cycle model); partitioning fans out on the thread pool.
+  /// Per-run failures (null binaries, unknown platform names, faults, CDFG
+  /// recovery) are reported in the corresponding slot, in that order of
+  /// precedence, without aborting the batch.  With WithDynamic(true) every
+  /// ok slot also gets its online run.
   [[nodiscard]] BatchResult RunMany(
       const std::vector<NamedBinary>& binaries,
       const std::vector<std::string>& platform_names) const;
@@ -187,7 +209,8 @@ class Toolchain {
       std::shared_ptr<const mips::SoftBinary> binary,
       std::string binary_name = "binary") const;
 
-  /// Dynamic front door against a named registered platform.
+  /// Dynamic front door against a named registered platform: RunOn (the
+  /// static oracle), then the online partitioner on the same binary.
   [[nodiscard]] Result<DynamicToolchainRun> RunDynamicOn(
       std::string_view platform_name,
       std::shared_ptr<const mips::SoftBinary> binary,
@@ -205,23 +228,16 @@ class Toolchain {
       const explore::ExploreSpec& spec) const;
 
  private:
-  [[nodiscard]] Result<DynamicToolchainRun> RunDynamicOnPlatform(
-      std::shared_ptr<const mips::SoftBinary> binary, std::string binary_name,
-      const partition::Platform& platform, std::string platform_name) const;
-
+  [[nodiscard]] explore::ExplorerConfig Config() const;
   [[nodiscard]] dynamic::DynamicOptions DynamicConfig() const;
-  [[nodiscard]] Result<ToolchainRun> RunOnPlatform(
-      std::shared_ptr<const mips::SoftBinary> binary, std::string binary_name,
-      const partition::Platform& platform, std::string platform_name) const;
-
-  /// Shared tail of every flow: partition + estimate a prepared
-  /// (profiled, decompiled) binary against one platform.
-  [[nodiscard]] Result<ToolchainRun> PartitionPrepared(
-      std::string binary_name, std::string platform_name,
-      std::shared_ptr<const mips::SoftBinary> binary,
-      std::shared_ptr<const mips::RunResult> software_run,
-      std::shared_ptr<const decomp::DecompiledProgram> program,
-      const partition::Platform& platform) const;
+  /// The static view shared by Run, RunOn and RunMany: one paper-greedy
+  /// sweep on a private memory-only cache.
+  [[nodiscard]] BatchResult Sweep(
+      std::vector<NamedBinary> binaries,
+      std::vector<std::string> platform_names) const;
+  /// The online partitioner on the binary and platform of `run`.
+  [[nodiscard]] Result<dynamic::DynamicRun> RunOnline(
+      const ToolchainRun& run) const;
 
   std::string pipeline_spec_ = "default";
   partition::PartitionOptions partition_options_;
@@ -229,7 +245,6 @@ class Toolchain {
   unsigned threads_ = 0;
   bool verify_ir_ = true;
   std::string default_platform_name_ = "mips200-xc2v1000";
-  std::optional<partition::Platform> custom_platform_;
   partition::DynamicPolicy dynamic_policy_;
   bool dynamic_enabled_ = false;
   std::string trace_path_;  ///< WithTrace auto-flush target ("" = none)

@@ -1,7 +1,6 @@
-// Exploration-engine tests: strategy registry completeness, paper-greedy
-// parity with the legacy PartitionProgram entry point (bit-identical
-// PartitionResult), knapsack-optimal dominance over the paper heuristic on
-// every decompilable benchmark, Pareto-frontier invariants, artifact-cache
+// Exploration-engine tests: strategy registry completeness,
+// knapsack-optimal dominance over the paper heuristic on every
+// decompilable benchmark, Pareto-frontier invariants, artifact-cache
 // determinism (a warm identical sweep performs zero decompilations and
 // reports identically), parallel == serial reports, and annealing
 // determinism under a fixed seed.
@@ -59,33 +58,6 @@ using TempCacheDir = testing_support::TempDir;
 // env-override test re-sets the variable within its own scope.
 const ScopedEnv kPinnedCacheDirEnv("B2H_CACHE_DIR", nullptr);
 
-void ExpectIdenticalPartitions(const partition::PartitionResult& a,
-                               const partition::PartitionResult& b) {
-  ASSERT_EQ(a.hw.size(), b.hw.size());
-  for (std::size_t i = 0; i < a.hw.size(); ++i) {
-    const auto& ra = a.hw[i];
-    const auto& rb = b.hw[i];
-    EXPECT_EQ(ra.synthesized.region.name, rb.synthesized.region.name) << i;
-    EXPECT_EQ(ra.selected_by, rb.selected_by) << i;
-    EXPECT_EQ(ra.sw_cycles, rb.sw_cycles) << i;
-    EXPECT_EQ(ra.invocations, rb.invocations) << i;
-    EXPECT_EQ(ra.comm_words, rb.comm_words) << i;
-    EXPECT_EQ(ra.mem_accesses, rb.mem_accesses) << i;
-    EXPECT_EQ(ra.arrays_resident, rb.arrays_resident) << i;
-    EXPECT_EQ(ra.alias_regions, rb.alias_regions) << i;
-    EXPECT_EQ(ra.synthesized.hw_cycles, rb.synthesized.hw_cycles) << i;
-    EXPECT_EQ(ra.synthesized.clock_mhz, rb.synthesized.clock_mhz) << i;
-    EXPECT_EQ(ra.synthesized.area.total_gates, rb.synthesized.area.total_gates)
-        << i;
-    EXPECT_EQ(ra.synthesized.vhdl, rb.synthesized.vhdl) << i;
-  }
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.area_used_gates, b.area_used_gates);
-  EXPECT_EQ(a.area_budget_gates, b.area_budget_gates);
-  EXPECT_EQ(a.total_sw_cycles, b.total_sw_cycles);
-  EXPECT_EQ(a.loop_coverage, b.loop_coverage);
-}
-
 TEST(StrategyRegistry, BuiltinsRegistered) {
   const auto names = partition::StrategyRegistry::Global().Names();
   for (const char* expected :
@@ -104,27 +76,6 @@ TEST(StrategyRegistry, PaperGreedyIsObjectiveInsensitive) {
   EXPECT_FALSE(greedy->objective_sensitive());
   EXPECT_TRUE(partition::MakeKnapsackStrategy()->objective_sensitive());
   EXPECT_TRUE(partition::MakeAnnealingStrategy()->objective_sensitive());
-}
-
-// The "paper-greedy" strategy and the legacy PartitionProgram entry point
-// must produce bit-identical PartitionResults (same selections, same
-// rejection log, same metrics) — the strategy extraction is a pure
-// refactor of the paper's algorithm.
-TEST(Strategy, PaperGreedyParityWithPartitionProgram) {
-  for (const char* name : {"fir", "crc", "brev", "autcor00"}) {
-    auto flow = partition::RunFlow(BuildBench(name));
-    ASSERT_TRUE(flow.ok()) << name;
-    const auto& program = *flow.value().program;
-    const auto& profile = flow.value().software_run.profile;
-    const partition::Platform platform;
-
-    const auto strategy =
-        partition::StrategyRegistry::Global().Create("paper-greedy");
-    ASSERT_NE(strategy, nullptr);
-    auto result = strategy->Partition(program, profile, platform, {}, {});
-    ASSERT_TRUE(result.ok()) << name;
-    ExpectIdenticalPartitions(result.value(), flow.value().partition);
-  }
 }
 
 // Acceptance criterion: a full {18 benchmarks} x {3 platforms} x
@@ -566,10 +517,10 @@ TEST(Explore, CacheDirEnvironmentOverride) {
 // program: its reported estimate equals the best EvaluateSubset score over
 // every feasible subset.
 TEST(Strategy, KnapsackMatchesExhaustiveSearchOnFir) {
-  auto flow = partition::RunFlow(BuildBench("fir"));
-  ASSERT_TRUE(flow.ok());
-  const auto& program = *flow.value().program;
-  const auto& profile = flow.value().software_run.profile;
+  auto run = Toolchain().Run(BuildBench("fir"), "fir");
+  ASSERT_TRUE(run.ok());
+  const auto& program = *run.value().program;
+  const auto& profile = run.value().software_run->profile;
   const partition::Platform platform;
   const partition::PartitionOptions options;
 

@@ -1,6 +1,6 @@
 // Simulator halt paths end-to-end: binaries that exhaust the instruction
 // budget (HaltReason::kMaxInstructions) or fault (HaltReason::kFault) must
-// surface as clean Result errors from every flow entry point — RunFlow,
+// surface as clean Result errors from every flow entry point —
 // Toolchain::Run, Toolchain::RunMany, and RunDynamic — never as partial or
 // garbage estimates.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 
 #include "mips/assembler.hpp"
 #include "mips/simulator.hpp"
-#include "partition/flow.hpp"
 #include "toolchain/toolchain.hpp"
 
 namespace b2h {
@@ -67,36 +66,22 @@ TEST(HaltPaths, SimulatorReportsBudgetAndFault) {
   }
 }
 
-TEST(HaltPaths, RunFlowPropagatesBudgetExhaustion) {
-  partition::FlowOptions options;
-  options.max_sim_instructions = 5'000;
-  auto result = partition::RunFlow(InfiniteLoopBinary(), options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().kind(), ErrorKind::kMalformedBinary);
-  EXPECT_NE(result.status().message().find("did not complete"),
-            std::string::npos)
-      << result.status().message();
-}
-
-TEST(HaltPaths, RunFlowPropagatesFault) {
-  auto result = partition::RunFlow(FaultingBinary());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().kind(), ErrorKind::kMalformedBinary);
-  EXPECT_NE(result.status().message().find("fault"), std::string::npos)
-      << result.status().message();
-}
-
 TEST(HaltPaths, ToolchainRunPropagatesBothHaltReasons) {
   Toolchain budgeted;
   budgeted.WithMaxSimInstructions(5'000);
   auto exhausted = budgeted.Run(InfiniteLoopBinary(), "spin");
   ASSERT_FALSE(exhausted.ok());
   EXPECT_EQ(exhausted.status().kind(), ErrorKind::kMalformedBinary);
+  EXPECT_NE(exhausted.status().message().find("did not complete"),
+            std::string::npos)
+      << exhausted.status().message();
 
   Toolchain toolchain;
   auto faulted = toolchain.Run(FaultingBinary(), "faulty");
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().kind(), ErrorKind::kMalformedBinary);
+  EXPECT_NE(faulted.status().message().find("fault"), std::string::npos)
+      << faulted.status().message();
 }
 
 TEST(HaltPaths, RunManyIsolatesBadBinariesPerSlot) {

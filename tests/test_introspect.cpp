@@ -160,6 +160,21 @@ TEST(HttpParse, ParsesRequestLineHeadersAndBody) {
   EXPECT_EQ(request.body, "body");
 }
 
+// A request already waiting in the socket is read even with no time left:
+// like the framed transport, the HTTP reader polls at least once before it
+// reports a timeout (support::PollTimeoutMs).
+TEST(HttpParse, ZeroTimeoutStillReadsAWaitingRequest) {
+  SocketPair pair;
+  pair.Write(
+      "POST /v1/partition HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody");
+  HttpRequest request;
+  ASSERT_EQ(support::ReadHttpRequest(pair.fd[1], &request, 1 << 20,
+                                     /*timeout_ms=*/0),
+            HttpStatus::kOk);
+  EXPECT_EQ(request.method, "POST");
+  EXPECT_EQ(request.body, "body");
+}
+
 TEST(HttpParse, RejectsMalformedInput) {
   // Each case: raw bytes -> expected refusal.  The writer closes so a
   // parser waiting for more data sees EOF instead of hanging.

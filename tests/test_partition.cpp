@@ -14,9 +14,9 @@
 
 #include "minicc/codegen.hpp"
 #include "partition/candidates.hpp"
-#include "partition/flow.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "toolchain/toolchain.hpp"
 
 // Counts this thread's global operator new calls, so the scorer test can
 // show that scoring a subset allocates nothing.  Every unaligned new and
@@ -54,18 +54,33 @@ void operator delete[](void* memory, const std::nothrow_t&) noexcept {
 namespace b2h::partition {
 namespace {
 
-FlowResult RunBenchmark(const std::string& name, FlowOptions options = {}) {
+/// Runs `binary` through Toolchain::RunOn on a registered platform.
+ToolchainRun RunBinary(mips::SoftBinary binary, const std::string& name,
+                       const std::string& platform_name = "mips200-xc2v1000",
+                       const PartitionOptions& options = {}) {
+  Toolchain toolchain;
+  toolchain.WithPartitionOptions(options);
+  auto run = toolchain.RunOn(
+      platform_name,
+      std::make_shared<const mips::SoftBinary>(std::move(binary)), name);
+  EXPECT_TRUE(run.ok()) << run.status().message();
+  return std::move(run).take();
+}
+
+/// Builds benchmark `name` at -O1 and runs it as RunBinary does.
+ToolchainRun RunBenchmark(
+    const std::string& name,
+    const std::string& platform_name = "mips200-xc2v1000",
+    const PartitionOptions& options = {}) {
   const suite::Benchmark* bench = suite::FindBenchmark(name);
   EXPECT_NE(bench, nullptr);
   auto binary = suite::BuildBinary(*bench, 1);
   EXPECT_TRUE(binary.ok());
-  auto flow = RunFlow(binary.value(), options);
-  EXPECT_TRUE(flow.ok()) << flow.status().message();
-  return std::move(flow).take();
+  return RunBinary(std::move(binary).take(), name, platform_name, options);
 }
 
 TEST(Partitioner, SelectsHotLoopsFirst) {
-  const FlowResult flow = RunBenchmark("fir");
+  const ToolchainRun flow = RunBenchmark("fir");
   ASSERT_FALSE(flow.partition.hw.empty());
   // The first (frequency-step) region must be the hottest one.
   const auto& first = flow.partition.hw.front();
@@ -81,10 +96,11 @@ TEST(Partitioner, SelectsHotLoopsFirst) {
 }
 
 TEST(Partitioner, RespectsAreaBudget) {
-  FlowOptions tiny;
-  tiny.platform.fpga.capacity_gates = 30'000;
-  tiny.platform.fpga.usable_fraction = 1.0;
-  const FlowResult flow = RunBenchmark("fir", tiny);
+  Platform tiny;
+  tiny.fpga.capacity_gates = 30'000;
+  tiny.fpga.usable_fraction = 1.0;
+  PlatformRegistry::Global().Register("test-partition-30k", tiny);
+  const ToolchainRun flow = RunBenchmark("fir", "test-partition-30k");
   EXPECT_LE(flow.partition.area_used_gates, 30'000.0);
   // Something must have been rejected for area on this multi-loop program.
   bool area_rejection = false;
@@ -95,9 +111,10 @@ TEST(Partitioner, RespectsAreaBudget) {
 }
 
 TEST(Partitioner, ZeroBudgetSelectsNothing) {
-  FlowOptions none;
-  none.platform.fpga.capacity_gates = 0;
-  const FlowResult flow = RunBenchmark("fir", none);
+  Platform none;
+  none.fpga.capacity_gates = 0;
+  PlatformRegistry::Global().Register("test-partition-no-fpga", none);
+  const ToolchainRun flow = RunBenchmark("fir", "test-partition-no-fpga");
   EXPECT_TRUE(flow.partition.hw.empty());
   EXPECT_NEAR(flow.estimate.speedup, 1.0, 1e-9);
   EXPECT_NEAR(flow.estimate.energy_savings, 0.0, 1e-9);
@@ -107,7 +124,7 @@ TEST(Partitioner, AliasStepMakesArraysResident) {
   // fir: samples/coeffs/output are shared between the init loops and the
   // kernel; once all loops touching them are in hardware the arrays become
   // FPGA-resident.
-  const FlowResult flow = RunBenchmark("fir");
+  const ToolchainRun flow = RunBenchmark("fir");
   bool any_resident = false;
   for (const auto& selected : flow.partition.hw) {
     if (selected.arrays_resident) any_resident = true;
@@ -116,11 +133,12 @@ TEST(Partitioner, AliasStepMakesArraysResident) {
 }
 
 TEST(Partitioner, StepsCanBeDisabled) {
-  FlowOptions no_steps;
-  no_steps.partition.enable_alias_step = false;
-  no_steps.partition.enable_greedy_step = false;
-  const FlowResult base = RunBenchmark("fir");
-  const FlowResult reduced = RunBenchmark("fir", no_steps);
+  PartitionOptions no_steps;
+  no_steps.enable_alias_step = false;
+  no_steps.enable_greedy_step = false;
+  const ToolchainRun base = RunBenchmark("fir");
+  const ToolchainRun reduced =
+      RunBenchmark("fir", "mips200-xc2v1000", no_steps);
   EXPECT_LE(reduced.partition.hw.size(), base.partition.hw.size());
   for (const auto& selected : reduced.partition.hw) {
     EXPECT_EQ(selected.selected_by, SelectedBy::kFrequency);
@@ -128,7 +146,7 @@ TEST(Partitioner, StepsCanBeDisabled) {
 }
 
 TEST(Estimator, SpeedupRequiresPositiveTimes) {
-  const FlowResult flow = RunBenchmark("brev");
+  const ToolchainRun flow = RunBenchmark("brev");
   const AppEstimate& est = flow.estimate;
   EXPECT_GT(est.sw_time, 0.0);
   EXPECT_GT(est.partitioned_time, 0.0);
@@ -155,20 +173,13 @@ TEST(Estimator, RegionSwCyclesAttributesAll) {
 TEST(Platforms, SlowerCpuMeansBiggerWins) {
   // Paper trend: 40 MHz -> speedup 12.6 / savings 84%;
   //              200 MHz -> 5.4 / 69%;  400 MHz -> 3.8 / 49%.
-  const suite::Benchmark* bench = suite::FindBenchmark("fir");
-  auto binary = suite::BuildBinary(*bench, 1);
-  ASSERT_TRUE(binary.ok());
-
   double speedups[3];
   double savings[3];
-  const double mhz[3] = {40.0, 200.0, 400.0};
+  const char* platforms[3] = {"mips40", "mips200-xc2v1000", "mips400"};
   for (int i = 0; i < 3; ++i) {
-    FlowOptions options;
-    options.platform = Platform::WithCpuMhz(mhz[i]);
-    auto flow = RunFlow(binary.value(), options);
-    ASSERT_TRUE(flow.ok());
-    speedups[i] = flow.value().estimate.speedup;
-    savings[i] = flow.value().estimate.energy_savings;
+    const ToolchainRun flow = RunBenchmark("fir", platforms[i]);
+    speedups[i] = flow.estimate.speedup;
+    savings[i] = flow.estimate.energy_savings;
   }
   EXPECT_GT(speedups[0], speedups[1]);
   EXPECT_GT(speedups[1], speedups[2]);
@@ -190,23 +201,13 @@ TEST(Platforms, PowerModelScalesWithFrequency) {
 }
 
 TEST(Flow, ReportMentionsEverything) {
-  const FlowResult flow = RunBenchmark("fir");
+  const ToolchainRun flow = RunBenchmark("fir");
   const std::string report = flow.Report();
   EXPECT_NE(report.find("decompile:"), std::string::npos);
   EXPECT_NE(report.find("partition:"), std::string::npos);
   EXPECT_NE(report.find("speedup"), std::string::npos);
   EXPECT_NE(report.find("energy savings"), std::string::npos);
   EXPECT_NE(report.find("gates"), std::string::npos);
-}
-
-TEST(Flow, IndirectJumpBinariesFailCleanly) {
-  const suite::Benchmark* bench = suite::FindBenchmark("switch01");
-  ASSERT_NE(bench, nullptr);
-  auto binary = suite::BuildBinary(*bench, 1);
-  ASSERT_TRUE(binary.ok());
-  auto flow = RunFlow(binary.value());
-  ASSERT_FALSE(flow.ok());
-  EXPECT_EQ(flow.status().kind(), ErrorKind::kIndirectJump);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,12 +342,13 @@ std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 // EvaluateSubset and with the oracle, and requires identical feasibility,
 // bit-identical figures and no allocation by the reused scorer.  Adds to
 // the feasible/infeasible counts.
-void ExpectScorerMatchesOracle(const FlowResult& flow, const Platform& platform,
+void ExpectScorerMatchesOracle(const ToolchainRun& flow,
+                               const Platform& platform,
                                const std::string& label, int* feasible,
                                int* infeasible) {
   const PartitionOptions options;
   const CandidateSet set =
-      CandidateSet::Scan(*flow.program, flow.software_run.profile);
+      CandidateSet::Scan(*flow.program, flow.software_run->profile);
   const std::vector<std::size_t> viable =
       FilterViableCandidates(set, platform, options).ids;
   const OracleScorer oracle(set);
@@ -448,13 +450,11 @@ TEST(SubsetScorer, MatchesPreTableDefinitionsOnTheSuite) {
   int feasible = 0;
   int infeasible = 0;
   for (const suite::Benchmark* bench : suite::WorkingBenchmarks()) {
-    auto binary = suite::BuildBinary(*bench, 1);
-    ASSERT_TRUE(binary.ok()) << bench->name;
-    auto flow = RunFlow(binary.value());
-    ASSERT_TRUE(flow.ok()) << bench->name << ": " << flow.status().message();
+    const ToolchainRun flow = RunBenchmark(bench->name);
+    ASSERT_NE(flow.program, nullptr) << bench->name;
     for (const Platform& platform : ScorerPlatforms()) {
       ExpectScorerMatchesOracle(
-          flow.value(), platform,
+          flow, platform,
           bench->name + " @ " + MhzLabel(platform),
           &feasible, &infeasible);
     }
@@ -468,31 +468,22 @@ TEST(SubsetScorer, MatchesPreTableDefinitionsPastOneTableWord) {
   compile.opt_level = 1;
   auto compiled = minicc::Compile(EightyLoopProgram(), compile);
   ASSERT_TRUE(compiled.ok()) << compiled.status().message();
-  auto flow = RunFlow(compiled.value().binary);
-  ASSERT_TRUE(flow.ok()) << flow.status().message();
-  const FlowResult& result = flow.value();
+  const ToolchainRun flow =
+      RunBinary(std::move(compiled).take().binary, "80 loops");
+  ASSERT_NE(flow.program, nullptr);
   const CandidateSet set =
-      CandidateSet::Scan(*result.program, result.software_run.profile);
+      CandidateSet::Scan(*flow.program, flow.software_run->profile);
   ASSERT_GT(set.size(), 64u);  // two-word table rows
   EXPECT_EQ(set.row_words(), 2u);
   for (const Platform& platform : ScorerPlatforms()) {
     int feasible = 0;
     int infeasible = 0;
     ExpectScorerMatchesOracle(
-        flow.value(), platform,
+        flow, platform,
         "80 loops @ " + MhzLabel(platform), &feasible, &infeasible);
     EXPECT_GT(feasible, 0);
     EXPECT_GT(infeasible, 0);
   }
-}
-
-TEST(Flow, FaultingBinaryReported) {
-  mips::SoftBinary bad;
-  bad.text = {mips::Encode({.op = mips::Op::kLw, .rs = 0, .rt = 2,
-                            .imm = 0})};  // load from address 0 faults
-  auto flow = RunFlow(bad);
-  ASSERT_FALSE(flow.ok());
-  EXPECT_EQ(flow.status().kind(), ErrorKind::kMalformedBinary);
 }
 
 }  // namespace

@@ -8,14 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include "decomp/pipeline.hpp"
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
 #include "synth/synth.hpp"
+#include "testing_support.hpp"
 
 namespace b2h::synth {
 namespace {
+
+using testing_support::DecompileWith;
 
 class RtlCosim : public ::testing::TestWithParam<const char*> {};
 
@@ -30,9 +32,7 @@ TEST_P(RtlCosim, WholeMainMatchesSoftware) {
   ASSERT_EQ(run.reason, mips::HaltReason::kReturned);
   ASSERT_EQ(run.return_value, bench->reference());
 
-  decomp::DecompileOptions options;
-  options.profile = &run.profile;
-  auto program = decomp::Decompile(binary.value(), options);
+  auto program = DecompileWith("default", binary.value(), &run.profile);
   ASSERT_TRUE(program.ok()) << program.status().message();
 
   // Whole-application synthesis (paper: "our methods are also applicable
@@ -75,9 +75,7 @@ TEST(RtlSim, SequentialFsmIsSlowerThanSoftwareClaims) {
   ASSERT_TRUE(binary.ok());
   mips::Simulator sim(binary.value());
   const auto run = sim.Run();
-  decomp::DecompileOptions options;
-  options.profile = &run.profile;
-  auto program = decomp::Decompile(binary.value(), options);
+  auto program = DecompileWith("default", binary.value(), &run.profile);
   ASSERT_TRUE(program.ok());
   const HwRegion region =
       ExtractFunctionRegion(*program.value().module.main);
@@ -102,9 +100,7 @@ TEST(RtlSim, LiveOutValuesExposed) {
   ASSERT_TRUE(binary.ok());
   mips::Simulator sim(binary.value());
   const auto run = sim.Run();
-  decomp::DecompileOptions options;
-  options.profile = &run.profile;
-  auto program = decomp::Decompile(binary.value(), options);
+  auto program = DecompileWith("default", binary.value(), &run.profile);
   ASSERT_TRUE(program.ok());
   const ir::Function* main_fn = program.value().module.main;
   const HwRegion region = ExtractFunctionRegion(*main_fn);

@@ -9,14 +9,16 @@
 // (heavy stack traffic removed at -O0, loops rerolled at -O3).
 #include <gtest/gtest.h>
 
-#include "decomp/pipeline.hpp"
 #include "ir/interp.hpp"
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "testing_support.hpp"
 
 namespace b2h {
 namespace {
+
+using testing_support::DecompileWith;
 
 class SuiteCosim
     : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
@@ -35,9 +37,7 @@ TEST_P(SuiteCosim, SimulatorInterpreterReferenceAgree) {
   ASSERT_EQ(run.reason, mips::HaltReason::kReturned) << run.fault_message;
   EXPECT_EQ(run.return_value, expected) << "compiler or simulator bug";
 
-  decomp::DecompileOptions options;
-  options.profile = &run.profile;
-  auto program = decomp::Decompile(binary.value(), options);
+  auto program = DecompileWith("default", binary.value(), &run.profile);
   ASSERT_TRUE(program.ok()) << program.status().message();
 
   ir::Interpreter interp(program.value().module, binary.value().data);
@@ -97,7 +97,7 @@ TEST(SuiteInventory, AssemblyBenchmarksRunButDoNotDecompile) {
     const auto run = sim.Run();
     EXPECT_EQ(run.reason, mips::HaltReason::kReturned) << bench.name;
     EXPECT_EQ(run.return_value, bench.reference()) << bench.name;
-    auto program = decomp::Decompile(binary.value());
+    auto program = DecompileWith("default", binary.value());
     ASSERT_FALSE(program.ok()) << bench.name;
     EXPECT_EQ(program.status().kind(), ErrorKind::kIndirectJump)
         << bench.name;
@@ -108,7 +108,7 @@ TEST(DecompStats, StackRemovalDominatesAtO0) {
   const suite::Benchmark* bench = suite::FindBenchmark("fir");
   auto at_o0 = suite::BuildBinary(*bench, 0);
   ASSERT_TRUE(at_o0.ok());
-  auto program = decomp::Decompile(at_o0.value());
+  auto program = DecompileWith("default", at_o0.value());
   ASSERT_TRUE(program.ok());
   // -O0 spills everything: dozens of stack operations must disappear.
   EXPECT_GT(program.value().stats.stack_ops_removed, 20u);
@@ -121,7 +121,7 @@ TEST(DecompStats, RerollingFiresAtO3) {
     const suite::Benchmark* bench = suite::FindBenchmark(name);
     auto at_o3 = suite::BuildBinary(*bench, 3);
     ASSERT_TRUE(at_o3.ok());
-    auto program = decomp::Decompile(at_o3.value());
+    auto program = DecompileWith("default", at_o3.value());
     ASSERT_TRUE(program.ok()) << name;
     rerolled_totals += program.value().stats.loops_rerolled;
   }
@@ -138,8 +138,8 @@ TEST(DecompStats, RerollingShrinksO3TowardO2) {
   auto at_o3 = suite::BuildBinary(*bench, 3);
   ASSERT_TRUE(at_o2.ok());
   ASSERT_TRUE(at_o3.ok());
-  auto program_o2 = decomp::Decompile(at_o2.value());
-  auto program_o3 = decomp::Decompile(at_o3.value());
+  auto program_o2 = DecompileWith("default", at_o2.value());
+  auto program_o3 = DecompileWith("default", at_o3.value());
   ASSERT_TRUE(program_o2.ok());
   ASSERT_TRUE(program_o3.ok());
   ASSERT_GT(program_o3.value().stats.loops_rerolled, 0u);
@@ -159,7 +159,7 @@ TEST(DecompStats, StrengthPromotionFiresAtO2) {
     const suite::Benchmark* bench = suite::FindBenchmark(name);
     auto at_o2 = suite::BuildBinary(*bench, 2);
     ASSERT_TRUE(at_o2.ok());
-    auto program = decomp::Decompile(at_o2.value());
+    auto program = DecompileWith("default", at_o2.value());
     ASSERT_TRUE(program.ok()) << name;
     recovered += program.value().stats.muls_recovered;
   }
@@ -170,7 +170,7 @@ TEST(DecompStats, SizeReductionNarrowsByteKernels) {
   const suite::Benchmark* bench = suite::FindBenchmark("rgbcmy01");
   auto binary = suite::BuildBinary(*bench, 1);
   ASSERT_TRUE(binary.ok());
-  auto program = decomp::Decompile(binary.value());
+  auto program = DecompileWith("default", binary.value());
   ASSERT_TRUE(program.ok());
   EXPECT_GT(program.value().stats.instrs_narrowed, 5u);
   EXPECT_GT(program.value().stats.bits_saved, 50u);
@@ -180,7 +180,7 @@ TEST(DecompStats, ConstantsSimplifiedEverywhere) {
   for (const suite::Benchmark* bench : suite::WorkingBenchmarks()) {
     auto binary = suite::BuildBinary(*bench, 1);
     ASSERT_TRUE(binary.ok());
-    auto program = decomp::Decompile(binary.value());
+    auto program = DecompileWith("default", binary.value());
     ASSERT_TRUE(program.ok()) << bench->name;
     // Lifted code always carries move idioms / address chains to fold.
     EXPECT_GT(program.value().stats.constants_simplified, 0u) << bench->name;

@@ -5,15 +5,18 @@
 
 #include <gtest/gtest.h>
 
-#include "decomp/pipeline.hpp"
 #include "ir/dominators.hpp"
 #include "ir/loops.hpp"
 #include "mips/simulator.hpp"
+#include "partition/candidates.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "testing_support.hpp"
 
 namespace b2h::synth {
 namespace {
+
+using testing_support::DecompileWith;
 
 TEST(ResourceLibrary, AreaScalesWithWidth) {
   const ResourceLibrary lib;
@@ -69,9 +72,8 @@ Prepared Prepare(const std::string& name, int opt_level = 1) {
   prepared.binary = std::move(binary).take();
   mips::Simulator sim(prepared.binary);
   prepared.run = sim.Run();
-  decomp::DecompileOptions options;
-  options.profile = &prepared.run.profile;
-  auto program = decomp::Decompile(prepared.binary, options);
+  auto program =
+      DecompileWith("default", prepared.binary, &prepared.run.profile);
   EXPECT_TRUE(program.ok()) << program.status().message();
   prepared.program = std::move(program).take();
   return prepared;
@@ -208,12 +210,10 @@ TEST(Area, ReportIsConsistent) {
 TEST(Area, NarrowDatapathIsSmaller) {
   // Same structure, one narrowed by size reduction: area must not grow.
   Prepared with_reduction = Prepare("crc");
-  decomp::DecompileOptions no_narrow;
-  no_narrow.reduce_operator_sizes = false;
   mips::Simulator sim(with_reduction.binary);
   auto run = sim.Run();
-  no_narrow.profile = &run.profile;
-  auto wide_program = decomp::Decompile(with_reduction.binary, no_narrow);
+  auto wide_program = DecompileWith("default,-reduce-operator-sizes",
+                                    with_reduction.binary, &run.profile);
   ASSERT_TRUE(wide_program.ok());
 
   const auto synth_of = [&](const decomp::DecompiledProgram& program)
@@ -260,12 +260,10 @@ TEST(Regions, CallMakesRegionUnsynthesizable) {
   // main calls the kernels: a whole-main region (with calls left after
   // inlining) must be rejected, not mis-synthesized.
   Prepared prepared = Prepare("fir");
-  decomp::DecompileOptions no_inline;
-  no_inline.inline_small_functions = false;
   mips::Simulator sim(prepared.binary);
   auto run = sim.Run();
-  no_inline.profile = &run.profile;
-  auto program = decomp::Decompile(prepared.binary, no_inline);
+  auto program = DecompileWith("default,-inline-small-functions",
+                               prepared.binary, &run.profile);
   ASSERT_TRUE(program.ok());
   const HwRegion region =
       ExtractFunctionRegion(*program.value().module.main);
@@ -309,6 +307,35 @@ INSTANTIATE_TEST_SUITE_P(
                       "g3fax", "adpcm_enc", "adpcm_dec", "g721_quan",
                       "jpeg_dct", "brev", "matmul", "checksum"),
     [](const auto& info) { return std::string(info.param); });
+
+// Ports (VHDL entity, RTL simulation) follow a region's live values, so
+// their order must not depend on heap addresses: every synthesized
+// candidate of every working suite binary at -O0..-O3 lists its live-ins
+// and live-outs by strictly ascending instruction id.
+TEST(HwRegion, LiveValuesFollowInstructionIds) {
+  const SynthOptions options;
+  std::size_t regions = 0;
+  for (const suite::Benchmark* bench : suite::WorkingBenchmarks()) {
+    for (int opt_level = 0; opt_level <= 3; ++opt_level) {
+      const Prepared prepared = Prepare(bench->name, opt_level);
+      const auto set = partition::CandidateSet::Scan(prepared.program,
+                                                     prepared.run.profile);
+      for (std::size_t id = 0; id < set.size(); ++id) {
+        const auto& synthesized = set.Synthesize(id, options);
+        if (!synthesized.ok()) continue;
+        ++regions;
+        const HwRegion& region = synthesized.value().region;
+        for (const auto* values : {&region.live_ins, &region.live_outs}) {
+          for (std::size_t i = 1; i < values->size(); ++i) {
+            EXPECT_LT((*values)[i - 1]->id, (*values)[i]->id)
+                << bench->name << " -O" << opt_level << " " << region.name;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(regions, 0u);
+}
 
 }  // namespace
 }  // namespace b2h::synth

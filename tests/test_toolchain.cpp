@@ -1,7 +1,9 @@
-// Toolchain facade tests: platform registry, builder configuration, the
-// RunFlow compatibility shim, and the RunMany batch API — in particular
-// that a platform sweep reuses ONE decompilation per binary and that
-// parallel and serial batches produce identical results.
+// Toolchain facade tests: platform registry, builder configuration, and
+// the Run/RunOn/RunMany views over the exploration engine — in particular
+// that a platform sweep reuses ONE decompilation per binary, that parallel
+// and serial batches produce identical results, that VHDL is identical
+// across runs and entry points, and that a warm disk cache never reaches
+// the views.
 #include "toolchain/toolchain.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "testing_support.hpp"
 
 namespace b2h {
 namespace {
@@ -52,38 +55,22 @@ TEST(PlatformRegistry, CustomRegistrationIsUsableByName) {
   EXPECT_LE(run.value().partition.area_budget_gates, 20'000.0);
 }
 
-TEST(Toolchain, RunMatchesRunFlowShim) {
-  const auto binary = BuildBench("fir");
-
-  partition::FlowOptions flow_options;
-  auto flow = partition::RunFlow(binary, flow_options);
-  ASSERT_TRUE(flow.ok());
-
-  Toolchain toolchain;
-  auto run = toolchain.Run(binary, "fir");
-  ASSERT_TRUE(run.ok());
-
-  EXPECT_DOUBLE_EQ(run.value().estimate.speedup, flow.value().estimate.speedup);
-  EXPECT_DOUBLE_EQ(run.value().estimate.energy_savings,
-                   flow.value().estimate.energy_savings);
-  EXPECT_EQ(run.value().partition.hw.size(), flow.value().partition.hw.size());
-}
-
-TEST(Toolchain, FlowResultOutlivesCallerBinary) {
-  // Regression for the dangling-pointer hazard: the FlowResult (and the
+TEST(Toolchain, RunOutlivesCallerBinary) {
+  // Regression for the dangling-pointer hazard: the ToolchainRun (and the
   // program inside it) must stay valid after the caller's binary handle
   // and the surrounding scope are gone.
-  partition::FlowResult flow = [] {
+  ToolchainRun run = [] {
     auto binary = BuildBench("brev");
-    auto result = partition::RunFlow(binary);
+    auto result = Toolchain().Run(binary, "brev");
     EXPECT_TRUE(result.ok());
     binary.reset();  // drop the caller's only handle
     return std::move(result).take();
   }();
-  ASSERT_NE(flow.program, nullptr);
-  ASSERT_NE(flow.program->binary, nullptr);
-  EXPECT_GT(flow.program->binary->text.size(), 0u);
-  EXPECT_FALSE(flow.Report().empty());
+  run.binary.reset();  // and the run's: the program owns its binary
+  ASSERT_NE(run.program, nullptr);
+  ASSERT_NE(run.program->binary, nullptr);
+  EXPECT_GT(run.program->binary->text.size(), 0u);
+  EXPECT_FALSE(run.Report().empty());
 }
 
 TEST(Toolchain, UnknownPlatformIsAnError) {
@@ -172,11 +159,7 @@ TEST(Toolchain, RunManyGroupsByCycleModel) {
   auto single = toolchain.RunOn("test-slow-mem", binaries[0].binary, "fir");
   ASSERT_TRUE(single.ok());
   const auto& batched = batch.At(0, 1).value();
-  EXPECT_EQ(partition::FlowReportBody(*batched.software_run, *batched.program,
-                                      batched.partition, batched.estimate),
-            partition::FlowReportBody(
-                *single.value().software_run, *single.value().program,
-                single.value().partition, single.value().estimate));
+  EXPECT_EQ(batched.ReportBody(), single.value().ReportBody());
 }
 
 TEST(Toolchain, RunManyParallelEqualsSerial) {
@@ -202,11 +185,7 @@ TEST(Toolchain, RunManyParallelEqualsSerial) {
     // the timing-free body instead.
     const auto& ra = a.runs[i].value();
     const auto& rb = b.runs[i].value();
-    EXPECT_EQ(partition::FlowReportBody(*ra.software_run, *ra.program,
-                                        ra.partition, ra.estimate),
-              partition::FlowReportBody(*rb.software_run, *rb.program,
-                                        rb.partition, rb.estimate))
-        << i;
+    EXPECT_EQ(ra.ReportBody(), rb.ReportBody()) << i;
   }
 }
 
@@ -218,13 +197,17 @@ TEST(Toolchain, RunManyReportsPerSlotFailures) {
   const BatchResult batch = toolchain.RunMany(binaries, platforms);
   ASSERT_EQ(batch.runs.size(), 4u);
   EXPECT_TRUE(batch.At(0, 0).ok());
-  EXPECT_FALSE(batch.At(0, 1).ok());  // unknown platform
-  EXPECT_FALSE(batch.At(1, 0).ok());  // null binary
-  EXPECT_FALSE(batch.At(1, 1).ok());
+  ASSERT_FALSE(batch.At(0, 1).ok());  // unknown platform
+  EXPECT_EQ(batch.At(0, 1).status().kind(), ErrorKind::kUnsupported);
+  ASSERT_FALSE(batch.At(1, 0).ok());  // null binary
+  EXPECT_EQ(batch.At(1, 0).status().kind(), ErrorKind::kMalformedBinary);
+  // Both at once: the null binary is reported.
+  ASSERT_FALSE(batch.At(1, 1).ok());
+  EXPECT_EQ(batch.At(1, 1).status().kind(), ErrorKind::kMalformedBinary);
 }
 
 // The two jump-table EEMBC-style benchmarks fail CDFG recovery in RunMany
-// exactly as they do in the one-shot flow (paper: two failures).
+// (paper: two failures).
 TEST(Toolchain, RunManyPropagatesCdfgFailures) {
   std::vector<NamedBinary> binaries;
   for (const auto& bench : suite::AllBenchmarks()) {
@@ -239,6 +222,106 @@ TEST(Toolchain, RunManyPropagatesCdfgFailures) {
     ASSERT_FALSE(run.ok());
     EXPECT_EQ(run.status().kind(), ErrorKind::kIndirectJump);
   }
+}
+
+// VHDL ports follow the regions' live values.  With those ordered by
+// instruction id rather than heap address (checked region by region in
+// test_synth), the generated VHDL is identical run to run in one process
+// and across Run, RunMany and Explore.  These binaries are where address
+// order used to show.
+TEST(Toolchain, VhdlIsIdenticalAcrossRunsAndEntryPoints) {
+  std::vector<NamedBinary> binaries;
+  for (const char* name : {"g3fax", "checksum", "g721_quan"}) {
+    for (int opt_level = 0; opt_level <= 3; ++opt_level) {
+      binaries.push_back({std::string(name) + "-O" + std::to_string(opt_level),
+                          BuildBench(name, opt_level)});
+    }
+  }
+  const std::size_t num_platforms = kPaperPlatforms.size();
+  const auto vhdl_of = [](const partition::PartitionResult& partition) {
+    std::vector<std::string> vhdl;
+    for (const auto& region : partition.hw) {
+      vhdl.push_back(region.synthesized.vhdl);
+    }
+    return vhdl;
+  };
+  Toolchain toolchain;
+  // Each run is dropped before the next starts, so later runs reuse the
+  // heap of earlier ones: the condition under which address order showed.
+  const auto run_vhdl = [&](std::size_t b, std::size_t p) {
+    const auto run = toolchain.RunOn(kPaperPlatforms[p], binaries[b].binary,
+                                     binaries[b].name);
+    EXPECT_TRUE(run.ok()) << binaries[b].name << ": "
+                          << run.status().message();
+    return run.ok() ? vhdl_of(run.value().partition)
+                    : std::vector<std::string>{};
+  };
+  std::vector<std::vector<std::string>> expected;
+  std::size_t regions = 0;
+  for (std::size_t b = 0; b < binaries.size(); ++b) {
+    for (std::size_t p = 0; p < num_platforms; ++p) {
+      expected.push_back(run_vhdl(b, p));
+      regions += expected.back().size();
+    }
+  }
+  EXPECT_GT(regions, 0u);
+
+  const BatchResult batch = toolchain.RunMany(binaries, kPaperPlatforms);
+  explore::ExploreSpec spec;
+  spec.binaries = binaries;
+  spec.platforms = kPaperPlatforms;
+  spec.strategies = {"paper-greedy"};
+  const explore::ExploreResult sweep = toolchain.Explore(spec);
+  for (std::size_t b = 0; b < binaries.size(); ++b) {
+    for (std::size_t p = 0; p < num_platforms; ++p) {
+      const std::string where = binaries[b].name + " on " + kPaperPlatforms[p];
+      const std::vector<std::string>& first = expected[b * num_platforms + p];
+      EXPECT_EQ(run_vhdl(b, p), first) << where;
+      ASSERT_TRUE(batch.At(b, p).ok()) << where;
+      EXPECT_EQ(vhdl_of(batch.At(b, p).value().partition), first) << where;
+      const explore::ExplorePoint& point = sweep.At(b, p, 0, 0);
+      ASSERT_TRUE(point.status.ok()) << where;
+      EXPECT_EQ(vhdl_of(point.artifact->partition), first) << where;
+    }
+  }
+}
+
+// Run, RunOn and RunMany use a private memory-only cache, never the
+// Toolchain's own.  A disk-served artifact has no program or profile, so a
+// view reading it would hand out a run whose Report() dereferences null.
+TEST(Toolchain, RunStaysLiveOverAWarmDiskCache) {
+  const testing_support::TempDir dir;
+  const testing_support::ScopedEnv env("B2H_CACHE_DIR", dir.path.c_str());
+  const auto binary = BuildBench("fir");
+  explore::ExploreSpec spec;
+  spec.binaries = {{"fir", binary}};
+  spec.platforms = {"mips200-xc2v1000"};
+  spec.strategies = {"paper-greedy"};
+  {
+    Toolchain cold;  // the environment gives it a disk-backed cache
+    ASSERT_TRUE(cold.artifact_cache()->disk_enabled());
+    ASSERT_TRUE(cold.Explore(spec).At(0, 0, 0, 0).status.ok());
+    ASSERT_GT(cold.CacheStats().disk_stores, 0u);
+  }
+
+  Toolchain fresh;
+  auto run = fresh.Run(binary, "fir");
+  ASSERT_TRUE(run.ok()) << run.status().message();
+  ASSERT_NE(run.value().program, nullptr);
+  ASSERT_NE(run.value().software_run, nullptr);
+  EXPECT_FALSE(run.value().Report().empty());
+
+  // The same Toolchain's Explore is served from disk, without IR, and
+  // leaves those artifacts in its memory tier; Run still never sees them.
+  const explore::ExploreResult replay = fresh.Explore(spec);
+  ASSERT_TRUE(replay.At(0, 0, 0, 0).status.ok());
+  EXPECT_GT(replay.cache_disk_hits, 0u);
+  EXPECT_EQ(replay.At(0, 0, 0, 0).artifact->program, nullptr);
+  auto again = fresh.Run(binary, "fir");
+  ASSERT_TRUE(again.ok()) << again.status().message();
+  ASSERT_NE(again.value().program, nullptr);
+  ASSERT_NE(again.value().software_run, nullptr);
+  EXPECT_EQ(again.value().ReportBody(), run.value().ReportBody());
 }
 
 }  // namespace

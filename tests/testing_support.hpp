@@ -7,9 +7,12 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <system_error>
 #include <vector>
+
+#include "decomp/pass_manager.hpp"
 
 namespace b2h::testing_support {
 
@@ -63,5 +66,16 @@ class ScopedEnv {
   std::string saved_;
   bool had_value_ = false;
 };
+
+/// Decompile a copy of `binary` through the pipeline `spec` (see
+/// decomp::PassManager::FromSpec), profile-annotated when `profile` is set.
+inline Result<decomp::DecompiledProgram> DecompileWith(
+    const std::string& spec, const mips::SoftBinary& binary,
+    const mips::ExecProfile* profile = nullptr) {
+  auto manager = decomp::PassManager::FromSpec(spec);
+  if (!manager.ok()) return manager.status();
+  return manager.value().Run(std::make_shared<const mips::SoftBinary>(binary),
+                             profile);
+}
 
 }  // namespace b2h::testing_support
