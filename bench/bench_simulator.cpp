@@ -1,20 +1,20 @@
 // Simulator throughput bench: instructions/second of the tiered engine
 // (hot traces translated to fused host ops with inline-cache chaining),
-// the trace-compiled engine — computed-goto threaded dispatch and forced
-// switch dispatch — and the retained per-instruction reference
-// interpreter, per suite benchmark and suite-aggregated.
+// its tier 2 alone (kBlock: the same run loop with tier 3 compiled out)
+// and the retained per-instruction reference interpreter, per suite
+// benchmark and suite-aggregated.
 //
 // Writes BENCH_simulator.json (see bench_json.hpp):
-//   instr_per_sec               threaded engine, plain Run        [per bench + suite_avg]
-//   instr_per_sec_instrumented  threaded engine + detection observer
-//   switch_instr_per_sec        switch-dispatch engine, plain Run
+//   instr_per_sec               tier 2 (kBlock), plain Run        [per bench + suite_avg]
+//   instr_per_sec_instrumented  tier 2 + detection observer
 //   translated_instr_per_sec    tiered engine (kTranslated), measured warm
 //   ref_instr_per_sec           reference engine, plain Run
 //   translated_speedup          tiered vs reference — the primary gate
-//   block_speedup               threaded vs reference — still gated
-//   switch_speedup              switch-dispatch vs reference
-//   translate_chain_hit_rate    chain_hits/(chain_hits+chain_misses) over
-//                               this benchmark's warm samples (> 0 on the
+//   block_speedup               tier 2 vs reference — still gated
+//   translate_chain_hit_rate    indirect-exit chain rate: indirect_chain_hits
+//                               / (indirect_chain_hits +
+//                               indirect_chain_misses) over this
+//                               benchmark's warm samples (> 0 on the
 //                               branchy benches or chaining is broken)
 //   trace_len_mean              mean multi-exit trace length (static)
 //   trace_len_single_exit_mean  mean length if traces still ended at the
@@ -150,10 +150,10 @@ bool IsBranchyBench(std::string_view name) {
 int main() {
   bench::JsonWriter json("simulator");
 
-  std::printf("Simulator throughput: tiered + trace engines vs reference\n");
-  std::printf("%-12s %12s %12s %12s %12s %9s %9s %9s %9s\n", "benchmark",
-              "tiered i/s", "threaded i/s", "switch i/s", "ref i/s",
-              "t-spdup", "speedup", "sw-spdup", "chain");
+  std::printf("Simulator throughput: tiered engine and tier 2 vs reference\n");
+  std::printf("%-12s %12s %12s %12s %9s %9s %9s\n", "benchmark",
+              "tiered i/s", "block i/s", "ref i/s", "t-spdup", "speedup",
+              "chain");
 
   // Suite aggregation: harmonic weighting by each benchmark's per-run
   // instruction count, i.e. total instructions / total time — the rate a
@@ -161,7 +161,6 @@ int main() {
   double total_weight = 0.0;
   double block_time = 0.0;
   double instrumented_time = 0.0;
-  double switch_time = 0.0;
   double translated_time = 0.0;
   double reference_time = 0.0;
 
@@ -198,12 +197,11 @@ int main() {
     // warm-up runs accrue the promotion heat and bake the inline caches;
     // the samples below then measure the steady translated+chained state.
     mips::Simulator sim_block(binary, {}, mips::ExecEngine::kBlock);
-    mips::Simulator sim_switch(binary, {}, mips::ExecEngine::kBlockSwitch);
     mips::Simulator sim_translated(binary, {}, mips::ExecEngine::kTranslated);
     mips::Simulator sim_reference(binary, {}, mips::ExecEngine::kReference);
     for (int i = 0; i < 3; ++i) (void)sim_translated.Run();
 
-    // Interleaved sampling: every best-of round measures all four engines
+    // Interleaved sampling: every best-of round measures all three engines
     // back-to-back, instead of taking all of one engine's samples before
     // the next engine's.  The reported numbers are ratios of two engines'
     // rates, and host frequency drift over the seconds a sequential sweep
@@ -223,14 +221,12 @@ int main() {
       return seconds > 0.0 ? static_cast<double>(executed) / seconds : 0.0;
     };
     Rates block;
-    Rates swdisp;
     Rates translated;
     Rates reference;
     const mips::SharedBlockCache::Stats chain_before =
         mips::SharedBlockCache::Global().stats();
     for (int s = 0; s < kSamples; ++s) {
       block.plain = std::max(block.plain, sample(sim_block));
-      swdisp.plain = std::max(swdisp.plain, sample(sim_switch));
       translated.plain = std::max(translated.plain, sample(sim_translated));
       reference.plain = std::max(reference.plain, sample(sim_reference));
     }
@@ -242,20 +238,20 @@ int main() {
           .instructions;
     });
     if (block.plain <= 0.0 || block.instrumented <= 0.0 ||
-        swdisp.plain <= 0.0 || translated.plain <= 0.0 ||
-        reference.plain <= 0.0) {
+        translated.plain <= 0.0 || reference.plain <= 0.0) {
       std::printf("%-12s skipped (clock quantum too coarse)\n",
                   bench.name.c_str());
       continue;
     }
     const double speedup = block.plain / reference.plain;
-    const double switch_speedup = swdisp.plain / reference.plain;
     const double translated_speedup = translated.plain / reference.plain;
-    const double chain_hits = static_cast<double>(chain_after.chain_hits -
-                                                  chain_before.chain_hits);
+    const double chain_hits =
+        static_cast<double>(chain_after.indirect_chain_hits -
+                            chain_before.indirect_chain_hits);
     const double chain_total =
-        chain_hits + static_cast<double>(chain_after.chain_misses -
-                                         chain_before.chain_misses);
+        chain_hits +
+        static_cast<double>(chain_after.indirect_chain_misses -
+                            chain_before.indirect_chain_misses);
     const double chain_hit_rate =
         chain_total > 0.0 ? chain_hits / chain_total : 0.0;
     const TraceStats traces = MeasureTraces(probe.blocks());
@@ -263,29 +259,24 @@ int main() {
     json.Record("instr_per_sec", block.plain, "instr/s", bench.name);
     json.Record("instr_per_sec_instrumented", block.instrumented, "instr/s",
                 bench.name);
-    json.Record("switch_instr_per_sec", swdisp.plain, "instr/s", bench.name);
     json.Record("translated_instr_per_sec", translated.plain, "instr/s",
                 bench.name);
     json.Record("ref_instr_per_sec", reference.plain, "instr/s", bench.name);
     json.Record("translated_speedup", translated_speedup, "x", bench.name);
     json.Record("block_speedup", speedup, "x", bench.name);
-    json.Record("switch_speedup", switch_speedup, "x", bench.name);
     json.Record("translate_chain_hit_rate", chain_hit_rate, "ratio",
                 bench.name);
     json.Record("trace_len_mean", traces.mean_len, "instr", bench.name);
     json.Record("trace_len_single_exit_mean", traces.single_exit_mean,
                 "instr", bench.name);
-    std::printf(
-        "%-12s %12.3g %12.3g %12.3g %12.3g %8.2fx %8.2fx %8.2fx %9.3f\n",
-        bench.name.c_str(), translated.plain, block.plain, swdisp.plain,
-        reference.plain, translated_speedup, speedup, switch_speedup,
-        chain_hit_rate);
+    std::printf("%-12s %12.3g %12.3g %12.3g %8.2fx %8.2fx %9.3f\n",
+                bench.name.c_str(), translated.plain, block.plain,
+                reference.plain, translated_speedup, speedup, chain_hit_rate);
 
     const auto weight = static_cast<double>(probe_run.instructions);
     total_weight += weight;
     block_time += weight / block.plain;
     instrumented_time += weight / block.instrumented;
-    switch_time += weight / swdisp.plain;
     translated_time += weight / translated.plain;
     reference_time += weight / reference.plain;
     measured.emplace_back(bench.name, binary);
@@ -299,26 +290,21 @@ int main() {
 
   const double avg_block = total_weight / block_time;
   const double avg_instrumented = total_weight / instrumented_time;
-  const double avg_switch = total_weight / switch_time;
   const double avg_translated = total_weight / translated_time;
   const double avg_reference = total_weight / reference_time;
   const double avg_speedup = reference_time / block_time;
-  const double avg_switch_speedup = reference_time / switch_time;
   const double avg_translated_speedup = reference_time / translated_time;
   json.Record("instr_per_sec", avg_block, "instr/s", "suite_avg");
   json.Record("instr_per_sec_instrumented", avg_instrumented, "instr/s",
               "suite_avg");
-  json.Record("switch_instr_per_sec", avg_switch, "instr/s", "suite_avg");
   json.Record("translated_instr_per_sec", avg_translated, "instr/s",
               "suite_avg");
   json.Record("ref_instr_per_sec", avg_reference, "instr/s", "suite_avg");
   json.Record("translated_speedup", avg_translated_speedup, "x", "suite_avg");
   json.Record("block_speedup", avg_speedup, "x", "suite_avg");
-  json.Record("switch_speedup", avg_switch_speedup, "x", "suite_avg");
-  std::printf("%-12s %12.3g %12.3g %12.3g %12.3g %8.2fx %8.2fx %8.2fx\n",
-              "suite_avg", avg_translated, avg_block, avg_switch,
-              avg_reference, avg_translated_speedup, avg_speedup,
-              avg_switch_speedup);
+  std::printf("%-12s %12.3g %12.3g %12.3g %8.2fx %8.2fx\n", "suite_avg",
+              avg_translated, avg_block, avg_reference,
+              avg_translated_speedup, avg_speedup);
 
   // Warm RunMany-shaped sweep: every measured binary's pre-decode is
   // resident by now, so constructing and running a fresh Simulator per
@@ -366,9 +352,11 @@ int main() {
   json.Record("translate_promotions",
               static_cast<double>(warm_after.promotions), "count", "suite");
   json.Record("translate_chain_hits",
-              static_cast<double>(warm_after.chain_hits), "count", "suite");
+              static_cast<double>(warm_after.indirect_chain_hits), "count",
+              "suite");
   json.Record("translate_chain_misses",
-              static_cast<double>(warm_after.chain_misses), "count", "suite");
+              static_cast<double>(warm_after.indirect_chain_misses), "count",
+              "suite");
   std::printf(
       "shared cache: warm sweep %zu binaries, %d pre-decodes, %d hits "
       "(process totals: %llu hits / %llu misses, %llu bytes resident)\n",

@@ -86,10 +86,13 @@ ABSOLUTE_GATES = [
 # landed; the bench self-gates at the same value via
 # B2H_SIM_TRANSLATED_GATE), with per-benchmark floors on the jump-table
 # benches — the benchmarks indirect chaining exists for — and chain-hit
-# rates that must stay nonzero there (a zero means the inline caches
-# stopped engaging entirely; the tiny floor is just "strictly positive").
-# block_speedup keeps its own 4x floor so a tier-2 regression cannot hide
-# under tier 3.  grid_pool_scaling (serial / pool wall time of one-binary
+# rates that must stay nonzero there (translate_chain_hit_rate is the
+# indirect-exit rate, sim.translate.indirect_chain_hits/_misses: a zero
+# means the inline caches stopped engaging entirely; the tiny floor is just
+# "strictly positive").  block_speedup (ExecEngine::kBlock: the tier 2 that
+# kTranslated runs on cold code, with tier 3 compiled out) keeps its own 4x
+# floor so a tier-2 regression cannot hide under tier 3.
+# grid_pool_scaling (serial / pool wall time of one-binary
 # grid sweeps, bench_explore) must stay >= 1.0: the explorer pool is never
 # slower than one thread, even when every point shares one CandidateSet.
 # Its name avoids "speedup" on purpose: that rule's tight deterministic
@@ -133,17 +136,13 @@ RULES = [
     # invariant is the blockcache_warm_predecodes ABSOLUTE_GATE above.  Must
     # precede the generic "hit_rate" rule (first match wins).
     ("blockcache", None, None, False),
-    # Same-host measurement ratio (block engine vs reference interpreter,
-    # measured seconds apart on one runner): stable across CPU generations,
-    # so it IS gated, with headroom for scheduler noise on shared runners.
-    # The switch-dispatch variant is informational — it exists to attribute
-    # speedup between trace shape and dispatch strategy, not as a target.
-    # Must precede both "block_speedup" and the generic "speedup" rule.
-    ("switch_speedup", "higher", None, False),
-    # The tiered engine's same-host ratio: gated with the same headroom as
-    # block_speedup.  The chain-hit-rate family is workload-shape dependent
-    # (sample counts vary run to run) — its hard floor is the absolute gate
-    # above, the trajectory is informational.  Both must precede the generic
+    # Same-host measurement ratios (tiered engine, and its tier 2 alone, vs
+    # the reference interpreter, measured seconds apart on one runner):
+    # stable across CPU generations, so they ARE gated, with headroom for
+    # scheduler noise on shared runners.  The chain-hit-rate family (the
+    # indirect-exit chain rate) is workload-shape dependent (sample counts
+    # vary run to run) — its hard floor is the absolute gate above, the
+    # trajectory is informational.  All three must precede the generic
     # "speedup"/"hit_rate" rules (first match wins).
     ("translate_chain", None, None, False),
     ("translated_speedup", "higher", 0.25, True),

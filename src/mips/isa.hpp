@@ -7,7 +7,6 @@
 // depend on delay-slot scheduling.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -53,42 +52,27 @@ enum Reg : std::uint8_t {
 /// ABI name ("$sp", "$t0", ...) for a register number.
 [[nodiscard]] const char* RegName(unsigned reg) noexcept;
 
-/// X-macro over every valid operation, in enum declaration order.  The Op
-/// enum below is generated from this list, and the block engine's threaded
-/// dispatch builds its per-opcode label table from the same list
-/// (src/mips/exec_ops.inc / simulator.cpp) — indexing that table by
-/// static_cast<size_t>(op) is correct by construction because both come
-/// from here.  kInvalid is appended separately and is always last.
-#define B2H_MIPS_OP_LIST(X)                                                  \
-  /* Shifts (R-type). */                                                     \
-  X(kSll) X(kSrl) X(kSra) X(kSllv) X(kSrlv) X(kSrav)                         \
-  /* Indirect jumps (R-type). */                                             \
-  X(kJr) X(kJalr)                                                            \
-  /* HI/LO moves and multiply/divide (R-type). */                            \
-  X(kMfhi) X(kMthi) X(kMflo) X(kMtlo) X(kMult) X(kMultu) X(kDiv) X(kDivu)    \
-  /* Three-register ALU (R-type). */                                         \
-  X(kAdd) X(kAddu) X(kSub) X(kSubu) X(kAnd) X(kOr) X(kXor) X(kNor)           \
-  X(kSlt) X(kSltu)                                                           \
-  /* Branches. */                                                            \
-  X(kBltz) X(kBgez) X(kBeq) X(kBne) X(kBlez) X(kBgtz)                        \
-  /* Immediate ALU. */                                                       \
-  X(kAddi) X(kAddiu) X(kSlti) X(kSltiu) X(kAndi) X(kOri) X(kXori) X(kLui)    \
-  /* Memory. */                                                              \
-  X(kLb) X(kLh) X(kLw) X(kLbu) X(kLhu) X(kSb) X(kSh) X(kSw)                  \
-  /* Absolute jumps (J-type). */                                             \
-  X(kJ) X(kJal)
-
-/// All implemented operations.
+/// All implemented operations; kInvalid is always last.
 enum class Op : std::uint8_t {
-#define B2H_MIPS_OP_ENUM(name) name,
-  B2H_MIPS_OP_LIST(B2H_MIPS_OP_ENUM)
-#undef B2H_MIPS_OP_ENUM
+  // Shifts (R-type).
+  kSll, kSrl, kSra, kSllv, kSrlv, kSrav,
+  // Indirect jumps (R-type).
+  kJr, kJalr,
+  // HI/LO moves and multiply/divide (R-type).
+  kMfhi, kMthi, kMflo, kMtlo, kMult, kMultu, kDiv, kDivu,
+  // Three-register ALU (R-type).
+  kAdd, kAddu, kSub, kSubu, kAnd, kOr, kXor, kNor,
+  kSlt, kSltu,
+  // Branches.
+  kBltz, kBgez, kBeq, kBne, kBlez, kBgtz,
+  // Immediate ALU.
+  kAddi, kAddiu, kSlti, kSltiu, kAndi, kOri, kXori, kLui,
+  // Memory.
+  kLb, kLh, kLw, kLbu, kLhu, kSb, kSh, kSw,
+  // Absolute jumps (J-type).
+  kJ, kJal,
   kInvalid,
 };
-
-/// Number of Op values including kInvalid (dispatch-table size).
-inline constexpr std::size_t kOpCount =
-    static_cast<std::size_t>(Op::kInvalid) + 1;
 
 [[nodiscard]] const char* Mnemonic(Op op) noexcept;
 

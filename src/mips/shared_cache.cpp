@@ -237,8 +237,8 @@ SharedBlockCache::Stats SharedBlockCache::stats() const {
   }
   const translate::Totals totals = translate::GlobalTotals();
   s.promotions = totals.promotions;
-  s.chain_hits = totals.chain_hits;
-  s.chain_misses = totals.chain_misses;
+  s.indirect_chain_hits = totals.indirect_chain_hits;
+  s.indirect_chain_misses = totals.indirect_chain_misses;
   s.evicted_translated = state.evicted_translated;
   return s;
 }

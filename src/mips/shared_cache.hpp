@@ -80,8 +80,8 @@ class SharedBlockCache {
     std::uint64_t translated_traces = 0;  ///< resident translated closures
     std::uint64_t translated_bytes = 0;   ///< their footprint
     std::uint64_t promotions = 0;         ///< traces translated, ever
-    std::uint64_t chain_hits = 0;         ///< indirect exits chained (IC)
-    std::uint64_t chain_misses = 0;       ///< indirect exits that fell back
+    std::uint64_t indirect_chain_hits = 0;    ///< indirect exits chained (IC)
+    std::uint64_t indirect_chain_misses = 0;  ///< indirect exits that fell back
     /// Translated closures dropped with their entry by LRU eviction
     /// (holders' shared_ptr keeps the closures alive — observable, never
     /// dangling).

@@ -2,14 +2,18 @@
 
 #include <array>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
-#include <string_view>
 
 #include "obs/obs.hpp"
 #include "support/bits.hpp"
 #include "support/error.hpp"
+
+// The run loop dispatches tier-3 traces through computed goto (`&&label`)
+// and marks impossible paths with __builtin_unreachable().
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "mips/simulator.cpp needs GCC or Clang (GNU computed goto)"
+#endif
 
 namespace b2h::mips {
 
@@ -21,10 +25,9 @@ void FinishRunSpan(obs::ScopedSpan& span, ExecEngine engine,
                    const RunResult& result) {
   if (!span.armed()) return;
   const double ms = span.Millis();
-  const char* name = engine == ExecEngine::kReference      ? "reference"
-                     : engine == ExecEngine::kBlockSwitch  ? "block-switch"
-                     : engine == ExecEngine::kTranslated   ? "translated"
-                                                           : "block";
+  const char* name = engine == ExecEngine::kReference    ? "reference"
+                     : engine == ExecEngine::kTranslated ? "translated"
+                                                         : "block";
   span.Arg("engine", name)
       .Arg("instructions", result.instructions)
       .Arg("instr_per_sec",
@@ -34,31 +37,18 @@ void FinishRunSpan(obs::ScopedSpan& span, ExecEngine engine,
 
 }  // namespace
 
-ExecEngine DefaultExecEngine() noexcept {
-  static const ExecEngine engine = [] {
-    const char* env = std::getenv("B2H_SIM_ENGINE");
-    if (env == nullptr) return ExecEngine::kTranslated;
-    const std::string_view choice(env);
-    if (choice == "reference") return ExecEngine::kReference;
-    if (choice == "block-switch") return ExecEngine::kBlockSwitch;
-    if (choice == "block") return ExecEngine::kBlock;
-    return ExecEngine::kTranslated;
-  }();
-  return engine;
-}
-
 Simulator::Simulator(const SoftBinary& binary, CycleModel model,
                      ExecEngine engine)
     : binary_(binary),
       model_(model),
       engine_(engine),
-      pre_(SharedBlockCache::Global().Obtain(binary, model)) {
-  data_mem_.resize(kDataSegmentSize, 0);
+      pre_(SharedBlockCache::Global().Obtain(binary, model)),
+      data_mem_(kDataSegmentSize, 0),
+      stack_mem_(kStackSize, 0) {
   if (!binary.data.empty()) {
     std::memcpy(data_mem_.data(), binary.data.data(),
                 std::min<std::size_t>(binary.data.size(), data_mem_.size()));
   }
-  stack_mem_.resize(kStackSize, 0);
 }
 
 const std::uint8_t* Simulator::MemPtr(std::uint32_t addr,
@@ -102,219 +92,18 @@ void Simulator::PokeWord(std::uint32_t addr, std::uint32_t value) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-compiled run loops.  The loop body lives in exec_block_body.inc and
-// the op semantics in exec_ops.inc; each dispatcher below instantiates them
-// with its own macro set.  The switch build is the portable baseline
-// (ExecEngine::kBlockSwitch, and what kBlock degrades to without GNU
-// `&&label`); the threaded build dispatches through a per-opcode label
-// table, so the hot path is one indirect branch per instruction and the
-// branch predictor sees one distinct jump site per opcode instead of a
-// single shared dispatch branch.
+// The trace run loop.  Its body lives in exec_block_body.inc (tier 2, with
+// the op semantics in exec_ops.inc) and exec_translate_body.inc (tier 3,
+// fused ops in exec_translate_ops.inc); each .inc defines the dispatch
+// macros it uses.  kTier3=false is ExecEngine::kBlock.
 // ---------------------------------------------------------------------------
 
-template <bool kInstrumented>
-RunResult Simulator::ExecBlockSwitch(std::span<const std::int32_t> args,
-                                     std::uint64_t max_instructions,
-                                     RunObserver* observer) {
-#define B2H_DISPATCH_TABLE
-#define B2H_DISPATCH_BEGIN                                            \
-  for (;; ++m) {                                                      \
-    if (m == block_end) goto trace_done;                              \
-    switch (m->op) {
-#define B2H_DISPATCH_END                                              \
-    }                                                                 \
-  }
-#define B2H_OP(name) case Op::name: { B2H_DECLS
-#define B2H_OP2(a, b) case Op::a: case Op::b: { B2H_DECLS
-#define B2H_OP5(a, b, c, d, e)                                        \
-  case Op::a: case Op::b: case Op::c: case Op::d: case Op::e: { B2H_DECLS
-#define B2H_NEXT                                                      \
-    if (m->dest != 0) regs[m->dest] = write_value;                    \
-    break;                                                            \
-  }
+template <bool kInstrumented, bool kTier3>
+RunResult Simulator::ExecTiered(std::span<const std::int32_t> args,
+                                std::uint64_t max_instructions,
+                                RunObserver* observer) {
 #include "mips/exec_block_body.inc"
-#undef B2H_DISPATCH_TABLE
-#undef B2H_DISPATCH_BEGIN
-#undef B2H_DISPATCH_END
-#undef B2H_OP
-#undef B2H_OP2
-#undef B2H_OP5
-#undef B2H_NEXT
 }
-
-#if defined(__GNUC__) || defined(__clang__)
-
-template <bool kInstrumented>
-RunResult Simulator::ExecBlockThreaded(std::span<const std::int32_t> args,
-                                       std::uint64_t max_instructions,
-                                       RunObserver* observer) {
-#define B2H_LABEL_ADDR(name) &&L_##name,
-#define B2H_DISPATCH_TABLE                                            \
-  static const void* const kDispatch[] = {                            \
-      B2H_MIPS_OP_LIST(B2H_LABEL_ADDR) &&L_kInvalid,                  \
-  };                                                                  \
-  static_assert(sizeof(kDispatch) / sizeof(kDispatch[0]) == kOpCount, \
-                "dispatch table must cover every Op");
-#define B2H_DISPATCH_BEGIN                                            \
-  if (m == block_end) goto trace_done;                                \
-  goto* kDispatch[static_cast<std::size_t>(m->op)];
-#define B2H_DISPATCH_END
-#define B2H_OP(name) L_##name: { B2H_DECLS
-#define B2H_OP2(a, b) L_##a: L_##b: { B2H_DECLS
-#define B2H_OP5(a, b, c, d, e) L_##a: L_##b: L_##c: L_##d: L_##e: { B2H_DECLS
-#define B2H_NEXT                                                      \
-    if (m->dest != 0) regs[m->dest] = write_value;                    \
-    if (++m == block_end) goto trace_done;                            \
-    goto* kDispatch[static_cast<std::size_t>(m->op)];                 \
-  }
-#include "mips/exec_block_body.inc"
-#undef B2H_LABEL_ADDR
-#undef B2H_DISPATCH_TABLE
-#undef B2H_DISPATCH_BEGIN
-#undef B2H_DISPATCH_END
-#undef B2H_OP
-#undef B2H_OP2
-#undef B2H_OP5
-#undef B2H_NEXT
-}
-
-#else  // no computed goto: kBlock degrades to the switch dispatcher
-
-template <bool kInstrumented>
-RunResult Simulator::ExecBlockThreaded(std::span<const std::int32_t> args,
-                                       std::uint64_t max_instructions,
-                                       RunObserver* observer) {
-  return ExecBlockSwitch<kInstrumented>(args, max_instructions, observer);
-}
-
-#endif  // computed goto
-
-// ---------------------------------------------------------------------------
-// Tiered loop (ExecEngine::kTranslated): the same run-loop body with
-// B2H_TIER3 defined, which compiles in the tier-3 hooks — hot-dispatch
-// counting / promotion, the translated-trace runner
-// (mips/exec_translate_body.inc with the fused-op handlers in
-// mips/exec_translate_ops.inc), and the indirect-successor observation
-// feed on tier-2 jr/jalr exits.  The tier-2 portion uses the threaded
-// dispatcher where available (the switch set elsewhere), and the tier-3
-// runner mirrors that choice with its own label table over TOp.
-// ---------------------------------------------------------------------------
-
-#if defined(__GNUC__) || defined(__clang__)
-
-template <bool kInstrumented>
-RunResult Simulator::ExecTranslated(std::span<const std::int32_t> args,
-                                    std::uint64_t max_instructions,
-                                    RunObserver* observer) {
-#define B2H_TIER3
-// Tier 2 inside the tiered engine runs only *untranslated* traces — once
-// the working set is promoted it is the cold warm-up path — so it uses the
-// compact switch dispatcher here.  Keeping a second ~110-label computed-
-// goto loop in the same function measurably degrades the register
-// allocation of the tier-3 loop (the one that is actually hot).
-#define B2H_DISPATCH_TABLE
-#define B2H_DISPATCH_BEGIN                                            \
-  for (;; ++m) {                                                      \
-    if (m == block_end) goto trace_done;                              \
-    switch (m->op) {
-#define B2H_DISPATCH_END                                              \
-    }                                                                 \
-  }
-#define B2H_OP(name) case Op::name: { B2H_DECLS
-#define B2H_OP2(a, b) case Op::a: case Op::b: { B2H_DECLS
-#define B2H_OP5(a, b, c, d, e)                                        \
-  case Op::a: case Op::b: case Op::c: case Op::d: case Op::e: { B2H_DECLS
-#define B2H_NEXT                                                      \
-    if (m->dest != 0) regs[m->dest] = write_value;                    \
-    break;                                                            \
-  }
-#define B2H_TLABEL_ADDR(name) &&T_##name,
-#define B2H_TDISPATCH_TABLE                                           \
-  static const void* const kTDispatch[] = {                           \
-      B2H_TRANSLATE_OP_LIST(B2H_TLABEL_ADDR)                          \
-  };                                                                  \
-  static_assert(sizeof(kTDispatch) / sizeof(kTDispatch[0]) ==         \
-                    translate::kTOpCount,                             \
-                "translated dispatch table must cover every TOp");
-#define B2H_TDISPATCH_BEGIN                                           \
-  goto* kTDispatch[static_cast<std::size_t>(top->op)];
-#define B2H_TDISPATCH_END
-#define B2H_TOP(name) T_##name: { B2H_TDECLS
-#define B2H_TNEXT                                                     \
-    ++top;                                                            \
-    goto* kTDispatch[static_cast<std::size_t>(top->op)];              \
-  }
-#define B2H_TSTOP }
-#include "mips/exec_block_body.inc"
-#undef B2H_DISPATCH_TABLE
-#undef B2H_DISPATCH_BEGIN
-#undef B2H_DISPATCH_END
-#undef B2H_OP
-#undef B2H_OP2
-#undef B2H_OP5
-#undef B2H_NEXT
-#undef B2H_TLABEL_ADDR
-#undef B2H_TDISPATCH_TABLE
-#undef B2H_TDISPATCH_BEGIN
-#undef B2H_TDISPATCH_END
-#undef B2H_TOP
-#undef B2H_TNEXT
-#undef B2H_TSTOP
-#undef B2H_TIER3
-}
-
-#else  // no computed goto: both tiers dispatch through switches
-
-template <bool kInstrumented>
-RunResult Simulator::ExecTranslated(std::span<const std::int32_t> args,
-                                    std::uint64_t max_instructions,
-                                    RunObserver* observer) {
-#define B2H_TIER3
-#define B2H_DISPATCH_TABLE
-#define B2H_DISPATCH_BEGIN                                            \
-  for (;; ++m) {                                                      \
-    if (m == block_end) goto trace_done;                              \
-    switch (m->op) {
-#define B2H_DISPATCH_END                                              \
-    }                                                                 \
-  }
-#define B2H_OP(name) case Op::name: { B2H_DECLS
-#define B2H_OP2(a, b) case Op::a: case Op::b: { B2H_DECLS
-#define B2H_OP5(a, b, c, d, e)                                        \
-  case Op::a: case Op::b: case Op::c: case Op::d: case Op::e: { B2H_DECLS
-#define B2H_NEXT                                                      \
-    if (m->dest != 0) regs[m->dest] = write_value;                    \
-    break;                                                            \
-  }
-#define B2H_TDISPATCH_TABLE
-#define B2H_TDISPATCH_BEGIN                                           \
-  t_dispatch:                                                         \
-  switch (top->op) {
-#define B2H_TDISPATCH_END }
-#define B2H_TOP(name) case translate::TOp::name: { B2H_TDECLS
-#define B2H_TNEXT                                                     \
-    ++top;                                                            \
-    goto t_dispatch;                                                  \
-  }
-#define B2H_TSTOP }
-#include "mips/exec_block_body.inc"
-#undef B2H_DISPATCH_TABLE
-#undef B2H_DISPATCH_BEGIN
-#undef B2H_DISPATCH_END
-#undef B2H_OP
-#undef B2H_OP2
-#undef B2H_OP5
-#undef B2H_NEXT
-#undef B2H_TDISPATCH_TABLE
-#undef B2H_TDISPATCH_BEGIN
-#undef B2H_TDISPATCH_END
-#undef B2H_TOP
-#undef B2H_TNEXT
-#undef B2H_TSTOP
-#undef B2H_TIER3
-}
-
-#endif  // computed goto (tiered)
 
 template <bool kInstrumented>
 RunResult Simulator::ExecReference(std::span<const std::int32_t> args,
@@ -564,24 +353,26 @@ RunResult Simulator::Run(std::span<const std::int32_t> args,
   return Run(args, max_instructions);
 }
 
+template <bool kInstrumented>
+RunResult Simulator::Exec(std::span<const std::int32_t> args,
+                          std::uint64_t max_instructions,
+                          RunObserver* observer) {
+  switch (engine_) {
+    case ExecEngine::kTranslated:
+      return ExecTiered<kInstrumented, true>(args, max_instructions, observer);
+    case ExecEngine::kBlock:
+      return ExecTiered<kInstrumented, false>(args, max_instructions,
+                                              observer);
+    case ExecEngine::kReference:
+      return ExecReference<kInstrumented>(args, max_instructions, observer);
+  }
+  __builtin_unreachable();
+}
+
 RunResult Simulator::Run(std::span<const std::int32_t> args,
                          std::uint64_t max_instructions) {
   obs::ScopedSpan span("sim.run", "sim");
-  RunResult result;
-  switch (engine_) {
-    case ExecEngine::kReference:
-      result = ExecReference<false>(args, max_instructions, nullptr);
-      break;
-    case ExecEngine::kBlockSwitch:
-      result = ExecBlockSwitch<false>(args, max_instructions, nullptr);
-      break;
-    case ExecEngine::kBlock:
-      result = ExecBlockThreaded<false>(args, max_instructions, nullptr);
-      break;
-    case ExecEngine::kTranslated:
-      result = ExecTranslated<false>(args, max_instructions, nullptr);
-      break;
-  }
+  RunResult result = Exec<false>(args, max_instructions, nullptr);
   FinishRunSpan(span, engine_, result);
   return result;
 }
@@ -590,30 +381,9 @@ RunResult Simulator::RunInstrumented(std::span<const std::int32_t> args,
                                      std::uint64_t max_instructions,
                                      RunObserver* observer) {
   obs::ScopedSpan span("sim.run_instrumented", "sim");
-  RunResult result;
-  switch (engine_) {
-    case ExecEngine::kReference:
-      result = observer == nullptr
-                   ? ExecReference<false>(args, max_instructions, nullptr)
-                   : ExecReference<true>(args, max_instructions, observer);
-      break;
-    case ExecEngine::kBlockSwitch:
-      result = observer == nullptr
-                   ? ExecBlockSwitch<false>(args, max_instructions, nullptr)
-                   : ExecBlockSwitch<true>(args, max_instructions, observer);
-      break;
-    case ExecEngine::kBlock:
-      result =
-          observer == nullptr
-              ? ExecBlockThreaded<false>(args, max_instructions, nullptr)
-              : ExecBlockThreaded<true>(args, max_instructions, observer);
-      break;
-    case ExecEngine::kTranslated:
-      result = observer == nullptr
-                   ? ExecTranslated<false>(args, max_instructions, nullptr)
-                   : ExecTranslated<true>(args, max_instructions, observer);
-      break;
-  }
+  RunResult result = observer == nullptr
+                         ? Exec<false>(args, max_instructions, nullptr)
+                         : Exec<true>(args, max_instructions, observer);
   FinishRunSpan(span, engine_, result);
   return result;
 }

@@ -20,16 +20,17 @@
 // so the interpreter hot path carries no extra per-instruction work, and
 // the plain Run() path compiles without even the hook check.
 //
-// Execution engines: the default interpreter is block-compiled — text is
+// Execution engines: the default interpreter is tiered — text is
 // pre-decoded into multi-exit superblock traces (mips/block_cache.hpp,
 // built once per process per (text, cycle model) by the SharedBlockCache)
-// and executed trace-at-a-time with computed-goto threaded dispatch where
-// the compiler supports it, with profile accounting kept as per-trace /
-// per-side-exit counters that are expanded into the per-index ExecProfile
-// vectors at observer flush points and at halt.  The original
-// per-instruction interpreter is retained (ExecEngine::kReference) as a
-// differential oracle; all engines produce bit-identical RunResults and
-// observer event streams.  docs/ENGINE.md is the deep dive.
+// and executed trace-at-a-time (tier 2), with profile accounting kept as
+// per-trace / per-side-exit counters that are expanded into the per-index
+// ExecProfile vectors at observer flush points and at halt; hot traces are
+// promoted into fused host-op streams that chain trace to trace (tier 3,
+// mips/translate.hpp).  The original per-instruction interpreter is
+// retained (ExecEngine::kReference) as a differential oracle; all engines
+// produce bit-identical RunResults and observer event streams.
+// docs/ENGINE.md is the deep dive.
 //
 // Semantics notes (documented platform definition, see DESIGN.md §6):
 //   - no branch delay slots;
@@ -105,45 +106,28 @@ class RunObserver {
 /// Which interpreter Run()/RunInstrumented() use.  All produce bit-identical
 /// RunResults (profiles included) and identical observer event streams; the
 /// reference path is retained as the differential-testing oracle and as the
-/// pre-block-engine baseline the throughput bench measures speedup against.
+/// baseline the throughput bench measures speedup against.
 enum class ExecEngine {
-  /// Block-compiled engine: multi-exit superblock traces from the
-  /// process-wide SharedBlockCache, executed with computed-goto threaded
-  /// dispatch (per-opcode label table) on compilers with GNU `&&label`
-  /// support; identical to kBlockSwitch elsewhere.
+  /// Tier 2 alone: multi-exit superblock traces from the process-wide
+  /// SharedBlockCache, executed by the tiered run loop with tier 3 compiled
+  /// out — exactly what kTranslated runs on cold code.  It never counts,
+  /// promotes, observes or enters the shared TranslationBank.
   kBlock,
-  /// The same trace engine with the portable switch dispatch loop forced —
-  /// the threaded-dispatch baseline bench_simulator measures against, and
-  /// the behavior kBlock compiles to without `&&label`.
-  kBlockSwitch,
-  /// Tiered engine (default): the block engine plus tier 3 — hot traces
-  /// are promoted into fused host-op streams (mips/translate.hpp) that
-  /// chain trace-to-trace through static successors and inline-cache-hit
-  /// indirect jumps without returning to the dispatch loop.  Cold code
-  /// runs exactly as kBlock.
+  /// Tiered engine (default): kBlock plus tier 3 — hot traces are promoted
+  /// into fused host-op streams (mips/translate.hpp) that chain
+  /// trace-to-trace through static successors and inline-cache-hit
+  /// indirect jumps without returning to the dispatch loop.
   kTranslated,
   /// The original one-instruction-at-a-time interpreter.
   kReference,
 };
 
-/// The engine Simulator uses when the caller doesn't pick one: kTranslated,
-/// overridable per process via
-/// B2H_SIM_ENGINE=translated|block|block-switch|reference (read once; see
-/// the "simulator throughput regression" runbook in docs/OPERATIONS.md —
-/// pinning `reference` bisects engine bugs without rebuilding callers, and
-/// `block` isolates tier-3 chaining regressions from the trace engine).
-[[nodiscard]] ExecEngine DefaultExecEngine() noexcept;
-
 class Simulator {
  public:
   explicit Simulator(const SoftBinary& binary, CycleModel model = {},
-                     ExecEngine engine = DefaultExecEngine());
+                     ExecEngine engine = ExecEngine::kTranslated);
 
-  /// Switch interpreters between runs (testing/benchmarking).
-  void SetEngine(ExecEngine engine) noexcept { engine_ = engine; }
-  [[nodiscard]] ExecEngine engine() const noexcept { return engine_; }
-
-  /// The pre-decoded superblock cache backing the block engine (shared
+  /// The pre-decoded superblock cache backing the trace run loop (shared
   /// process-wide; see mips/shared_cache.hpp).
   [[nodiscard]] const BlockCache& blocks() const noexcept {
     return pre_->blocks;
@@ -186,37 +170,24 @@ class Simulator {
   static constexpr std::uint64_t kFlushIntervalInstrs = 2048;
 
  private:
-  /// Trace-compiled interpreter loops (kBlock / kBlockSwitch): execute one
-  /// multi-exit superblock trace per iteration with trace-level accounting;
-  /// a fault or an exhausted instruction budget mid-trace drops to
-  /// per-instruction accounting for the partial trace so results stay
-  /// bit-identical with the reference path.  Both share one loop body
-  /// (mips/exec_block_body.inc, which in turn instantiates the op handlers
-  /// in mips/exec_ops.inc), differing only in the dispatch macro set:
-  /// Threaded is the computed-goto token-threaded dispatcher (GNU
-  /// `&&label`; falls back to the switch body on other compilers), Switch
-  /// is the portable switch loop.  Keeping the dispatcher inside the run
-  /// loop — rather than a per-trace callee — matters: GCC cannot inline
-  /// functions containing computed goto, and branchy code dispatches a
-  /// trace every few instructions.  kInstrumented=false compiles the exact
-  /// pre-hook hot path (no observer checks at all) for static flows.
+  /// The engine switch Run() and RunInstrumented() share.
   template <bool kInstrumented>
-  [[nodiscard]] RunResult ExecBlockThreaded(std::span<const std::int32_t> args,
-                                            std::uint64_t max_instructions,
-                                            RunObserver* observer);
-  template <bool kInstrumented>
-  [[nodiscard]] RunResult ExecBlockSwitch(std::span<const std::int32_t> args,
-                                          std::uint64_t max_instructions,
-                                          RunObserver* observer);
+  [[nodiscard]] RunResult Exec(std::span<const std::int32_t> args,
+                               std::uint64_t max_instructions,
+                               RunObserver* observer);
 
-  /// Tiered loop (ExecEngine::kTranslated): the threaded block engine with
-  /// the tier-3 hooks compiled in (B2H_TIER3) — promotion counting, the
-  /// translated-trace runner (mips/exec_translate_body.inc) and the
-  /// indirect-successor observation feed.  Bit-identical to the others.
-  template <bool kInstrumented>
-  [[nodiscard]] RunResult ExecTranslated(std::span<const std::int32_t> args,
-                                         std::uint64_t max_instructions,
-                                         RunObserver* observer);
+  /// The trace run loop (kTranslated; kBlock is kTier3=false): executes
+  /// one multi-exit superblock trace per iteration with trace-level
+  /// accounting; a fault or an exhausted instruction budget mid-trace
+  /// drops to per-instruction accounting for the partial trace so results
+  /// stay bit-identical with the reference path.  The body is
+  /// mips/exec_block_body.inc, which documents the tiers and their
+  /// dispatch.  kInstrumented=false compiles the exact pre-hook hot path
+  /// (no observer checks at all) for static flows.
+  template <bool kInstrumented, bool kTier3>
+  [[nodiscard]] RunResult ExecTiered(std::span<const std::int32_t> args,
+                                     std::uint64_t max_instructions,
+                                     RunObserver* observer);
 
   /// Reference per-instruction interpreter loop (ExecEngine::kReference).
   template <bool kInstrumented>
@@ -234,7 +205,7 @@ class Simulator {
   /// body itself, so a recycled and a fresh result are indistinguishable.
   [[nodiscard]] RunResult TakeRecycle() noexcept;
 
-  /// Per-run tally storage reused across Run() calls by the block engines
+  /// Per-run tally storage reused across Run() calls by the trace run loop
   /// (exec_block_body.inc).  Steady-state runs do no heap work — and no
   /// zero-fill either: profile expansion drains every touched entry back
   /// to zero before each return, so `clean` lets the next run skip the
@@ -256,7 +227,7 @@ class Simulator {
   CycleModel model_;
   ExecEngine engine_;
   /// Shared pre-decode: decoded text + decode-ok bitmap (reference engine)
-  /// and the superblock trace tables (block engines).  One per process per
+  /// and the superblock trace tables (trace run loop).  One per process per
   /// (text, cycle model) — see SharedBlockCache.
   std::shared_ptr<const PredecodedProgram> pre_;
   std::vector<std::uint8_t> data_mem_;

@@ -1,6 +1,5 @@
 #include "mips/translate.hpp"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "mips/binary.hpp"
@@ -17,8 +16,8 @@ struct TranslateMetrics {
   obs::Counter& promotions;
   obs::Counter& capped;
   obs::Counter& entered;
-  obs::Counter& chain_hits;
-  obs::Counter& chain_misses;
+  obs::Counter& indirect_chain_hits;
+  obs::Counter& indirect_chain_misses;
 
   static TranslateMetrics& Get() {
     auto& registry = obs::Registry::Global();
@@ -26,8 +25,8 @@ struct TranslateMetrics {
         registry.counter("sim.translate.promotions"),
         registry.counter("sim.translate.capped"),
         registry.counter("sim.translate.entered"),
-        registry.counter("sim.translate.chain_hits"),
-        registry.counter("sim.translate.chain_misses")};
+        registry.counter("sim.translate.indirect_chain_hits"),
+        registry.counter("sim.translate.indirect_chain_misses")};
     return metrics;
   }
 };
@@ -490,8 +489,16 @@ TransTrace BuildTrace(const PredecodedProgram& pre, std::uint32_t entry) {
         if (target < kTextBase || word >= pre.text.size()) continue;
         seen[chainable++] = {target, o.count[w].load(std::memory_order_relaxed)};
       }
-      std::sort(seen.begin(), seen.begin() + chainable,
-                [](const Way& a, const Way& b) { return a.count > b.count; });
+      // Hottest first.  At most kObsWays entries, so a stable insertion
+      // sort (std::sort's inlined introsort trips GCC 12 -Warray-bounds).
+      for (unsigned i = 1; i < chainable; ++i) {
+        const Way way = seen[i];
+        unsigned j = i;
+        for (; j > 0 && seen[j - 1].count < way.count; --j) {
+          seen[j] = seen[j - 1];
+        }
+        seen[j] = way;
+      }
       if (chainable > InlineCache::kWays ||
           o.overflow.load(std::memory_order_relaxed) != 0) {
         out.ic.megamorphic = true;
@@ -547,12 +554,16 @@ void Promote(const PredecodedProgram& pre, std::uint32_t entry) {
   TranslateMetrics::Get().promotions.Add();
 }
 
-void AddRunStats(std::uint64_t entered, std::uint64_t chain_hits,
-                 std::uint64_t chain_misses) noexcept {
+void AddRunStats(std::uint64_t entered, std::uint64_t indirect_chain_hits,
+                 std::uint64_t indirect_chain_misses) noexcept {
   TranslateMetrics& metrics = TranslateMetrics::Get();
   if (entered != 0) metrics.entered.Add(entered);
-  if (chain_hits != 0) metrics.chain_hits.Add(chain_hits);
-  if (chain_misses != 0) metrics.chain_misses.Add(chain_misses);
+  if (indirect_chain_hits != 0) {
+    metrics.indirect_chain_hits.Add(indirect_chain_hits);
+  }
+  if (indirect_chain_misses != 0) {
+    metrics.indirect_chain_misses.Add(indirect_chain_misses);
+  }
 }
 
 Totals GlobalTotals() noexcept {
@@ -561,8 +572,8 @@ Totals GlobalTotals() noexcept {
   t.promotions = metrics.promotions.Value();
   t.capped = metrics.capped.Value();
   t.entered = metrics.entered.Value();
-  t.chain_hits = metrics.chain_hits.Value();
-  t.chain_misses = metrics.chain_misses.Value();
+  t.indirect_chain_hits = metrics.indirect_chain_hits.Value();
+  t.indirect_chain_misses = metrics.indirect_chain_misses.Value();
   return t;
 }
 

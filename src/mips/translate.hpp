@@ -66,9 +66,9 @@ struct PredecodedProgram;
 
 namespace b2h::mips::translate {
 
-// Fused host operations.  The threaded dispatcher builds its label table
-// from this list; every op must have exactly one handler in
-// mips/exec_translate_ops.inc.
+// Fused host operations.  The tier-3 threaded dispatcher
+// (mips/exec_translate_body.inc) builds its label table from this list;
+// every op must have exactly one handler in mips/exec_translate_ops.inc.
 #define B2H_TRANSLATE_OP_LIST(X)                                             \
   /* Shifts. */                                                              \
   X(kSll) X(kSrl) X(kSra) X(kSllv) X(kSrlv) X(kSrav)                         \
@@ -274,16 +274,16 @@ void Promote(const PredecodedProgram& pre, std::uint32_t entry);
 
 /// Fold one run's tier-3 tallies into the process-wide sim.translate.*
 /// counters (called at every run exit, not per trace).
-void AddRunStats(std::uint64_t entered, std::uint64_t chain_hits,
-                 std::uint64_t chain_misses) noexcept;
+void AddRunStats(std::uint64_t entered, std::uint64_t indirect_chain_hits,
+                 std::uint64_t indirect_chain_misses) noexcept;
 
 /// Process-monotonic totals backing SharedBlockCache::Stats.
 struct Totals {
   std::uint64_t promotions = 0;
   std::uint64_t capped = 0;       ///< promotions rejected at kMaxTraces
   std::uint64_t entered = 0;      ///< translated trace executions
-  std::uint64_t chain_hits = 0;   ///< indirect exits chained via the IC
-  std::uint64_t chain_misses = 0; ///< indirect exits that fell back
+  std::uint64_t indirect_chain_hits = 0;    ///< indirect exits chained (IC)
+  std::uint64_t indirect_chain_misses = 0;  ///< indirect exits that fell back
 };
 [[nodiscard]] Totals GlobalTotals() noexcept;
 

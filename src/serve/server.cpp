@@ -727,8 +727,8 @@ std::string Server::StatsJson() const {
       << ",\"translated_traces\":" << blockcache.translated_traces
       << ",\"translated_bytes\":" << blockcache.translated_bytes
       << ",\"promotions\":" << blockcache.promotions
-      << ",\"chain_hits\":" << blockcache.chain_hits
-      << ",\"chain_misses\":" << blockcache.chain_misses
+      << ",\"indirect_chain_hits\":" << blockcache.indirect_chain_hits
+      << ",\"indirect_chain_misses\":" << blockcache.indirect_chain_misses
       << ",\"evicted_translated\":" << blockcache.evicted_translated
       << "},\"candidate_pool\":{\"scans\":" << pool.scans
       << ",\"hits\":" << pool.hits << ",\"entries\":" << pool.entries

@@ -1,10 +1,10 @@
-// Differential tests for the trace-compiled execution engines.
+// Differential tests for the three execution engines.
 //
-// Both block engines — ExecEngine::kBlock (computed-goto threaded dispatch,
-// the default) and ExecEngine::kBlockSwitch (the same trace engine with the
-// portable switch dispatcher forced) — must be observationally
-// indistinguishable from the retained per-instruction reference interpreter
-// (ExecEngine::kReference): bit-identical RunResult — return value,
+// The tiered engine ExecEngine::kTranslated (the default) and its tier 2
+// alone, ExecEngine::kBlock (the same trace run loop with tier 3 compiled
+// out), must be observationally indistinguishable from the retained
+// per-instruction reference interpreter (ExecEngine::kReference):
+// bit-identical RunResult — return value,
 // instruction/cycle totals, halt reason, fault message, and all four
 // per-index profile vectors — plus, for RunInstrumented, an identical
 // observer event stream: same events, same batch boundaries, and the same
@@ -113,10 +113,9 @@ void ExpectSameObservations(const RecordingObserver& block,
   }
 }
 
-/// Runs the binary on all four engines, plain and instrumented, and expects
-/// the block engines (threaded and switch dispatch) and the tiered
-/// translated engine to be bit-identical to the reference interpreter
-/// throughout.  kTranslated runs twice: the first pass covers cold traces
+/// Runs the binary on every engine, plain and instrumented, and expects
+/// tier 2 alone (kBlock) and the tiered translated engine to be
+/// bit-identical to the reference interpreter throughout.  kTranslated runs twice: the first pass covers cold traces
 /// plus mid-run promotion (the shared TranslationBank accumulates dispatch
 /// counts across runs), the second a fully warm bank where hot paths
 /// execute as chained translated traces.
@@ -132,7 +131,6 @@ void ExpectEnginesAgree(const SoftBinary& binary,
     const char* label;
   } kEngines[] = {
       {ExecEngine::kBlock, "engine block"},
-      {ExecEngine::kBlockSwitch, "engine block-switch"},
       {ExecEngine::kTranslated, "engine translated (warming)"},
       {ExecEngine::kTranslated, "engine translated (warm)"},
   };
@@ -651,8 +649,7 @@ TEST(BlockEngine, RecyclingRunOverloadIsBitIdentical) {
     Simulator reference(built.value(), {}, ExecEngine::kReference);
     const RunResult want = reference.Run();
     for (ExecEngine engine :
-         {ExecEngine::kReference, ExecEngine::kBlock, ExecEngine::kBlockSwitch,
-          ExecEngine::kTranslated}) {
+         {ExecEngine::kReference, ExecEngine::kBlock, ExecEngine::kTranslated}) {
       Simulator sim(built.value(), {}, engine);
       RunResult recycled;
       for (int rep = 0; rep < 3; ++rep) {
@@ -661,6 +658,47 @@ TEST(BlockEngine, RecyclingRunOverloadIsBitIdentical) {
       }
     }
   }
+}
+
+TEST(BlockEngine, BlockStaysTier2OverAWarmBank) {
+  // kBlock is what block_speedup measures: tier 2 alone.  Even on a binary
+  // whose shared TranslationBank already holds promoted traces it must not
+  // count, promote, enter or chain tier-3 traces — visible as frozen
+  // process-wide sim.translate.* totals — and must still match the oracle.
+  const suite::Benchmark* bench = suite::FindBenchmark("fir");
+  ASSERT_NE(bench, nullptr);
+  auto built = suite::BuildBinary(*bench, 1);
+  ASSERT_TRUE(built.ok());
+  const SoftBinary& binary = built.value();
+
+  // Warm fir's bank on kTranslated (an earlier test may already have: the
+  // bank is shared per (text, cycle model), so check it, not a delta).
+  const std::shared_ptr<const PredecodedProgram> pre =
+      SharedBlockCache::Global().Obtain(binary, {});
+  Simulator translated(binary, {}, ExecEngine::kTranslated);
+  for (int run = 0; run < 16 && pre->bank->translated_count() == 0; ++run) {
+    (void)translated.Run();
+  }
+  ASSERT_GT(pre->bank->translated_count(), 0u);
+
+  Simulator reference(binary, {}, ExecEngine::kReference);
+  const RunResult want_plain = reference.Run();
+  RecordingObserver want_obs;
+  const RunResult want_hooked =
+      reference.RunInstrumented({}, 100'000'000, &want_obs);
+
+  const translate::Totals before = translate::GlobalTotals();
+  Simulator block(binary, {}, ExecEngine::kBlock);
+  ExpectIdentical(block.Run(), want_plain);
+  RecordingObserver obs;
+  ExpectIdentical(block.RunInstrumented({}, 100'000'000, &obs), want_hooked);
+  ExpectSameObservations(obs, want_obs);
+  const translate::Totals after = translate::GlobalTotals();
+  EXPECT_EQ(after.promotions, before.promotions);
+  EXPECT_EQ(after.capped, before.capped);
+  EXPECT_EQ(after.entered, before.entered);
+  EXPECT_EQ(after.indirect_chain_hits, before.indirect_chain_hits);
+  EXPECT_EQ(after.indirect_chain_misses, before.indirect_chain_misses);
 }
 
 }  // namespace

@@ -155,7 +155,7 @@ TEST(Simulator, AddressWrapAroundFaults) {
   // UINT32_MAX, so `addr >= kDataBase && addr + size <= end` accepted the
   // access and handed out a pointer ~3.7 GiB past the 1 MiB data segment.
   // The bounds checks are now end-exclusive offset comparisons that cannot
-  // wrap; every such access must fault cleanly on both engines.
+  // wrap; every such access must fault cleanly on every engine.
   for (const char* body : {
            "li $t0, -4\n lw $v0, 0($t0)",   // 0xFFFFFFFC: aligned word
            "li $t0, -4\n sw $t0, 0($t0)",
@@ -166,7 +166,8 @@ TEST(Simulator, AddressWrapAroundFaults) {
     SCOPED_TRACE(body);
     auto binary = Assemble("main:\n" + std::string(body) + "\n jr $ra\n");
     ASSERT_TRUE(binary.ok()) << binary.status().message();
-    for (ExecEngine engine : {ExecEngine::kBlock, ExecEngine::kReference}) {
+    for (ExecEngine engine : {ExecEngine::kTranslated, ExecEngine::kBlock,
+                              ExecEngine::kReference}) {
       Simulator sim(binary.value(), {}, engine);
       const auto run = sim.Run();
       EXPECT_EQ(run.reason, HaltReason::kFault);
