@@ -1,21 +1,12 @@
-// Simulator throughput bench: instructions/second of the tiered engine
-// (hot traces translated to fused host ops with inline-cache chaining),
-// its tier 2 alone (kBlock: the same run loop with tier 3 compiled out)
-// and the retained per-instruction reference interpreter, per suite
-// benchmark and suite-aggregated.
+// Simulator throughput bench: instructions/second of the trace run loop
+// (kBlock, the production engine) and of the retained per-instruction
+// reference interpreter, per suite benchmark and suite-aggregated.
 //
 // Writes BENCH_simulator.json (see bench_json.hpp):
-//   instr_per_sec               tier 2 (kBlock), plain Run        [per bench + suite_avg]
-//   instr_per_sec_instrumented  tier 2 + detection observer
-//   translated_instr_per_sec    tiered engine (kTranslated), measured warm
+//   instr_per_sec               kBlock, plain Run            [per bench + suite_avg]
+//   instr_per_sec_instrumented  kBlock + detection observer
 //   ref_instr_per_sec           reference engine, plain Run
-//   translated_speedup          tiered vs reference — the primary gate
-//   block_speedup               tier 2 vs reference — still gated
-//   translate_chain_hit_rate    indirect-exit chain rate: indirect_chain_hits
-//                               / (indirect_chain_hits +
-//                               indirect_chain_misses) over this
-//                               benchmark's warm samples (> 0 on the
-//                               branchy benches or chaining is broken)
+//   block_speedup               kBlock vs reference — the gate
 //   trace_len_mean              mean multi-exit trace length (static)
 //   trace_len_single_exit_mean  mean length if traces still ended at the
 //                               first conditional branch (the pre-multi-exit
@@ -23,30 +14,23 @@
 //   blockcache_*                shared pre-decode cache counters for a warm
 //                               RunMany-shaped sweep over the whole suite
 //
-// The speedups are ratios of two measurements taken on the same host
-// seconds apart, so unlike the raw rates they are comparable across CI
-// runners; the perf-trajectory gate (ci/perf_trajectory.py) tracks them
-// with direction rules and enforces the release floors below.
+// The speedup is a ratio of two measurements taken on the same host
+// seconds apart, so unlike the raw rates it is comparable across CI
+// runners; the perf-trajectory gate (ci/perf_trajectory.py) tracks it with
+// a direction rule and enforces the release floor below.
 //
 // Measurement discipline: one warm Simulator per engine, repeated Run()s
 // sized to a few million instructions per sample, best-of-N rates (noise
 // only ever slows a sample down), CPU time not wall time, and the
 // per-round samples interleaved across engines so host frequency drift
-// lands on every engine equally instead of skewing the reported ratios.
-// The tiered engine gets explicit warm-up runs first so its samples
-// measure the steady translated+chained state (promotion heat is
-// cumulative in the shared TranslationBank), not tier-2 execution plus
-// compile time.
+// lands on both engines equally instead of skewing the reported ratio.
 //
-// In Release builds the bench itself enforces the tentpole floors: suite
-// average translated_speedup >= 6x with per-benchmark floors of 4x and a
-// nonzero chain-hit rate on the jump-table benches switch01/state02
-// (override/disable with B2H_SIM_TRANSLATED_GATE), and suite average
-// block_speedup >= 4x (B2H_SIM_SPEEDUP_GATE) so a tier-2 regression
-// cannot hide under tier 3 — a throughput regression fails the bench run,
-// not just the trajectory diff.  The warm-sweep self-gate is
-// unconditional: a warm suite sweep performing any pre-decode at all means
-// the shared cache broke, which no build type makes acceptable.
+// In Release builds the bench itself enforces suite average block_speedup
+// >= 4x (override/disable with B2H_SIM_SPEEDUP_GATE) — a throughput
+// regression fails the bench run, not just the trajectory diff.  The
+// warm-sweep self-gate is unconditional: a warm suite sweep performing any
+// pre-decode at all means the shared cache broke, which no build type makes
+// acceptable.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -122,27 +106,14 @@ TraceStats MeasureTraces(const mips::BlockCache& cache) {
   return stats;
 }
 
-double GateFromEnv(const char* env_name, double release_floor) {
-  if (const char* env = std::getenv(env_name)) {
+double SpeedupGate() {
+  if (const char* env = std::getenv("B2H_SIM_SPEEDUP_GATE")) {
     return std::atof(env);  // "0" disables
   }
 #ifdef B2H_BUILD_TYPE
-  if (std::string_view(B2H_BUILD_TYPE) == "Release") return release_floor;
+  if (std::string_view(B2H_BUILD_TYPE) == "Release") return 4.0;
 #endif
   return 0.0;  // informational outside Release unless explicitly requested
-}
-
-double SpeedupGate() { return GateFromEnv("B2H_SIM_SPEEDUP_GATE", 4.0); }
-double TranslatedGate() {
-  return GateFromEnv("B2H_SIM_TRANSLATED_GATE", 6.0);
-}
-
-/// Jump-table benchmarks: the tiered engine's headline targets.  Each gets
-/// a per-benchmark translated_speedup floor and a chain-hit-rate > 0 check
-/// whenever the translated gate is active.
-constexpr double kBranchyFloor = 4.0;
-bool IsBranchyBench(std::string_view name) {
-  return name == "switch01" || name == "state02";
 }
 
 }  // namespace
@@ -150,10 +121,9 @@ bool IsBranchyBench(std::string_view name) {
 int main() {
   bench::JsonWriter json("simulator");
 
-  std::printf("Simulator throughput: tiered engine and tier 2 vs reference\n");
-  std::printf("%-12s %12s %12s %12s %9s %9s %9s\n", "benchmark",
-              "tiered i/s", "block i/s", "ref i/s", "t-spdup", "speedup",
-              "chain");
+  std::printf("Simulator throughput: block engine vs reference\n");
+  std::printf("%-12s %12s %12s %9s\n", "benchmark", "block i/s", "ref i/s",
+              "speedup");
 
   // Suite aggregation: harmonic weighting by each benchmark's per-run
   // instruction count, i.e. total instructions / total time — the rate a
@@ -161,18 +131,10 @@ int main() {
   double total_weight = 0.0;
   double block_time = 0.0;
   double instrumented_time = 0.0;
-  double translated_time = 0.0;
   double reference_time = 0.0;
 
   // Binaries that produced a measurement, kept for the warm-sweep pass.
   std::vector<std::pair<std::string, mips::SoftBinary>> measured;
-  // Per-benchmark tiered results for the Release floors checked at exit.
-  struct TieredResult {
-    std::string name;
-    double speedup = 0.0;
-    double chain_hit_rate = 0.0;
-  };
-  std::vector<TieredResult> tiered_results;
 
   for (const suite::Benchmark& bench : suite::AllBenchmarks()) {
     auto built = suite::BuildBinary(bench, 1);
@@ -192,16 +154,11 @@ int main() {
     const int reps = std::max<int>(
         1, static_cast<int>(kTargetInstrsPerSample / probe_run.instructions));
 
-    // One warm simulator per engine; the tiered one runs explicit warm-up
-    // first.  The TranslationBank is shared through the pre-decode, so the
-    // warm-up runs accrue the promotion heat and bake the inline caches;
-    // the samples below then measure the steady translated+chained state.
+    // One warm simulator per engine.
     mips::Simulator sim_block(binary, {}, mips::ExecEngine::kBlock);
-    mips::Simulator sim_translated(binary, {}, mips::ExecEngine::kTranslated);
     mips::Simulator sim_reference(binary, {}, mips::ExecEngine::kReference);
-    for (int i = 0; i < 3; ++i) (void)sim_translated.Run();
 
-    // Interleaved sampling: every best-of round measures all three engines
+    // Interleaved sampling: every best-of round measures both engines
     // back-to-back, instead of taking all of one engine's samples before
     // the next engine's.  The reported numbers are ratios of two engines'
     // rates, and host frequency drift over the seconds a sequential sweep
@@ -221,66 +178,42 @@ int main() {
       return seconds > 0.0 ? static_cast<double>(executed) / seconds : 0.0;
     };
     Rates block;
-    Rates translated;
     Rates reference;
-    const mips::SharedBlockCache::Stats chain_before =
-        mips::SharedBlockCache::Global().stats();
     for (int s = 0; s < kSamples; ++s) {
       block.plain = std::max(block.plain, sample(sim_block));
-      translated.plain = std::max(translated.plain, sample(sim_translated));
       reference.plain = std::max(reference.plain, sample(sim_reference));
     }
-    const mips::SharedBlockCache::Stats chain_after =
-        mips::SharedBlockCache::Global().stats();
     block.instrumented = BestRate(reps, [&] {
       dynamic::DetectionOnlyObserver detector;
       return sim_block.RunInstrumented({}, 100'000'000, &detector)
           .instructions;
     });
     if (block.plain <= 0.0 || block.instrumented <= 0.0 ||
-        translated.plain <= 0.0 || reference.plain <= 0.0) {
+        reference.plain <= 0.0) {
       std::printf("%-12s skipped (clock quantum too coarse)\n",
                   bench.name.c_str());
       continue;
     }
     const double speedup = block.plain / reference.plain;
-    const double translated_speedup = translated.plain / reference.plain;
-    const double chain_hits =
-        static_cast<double>(chain_after.indirect_chain_hits -
-                            chain_before.indirect_chain_hits);
-    const double chain_total =
-        chain_hits +
-        static_cast<double>(chain_after.indirect_chain_misses -
-                            chain_before.indirect_chain_misses);
-    const double chain_hit_rate =
-        chain_total > 0.0 ? chain_hits / chain_total : 0.0;
     const TraceStats traces = MeasureTraces(probe.blocks());
 
     json.Record("instr_per_sec", block.plain, "instr/s", bench.name);
     json.Record("instr_per_sec_instrumented", block.instrumented, "instr/s",
                 bench.name);
-    json.Record("translated_instr_per_sec", translated.plain, "instr/s",
-                bench.name);
     json.Record("ref_instr_per_sec", reference.plain, "instr/s", bench.name);
-    json.Record("translated_speedup", translated_speedup, "x", bench.name);
     json.Record("block_speedup", speedup, "x", bench.name);
-    json.Record("translate_chain_hit_rate", chain_hit_rate, "ratio",
-                bench.name);
     json.Record("trace_len_mean", traces.mean_len, "instr", bench.name);
     json.Record("trace_len_single_exit_mean", traces.single_exit_mean,
                 "instr", bench.name);
-    std::printf("%-12s %12.3g %12.3g %12.3g %8.2fx %8.2fx %9.3f\n",
-                bench.name.c_str(), translated.plain, block.plain,
-                reference.plain, translated_speedup, speedup, chain_hit_rate);
+    std::printf("%-12s %12.3g %12.3g %8.2fx\n", bench.name.c_str(),
+                block.plain, reference.plain, speedup);
 
     const auto weight = static_cast<double>(probe_run.instructions);
     total_weight += weight;
     block_time += weight / block.plain;
     instrumented_time += weight / block.instrumented;
-    translated_time += weight / translated.plain;
     reference_time += weight / reference.plain;
     measured.emplace_back(bench.name, binary);
-    tiered_results.push_back({bench.name, translated_speedup, chain_hit_rate});
   }
 
   if (total_weight <= 0.0 || block_time <= 0.0) {
@@ -290,21 +223,15 @@ int main() {
 
   const double avg_block = total_weight / block_time;
   const double avg_instrumented = total_weight / instrumented_time;
-  const double avg_translated = total_weight / translated_time;
   const double avg_reference = total_weight / reference_time;
   const double avg_speedup = reference_time / block_time;
-  const double avg_translated_speedup = reference_time / translated_time;
   json.Record("instr_per_sec", avg_block, "instr/s", "suite_avg");
   json.Record("instr_per_sec_instrumented", avg_instrumented, "instr/s",
               "suite_avg");
-  json.Record("translated_instr_per_sec", avg_translated, "instr/s",
-              "suite_avg");
   json.Record("ref_instr_per_sec", avg_reference, "instr/s", "suite_avg");
-  json.Record("translated_speedup", avg_translated_speedup, "x", "suite_avg");
   json.Record("block_speedup", avg_speedup, "x", "suite_avg");
-  std::printf("%-12s %12.3g %12.3g %12.3g %8.2fx %8.2fx\n", "suite_avg",
-              avg_translated, avg_block, avg_reference,
-              avg_translated_speedup, avg_speedup);
+  std::printf("%-12s %12.3g %12.3g %8.2fx\n", "suite_avg", avg_block,
+              avg_reference, avg_speedup);
 
   // Warm RunMany-shaped sweep: every measured binary's pre-decode is
   // resident by now, so constructing and running a fresh Simulator per
@@ -341,22 +268,6 @@ int main() {
               lookups > 0.0 ? static_cast<double>(warm_after.hits) / lookups
                             : 0.0,
               "ratio", "suite");
-  // Tier-3 process totals (informational; the gated chain behavior is the
-  // per-benchmark translate_chain_hit_rate above).
-  json.Record("translated_traces",
-              static_cast<double>(warm_after.translated_traces), "count",
-              "suite");
-  json.Record("translated_bytes",
-              static_cast<double>(warm_after.translated_bytes), "byte",
-              "suite");
-  json.Record("translate_promotions",
-              static_cast<double>(warm_after.promotions), "count", "suite");
-  json.Record("translate_chain_hits",
-              static_cast<double>(warm_after.indirect_chain_hits), "count",
-              "suite");
-  json.Record("translate_chain_misses",
-              static_cast<double>(warm_after.indirect_chain_misses), "count",
-              "suite");
   std::printf(
       "shared cache: warm sweep %zu binaries, %d pre-decodes, %d hits "
       "(process totals: %llu hits / %llu misses, %llu bytes resident)\n",
@@ -383,36 +294,6 @@ int main() {
   }
   if (gate > 0.0) {
     std::printf("block gate: %.2fx >= %.2fx floor OK\n", avg_speedup, gate);
-  }
-
-  const double tgate = TranslatedGate();
-  if (tgate > 0.0) {
-    if (avg_translated_speedup < tgate) {
-      std::fprintf(stderr,
-                   "FAIL: suite-average translated speedup %.2fx is below "
-                   "the %.2fx floor (B2H_SIM_TRANSLATED_GATE overrides)\n",
-                   avg_translated_speedup, tgate);
-      return 1;
-    }
-    for (const TieredResult& result : tiered_results) {
-      if (!IsBranchyBench(result.name)) continue;
-      if (result.speedup < kBranchyFloor) {
-        std::fprintf(stderr,
-                     "FAIL: %s translated speedup %.2fx is below the "
-                     "%.2fx jump-table floor\n",
-                     result.name.c_str(), result.speedup, kBranchyFloor);
-        return 1;
-      }
-      if (result.chain_hit_rate <= 0.0) {
-        std::fprintf(stderr,
-                     "FAIL: %s chain hit rate is zero — indirect trace "
-                     "chaining is not engaging on a jump-table bench\n",
-                     result.name.c_str());
-        return 1;
-      }
-    }
-    std::printf("translated gate: %.2fx >= %.2fx floor OK\n",
-                avg_translated_speedup, tgate);
   }
   return 0;
 }

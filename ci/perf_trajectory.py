@@ -22,8 +22,8 @@ Three kinds of checks:
     zero work, the disk-warm report is bit-identical) — these fail even
     when no baseline artifact exists;
   * absolute minimum gates: floors the current run must clear on its own
-    (the tiered and block-engine simulator speedups stay >= their release
-    targets, jump-table benches keep chaining);
+    (the block-engine simulator speedup stays >= its release target, the
+    explorer pool is never slower than one thread);
   * trajectory gates: metric-by-metric comparison against the baseline,
     with direction and tolerance chosen per metric family.  Deterministic
     quality metrics (speedups, convergence, hit rates) get tight gates;
@@ -80,18 +80,9 @@ ABSOLUTE_GATES = [
 ]
 
 # --- absolute minimum gates: (bench, metric, label, floor) on the NEW run ---
-# The tiered engine's tentpole: suite-average translated speedup over the
-# reference interpreter must hold its 6x Release floor (raised from the 4x
-# block-engine floor when tier-3 translation + inline-cache chaining
-# landed; the bench self-gates at the same value via
-# B2H_SIM_TRANSLATED_GATE), with per-benchmark floors on the jump-table
-# benches — the benchmarks indirect chaining exists for — and chain-hit
-# rates that must stay nonzero there (translate_chain_hit_rate is the
-# indirect-exit rate, sim.translate.indirect_chain_hits/_misses: a zero
-# means the inline caches stopped engaging entirely; the tiny floor is just
-# "strictly positive").  block_speedup (ExecEngine::kBlock: the tier 2 that
-# kTranslated runs on cold code, with tier 3 compiled out) keeps its own 4x
-# floor so a tier-2 regression cannot hide under tier 3.
+# block_speedup (ExecEngine::kBlock, the production engine, over the
+# reference interpreter) must hold its 4x Release floor; the bench
+# self-gates at the same value via B2H_SIM_SPEEDUP_GATE.
 # grid_pool_scaling (serial / pool wall time of one-binary
 # grid sweeps, bench_explore) must stay >= 1.0: the explorer pool is never
 # slower than one thread, even when every point shares one CandidateSet.
@@ -100,11 +91,6 @@ ABSOLUTE_GATES = [
 # above, a missing record fails — renaming the metric must not silently
 # disable the invariant.
 ABSOLUTE_MIN_GATES = [
-    ("simulator", "translated_speedup", "suite_avg", 6.0),
-    ("simulator", "translated_speedup", "switch01", 4.0),
-    ("simulator", "translated_speedup", "state02", 4.0),
-    ("simulator", "translate_chain_hit_rate", "switch01", 1e-6),
-    ("simulator", "translate_chain_hit_rate", "state02", 1e-6),
     ("simulator", "block_speedup", "suite_avg", 4.0),
     ("explore", "grid_pool_scaling", "", 1.0),
 ]
@@ -136,16 +122,11 @@ RULES = [
     # invariant is the blockcache_warm_predecodes ABSOLUTE_GATE above.  Must
     # precede the generic "hit_rate" rule (first match wins).
     ("blockcache", None, None, False),
-    # Same-host measurement ratios (tiered engine, and its tier 2 alone, vs
-    # the reference interpreter, measured seconds apart on one runner):
-    # stable across CPU generations, so they ARE gated, with headroom for
-    # scheduler noise on shared runners.  The chain-hit-rate family (the
-    # indirect-exit chain rate) is workload-shape dependent (sample counts
-    # vary run to run) — its hard floor is the absolute gate above, the
-    # trajectory is informational.  All three must precede the generic
-    # "speedup"/"hit_rate" rules (first match wins).
-    ("translate_chain", None, None, False),
-    ("translated_speedup", "higher", 0.25, True),
+    # Same-host measurement ratio (block engine vs the reference
+    # interpreter, measured seconds apart on one runner): stable across CPU
+    # generations, so it IS gated, with headroom for scheduler noise on
+    # shared runners.  Must precede the generic "speedup" rule (first match
+    # wins).
     ("block_speedup", "higher", 0.25, True),
     ("speedup", "higher", 0.02, True),          # deterministic model outputs
     ("convergence", "higher", 0.02, True),

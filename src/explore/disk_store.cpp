@@ -18,7 +18,9 @@ namespace {
 constexpr char kMagic[4] = {'B', '2', 'H', 'C'};
 
 std::string VersionDirName() {
-  return "v" + std::to_string(kCacheSchemaVersion);
+  std::string name = "v";
+  name += std::to_string(kCacheSchemaVersion);
+  return name;
 }
 
 /// True for "v<digits>" — the only directory names this store ever

@@ -82,7 +82,7 @@ DominatorTree::DominatorTree(const Function& function) : function_(function) {
   }
 }
 
-int DominatorTree::IndexOf(const Block* block) const {
+int DominatorTree::RpoIndex(const Block* block) const {
   Check(block != nullptr, "DominatorTree: null block");
   const auto id = static_cast<std::size_t>(block->id);
   Check(id < rpo_index_.size() && rpo_index_[id] >= 0,
@@ -91,14 +91,14 @@ int DominatorTree::IndexOf(const Block* block) const {
 }
 
 const Block* DominatorTree::Idom(const Block* block) const {
-  const int i = IndexOf(block);
+  const int i = RpoIndex(block);
   if (i == 0) return nullptr;  // entry has no idom
   return rpo_[static_cast<std::size_t>(idom_[static_cast<std::size_t>(i)])];
 }
 
 bool DominatorTree::Dominates(const Block* a, const Block* b) const {
-  int i = IndexOf(b);
-  const int target = IndexOf(a);
+  int i = RpoIndex(b);
+  const int target = RpoIndex(a);
   while (i > target) i = idom_[static_cast<std::size_t>(i)];
   return i == target;
 }
@@ -109,11 +109,7 @@ bool DominatorTree::StrictlyDominates(const Block* a, const Block* b) const {
 
 const std::vector<const Block*>& DominatorTree::Frontier(
     const Block* block) const {
-  return frontier_[static_cast<std::size_t>(IndexOf(block))];
-}
-
-int DominatorTree::PostOrderIndex(const Block* block) const {
-  return static_cast<int>(rpo_.size()) - 1 - IndexOf(block);
+  return frontier_[static_cast<std::size_t>(RpoIndex(block))];
 }
 
 }  // namespace b2h::ir

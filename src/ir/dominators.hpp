@@ -25,12 +25,11 @@ class DominatorTree {
   [[nodiscard]] const std::vector<const Block*>& ReversePostOrder() const {
     return rpo_;
   }
-  /// Post-order index (for tests / tie-breaking).
-  [[nodiscard]] int PostOrderIndex(const Block* block) const;
+  /// Position of a reachable block in ReversePostOrder() (deterministic
+  /// ordering key: never depends on heap addresses).
+  [[nodiscard]] int RpoIndex(const Block* block) const;
 
  private:
-  [[nodiscard]] int IndexOf(const Block* block) const;
-
   const Function& function_;
   std::vector<const Block*> rpo_;
   std::vector<int> rpo_index_;       // block id -> rpo position (-1 if dead)

@@ -2,23 +2,33 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 
 namespace b2h::ir {
 
 LoopForest::LoopForest(const Function& function, const DominatorTree& dom) {
   (void)function;  // identification works purely off the dominator tree
-  // Collect back edges grouped by header (a -> h where h dominates a).
-  std::map<const Block*, std::vector<const Block*>> back_edges;
-  for (const Block* block : dom.ReversePostOrder()) {
+  // Collect back edges (a -> h where h dominates a) grouped by the header's
+  // reverse-post-order position, latches in RPO order.  loops() therefore
+  // comes out in header RPO order, never in heap-address order: candidate
+  // scans stable-sort loops by cycles, so this order breaks their ties and
+  // reaches the reports.
+  const std::vector<const Block*>& rpo = dom.ReversePostOrder();
+  std::vector<std::vector<const Block*>> latches_of(rpo.size());
+  for (const Block* block : rpo) {
     for (const Block* succ : block->succs()) {
-      if (dom.Dominates(succ, block)) back_edges[succ].push_back(block);
+      if (dom.Dominates(succ, block)) {
+        latches_of[static_cast<std::size_t>(dom.RpoIndex(succ))].push_back(
+            block);
+      }
     }
   }
 
   // One natural loop per header: union of all blocks that can reach a latch
   // without passing through the header.
-  for (const auto& [header, latches] : back_edges) {
+  for (std::size_t position = 0; position < rpo.size(); ++position) {
+    const std::vector<const Block*>& latches = latches_of[position];
+    if (latches.empty()) continue;
+    const Block* header = rpo[position];
     auto loop = std::make_unique<Loop>();
     loop->header = header;
     loop->latches = latches;

@@ -19,7 +19,6 @@ struct CacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
   obs::Counter& evictions;
-  obs::Counter& evicted_translated;
   obs::Gauge& bytes;
 
   static CacheMetrics& Get() {
@@ -28,7 +27,6 @@ struct CacheMetrics {
         registry.counter("sim.blockcache.hits"),
         registry.counter("sim.blockcache.misses"),
         registry.counter("sim.blockcache.evictions"),
-        registry.counter("sim.blockcache.evicted_translated"),
         registry.gauge("sim.blockcache.bytes")};
     return metrics;
   }
@@ -68,9 +66,6 @@ struct SharedBlockCache::Impl {
     std::vector<std::uint32_t> text;  // exact key (hash-collision verify)
     CycleModel model;
     Future future;
-    /// Set when the build completes; lets eviction and stats() inspect the
-    /// entry's translation bank without blocking on the future.
-    std::shared_ptr<const PredecodedProgram> ready;
     std::size_t bytes = 0;  // 0 until the build completes
     std::uint64_t last_use = 0;
   };
@@ -79,7 +74,6 @@ struct SharedBlockCache::Impl {
   std::unordered_map<std::uint64_t, std::vector<Entry>> map;
   std::uint64_t tick = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t evicted_translated = 0;
   std::size_t resident_bytes = 0;
   std::size_t entries = 0;
   std::size_t max_bytes = kDefaultMaxBytes;
@@ -107,18 +101,6 @@ struct SharedBlockCache::Impl {
       }
       if (!found) return;
       auto& chain = map[oldest_key];
-      // Live translated closures leaving the cache with their entry are an
-      // operability signal (sim.blockcache.evicted_translated): running
-      // Simulators keep them alive through their shared_ptr, but the next
-      // Obtain of this key re-decodes AND re-warms translation from zero.
-      if (const auto& ready = chain[oldest_pos].ready;
-          ready != nullptr && ready->bank != nullptr) {
-        const std::uint32_t translated = ready->bank->translated_count();
-        if (translated != 0) {
-          evicted_translated += translated;
-          CacheMetrics::Get().evicted_translated.Add(translated);
-        }
-      }
       resident_bytes -= chain[oldest_pos].bytes;
       chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(oldest_pos));
       if (chain.empty()) map.erase(oldest_key);
@@ -167,7 +149,7 @@ std::shared_ptr<const PredecodedProgram> SharedBlockCache::Obtain(
       metrics.misses.Add();
       span.Arg("outcome", "miss");
       future = promise.get_future().share();
-      chain.push_back({binary.text, model, future, nullptr, 0, ++state.tick});
+      chain.push_back({binary.text, model, future, 0, ++state.tick});
       ++state.entries;
       build_here = true;
     }
@@ -190,8 +172,6 @@ std::shared_ptr<const PredecodedProgram> SharedBlockCache::Obtain(
     }
   }
   pre->blocks = BlockCache(pre->decoded, pre->decode_ok, model);
-  pre->bank = std::make_unique<translate::TranslationBank>(
-      pre->blocks, pre->text.size());
   const std::size_t bytes = pre->bytes();
   span.Arg("bytes", static_cast<std::uint64_t>(bytes))
       .Arg("text_words", static_cast<std::uint64_t>(binary.text.size()));
@@ -204,7 +184,6 @@ std::shared_ptr<const PredecodedProgram> SharedBlockCache::Obtain(
       for (Impl::Entry& entry : it->second) {
         if (entry.bytes == 0 && entry.model == model &&
             entry.text == binary.text) {
-          entry.ready = pre;
           entry.bytes = bytes;
           state.resident_bytes += bytes;
           metrics.bytes.Set(static_cast<std::int64_t>(state.resident_bytes));
@@ -227,19 +206,6 @@ SharedBlockCache::Stats SharedBlockCache::stats() const {
   s.evictions = state.evictions;
   s.bytes = state.resident_bytes;
   s.entries = state.entries;
-  for (const auto& [key, chain] : state.map) {
-    for (const Impl::Entry& entry : chain) {
-      if (entry.ready != nullptr && entry.ready->bank != nullptr) {
-        s.translated_traces += entry.ready->bank->translated_count();
-        s.translated_bytes += entry.ready->bank->translated_bytes();
-      }
-    }
-  }
-  const translate::Totals totals = translate::GlobalTotals();
-  s.promotions = totals.promotions;
-  s.indirect_chain_hits = totals.indirect_chain_hits;
-  s.indirect_chain_misses = totals.indirect_chain_misses;
-  s.evicted_translated = state.evicted_translated;
   return s;
 }
 

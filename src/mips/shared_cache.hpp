@@ -32,7 +32,6 @@
 
 #include "mips/block_cache.hpp"
 #include "mips/isa.hpp"
-#include "mips/translate.hpp"
 
 namespace b2h::mips {
 
@@ -40,22 +39,16 @@ struct SoftBinary;
 
 /// Everything a Simulator derives from (text, cycle model) at construction:
 /// the decoded instruction array the reference engine walks, the decode-ok
-/// bitmap, and the BlockCache traces the block engine executes.  The
-/// pre-decode tables are immutable once published; `bank` is the one
-/// deliberately concurrent member — the tier-3 translation state
-/// (lock-free hot counters / published trace slots, see mips/translate.hpp)
-/// that kTranslated runs grow on the shared entry.
+/// bitmap, and the BlockCache traces the block engine executes.  Immutable
+/// once published.
 struct PredecodedProgram {
   std::vector<std::uint32_t> text;  ///< key material (exact-match verify)
   CycleModel model;
   std::vector<Instr> decoded;
   std::vector<bool> decode_ok;
   BlockCache blocks;
-  std::unique_ptr<translate::TranslationBank> bank;
 
-  /// Approximate heap footprint for the cache's byte accounting (the
-  /// pre-decode tables only — translations are capped per program and
-  /// accounted through Stats::translated_bytes instead).
+  /// Approximate heap footprint for the cache's byte accounting.
   [[nodiscard]] std::size_t bytes() const noexcept;
 };
 
@@ -76,16 +69,6 @@ class SharedBlockCache {
     std::uint64_t evictions = 0;
     std::uint64_t bytes = 0;     ///< resident entry footprint
     std::size_t entries = 0;
-    // Tier-3 translation state (mips/translate.hpp).
-    std::uint64_t translated_traces = 0;  ///< resident translated closures
-    std::uint64_t translated_bytes = 0;   ///< their footprint
-    std::uint64_t promotions = 0;         ///< traces translated, ever
-    std::uint64_t indirect_chain_hits = 0;    ///< indirect exits chained (IC)
-    std::uint64_t indirect_chain_misses = 0;  ///< indirect exits that fell back
-    /// Translated closures dropped with their entry by LRU eviction
-    /// (holders' shared_ptr keeps the closures alive — observable, never
-    /// dangling).
-    std::uint64_t evicted_translated = 0;
   };
   [[nodiscard]] Stats stats() const;
 

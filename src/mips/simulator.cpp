@@ -1,19 +1,12 @@
 #include "mips/simulator.hpp"
 
 #include <array>
-#include <bit>
 #include <cstring>
 #include <sstream>
 
 #include "obs/obs.hpp"
 #include "support/bits.hpp"
 #include "support/error.hpp"
-
-// The run loop dispatches tier-3 traces through computed goto (`&&label`)
-// and marks impossible paths with __builtin_unreachable().
-#if !defined(__GNUC__) && !defined(__clang__)
-#error "mips/simulator.cpp needs GCC or Clang (GNU computed goto)"
-#endif
 
 namespace b2h::mips {
 
@@ -25,10 +18,7 @@ void FinishRunSpan(obs::ScopedSpan& span, ExecEngine engine,
                    const RunResult& result) {
   if (!span.armed()) return;
   const double ms = span.Millis();
-  const char* name = engine == ExecEngine::kReference    ? "reference"
-                     : engine == ExecEngine::kTranslated ? "translated"
-                                                         : "block";
-  span.Arg("engine", name)
+  span.Arg("engine", engine == ExecEngine::kReference ? "reference" : "block")
       .Arg("instructions", result.instructions)
       .Arg("instr_per_sec",
            ms > 0.0 ? static_cast<double>(result.instructions) * 1e3 / ms
@@ -92,16 +82,14 @@ void Simulator::PokeWord(std::uint32_t addr, std::uint32_t value) {
 }
 
 // ---------------------------------------------------------------------------
-// The trace run loop.  Its body lives in exec_block_body.inc (tier 2, with
-// the op semantics in exec_ops.inc) and exec_translate_body.inc (tier 3,
-// fused ops in exec_translate_ops.inc); each .inc defines the dispatch
-// macros it uses.  kTier3=false is ExecEngine::kBlock.
+// The trace run loop.  Its body lives in exec_block_body.inc, with the op
+// semantics in exec_ops.inc.
 // ---------------------------------------------------------------------------
 
-template <bool kInstrumented, bool kTier3>
-RunResult Simulator::ExecTiered(std::span<const std::int32_t> args,
-                                std::uint64_t max_instructions,
-                                RunObserver* observer) {
+template <bool kInstrumented>
+RunResult Simulator::ExecBlock(std::span<const std::int32_t> args,
+                               std::uint64_t max_instructions,
+                               RunObserver* observer) {
 #include "mips/exec_block_body.inc"
 }
 
@@ -357,16 +345,10 @@ template <bool kInstrumented>
 RunResult Simulator::Exec(std::span<const std::int32_t> args,
                           std::uint64_t max_instructions,
                           RunObserver* observer) {
-  switch (engine_) {
-    case ExecEngine::kTranslated:
-      return ExecTiered<kInstrumented, true>(args, max_instructions, observer);
-    case ExecEngine::kBlock:
-      return ExecTiered<kInstrumented, false>(args, max_instructions,
-                                              observer);
-    case ExecEngine::kReference:
-      return ExecReference<kInstrumented>(args, max_instructions, observer);
+  if (engine_ == ExecEngine::kReference) {
+    return ExecReference<kInstrumented>(args, max_instructions, observer);
   }
-  __builtin_unreachable();
+  return ExecBlock<kInstrumented>(args, max_instructions, observer);
 }
 
 RunResult Simulator::Run(std::span<const std::int32_t> args,

@@ -20,17 +20,15 @@
 // so the interpreter hot path carries no extra per-instruction work, and
 // the plain Run() path compiles without even the hook check.
 //
-// Execution engines: the default interpreter is tiered — text is
-// pre-decoded into multi-exit superblock traces (mips/block_cache.hpp,
-// built once per process per (text, cycle model) by the SharedBlockCache)
-// and executed trace-at-a-time (tier 2), with profile accounting kept as
-// per-trace / per-side-exit counters that are expanded into the per-index
-// ExecProfile vectors at observer flush points and at halt; hot traces are
-// promoted into fused host-op streams that chain trace to trace (tier 3,
-// mips/translate.hpp).  The original per-instruction interpreter is
-// retained (ExecEngine::kReference) as a differential oracle; all engines
-// produce bit-identical RunResults and observer event streams.
-// docs/ENGINE.md is the deep dive.
+// Execution engines: the default interpreter pre-decodes text into
+// multi-exit superblock traces (mips/block_cache.hpp, built once per process
+// per (text, cycle model) by the SharedBlockCache) and executes them
+// trace-at-a-time, with profile accounting kept as per-trace /
+// per-side-exit counters that are expanded into the per-index ExecProfile
+// vectors at observer flush points and at halt.  The original
+// per-instruction interpreter is retained (ExecEngine::kReference) as a
+// differential oracle; both engines produce bit-identical RunResults and
+// observer event streams.  docs/ENGINE.md is the deep dive.
 //
 // Semantics notes (documented platform definition, see DESIGN.md §6):
 //   - no branch delay slots;
@@ -103,21 +101,14 @@ class RunObserver {
                                   const RunResult& so_far) = 0;
 };
 
-/// Which interpreter Run()/RunInstrumented() use.  All produce bit-identical
-/// RunResults (profiles included) and identical observer event streams; the
-/// reference path is retained as the differential-testing oracle and as the
-/// baseline the throughput bench measures speedup against.
+/// Which interpreter Run()/RunInstrumented() use.  Both produce
+/// bit-identical RunResults (profiles included) and identical observer
+/// event streams; the reference path is retained as the differential-testing
+/// oracle and as the baseline the throughput bench measures speedup against.
 enum class ExecEngine {
-  /// Tier 2 alone: multi-exit superblock traces from the process-wide
-  /// SharedBlockCache, executed by the tiered run loop with tier 3 compiled
-  /// out — exactly what kTranslated runs on cold code.  It never counts,
-  /// promotes, observes or enters the shared TranslationBank.
+  /// The trace run loop (default): multi-exit superblock traces from the
+  /// process-wide SharedBlockCache, executed a trace per dispatch.
   kBlock,
-  /// Tiered engine (default): kBlock plus tier 3 — hot traces are promoted
-  /// into fused host-op streams (mips/translate.hpp) that chain
-  /// trace-to-trace through static successors and inline-cache-hit
-  /// indirect jumps without returning to the dispatch loop.
-  kTranslated,
   /// The original one-instruction-at-a-time interpreter.
   kReference,
 };
@@ -125,7 +116,7 @@ enum class ExecEngine {
 class Simulator {
  public:
   explicit Simulator(const SoftBinary& binary, CycleModel model = {},
-                     ExecEngine engine = ExecEngine::kTranslated);
+                     ExecEngine engine = ExecEngine::kBlock);
 
   /// The pre-decoded superblock cache backing the trace run loop (shared
   /// process-wide; see mips/shared_cache.hpp).
@@ -176,18 +167,17 @@ class Simulator {
                                std::uint64_t max_instructions,
                                RunObserver* observer);
 
-  /// The trace run loop (kTranslated; kBlock is kTier3=false): executes
-  /// one multi-exit superblock trace per iteration with trace-level
-  /// accounting; a fault or an exhausted instruction budget mid-trace
-  /// drops to per-instruction accounting for the partial trace so results
-  /// stay bit-identical with the reference path.  The body is
-  /// mips/exec_block_body.inc, which documents the tiers and their
-  /// dispatch.  kInstrumented=false compiles the exact pre-hook hot path
-  /// (no observer checks at all) for static flows.
-  template <bool kInstrumented, bool kTier3>
-  [[nodiscard]] RunResult ExecTiered(std::span<const std::int32_t> args,
-                                     std::uint64_t max_instructions,
-                                     RunObserver* observer);
+  /// The trace run loop (ExecEngine::kBlock): executes one multi-exit
+  /// superblock trace per iteration with trace-level accounting; a fault or
+  /// an exhausted instruction budget mid-trace drops to per-instruction
+  /// accounting for the partial trace so results stay bit-identical with
+  /// the reference path.  The body is mips/exec_block_body.inc.
+  /// kInstrumented=false compiles the exact pre-hook hot path (no observer
+  /// checks at all) for static flows.
+  template <bool kInstrumented>
+  [[nodiscard]] RunResult ExecBlock(std::span<const std::int32_t> args,
+                                    std::uint64_t max_instructions,
+                                    RunObserver* observer);
 
   /// Reference per-instruction interpreter loop (ExecEngine::kReference).
   template <bool kInstrumented>

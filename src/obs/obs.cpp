@@ -172,7 +172,7 @@ std::string PrometheusName(const std::string& name) {
     const bool digit = (c >= '0' && c <= '9');
     if (!(alpha || c == '_' || c == ':' || (digit && i > 0))) out[i] = '_';
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

@@ -722,14 +722,6 @@ std::string Server::StatsJson() const {
       << ",\"evictions\":" << blockcache.evictions
       << ",\"bytes\":" << blockcache.bytes
       << ",\"entries\":" << blockcache.entries
-      // Tier-3 translation state (resident traces + process-monotonic
-      // promotion/chaining counters; see docs/ENGINE.md "Tier 3").
-      << ",\"translated_traces\":" << blockcache.translated_traces
-      << ",\"translated_bytes\":" << blockcache.translated_bytes
-      << ",\"promotions\":" << blockcache.promotions
-      << ",\"indirect_chain_hits\":" << blockcache.indirect_chain_hits
-      << ",\"indirect_chain_misses\":" << blockcache.indirect_chain_misses
-      << ",\"evicted_translated\":" << blockcache.evicted_translated
       << "},\"candidate_pool\":{\"scans\":" << pool.scans
       << ",\"hits\":" << pool.hits << ",\"entries\":" << pool.entries
       << ",\"synthesis_runs\":" << pool.synthesis_runs << "}}";

@@ -22,7 +22,9 @@ std::string Sanitize(const std::string& name) {
 }
 
 std::string Sig(const ir::Instr* instr) {
-  return "v" + std::to_string(instr->id);
+  std::string name = "v";
+  name += std::to_string(instr->id);
+  return name;
 }
 
 std::string OperandExpr(const ir::Value& value) {

@@ -1,22 +1,21 @@
-// Differential tests for the three execution engines.
+// Differential tests for the two execution engines.
 //
-// The tiered engine ExecEngine::kTranslated (the default) and its tier 2
-// alone, ExecEngine::kBlock (the same trace run loop with tier 3 compiled
-// out), must be observationally indistinguishable from the retained
-// per-instruction reference interpreter (ExecEngine::kReference):
-// bit-identical RunResult — return value,
-// instruction/cycle totals, halt reason, fault message, and all four
-// per-index profile vectors — plus, for RunInstrumented, an identical
-// observer event stream: same events, same batch boundaries, and the same
-// live profile visible inside every callback (observers snapshot the
-// profile mid-run, so expansion points are part of the contract).
+// The trace run loop ExecEngine::kBlock (the default) must be
+// observationally indistinguishable from the retained per-instruction
+// reference interpreter (ExecEngine::kReference): bit-identical RunResult —
+// return value, instruction/cycle totals, halt reason, fault message, and
+// all four per-index profile vectors — plus, for RunInstrumented, an
+// identical observer event stream: same events, same batch boundaries, and
+// the same live profile visible inside every callback (observers snapshot
+// the profile mid-run, so expansion points are part of the contract).
 //
 // Coverage: the whole benchmark suite (plain + instrumented), faults landing
 // mid-trace (with and without pending trace counters), instruction budgets
 // landing mid-trace (exhaustive small-budget sweep), randomized
 // assembler-generated programs mixing loops, calls, wild/unaligned memory
 // access, and every ALU class, plus the process-wide SharedBlockCache
-// (single-flight pre-decode under construction races, warm-sweep reuse).
+// (single-flight pre-decode under construction races, warm-sweep reuse,
+// eviction while a Simulator holds the entry).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -113,12 +112,8 @@ void ExpectSameObservations(const RecordingObserver& block,
   }
 }
 
-/// Runs the binary on every engine, plain and instrumented, and expects
-/// tier 2 alone (kBlock) and the tiered translated engine to be
-/// bit-identical to the reference interpreter throughout.  kTranslated runs twice: the first pass covers cold traces
-/// plus mid-run promotion (the shared TranslationBank accumulates dispatch
-/// counts across runs), the second a fully warm bank where hot paths
-/// execute as chained translated traces.
+/// Runs the binary on both engines, plain and instrumented, and expects
+/// kBlock to be bit-identical to the reference interpreter throughout.
 void ExpectEnginesAgree(const SoftBinary& binary,
                         std::uint64_t max_instructions = 100'000'000) {
   Simulator reference(binary, {}, ExecEngine::kReference);
@@ -126,28 +121,17 @@ void ExpectEnginesAgree(const SoftBinary& binary,
   RecordingObserver ref_obs;
   const RunResult ref_hooked =
       reference.RunInstrumented({}, max_instructions, &ref_obs);
-  const struct {
-    ExecEngine engine;
-    const char* label;
-  } kEngines[] = {
-      {ExecEngine::kBlock, "engine block"},
-      {ExecEngine::kTranslated, "engine translated (warming)"},
-      {ExecEngine::kTranslated, "engine translated (warm)"},
-  };
-  for (const auto& [engine, label] : kEngines) {
-    SCOPED_TRACE(label);
-    Simulator sim(binary, {}, engine);
-    {
-      SCOPED_TRACE("plain Run");
-      ExpectIdentical(sim.Run({}, max_instructions), ref_plain);
-    }
-    {
-      SCOPED_TRACE("RunInstrumented");
-      RecordingObserver obs;
-      ExpectIdentical(sim.RunInstrumented({}, max_instructions, &obs),
-                      ref_hooked);
-      ExpectSameObservations(obs, ref_obs);
-    }
+  Simulator sim(binary, {}, ExecEngine::kBlock);
+  {
+    SCOPED_TRACE("plain Run");
+    ExpectIdentical(sim.Run({}, max_instructions), ref_plain);
+  }
+  {
+    SCOPED_TRACE("RunInstrumented");
+    RecordingObserver obs;
+    ExpectIdentical(sim.RunInstrumented({}, max_instructions, &obs),
+                    ref_hooked);
+    ExpectSameObservations(obs, ref_obs);
   }
 }
 
@@ -357,11 +341,9 @@ TEST(BlockEngine, RandomizedProgramsBitIdentical) {
 /// A dispatch loop driving `targets` cases (a power of two) through a
 /// table of code addresses built at runtime.  `call` picks the dispatch
 /// style: jr into labeled cases that rejoin at a common point, or jalr to
-/// leaf functions that return.  Iteration counts are high enough to cross
-/// the tier-3 promotion threshold mid-run, so one program exercises cold
-/// traces, promotion, inline-cache chaining on the indirect terminator
-/// (monomorphic at 1 target, polymorphic at 2/4) and megamorphic fallback
-/// (8 targets exceed the inline cache), all under the differential oracle.
+/// leaf functions that return.  The indirect terminator sees one to eight
+/// distinct targets, so every trace ending in jr or jalr takes a
+/// data-dependent successor, all under the differential oracle.
 std::string ComputedDispatchProgram(std::mt19937& rng, int targets, int iters,
                                     bool call) {
   std::ostringstream s;
@@ -408,8 +390,8 @@ std::string ComputedDispatchProgram(std::mt19937& rng, int targets, int iters,
 }
 
 TEST(BlockEngine, JumpTableDispatchBitIdentical) {
-  // jr through a runtime-built jump table: monomorphic, polymorphic within
-  // the inline cache, and megamorphic (8 targets observed > 4 cache ways).
+  // jr through a runtime-built jump table: one, two, four and eight
+  // distinct targets.
   for (const int targets : {1, 2, 4, 8}) {
     std::mt19937 rng(static_cast<std::uint32_t>(100 + targets));
     const std::string source = ComputedDispatchProgram(rng, targets, 220,
@@ -436,15 +418,14 @@ TEST(BlockEngine, FunctionTableCallsBitIdentical) {
 }
 
 TEST(BlockEngine, JumpTableBudgetSweepBitIdentical) {
-  // Budgets landing inside warm chained traces: the translated runner must
-  // refuse to chain when the remaining budget can't cover the next trace,
-  // demoting to tier 2's partial accounting at exactly the same boundary.
+  // Budgets landing inside and right after the indirect-terminated
+  // traces: the partial-trace accounting must stop at exactly the same
+  // boundary as the reference interpreter.
   std::mt19937 rng(7);
   const std::string source =
       ComputedDispatchProgram(rng, 4, 220, /*call=*/false);
   auto binary = Assemble(source);
   ASSERT_TRUE(binary.ok()) << binary.status().message();
-  // Warm the translation bank first so the sweep hits translated traces.
   ExpectEnginesAgree(binary.value());
   for (std::uint64_t budget = 0; budget <= 64; ++budget) {
     SCOPED_TRACE("budget " + std::to_string(budget));
@@ -591,9 +572,11 @@ TEST(SharedBlockCache, WarmSweepNeverRedecodes) {
   EXPECT_EQ(SharedBlockCache::Global().stats().misses, after.misses + 1);
 }
 
-TEST(SharedBlockCache, EvictionDropsTranslatedTracesSafely) {
-  // A hot loop long enough to cross the tier-3 promotion threshold, on a
-  // key no other test assembles.
+TEST(SharedBlockCache, EvictionWhileHeldStaysBitIdentical) {
+  // LRU eviction drops only the cache's reference to an entry: a Simulator
+  // holding it keeps running on its shared_ptr, and the next Obtain of the
+  // key rebuilds the pre-decode.  The program is a key no other test
+  // assembles.
   auto binary = Assemble(R"(
     main:
       li $t0, 4003
@@ -607,49 +590,45 @@ TEST(SharedBlockCache, EvictionDropsTranslatedTracesSafely) {
   ASSERT_TRUE(binary.ok()) << binary.status().message();
   Simulator reference(binary.value(), {}, ExecEngine::kReference);
   const RunResult want = reference.Run();
-
-  Simulator sim(binary.value(), {}, ExecEngine::kTranslated);
+  Simulator sim(binary.value(), {}, ExecEngine::kBlock);
   ExpectIdentical(sim.Run(), want);
 
+  // Fresher keys make this entry the LRU victim; a byte budget nothing fits
+  // under then forces eviction while `sim` still holds the entry.
   SharedBlockCache& cache = SharedBlockCache::Global();
-  const SharedBlockCache::Stats mid = cache.stats();
-  EXPECT_GT(mid.translated_traces, 0u);  // the loop really got promoted
-
-  // Fresher keys make the translated entry the LRU victim; a byte budget
-  // nothing fits under then forces eviction while `sim` still holds the
-  // entry through its shared_ptr.
   auto other1 = Assemble("main:\n li $v0, 11\n jr $ra\n");
   auto other2 = Assemble("main:\n li $v0, 22\n jr $ra\n");
   ASSERT_TRUE(other1.ok());
   ASSERT_TRUE(other2.ok());
   Simulator keep1(other1.value());
   Simulator keep2(other2.value());
+  const SharedBlockCache::Stats before = cache.stats();
   cache.set_max_bytes(1);
   const SharedBlockCache::Stats after = cache.stats();
   cache.set_max_bytes(SharedBlockCache::kDefaultMaxBytes);
-  // The translated closures left the cache with their entry — counted, so
-  // operators can see re-warm churn under memory pressure.
-  EXPECT_GT(after.evicted_translated, mid.evicted_translated);
+  EXPECT_GT(after.evictions, before.evictions);
 
-  // No dangling: the evicted bank stays alive through the Simulator's
-  // reference and further runs (still chaining translated traces) are
-  // bit-identical.
+  // No dangling: the evicted tables stay alive through `sim`.
   ExpectIdentical(sim.Run(), want);
   ExpectIdentical(sim.Run(), want);
+
+  // The cache no longer holds the key: the next Simulator re-decodes it.
+  Simulator rebuilt(binary.value(), {}, ExecEngine::kBlock);
+  EXPECT_EQ(cache.stats().misses, after.misses + 1);
+  ExpectIdentical(rebuilt.Run(), want);
 }
 
 TEST(BlockEngine, RecyclingRunOverloadIsBitIdentical) {
   // The storage-recycling overload (used by the bench hot loop) must
-  // produce byte-for-byte the same RunResult as a fresh Run, on every
-  // engine, across repeated recycled runs.
+  // produce byte-for-byte the same RunResult as a fresh Run, on both
+  // engines, across repeated recycled runs.
   for (const suite::Benchmark& bench : suite::AllBenchmarks()) {
     SCOPED_TRACE(bench.name);
     auto built = suite::BuildBinary(bench, 1);
     ASSERT_TRUE(built.ok()) << built.status().message();
     Simulator reference(built.value(), {}, ExecEngine::kReference);
     const RunResult want = reference.Run();
-    for (ExecEngine engine :
-         {ExecEngine::kReference, ExecEngine::kBlock, ExecEngine::kTranslated}) {
+    for (ExecEngine engine : {ExecEngine::kReference, ExecEngine::kBlock}) {
       Simulator sim(built.value(), {}, engine);
       RunResult recycled;
       for (int rep = 0; rep < 3; ++rep) {
@@ -658,47 +637,6 @@ TEST(BlockEngine, RecyclingRunOverloadIsBitIdentical) {
       }
     }
   }
-}
-
-TEST(BlockEngine, BlockStaysTier2OverAWarmBank) {
-  // kBlock is what block_speedup measures: tier 2 alone.  Even on a binary
-  // whose shared TranslationBank already holds promoted traces it must not
-  // count, promote, enter or chain tier-3 traces — visible as frozen
-  // process-wide sim.translate.* totals — and must still match the oracle.
-  const suite::Benchmark* bench = suite::FindBenchmark("fir");
-  ASSERT_NE(bench, nullptr);
-  auto built = suite::BuildBinary(*bench, 1);
-  ASSERT_TRUE(built.ok());
-  const SoftBinary& binary = built.value();
-
-  // Warm fir's bank on kTranslated (an earlier test may already have: the
-  // bank is shared per (text, cycle model), so check it, not a delta).
-  const std::shared_ptr<const PredecodedProgram> pre =
-      SharedBlockCache::Global().Obtain(binary, {});
-  Simulator translated(binary, {}, ExecEngine::kTranslated);
-  for (int run = 0; run < 16 && pre->bank->translated_count() == 0; ++run) {
-    (void)translated.Run();
-  }
-  ASSERT_GT(pre->bank->translated_count(), 0u);
-
-  Simulator reference(binary, {}, ExecEngine::kReference);
-  const RunResult want_plain = reference.Run();
-  RecordingObserver want_obs;
-  const RunResult want_hooked =
-      reference.RunInstrumented({}, 100'000'000, &want_obs);
-
-  const translate::Totals before = translate::GlobalTotals();
-  Simulator block(binary, {}, ExecEngine::kBlock);
-  ExpectIdentical(block.Run(), want_plain);
-  RecordingObserver obs;
-  ExpectIdentical(block.RunInstrumented({}, 100'000'000, &obs), want_hooked);
-  ExpectSameObservations(obs, want_obs);
-  const translate::Totals after = translate::GlobalTotals();
-  EXPECT_EQ(after.promotions, before.promotions);
-  EXPECT_EQ(after.capped, before.capped);
-  EXPECT_EQ(after.entered, before.entered);
-  EXPECT_EQ(after.indirect_chain_hits, before.indirect_chain_hits);
-  EXPECT_EQ(after.indirect_chain_misses, before.indirect_chain_misses);
 }
 
 }  // namespace

@@ -11,16 +11,18 @@
 // this asserts the bound.
 //
 // The bound is per build type, and its constants are calibrated against the
-// *block-compiled* engine (the default since the superblock rewrite): the
-// hook plumbing itself — latch check, event batching, profile expansion at
-// flush — measures ~0% against a null observer, so what this ratio now
-// mostly captures is the DetectionOnlyObserver's own per-event cache update,
-// whose absolute cost is unchanged but whose relative share grew when the
-// baseline interpreter got 3-5x faster.  RelWithDebInfo measures ~10%
-// (bound 15%); under -O3 Release the measurement carries extra layout
-// sensitivity (relative placement of the two interpreter-loop
-// instantiations) that -falign-loops does not fully pin, so it keeps a
-// layout-headroom bound (25%); a real hook regression moves both builds.
+// default engine, kBlock: Run and RunInstrumented are the two
+// instantiations of its one trace run loop (ExecBlock<false> and
+// ExecBlock<true>).  The hook plumbing itself — latch check, event
+// batching, profile expansion at flush — measures ~0% against a null
+// observer, so what this ratio mostly captures is the
+// DetectionOnlyObserver's own per-event cache update, whose absolute cost
+// is unchanged but whose relative share grew when the baseline interpreter
+// got 3-5x faster.  RelWithDebInfo measures ~10% (bound 15%); under -O3
+// Release the measurement carries extra layout sensitivity (relative
+// placement of the two interpreter-loop instantiations) that -falign-loops
+// does not fully pin, so it keeps a layout-headroom bound (25%); a real
+// hook regression moves both builds.
 // Min-of-N sampling with attempt-level retries does the rest: noise only
 // ever inflates a sample, so the minimum converges toward the true ratio
 // from above.

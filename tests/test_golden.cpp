@@ -1,0 +1,150 @@
+// Golden report digests: tests/golden/reports.txt pins the Explore surface
+// byte for byte, so a change that promises "same reports" is checked by the
+// suite rather than by a one-off driver.
+//
+// One Toolchain::Explore per seed in {1, 7} sweeps the 20 suite programs at
+// O0-O3 x the paper's three platforms x the three strategies x the three
+// objectives.  The file holds, per seed, the Fnv1a64 of Report() and of
+// Json(), then one line per (program@O, seed) digesting that binary's
+// points in row order: status, the headline numbers printed exactly (%a),
+// the selected region names and each selected region's VHDL.
+//
+// The file is a review surface: a change that moves a report changes a line
+// here, and the change must explain it.  On a mismatch the test writes the
+// recomputed file to golden_reports.actual in its working directory (copy it
+// over tests/golden/reports.txt once the difference is understood) and
+// names the first line that differs.
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "suite/runner.hpp"
+#include "suite/suite.hpp"
+#include "support/serialize.hpp"
+#include "testing_support.hpp"
+#include "toolchain/toolchain.hpp"
+
+namespace b2h {
+namespace {
+
+// Toolchain's default constructor reads B2H_CACHE_DIR.  A persisted cache
+// would serve artifacts an older build computed, so keep the sweep cold and
+// memory-only: the digests must come from this build.
+const testing_support::ScopedEnv kPinnedCacheDirEnv("B2H_CACHE_DIR", nullptr);
+
+std::string Hex(std::uint64_t value) {
+  char text[17];
+  std::snprintf(text, sizeof text, "%016" PRIx64, value);
+  return text;
+}
+
+std::string Exact(double value) {
+  char text[64];
+  std::snprintf(text, sizeof text, "%a", value);
+  return text;
+}
+
+/// Everything one point contributes to its binary's digest.
+void AppendPoint(const explore::ExplorePoint& point, std::string& out) {
+  out += ToString(point.status.kind());
+  out += ' ';
+  out += point.status.message();
+  for (const double value : {point.speedup, point.energy,
+                             point.partitioned_time, point.area_gates}) {
+    out += ' ';
+    out += Exact(value);
+  }
+  for (const std::string& name : point.hw_names) {
+    out += ' ';
+    out += name;
+  }
+  out += '\n';
+  if (point.artifact == nullptr) return;
+  for (const partition::SelectedRegion& region : point.artifact->partition.hw) {
+    out += region.synthesized.vhdl;
+    out += '\n';
+  }
+}
+
+std::vector<std::string> ComputeGolden() {
+  std::vector<NamedBinary> binaries;
+  for (const suite::Benchmark& bench : suite::AllBenchmarks()) {
+    for (int opt = 0; opt <= 3; ++opt) {
+      auto built = suite::BuildBinary(bench, opt);
+      EXPECT_TRUE(built.ok()) << bench.name << ": " << built.status().message();
+      if (!built.ok()) continue;
+      binaries.push_back(
+          {bench.name + "@O" + std::to_string(opt),
+           std::make_shared<const mips::SoftBinary>(std::move(built).take())});
+    }
+  }
+
+  const Toolchain toolchain;
+  std::vector<std::string> lines;
+  for (const std::uint64_t seed : {1u, 7u}) {
+    explore::ExploreSpec spec;
+    spec.binaries = binaries;
+    spec.platforms = {"mips40", "mips200-xc2v1000", "mips400"};
+    spec.strategies = {"paper-greedy", "knapsack-optimal", "annealing"};
+    spec.objectives = {partition::Objective::kSpeedup,
+                       partition::Objective::kEnergy,
+                       partition::Objective::kEnergyDelay};
+    spec.strategy_options.seed = seed;
+    const explore::ExploreResult result = toolchain.Explore(spec);
+
+    const std::string tag = "seed=" + std::to_string(seed);
+    lines.push_back(tag + " report=" + Hex(support::Fnv1a64(result.Report())) +
+                    " json=" + Hex(support::Fnv1a64(result.Json())));
+    const std::size_t per_binary = result.num_platforms *
+                                   result.num_strategies *
+                                   result.num_objectives;
+    for (std::size_t b = 0; b < result.num_binaries; ++b) {
+      std::string digest_input;
+      for (std::size_t i = 0; i < per_binary; ++i) {
+        AppendPoint(result.points[b * per_binary + i], digest_input);
+      }
+      lines.push_back(binaries[b].name + " " + tag + " points=" +
+                      Hex(support::Fnv1a64(digest_input)));
+    }
+  }
+  return lines;
+}
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(Golden, ExploreReportsMatchCheckedInDigests) {
+  const std::string path =
+      std::string(B2H_SOURCE_DIR) + "/tests/golden/reports.txt";
+  const std::vector<std::string> expected = ReadLines(path);
+  const std::vector<std::string> actual = ComputeGolden();
+  ASSERT_EQ(actual.size(), 2u + 2u * 4u * suite::AllBenchmarks().size());
+  if (actual == expected) return;
+
+  std::ofstream out("golden_reports.actual");
+  for (const std::string& line : actual) out << line << '\n';
+  std::size_t first = 0;
+  while (first < actual.size() && first < expected.size() &&
+         actual[first] == expected[first]) {
+    ++first;
+  }
+  ADD_FAILURE() << path << " differs at line " << first + 1 << ":\n"
+                << "  expected: "
+                << (first < expected.size() ? expected[first] : "<end>")
+                << "\n  actual:   "
+                << (first < actual.size() ? actual[first] : "<end>")
+                << "\nthe recomputed file is golden_reports.actual in the "
+                   "working directory";
+}
+
+}  // namespace
+}  // namespace b2h

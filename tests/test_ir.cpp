@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "decomp/pass_manager.hpp"
 #include "ir/dominators.hpp"
 #include "ir/interp.hpp"
 #include "ir/loops.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "suite/runner.hpp"
+#include "suite/suite.hpp"
 
 namespace b2h::ir {
 namespace {
@@ -231,6 +236,37 @@ TEST(Loops, ProfileTripCount) {
   EXPECT_EQ(loop->header_count, 10u);
   EXPECT_EQ(loop->entry_count, 1u);
   EXPECT_DOUBLE_EQ(loop->AverageTripCount(), 10.0);
+}
+
+TEST(Loops, HeadersComeOutInReversePostOrder) {
+  // loops() order breaks candidate-scan ties (equal sw_cycles keep their
+  // scan order), so it must follow the CFG, not the heap addresses of the
+  // header blocks: e.g. g721_quan@O3 inlines one loop into main four times.
+  const auto manager = decomp::PassManager::Preset("default");
+  ASSERT_TRUE(manager.ok());
+  std::size_t multi_loop_functions = 0;
+  for (const suite::Benchmark* bench : suite::WorkingBenchmarks()) {
+    for (int opt = 0; opt <= 3; ++opt) {
+      auto built = suite::BuildBinary(*bench, opt);
+      ASSERT_TRUE(built.ok()) << bench->name;
+      const auto program = manager.value().Run(
+          std::make_shared<const mips::SoftBinary>(std::move(built).take()));
+      ASSERT_TRUE(program.ok()) << bench->name << "@O" << opt;
+      for (const auto& function : program.value().module.functions) {
+        const DominatorTree dom(*function);
+        const LoopForest forest(*function, dom);
+        if (forest.loops().size() >= 2) ++multi_loop_functions;
+        int previous = -1;
+        for (const auto& loop : forest.loops()) {
+          const int position = dom.RpoIndex(loop->header);
+          EXPECT_GT(position, previous)
+              << bench->name << "@O" << opt << " " << function->name();
+          previous = position;
+        }
+      }
+    }
+  }
+  EXPECT_GT(multi_loop_functions, 0u);
 }
 
 TEST(Verifier, CatchesMissingTerminator) {

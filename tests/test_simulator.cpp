@@ -166,8 +166,7 @@ TEST(Simulator, AddressWrapAroundFaults) {
     SCOPED_TRACE(body);
     auto binary = Assemble("main:\n" + std::string(body) + "\n jr $ra\n");
     ASSERT_TRUE(binary.ok()) << binary.status().message();
-    for (ExecEngine engine : {ExecEngine::kTranslated, ExecEngine::kBlock,
-                              ExecEngine::kReference}) {
+    for (ExecEngine engine : {ExecEngine::kBlock, ExecEngine::kReference}) {
       Simulator sim(binary.value(), {}, engine);
       const auto run = sim.Run();
       EXPECT_EQ(run.reason, HaltReason::kFault);
