@@ -14,7 +14,11 @@
 //      {12-platform grid} x {3 strategies} x {3 objectives} sweeps, summed
 //      over the benchmarks.  Every point of a one-binary sweep shares one
 //      CandidateSet, so contention on it shows here; CI holds the ratio at
-//      or above 1.0 (the pool is never slower than one thread).
+//      or above 1.0 (the pool is never slower than one thread).  The same
+//      sweeps record annealing_proposals, the proposals the annealing
+//      walks made (the registry counter partition.annealing.proposals): a
+//      deterministic work count that CI holds from rising.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "obs/obs.hpp"
 #include "partition/platform_registry.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
@@ -88,6 +93,9 @@ int main() {
                      partition::Objective::kEnergyDelay};
   double grid_serial_ms = 0.0;
   double grid_pool_ms = 0.0;
+  const obs::Counter& proposals =
+      obs::Registry::Global().counter("partition.annealing.proposals");
+  const std::uint64_t proposals_before = proposals.Value();
   for (const NamedBinary& binary : binaries) {
     grid.binaries = {binary};
     Toolchain one_thread;  // fresh toolchains: both sweeps cache-cold
@@ -98,13 +106,18 @@ int main() {
   const double grid_scaling =
       grid_pool_ms > 0.0 ? grid_serial_ms / grid_pool_ms : 0.0;
   printf("one-binary grid sweeps (%zu points each, summed over %zu "
-         "benchmarks): serial %.1f ms, pool %.1f ms (%.2fx)\n\n",
+         "benchmarks): serial %.1f ms, pool %.1f ms (%.2fx)\n",
          grid.platforms.size() * grid.strategies.size() *
              grid.objectives.size(),
          binaries.size(), grid_serial_ms, grid_pool_ms, grid_scaling);
   json.Record("grid_sweep_wall_serial", grid_serial_ms, "ms");
   json.Record("grid_sweep_wall_pool", grid_pool_ms, "ms");
   json.Record("grid_pool_scaling", grid_scaling, "x");
+  const std::uint64_t grid_proposals = proposals.Value() - proposals_before;
+  printf("annealing proposals over those sweeps: %llu\n\n",
+         static_cast<unsigned long long>(grid_proposals));
+  json.Record("annealing_proposals", static_cast<double>(grid_proposals),
+              "count");
 
   // ---- 1. Greedy-vs-optimal gap per benchmark (default platform). --------
   printf("%-11s %9s %9s %9s %8s\n", "benchmark", "greedy-x", "optimal-x",

@@ -128,6 +128,11 @@ RULES = [
     # shared runners.  Must precede the generic "speedup" rule (first match
     # wins).
     ("block_speedup", "higher", 0.25, True),
+    # Proposals the annealing walks made over bench_explore's cold grid
+    # sweeps: a deterministic work count, not a host time.  The walk stops
+    # once its best equals the best any subset scores, so a rise means the
+    # exact stop stopped firing.
+    ("annealing_proposals", "lower", 0.02, True),
     ("speedup", "higher", 0.02, True),          # deterministic model outputs
     ("convergence", "higher", 0.02, True),
     ("hit_rate", "higher", 0.02, True),

@@ -59,7 +59,10 @@ enum class Objective : std::uint8_t {
 struct StrategyOptions {
   Objective objective = Objective::kSpeedup;
   std::uint64_t seed = 1;                ///< annealing determinism
-  unsigned annealing_iterations = 2000;  ///< proposal count
+  /// Proposal budget of the annealing walk.  The walk stops short of it
+  /// once its best subset provably cannot improve, with the result the
+  /// whole budget gives.
+  unsigned annealing_iterations = 2000;
   /// Candidate-count ceiling for the exact search; above it the knapsack
   /// strategy keeps the highest-cycle candidates only (noted in `rejected`).
   std::size_t exact_candidate_cap = 20;

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include "partition/strategy.hpp"
@@ -33,10 +34,10 @@ std::optional<Request> Fail(ParseError* error, std::string code,
   return std::nullopt;
 }
 
-/// Non-negative integral member with a default; false on a present but
-/// non-numeric / negative / fractional value.
+/// Integral member in [0, max] with a default; false on a present but
+/// non-numeric / negative / fractional / larger value.
 bool GetCount(const JsonValue& object, std::string_view key,
-              std::uint64_t fallback, std::uint64_t* out) {
+              std::uint64_t fallback, std::uint64_t max, std::uint64_t* out) {
   const JsonValue* member = object.Find(key);
   if (member == nullptr) {
     *out = fallback;
@@ -44,8 +45,11 @@ bool GetCount(const JsonValue& object, std::string_view key,
   }
   if (!member->is_number()) return false;
   const double value = member->number();
-  if (value < 0.0 || value != static_cast<double>(
-                                  static_cast<std::uint64_t>(value))) {
+  // Range first: casting 2^64 or more (1e999 parses as infinity) to
+  // uint64_t is undefined.
+  if (!(value >= 0.0 && value < 0x1p64) ||
+      value != static_cast<double>(static_cast<std::uint64_t>(value)) ||
+      static_cast<std::uint64_t>(value) > max) {
     return false;
   }
   *out = static_cast<std::uint64_t>(value);
@@ -116,9 +120,11 @@ std::optional<Request> ParseRequest(std::string_view payload,
 
   const JsonValue* deadline = object.Find("deadline_ms");
   if (deadline != nullptr) {
-    if (!deadline->is_number() || deadline->number() < 0.0) {
+    // An int holds it; out of range would wrap to "no deadline".
+    if (!deadline->is_number() || !(deadline->number() >= 0.0) ||
+        deadline->number() > std::numeric_limits<int>::max()) {
       return Fail(error, kErrBadRequest,
-                  "\"deadline_ms\" must be a non-negative number");
+                  "\"deadline_ms\" must be a number from 0 to 2147483647");
     }
     request.deadline_ms = static_cast<int>(deadline->number());
   }
@@ -126,12 +132,15 @@ std::optional<Request> ParseRequest(std::string_view payload,
   std::uint64_t seed = 1;
   std::uint64_t iterations = 2000;
   std::uint64_t opt_level = 1;
-  if (!GetCount(object, "seed", 1, &seed) ||
-      !GetCount(object, "annealing_iterations", 2000, &iterations) ||
-      !GetCount(object, "opt_level", 1, &opt_level) || opt_level > 3) {
+  if (!GetCount(object, "seed", 1, std::numeric_limits<std::uint64_t>::max(),
+                &seed) ||
+      !GetCount(object, "annealing_iterations", 2000,
+                std::numeric_limits<unsigned>::max(), &iterations) ||
+      !GetCount(object, "opt_level", 1, 3, &opt_level)) {
     return Fail(error, kErrBadRequest,
                 "\"seed\", \"annealing_iterations\", and \"opt_level\" must "
-                "be non-negative integers (opt_level <= 3)");
+                "be non-negative integers (seed < 2^64, annealing_iterations "
+                "< 2^32, opt_level <= 3)");
   }
   request.seed = seed;
   request.annealing_iterations = static_cast<unsigned>(iterations);

@@ -19,6 +19,11 @@
 //   {"schema":1,"kind":"dump"}
 //   {"schema":1,"kind":"shutdown"}
 //
+// Numeric fields are integers within their field's range (seed < 2^64,
+// annealing_iterations < 2^32, opt_level <= 3, and deadline_ms, which may
+// be fractional, at most 2^31 - 1); anything else is rejected with
+// `bad-request`, never truncated into another request's key.
+//
 // Any request may carry "corr" (a client correlation id, [A-Za-z0-9._-],
 // <= 64 bytes; the server assigns one when absent) — it is echoed in the
 // response envelope and stamped into every span the request produces.

@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -41,6 +42,8 @@ using support::HttpRequest;
 using support::HttpResponse;
 using support::HttpStatus;
 using support::JsonValue;
+using testing_support::ParkGate;
+using testing_support::RegisterParkedStrategy;
 using testing_support::ScopedEnv;
 using testing_support::TempDir;
 
@@ -414,16 +417,23 @@ TEST(Correlation, ExploreStreamsProgressFramesAndHttpPollsThem) {
   const auto port = static_cast<std::uint16_t>(harness.server.http_port());
   Client client = MustConnect(harness.server.options().socket_path);
 
-  // Long enough for several 25 ms scheduler polls to land mid-flight.
+  // The parked strategy holds the explore in flight until the first
+  // progress frame arrives, so at least one 25 ms scheduler poll lands
+  // mid-flight however fast the flow is.
+  ParkGate& gate = RegisterParkedStrategy();
   const std::string request =
       R"({"schema":1,"kind":"explore","id":"e1","corr":"exp-1",)"
       R"("progress":true,"benchmarks":["crc","fir"],)"
-      R"("strategies":["annealing"],"annealing_iterations":150000})";
+      R"("strategies":["test-parked"]})";
   std::vector<std::string> frames;
   std::string response;
   const Status status = client.CallStreaming(
       request, &response,
-      [&](std::string_view frame) { frames.emplace_back(frame); }, 120000);
+      [&](std::string_view frame) {
+        frames.emplace_back(frame);
+        gate.Release();
+      },
+      120000);
   ASSERT_TRUE(status.ok()) << status.message();
   const JsonValue final_reply = MustParse(response);
   EXPECT_TRUE(final_reply.GetBool("ok", false)) << response;
@@ -578,6 +588,7 @@ TEST(Forensics, CrashLeavesBundleNamingInFlightRequest) {
     // Child: a real daemon that faults mid-request.  No gtest assertions
     // here — failure paths _exit with distinct codes so the parent's
     // WIFSIGNALED check reports them.
+    ParkGate& gate = RegisterParkedStrategy();  // never released
     Server::Options options{socket_path};
     options.dump_dir = dump_dir;
     Server server(options);
@@ -597,15 +608,15 @@ TEST(Forensics, CrashLeavesBundleNamingInFlightRequest) {
              .ok()) {
       ::_exit(92);
     }
-    // ...then a long explore is left in flight under a known corr.
+    // ...then an explore is parked in flight under a known corr.
     if (!client
              .Send(R"({"schema":1,"kind":"explore","corr":"crash-corr",)"
-                   R"("benchmarks":["crc","fir"],"strategies":["annealing"],)"
-                   R"("annealing_iterations":5000000})")
+                   R"("benchmarks":["crc","fir"],)"
+                   R"("strategies":["test-parked"]})")
              .ok()) {
       ::_exit(93);
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(700));
+    if (!gate.WaitEntered(std::chrono::seconds(60))) ::_exit(95);
     ::raise(SIGSEGV);  // the installed handler dumps, then re-raises
     ::_exit(94);       // unreachable
   }

@@ -1,19 +1,23 @@
 // Partitioner and estimator tests: the three steps of the paper's
 // algorithm, area budgeting, the performance/energy model, the platform
-// trends the paper reports (slower CPU -> larger speedup and savings), and
-// the table-driven subset scorer against the definitions it replaced.
+// trends the paper reports (slower CPU -> larger speedup and savings), the
+// table-driven subset scorer against the definitions it replaced, and the
+// annealing strategy's early-stopping walk against the full walk.
 #include "partition/partitioner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <random>
 #include <set>
 
 #include "minicc/codegen.hpp"
 #include "partition/candidates.hpp"
+#include "partition/strategy.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
 #include "toolchain/toolchain.hpp"
@@ -484,6 +488,163 @@ TEST(SubsetScorer, MatchesPreTableDefinitionsPastOneTableWord) {
     EXPECT_GT(feasible, 0);
     EXPECT_GT(infeasible, 0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Annealing vs. the full walk
+// ---------------------------------------------------------------------------
+
+// The oracle: the annealing walk as it was defined before its score table
+// and exact stop — every proposal scored as it is drawn, all
+// `annealing_iterations` of them.  Returns the best subset, sorted.
+std::vector<std::size_t> FullAnnealingWalk(
+    const CandidateSet& set, const Platform& platform,
+    const PartitionOptions& options, const StrategyOptions& strategy_options) {
+  const std::vector<std::size_t> viable =
+      FilterViableCandidates(set, platform, options).ids;
+  std::vector<std::size_t> current =
+      GreedyChosenSubset(set, platform, options);
+  SubsetScorer scorer(set, platform, options, viable, current);
+  double current_score =
+      ObjectiveScore(*scorer.Score(current), strategy_options.objective);
+  std::vector<std::size_t> best = current;
+  std::vector<std::size_t> proposal;
+  double best_score = current_score;
+
+  std::mt19937_64 rng(strategy_options.seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const unsigned iterations =
+      viable.empty() ? 0 : strategy_options.annealing_iterations;
+  for (unsigned iter = 0; iter < iterations; ++iter) {
+    const std::size_t id = viable[rng() % viable.size()];
+    proposal = current;
+    const auto it = std::find(proposal.begin(), proposal.end(), id);
+    if (it != proposal.end()) {
+      proposal.erase(it);
+    } else {
+      proposal.insert(std::lower_bound(proposal.begin(), proposal.end(), id),
+                      id);
+    }
+    const AppEstimate* estimate = scorer.Score(proposal);
+    if (estimate == nullptr) continue;
+    const double score = ObjectiveScore(*estimate, strategy_options.objective);
+    const double temperature =
+        0.1 * (1.0 - static_cast<double>(iter) /
+                         static_cast<double>(iterations));
+    const double scale =
+        std::max(std::abs(current_score), 1e-12) * temperature;
+    const bool accept =
+        score > current_score ||
+        (scale > 0.0 &&
+         std::exp((score - current_score) / scale) > unit(rng));
+    if (!accept) continue;
+    current.swap(proposal);
+    current_score = score;
+    if (current_score > best_score) {
+      best_score = current_score;
+      best = current;
+    }
+  }
+  std::sort(best.begin(), best.end());
+  return best;
+}
+
+/// Candidate ids of a result's hardware regions, in result order (each
+/// region is identified by its entry block).
+std::vector<std::size_t> SelectedIds(const CandidateSet& set,
+                                     const PartitionResult& result) {
+  std::vector<std::size_t> ids;
+  for (const SelectedRegion& region : result.hw) {
+    const ir::Block* entry = region.synthesized.region.blocks.front();
+    for (std::size_t id = 0; id < set.size(); ++id) {
+      if (set.candidates()[id].region.blocks.front() == entry) {
+        ids.push_back(id);
+        break;
+      }
+    }
+  }
+  return ids;
+}
+
+/// The 12-platform design-space grid of examples/platform_explorer.cpp
+/// (4 CPU clocks x 3 FPGA sizes), as bench/bench_explore.cpp builds it.
+std::vector<Platform> GridPlatforms() {
+  std::vector<Platform> platforms;
+  for (double mhz : {40.0, 100.0, 200.0, 400.0}) {
+    for (double kgates : {15.0, 50.0, 300.0}) {
+      Platform platform = Platform::WithCpuMhz(mhz);
+      platform.fpga.capacity_gates = kgates * 1000.0;
+      platform.fpga.usable_fraction = 1.0;
+      platforms.push_back(platform);
+    }
+  }
+  return platforms;
+}
+
+// Iteration counts at and around the table condition 2^n <= iterations
+// (n = 3 and 6 sit on its edge), so calls take the table path, the
+// scored-as-drawn path and, without viable candidates, no walk at all.
+TEST(Annealing, StopsEarlyWithTheFullWalksSelection) {
+  const std::unique_ptr<Strategy> annealing = MakeAnnealingStrategy();
+  const PartitionOptions options;
+  int table_calls = 0;
+  int drawn_calls = 0;
+  int empty_calls = 0;
+  for (const suite::Benchmark* bench : suite::WorkingBenchmarks()) {
+    for (int opt_level = 0; opt_level <= 3; ++opt_level) {
+      auto binary = suite::BuildBinary(*bench, opt_level);
+      ASSERT_TRUE(binary.ok()) << bench->name;
+      const ToolchainRun flow =
+          RunBinary(std::move(binary).take(), bench->name);
+      ASSERT_NE(flow.program, nullptr) << bench->name;
+      const mips::ExecProfile& profile = flow.software_run->profile;
+      StrategyOptions strategy_options;
+      strategy_options.candidates = std::make_shared<const CandidateSet>(
+          CandidateSet::Scan(*flow.program, profile));
+      const CandidateSet& set = *strategy_options.candidates;
+      for (const Platform& platform : GridPlatforms()) {
+        const std::size_t n =
+            FilterViableCandidates(set, platform, options).ids.size();
+        for (Objective objective :
+             {Objective::kSpeedup, Objective::kEnergy,
+              Objective::kEnergyDelay}) {
+          for (std::uint64_t seed : {1u, 7u}) {
+            for (unsigned iterations : {1u, 7u, 8u, 64u, 300u, 2000u}) {
+              strategy_options.objective = objective;
+              strategy_options.seed = seed;
+              strategy_options.annealing_iterations = iterations;
+              const std::string label =
+                  bench->name + "@O" + std::to_string(opt_level) + " " +
+                  MhzLabel(platform) + " " +
+                  std::to_string(static_cast<int>(
+                      platform.fpga.capacity_gates)) +
+                  " gates, " + std::string(ObjectiveName(objective)) +
+                  ", seed " + std::to_string(seed) + ", " +
+                  std::to_string(iterations) + " iterations";
+              const auto result = annealing->Partition(
+                  *flow.program, profile, platform, options,
+                  strategy_options);
+              ASSERT_TRUE(result.ok()) << label;
+              ASSERT_EQ(SelectedIds(set, result.value()),
+                        FullAnnealingWalk(set, platform, options,
+                                          strategy_options))
+                  << label;
+              if (n == 0) {
+                ++empty_calls;
+              } else if (n <= 16 && (std::size_t{1} << n) <= iterations) {
+                ++table_calls;
+              } else {
+                ++drawn_calls;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(table_calls, 0);
+  EXPECT_GT(drawn_calls, 0);
+  EXPECT_GT(empty_calls, 0);
 }
 
 }  // namespace

@@ -45,6 +45,8 @@ using serve::Scheduler;
 using serve::Server;
 using support::FrameStatus;
 using support::JsonValue;
+using testing_support::ParkGate;
+using testing_support::RegisterParkedStrategy;
 using testing_support::ScopedEnv;
 using testing_support::TempDir;
 
@@ -237,6 +239,20 @@ TEST(Protocol, RejectsStructurallyInvalidRequests) {
       {R"({"schema":1,"kind":"partition","benchmark":"crc","seed":-1})",
        serve::kErrBadRequest},
       {R"({"schema":1,"kind":"partition","benchmark":"crc","deadline_ms":-5})",
+       serve::kErrBadRequest},
+      // Out of range for the field: truncating would alias another request
+      // (2^32 iterations as 0) or drop the deadline.
+      {R"({"schema":1,"kind":"partition","benchmark":"crc",)"
+       R"("annealing_iterations":4294967296})",
+       serve::kErrBadRequest},
+      {R"({"schema":1,"kind":"partition","benchmark":"crc",)"
+       R"("deadline_ms":1e10})",
+       serve::kErrBadRequest},
+      {R"({"schema":1,"kind":"partition","benchmark":"crc",)"
+       R"("deadline_ms":1e999})",
+       serve::kErrBadRequest},
+      {R"({"schema":1,"kind":"partition","benchmark":"crc",)"
+       R"("seed":18446744073709551616})",
        serve::kErrBadRequest},
       {R"({"schema":1,"kind":"partition","benchmark":"crc",)"
        R"("objective":"bogus"})",
@@ -868,13 +884,14 @@ TEST(ServeDaemon, DeadlineRequestGetsErrorAndLaterServesWarm) {
   ASSERT_TRUE(harness.Start());
 
   Client client = MustConnect(options.socket_path);
-  // A cold annealing run at this iteration count takes far longer than
-  // 1 ms, so the deadline reliably expires while the job runs.
-  const std::string slow =
-      PartitionRequest("crc", "annealing", /*seed=*/5, /*iterations=*/100000);
+  // The job parks in its strategy until released, so the 1 ms deadline
+  // expires while it runs.
+  ParkGate& gate = RegisterParkedStrategy();
+  const std::string slow = PartitionRequest("crc", "test-parked");
   const std::string with_deadline =
       slow.substr(0, slow.size() - 1) + R"(,"deadline_ms":1})";
   ExpectErrorCode(Call(client, with_deadline), serve::kErrDeadline);
+  gate.Release();
 
   // The computation kept running and completed into the cache: the retry
   // without a deadline succeeds, and the flow executed exactly once.
@@ -966,12 +983,11 @@ TEST(ServeDaemon, MultiTenantHammerComputesOnceAndLeavesDiskCacheSound) {
   EXPECT_EQ(hammered.decompilations, 2.0);
   EXPECT_EQ(hammered.partitions, 4.0);
 
-  // Coalescing burst: every tenant fires the SAME novel slow key at once.
-  // Whatever the interleaving — all attached to one in-flight job, or a
-  // straggler re-submitting after completion and hitting the cache — the
+  // Coalescing burst: every tenant fires the SAME novel key at once, and
+  // the job stays parked until all of them have attached to it.  The
   // underlying partition computes exactly once.
-  const std::string burst =
-      PartitionRequest("crc", "annealing", /*seed=*/777, /*iterations=*/150000);
+  ParkGate& gate = RegisterParkedStrategy();
+  const std::string burst = PartitionRequest("crc", "test-parked");
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> bursters;
@@ -989,6 +1005,11 @@ TEST(ServeDaemon, MultiTenantHammerComputesOnceAndLeavesDiskCacheSound) {
   }
   SpinUntil([&] { return ready.load() == kThreads; });
   go.store(true);
+  SpinUntil([&] {
+    return FetchStats(primer).scheduler_coalesced >=
+           hammered.scheduler_coalesced + kThreads - 1;
+  });
+  gate.Release();
   for (std::thread& burster : bursters) burster.join();
   EXPECT_EQ(failures.load(), 0);
   const WorkCounters after_burst = FetchStats(primer);
