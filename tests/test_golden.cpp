@@ -1,6 +1,7 @@
-// Golden report digests: tests/golden/reports.txt pins the Explore surface
-// byte for byte, so a change that promises "same reports" is checked by the
-// suite rather than by a one-off driver.
+// Golden report digests: tests/golden/reports.txt pins the Explore surface,
+// the Toolchain views and the online partitioner byte for byte, so a change
+// that promises "same reports" is checked by the suite rather than by a
+// one-off driver.
 //
 // One Toolchain::Explore per seed in {1, 7} sweeps the 20 suite programs at
 // O0-O3 x the paper's three platforms x the three strategies x the three
@@ -8,6 +9,12 @@
 // Json(), then one line per (program@O, seed) digesting that binary's
 // points in row order: status, the headline numbers printed exactly (%a),
 // the selected region names and each selected region's VHDL.
+//
+// Then one line per program@O with two digests: `views` over its RunMany
+// slots on the paper's three platforms (ReportBody() and Json(), or the
+// error kind and message), and `dynamic` over RunDynamicOn's Report() on
+// those platforms plus a 40,000-gate copy of mips200-xc2v1000, where the
+// online partitioner runs out of area and evicts.
 //
 // The file is a review surface: a change that moves a report changes a line
 // here, and the change must explain it.  On a mismatch the test writes the
@@ -71,6 +78,57 @@ void AppendPoint(const explore::ExplorePoint& point, std::string& out) {
   }
 }
 
+/// A Toolchain view or online run as text: the rendered report, or the
+/// error kind and message.
+template <typename Run, typename Render>
+void AppendOutcome(const Result<Run>& outcome, Render render,
+                   std::string& out) {
+  if (outcome.ok()) {
+    out += render(outcome.value());
+  } else {
+    out += ToString(outcome.status().kind());
+    out += ' ';
+    out += outcome.status().message();
+  }
+  out += '\n';
+}
+
+/// One line per binary: its RunMany slots on the paper platforms and its
+/// RunDynamicOn reports on those plus the 40k-gate platform.
+void AppendViewLines(const Toolchain& toolchain,
+                     const std::vector<NamedBinary>& binaries,
+                     std::vector<std::string>& lines) {
+  const std::vector<std::string> paper = {"mips40", "mips200-xc2v1000",
+                                          "mips400"};
+  partition::Platform small =
+      *PlatformRegistry::Global().Find("mips200-xc2v1000");
+  small.fpga.capacity_gates = 40'000.0;
+  PlatformRegistry::Global().Register("golden-40k", small);
+  std::vector<std::string> dynamic_platforms = paper;
+  dynamic_platforms.push_back("golden-40k");
+
+  const BatchResult batch = toolchain.RunMany(binaries, paper);
+  for (std::size_t b = 0; b < binaries.size(); ++b) {
+    std::string views;
+    for (std::size_t p = 0; p < paper.size(); ++p) {
+      AppendOutcome(
+          batch.At(b, p),
+          [](const ToolchainRun& run) { return run.ReportBody() + run.Json(); },
+          views);
+    }
+    std::string online;
+    for (const std::string& platform : dynamic_platforms) {
+      AppendOutcome(
+          toolchain.RunDynamicOn(platform, binaries[b].binary,
+                                 binaries[b].name),
+          [](const DynamicToolchainRun& run) { return run.Report(); }, online);
+    }
+    lines.push_back(binaries[b].name +
+                    " views=" + Hex(support::Fnv1a64(views)) +
+                    " dynamic=" + Hex(support::Fnv1a64(online)));
+  }
+}
+
 std::vector<std::string> ComputeGolden() {
   std::vector<NamedBinary> binaries;
   for (const suite::Benchmark& bench : suite::AllBenchmarks()) {
@@ -112,6 +170,7 @@ std::vector<std::string> ComputeGolden() {
                       Hex(support::Fnv1a64(digest_input)));
     }
   }
+  AppendViewLines(toolchain, binaries, lines);
   return lines;
 }
 
@@ -122,12 +181,12 @@ std::vector<std::string> ReadLines(const std::string& path) {
   return lines;
 }
 
-TEST(Golden, ExploreReportsMatchCheckedInDigests) {
+TEST(Golden, ReportsMatchCheckedInDigests) {
   const std::string path =
       std::string(B2H_SOURCE_DIR) + "/tests/golden/reports.txt";
   const std::vector<std::string> expected = ReadLines(path);
   const std::vector<std::string> actual = ComputeGolden();
-  ASSERT_EQ(actual.size(), 2u + 2u * 4u * suite::AllBenchmarks().size());
+  ASSERT_EQ(actual.size(), 2u + 3u * 4u * suite::AllBenchmarks().size());
   if (actual == expected) return;
 
   std::ofstream out("golden_reports.actual");
