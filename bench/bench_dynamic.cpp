@@ -88,55 +88,45 @@ int main() {
          "===\n\n");
   printf("%-11s %9s %9s %11s %6s %11s %12s\n", "benchmark", "static-x",
          "dynamic-x", "convergence", "swaps", "swap point", "1st kern (ms)");
-  std::vector<NamedBinary> binaries;
-  for (const suite::Benchmark* bench : suite::WorkingBenchmarks()) {
-    auto binary = suite::BuildBinary(*bench, 1);
-    if (!binary.ok()) continue;
-    binaries.push_back(
-        {bench->name,
-         std::make_shared<const mips::SoftBinary>(std::move(binary).take())});
-  }
-  Toolchain toolchain;
-  toolchain.WithDynamic(true);
-  const BatchResult batch = toolchain.RunMany(binaries, {"mips200-xc2v1000"});
-
+  const Toolchain toolchain;
   double sum_convergence = 0.0;
   double sum_first_kernel_ms = 0.0;
   int counted = 0;
   int swapped = 0;
-  for (std::size_t i = 0; i < batch.runs.size(); ++i) {
-    if (!batch.runs[i].ok()) continue;
-    const ToolchainRun& run = batch.runs[i].value();
-    const dynamic::DynamicRun& dyn = *run.dynamic_run;
-    const double convergence = run.estimate.speedup > 0.0
-                                   ? dyn.estimate.speedup /
-                                         run.estimate.speedup
-                                   : 0.0;
+  for (const suite::Benchmark* bench : suite::WorkingBenchmarks()) {
+    auto binary = suite::BuildBinary(*bench, 1);
+    if (!binary.ok()) continue;
+    const auto outcome = toolchain.RunDynamicOn(
+        "mips200-xc2v1000",
+        std::make_shared<const mips::SoftBinary>(std::move(binary).take()),
+        bench->name);
+    if (!outcome.ok()) continue;
+    const ToolchainRun& run = outcome.value().static_run;
+    const dynamic::DynamicRun& dyn = outcome.value().dynamic_run;
+    const double convergence = outcome.value().convergence;
     const double swap_point =
         !dyn.swaps.empty() && dyn.run.instructions > 0
             ? static_cast<double>(dyn.swaps.front().at_instruction) /
                   static_cast<double>(dyn.run.instructions)
             : 1.0;
     printf("%-11s %9.2f %9.2f %10.0f%% %6zu %10.0f%% %12.2f\n",
-           binaries[i].name.c_str(), run.estimate.speedup,
-           dyn.estimate.speedup, convergence * 100.0, dyn.swaps.size(),
-           swap_point * 100.0, dyn.time_to_first_kernel_ms);
-    json.Record("static_speedup", run.estimate.speedup, "x",
-                binaries[i].name);
-    json.Record("dynamic_speedup", dyn.estimate.speedup, "x",
-                binaries[i].name);
-    json.Record("convergence", convergence * 100.0, "%", binaries[i].name);
+           bench->name.c_str(), run.estimate.speedup, dyn.estimate.speedup,
+           convergence * 100.0, dyn.swaps.size(), swap_point * 100.0,
+           dyn.time_to_first_kernel_ms);
+    json.Record("static_speedup", run.estimate.speedup, "x", bench->name);
+    json.Record("dynamic_speedup", dyn.estimate.speedup, "x", bench->name);
+    json.Record("convergence", convergence * 100.0, "%", bench->name);
     if (!dyn.swaps.empty()) {
       json.Record("time_to_first_kernel", dyn.time_to_first_kernel_ms, "ms",
-                  binaries[i].name);
+                  bench->name);
       // Simulated-time CAD accounting (DynamicPolicy::cad_cycles_per_ms):
       // when the first kernel is live, measured in simulated CPU cycles.
       json.Record("time_to_first_kernel_sim",
                   static_cast<double>(dyn.time_to_first_kernel_cycles),
-                  "cycles", binaries[i].name);
+                  "cycles", bench->name);
       json.Record("online_cad_sim",
                   static_cast<double>(dyn.cad_simulated_cycles), "cycles",
-                  binaries[i].name);
+                  bench->name);
       sum_first_kernel_ms += dyn.time_to_first_kernel_ms;
       ++swapped;
     }

@@ -8,7 +8,7 @@
 //
 // Measures the wall time of each flow stage on representative binaries:
 // decompilation alone, partitioning+synthesis alone (the paper-greedy
-// strategy), and the full flow (Toolchain::Run).  For dynamic (on-chip)
+// strategy), and the full flow (Toolchain::RunOn).  For dynamic (on-chip)
 // use the whole flow must be milliseconds-scale.
 #include <benchmark/benchmark.h>
 
@@ -79,7 +79,7 @@ void BM_FullFlow(benchmark::State& state, const char* name) {
   Toolchain toolchain;
   toolchain.WithThreads(1);
   for (auto _ : state) {
-    auto run = toolchain.Run(prepared.binary, name);
+    auto run = toolchain.RunOn("mips200-xc2v1000", prepared.binary, name);
     benchmark::DoNotOptimize(run);
   }
 }

@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
   // The toolchain runs on registered platforms only: an overridden one is
   // registered under its label first.
   if (custom) PlatformRegistry::Global().Register(platform_label, platform);
-  toolchain.WithPlatform(platform_label);
 
   auto loaded = LoadInput(input);
   if (!loaded.ok()) {
@@ -124,7 +123,7 @@ int main(int argc, char** argv) {
   printf("loaded %zu instructions, %zu data bytes\n", binary->text.size(),
          binary->data.size());
 
-  auto run = toolchain.Run(binary, input);
+  auto run = toolchain.RunOn(platform_label, binary, input);
   if (!run.ok()) {
     // The paper's failure mode: indirect jumps defeat CDFG recovery; the
     // program simply stays all-software.

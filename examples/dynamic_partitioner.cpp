@@ -23,35 +23,29 @@ using namespace b2h;
 
 namespace {
 
-int RunWholeSuite(Toolchain& toolchain, const std::string& platform_name) {
+int RunWholeSuite(const Toolchain& toolchain,
+                  const std::string& platform_name) {
   printf("%-11s %9s %9s %11s %7s %7s\n", "benchmark", "static-x", "dynamic-x",
          "convergence", "swaps", "events");
-  toolchain.WithDynamic(true);
-  std::vector<NamedBinary> binaries;
+  double sum_convergence = 0.0;
+  int counted = 0;
   for (const auto& bench : suite::AllBenchmarks()) {
     auto binary = suite::BuildBinary(bench, 1);
     if (!binary.ok()) continue;
-    binaries.push_back(
-        {bench.name,
-         std::make_shared<const mips::SoftBinary>(std::move(binary).take())});
-  }
-  const BatchResult batch = toolchain.RunMany(binaries, {platform_name});
-  double sum_convergence = 0.0;
-  int counted = 0;
-  for (std::size_t i = 0; i < batch.runs.size(); ++i) {
-    if (!batch.runs[i].ok()) {
-      printf("%-11s (%s)\n", binaries[i].name.c_str(),
-             ToString(batch.runs[i].status().kind()));
+    const auto run = toolchain.RunDynamicOn(
+        platform_name,
+        std::make_shared<const mips::SoftBinary>(std::move(binary).take()),
+        bench.name);
+    if (!run.ok()) {
+      printf("%-11s (%s)\n", bench.name.c_str(),
+             ToString(run.status().kind()));
       continue;
     }
-    const ToolchainRun& run = batch.runs[i].value();
-    const dynamic::DynamicRun& dyn = *run.dynamic_run;
-    const double convergence =
-        run.estimate.speedup > 0.0
-            ? dyn.estimate.speedup / run.estimate.speedup
-            : 0.0;
-    printf("%-11s %9.2f %9.2f %10.0f%% %7zu %7llu\n", binaries[i].name.c_str(),
-           run.estimate.speedup, dyn.estimate.speedup, convergence * 100.0,
+    const ToolchainRun& oracle = run.value().static_run;
+    const dynamic::DynamicRun& dyn = run.value().dynamic_run;
+    const double convergence = run.value().convergence;
+    printf("%-11s %9.2f %9.2f %10.0f%% %7zu %7llu\n", bench.name.c_str(),
+           oracle.estimate.speedup, dyn.estimate.speedup, convergence * 100.0,
            dyn.swaps.size(),
            static_cast<unsigned long long>(dyn.detector_events));
     sum_convergence += convergence;
@@ -106,7 +100,7 @@ int main(int argc, char** argv) {
   }
 
   Toolchain toolchain;
-  toolchain.WithDynamicPolicy(policy).WithPlatform(platform_name);
+  toolchain.WithDynamicPolicy(policy);
 
   if (input == "--all") return RunWholeSuite(toolchain, platform_name);
 

@@ -62,11 +62,11 @@ int main() {
       std::move(compiled).take().binary);
   printf("compiled: %zu MIPS instructions\n", binary->text.size());
 
-  // 2. Run the whole binary-level partitioning flow on the default
+  // 2. Run the whole binary-level partitioning flow on the paper's
   //    platform ("mips200-xc2v1000": MIPS@200MHz + Virtex-II).
   Toolchain toolchain;
   toolchain.WithPipeline("default");  // the paper's full pass pipeline
-  auto run = toolchain.Run(binary, "threshold");
+  auto run = toolchain.RunOn("mips200-xc2v1000", binary, "threshold");
   if (!run.ok()) {
     printf("flow error: %s\n", run.status().message().c_str());
     return 1;

@@ -146,26 +146,6 @@ const std::vector<std::string>& DefaultNames() {
   return names;
 }
 
-/// Instruction-set overhead removal only (paper §2, first family).
-const std::vector<std::string>& IsOverheadOnlyNames() {
-  static const std::vector<std::string> names = {
-      "simplify-constants", "remove-stack-ops",      "simplify-constants",
-      "reduce-strength",    "reduce-operator-sizes",
-  };
-  return names;
-}
-
-/// Everything except the undo-compiler-optimization family (reroll,
-/// strength promotion, inlining — paper §2, second family).
-const std::vector<std::string>& NoUndoNames() {
-  static const std::vector<std::string> names = {
-      "simplify-constants", "remove-stack-ops", "simplify-constants",
-      "convert-ifs",        "simplify-constants", "reduce-strength",
-      "reduce-operator-sizes",
-  };
-  return names;
-}
-
 }  // namespace
 
 namespace {
@@ -218,8 +198,6 @@ std::vector<std::string> PassRegistry::Names() const {
 
 Result<PassManager> PassManager::Preset(std::string_view preset) {
   if (preset == "default") return FromNames(DefaultNames());
-  if (preset == "is-overhead-only") return FromNames(IsOverheadOnlyNames());
-  if (preset == "no-undo") return FromNames(NoUndoNames());
   if (preset == "none") return PassManager();
   return Status::Error(ErrorKind::kUnsupported,
                        "unknown pipeline preset: " + std::string(preset));

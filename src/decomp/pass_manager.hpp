@@ -1,9 +1,9 @@
 // Named-pass pipeline management for the decompiler.
 //
 // Every recovery technique from the paper is a registered `Pass` with a
-// stable name; pipelines are built from presets ("default",
-// "is-overhead-only", "no-undo", "none"), from explicit name lists, or from
-// a compact spec string ("default,-reroll-loops").  The manager times each
+// stable name; pipelines are built from presets ("default", "none"), from
+// explicit name lists, or from a compact spec string
+// ("default,-reroll-loops").  The manager times each
 // pass and collects its named counters, replacing the hand-threaded
 // `DecompileStats` plumbing the old hardwired pipeline used — the aggregate
 // struct is still filled in for compatibility, but per-pass numbers now come
@@ -75,10 +75,8 @@ class PassManager {
   PassManager() = default;
 
   /// Preset pipelines:
-  ///   "default"          — the full paper pipeline, in publication order
-  ///   "is-overhead-only" — instruction-set overhead removal only
-  ///   "no-undo"          — everything except the undo-compiler-opt passes
-  ///   "none"             — empty
+  ///   "default" — the full paper pipeline, in publication order
+  ///   "none"    — empty
   /// Unknown preset names return an error.
   [[nodiscard]] static Result<PassManager> Preset(std::string_view preset);
 

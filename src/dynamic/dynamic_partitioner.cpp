@@ -15,10 +15,14 @@
 #include "mips/isa.hpp"
 #include "obs/obs.hpp"
 #include "synth/hw_region.hpp"
+#include "synth/synth.hpp"
 
 namespace b2h::dynamic {
 
 namespace {
+
+/// Hot-loop detector slots (HotRegionCache rounds up to a power of two).
+constexpr std::size_t kDetectorEntries = 64;
 
 std::string Hex(std::uint32_t value) {
   char buffer[16];
@@ -132,7 +136,7 @@ class OnlinePartitioner final : public mips::RunObserver {
         platform_(platform),
         options_(options),
         pipeline_(pipeline),
-        cache_(options.policy.detector_entries, options.policy.hot_threshold),
+        cache_(kDetectorEntries, options.policy.hot_threshold),
         function_entries_(decomp::FunctionEntries(*binary_)) {}
 
   void OnBackwardBranches(std::span<const mips::BranchEvent> events,
@@ -242,7 +246,7 @@ class OnlinePartitioner final : public mips::RunObserver {
     synth_span.Arg("header_pc", static_cast<std::uint64_t>(header));
     synth::HwRegion region = synth::ExtractLoopRegion(root, *loop);
     decomp::AliasAnalysis alias(root, &binary_->symbols);
-    auto synthesized = synth::Synthesize(region, &alias, options_.synth);
+    auto synthesized = synth::Synthesize(region, &alias);
     const double synth_ms = synth_watch.Millis();
     synth_span.Close();
     online_cad_ms_ += synth_ms;
@@ -296,7 +300,7 @@ class OnlinePartitioner final : public mips::RunObserver {
 
     const double projected =
         partition::ProjectedIterationSpeedup(platform_, sw_cpi, model);
-    if (projected < options_.policy.min_kernel_speedup) {
+    if (projected < 1.0) {
       char text[64];
       std::snprintf(text, sizeof text, "%.2f", projected);
       Reject(header, std::string("not profitable in hardware (projected ") +
@@ -310,7 +314,7 @@ class OnlinePartitioner final : public mips::RunObserver {
       if (mapped_[i].evicted) continue;
       const bool contained = mapped_[i].lo >= lo && mapped_[i].hi <= hi;
       const bool disjoint = mapped_[i].hi <= lo || mapped_[i].lo >= hi;
-      if (contained && options_.policy.allow_upgrade) {
+      if (contained) {
         subsumed.push_back(i);
       } else if (!disjoint) {
         Reject(header,
@@ -350,8 +354,8 @@ class OnlinePartitioner final : public mips::RunObserver {
                   kernel.area.total_gates
             : 0.0;
     const auto eviction_plan = partition::PlanEviction(
-        options_.policy, std::move(active), platform_.fpga.budget_gates(),
-        area_used, kernel.area.total_gates, candidate_density);
+        std::move(active), platform_.fpga.budget_gates(), area_used,
+        kernel.area.total_gates, candidate_density);
     if (!eviction_plan.has_value()) {
       Reject(header, "area constraint violated");
       return;
@@ -435,8 +439,7 @@ Result<DynamicRun> DynamicPartitioner::Run(
   Check(binary != nullptr, "DynamicPartitioner: null binary");
   auto manager = decomp::PassManager::FromSpec(options_.pipeline);
   if (!manager.ok()) return manager.status();
-  const decomp::PassManager pipeline =
-      std::move(manager).take().SetVerify(options_.verify_ir);
+  const decomp::PassManager pipeline = std::move(manager).take();
 
   mips::Simulator sim(*binary, platform_.cpu.cycle_model);
   OnlinePartitioner online(binary, platform_, options_, pipeline);

@@ -37,16 +37,15 @@
 #include "partition/estimate.hpp"
 #include "partition/platform.hpp"
 #include "support/error.hpp"
-#include "synth/synth.hpp"
 
 namespace b2h::dynamic {
 
+/// Region lifts run the `pipeline` spec with IR verification on, and
+/// regions synthesize with the default SynthOptions, as in the static flow.
 struct DynamicOptions {
   partition::DynamicPolicy policy;
   std::string pipeline = "default";   ///< PassManager spec for region lifts
-  synth::SynthOptions synth;
   std::uint64_t max_instructions = 200'000'000;
-  bool verify_ir = true;
 };
 
 /// One kernel swap-in, time-stamped in *simulated* time.  The host

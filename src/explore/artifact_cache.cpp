@@ -341,28 +341,6 @@ std::string HashPlatform(const partition::Platform& platform) {
   return hasher.Hex();
 }
 
-std::string HashPartitionOptions(const partition::PartitionOptions& options) {
-  ContentHasher hasher;
-  hasher.F64(options.coverage_target)
-      .U64(options.enable_alias_step ? 1 : 0)
-      .U64(options.enable_greedy_step ? 1 : 0);
-  const auto& schedule = options.synth.schedule;
-  hasher.F64(schedule.clock_ns)
-      .U64(schedule.mem_ports)
-      .U64(schedule.max_mults)
-      .U64(schedule.max_divs)
-      .U64(schedule.enable_pipelining ? 1 : 0)
-      .U64(schedule.enable_chaining ? 1 : 0);
-  const auto& library = options.synth.library;
-  hasher.F64(library.gates_per_lut)
-      .F64(library.gates_per_ff)
-      .F64(library.gates_per_mult18)
-      .F64(library.add_base_ns)
-      .F64(library.mul_ns);
-  hasher.U64(options.synth.emit_vhdl ? 1 : 0);
-  return hasher.Hex();
-}
-
 // ------------------------------------------------ artifact (de)serialization
 
 std::string EncodeDecompileArtifact(const DecompileArtifact& artifact) {

@@ -82,9 +82,6 @@ class ContentHasher {
 [[nodiscard]] std::string HashBinary(const mips::SoftBinary& binary);
 /// Content hash of every numeric field of a platform model.
 [[nodiscard]] std::string HashPlatform(const partition::Platform& platform);
-/// Content hash of partitioning + synthesis options that affect results.
-[[nodiscard]] std::string HashPartitionOptions(
-    const partition::PartitionOptions& options);
 
 /// Profiling run + decompiled program for one (binary, cycle model,
 /// pipeline) key.  `program == nullptr` with an ok status marks a
@@ -185,11 +182,10 @@ class ArtifactCache {
   [[nodiscard]] DiskStore* disk() { return disk_ ? disk_.get() : nullptr; }
   [[nodiscard]] bool disk_enabled() const { return disk_ != nullptr; }
 
-  /// Pool of pre-scanned candidate sets keyed on (decompile key,
-  /// partition-options hash); lives beside the artifact tiers so every
-  /// tenant of a shared cache — all points of a sweep, all requests of a
-  /// serve daemon — also shares candidate scans and synthesis memos.
-  /// Never null.
+  /// Pool of pre-scanned candidate sets keyed on the decompile key; lives
+  /// beside the artifact tiers so every tenant of a shared cache — all
+  /// points of a sweep, all requests of a serve daemon — also shares
+  /// candidate scans and synthesis memos.  Never null.
   [[nodiscard]] const std::shared_ptr<partition::CandidateSetPool>&
   candidate_pool() const {
     return candidate_pool_;

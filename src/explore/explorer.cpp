@@ -20,7 +20,7 @@ namespace {
 std::string DecompKey(const std::string& binary_hash,
                       const std::string& pipeline,
                       const mips::CycleModel& model,
-                      std::uint64_t max_instructions, bool verify) {
+                      std::uint64_t max_instructions) {
   ContentHasher hasher;
   hasher.Str("decompile")
       .Str(binary_hash)
@@ -30,14 +30,12 @@ std::string DecompKey(const std::string& binary_hash,
       .U64(model.mult_extra)
       .U64(model.div_extra)
       .U64(model.taken_extra)
-      .U64(max_instructions)
-      .U64(verify ? 1 : 0);
+      .U64(max_instructions);
   return hasher.Hex();
 }
 
 std::string PartitionKey(const std::string& decomp_key,
                          const std::string& platform_hash,
-                         const std::string& options_hash,
                          std::string_view strategy,
                          std::string_view objective,
                          std::string_view options_fingerprint) {
@@ -45,7 +43,6 @@ std::string PartitionKey(const std::string& decomp_key,
   hasher.Str("partition")
       .Str(decomp_key)
       .Str(platform_hash)
-      .Str(options_hash)
       .Str(strategy)
       .Str(objective)
       .Str(options_fingerprint);
@@ -133,8 +130,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     for (ExplorePoint& point : out.points) point.status = manager.status();
     return out;
   }
-  const decomp::PassManager pipeline =
-      std::move(manager).take().SetVerify(config_.verify_ir);
+  const decomp::PassManager pipeline = std::move(manager).take();
 
   // Resolve every sweep axis up front.
   std::vector<std::optional<partition::Platform>> platforms;
@@ -158,7 +154,9 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
       binary_hashes[b] = HashBinary(*spec.binaries[b].binary);
     }
   }
-  const std::string options_hash = HashPartitionOptions(config_.partition);
+  // Strategies run with the default synthesis setup: the partition key
+  // and the candidate pool key leave the options out.
+  const partition::PartitionOptions partition_options;
 
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
@@ -221,7 +219,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
       const std::string key =
           DecompKey(binary_hashes[b], config_.pipeline,
                     platforms[p]->cpu.cycle_model,
-                    config_.max_sim_instructions, config_.verify_ir);
+                    config_.max_sim_instructions);
       pair_decomp_key[b * out.num_platforms + p] = key;
       decomp_key_binary.emplace(key, b);
       if (decomp_done.count(key) != 0 || decomp_failed.count(key) != 0) {
@@ -396,8 +394,8 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
                   ? partition::ObjectiveName(spec.objectives[o])
                   : "objective-insensitive";
           const std::string key = PartitionKey(
-              decomp_key, platform_hashes[p], options_hash,
-              spec.strategies[s], objective_key,
+              decomp_key, platform_hashes[p], spec.strategies[s],
+              objective_key,
               strategies[s]->OptionsFingerprint(spec.strategy_options));
           point_keys[point_index(b, p, s, o)] = key;
           if (partition_queued.count(key) != 0 ||
@@ -533,15 +531,15 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
           const auto& base = decomp_done.at(decomp_key);
           partition::StrategyOptions strategy_options = spec.strategy_options;
           strategy_options.objective = job.objective;
-          // Every job on the same (program, partition options) pair shares
-          // one pooled CandidateSet, so a strategy/objective/seed sweep
-          // scans once and synthesizes each candidate once total.
+          // Every job on the same program shares one pooled CandidateSet,
+          // so a strategy/objective/seed sweep scans once and synthesizes
+          // each candidate once total.
           {
             obs::ScopedSpan synth_span("explore.synth", "partition");
             synth_span.Arg("binary", spec.binaries[job.binary].name);
             const obs::Stopwatch synth_watch;
             strategy_options.candidates = cache_->candidate_pool()->Obtain(
-                decomp_key + ":" + options_hash, base->program,
+                decomp_key, base->program,
                 base->software_run->profile);
             partition_job_synth_ms[index] = synth_watch.Millis();
           }
@@ -551,7 +549,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
           const obs::Stopwatch watch;
           auto partitioned = strategies[job.strategy]->Partition(
               *base->program, base->software_run->profile,
-              *platforms[job.platform], config_.partition, strategy_options);
+              *platforms[job.platform], partition_options, strategy_options);
           partitions.fetch_add(1);
           partition_job_ms[index] = watch.Millis();
           if (!partitioned.ok()) {

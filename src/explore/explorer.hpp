@@ -7,7 +7,7 @@
 // Layering: the Explorer is built from the pass manager, the platform and
 // strategy registries, a thread-pool fan-out and the content-addressed
 // ArtifactCache.  It is the one flow path: the Toolchain facade exposes it
-// as Toolchain::Explore(ExploreSpec), and Toolchain::Run/RunOn/RunMany are
+// as Toolchain::Explore(ExploreSpec), and Toolchain::RunOn/RunMany are
 // paper-greedy views of it (toolchain/toolchain.hpp).
 //
 // Determinism contract (asserted by tests): Report() is bit-identical
@@ -187,10 +187,8 @@ struct ExploreResult {
 
 struct ExplorerConfig {
   std::string pipeline = "default";
-  partition::PartitionOptions partition;
   std::uint64_t max_sim_instructions = 200'000'000;
   unsigned threads = 0;  ///< 0 = hardware concurrency, 1 = serial
-  bool verify_ir = true;
 };
 
 class Explorer {

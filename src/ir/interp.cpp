@@ -9,8 +9,7 @@
 namespace b2h::ir {
 namespace {
 
-/// MIPS register numbers the call convention uses (kept numeric here so the
-/// IR library does not depend on the mips library).
+/// MIPS register numbers the call convention uses.
 constexpr std::uint16_t kRegA0 = 4;
 constexpr std::uint16_t kRegSp = 29;
 
@@ -19,21 +18,13 @@ constexpr std::uint16_t kRegSp = 29;
 Interpreter::Interpreter(const Module& module,
                          std::span<const std::uint8_t> initial_data,
                          InterpOptions options)
-    : module_(module), options_(options) {
-  data_mem_.assign(options_.data_size, 0);
-  if (!initial_data.empty()) {
-    std::memcpy(data_mem_.data(), initial_data.data(),
-                std::min<std::size_t>(initial_data.size(), data_mem_.size()));
-  }
-  stack_mem_.assign(options_.stack_size, 0);
-}
+    : module_(module), options_(options), memory_(initial_data) {}
 
 std::uint32_t Interpreter::PeekWord(std::uint32_t addr) const {
-  Check(addr >= options_.data_base &&
-            addr + 4 <= options_.data_base + data_mem_.size(),
-        "Interpreter::PeekWord outside data");
+  const std::uint8_t* p = memory_.At(addr, 4);
+  Check(p != nullptr, "Interpreter::PeekWord outside memory");
   std::uint32_t value;
-  std::memcpy(&value, data_mem_.data() + (addr - options_.data_base), 4);
+  std::memcpy(&value, p, 4);
   return value;
 }
 
@@ -43,19 +34,6 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
     result.error = "module has no main";
     return result;
   }
-
-  const auto mem_ptr = [this](std::uint32_t addr,
-                              unsigned size) -> std::uint8_t* {
-    if (addr >= options_.data_base &&
-        addr + size <= options_.data_base + data_mem_.size()) {
-      return data_mem_.data() + (addr - options_.data_base);
-    }
-    const std::uint32_t stack_base = options_.stack_top - options_.stack_size;
-    if (addr >= stack_base && addr + size <= options_.stack_top) {
-      return stack_mem_.data() + (addr - stack_base);
-    }
-    return nullptr;
-  };
 
   // Explicit call stack (recursion depth bounded only by memory).
   struct Activation {
@@ -82,7 +60,7 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
   for (std::size_t i = 0; i < args.size() && i < 4; ++i) {
     main_inputs[i] = args[i];
   }
-  main_inputs[4] = static_cast<std::int32_t>(options_.stack_top - 64);
+  main_inputs[4] = static_cast<std::int32_t>(mips::kStackTop - 64);
   enter(module_.main, main_inputs);
 
   std::int32_t last_return = 0;
@@ -211,7 +189,7 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
       case Opcode::kLoad: {
         const std::uint32_t addr = uoperand(0);
         const unsigned size = in->mem_bytes;
-        const std::uint8_t* p = mem_ptr(addr, size);
+        const std::uint8_t* p = memory_.At(addr, size);
         if (p == nullptr || (addr & (size - 1)) != 0) {
           result.error = "interp: bad load address";
           return result;
@@ -230,7 +208,7 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
         const std::uint32_t addr = uoperand(0);
         const std::uint32_t value = uoperand(1);
         const unsigned size = in->mem_bytes;
-        std::uint8_t* p = mem_ptr(addr, size);
+        std::uint8_t* p = memory_.At(addr, size);
         if (p == nullptr || (addr & (size - 1)) != 0) {
           result.error = "interp: bad store address";
           return result;

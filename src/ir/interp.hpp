@@ -16,17 +16,14 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <string>
 
 #include "ir/ir.hpp"
+#include "mips/memory.hpp"
 
 namespace b2h::ir {
 
 struct InterpOptions {
-  std::uint32_t data_base = 0x1000'0000u;
-  std::uint32_t stack_top = 0x7FFF'F000u;
-  std::uint32_t stack_size = 1u << 16;
-  std::uint32_t data_size = 1u << 20;
   std::uint64_t max_steps = 200'000'000;
 };
 
@@ -38,6 +35,9 @@ struct InterpResult {
   std::string error;
 };
 
+/// Runs over the MIPS platform's memory (mips/memory.hpp): `initial_data`
+/// is the binary's .data image, and main's stack pointer starts just below
+/// mips::kStackTop, as the simulator's does.
 class Interpreter {
  public:
   Interpreter(const Module& module, std::span<const std::uint8_t> initial_data,
@@ -51,8 +51,7 @@ class Interpreter {
  private:
   const Module& module_;
   InterpOptions options_;
-  std::vector<std::uint8_t> data_mem_;
-  std::vector<std::uint8_t> stack_mem_;
+  mips::Memory memory_;
 };
 
 }  // namespace b2h::ir

@@ -18,7 +18,9 @@ namespace b2h::mips {
 /// Memory layout constants of the hypothetical platform.
 inline constexpr std::uint32_t kTextBase = 0x0040'0000u;
 inline constexpr std::uint32_t kDataBase = 0x1000'0000u;
+inline constexpr std::uint32_t kDataSegmentSize = 1u << 20;  // 1 MiB
 inline constexpr std::uint32_t kStackTop = 0x7FFF'F000u;
+inline constexpr std::uint32_t kStackSize = 1u << 16;  // 64 KiB below kStackTop
 /// Return-address sentinel: when the PC reaches this address the program has
 /// returned from its entry function and the simulator halts.
 inline constexpr std::uint32_t kHaltAddress = 0xDEAD'0000u;

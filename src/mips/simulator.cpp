@@ -33,39 +33,7 @@ Simulator::Simulator(const SoftBinary& binary, CycleModel model,
       model_(model),
       engine_(engine),
       pre_(SharedBlockCache::Global().Obtain(binary, model)),
-      data_mem_(kDataSegmentSize, 0),
-      stack_mem_(kStackSize, 0) {
-  if (!binary.data.empty()) {
-    std::memcpy(data_mem_.data(), binary.data.data(),
-                std::min<std::size_t>(binary.data.size(), data_mem_.size()));
-  }
-}
-
-const std::uint8_t* Simulator::MemPtr(std::uint32_t addr,
-                                      unsigned size) const {
-  return const_cast<Simulator*>(this)->MemPtr(addr, size);
-}
-
-std::uint8_t* Simulator::MemPtr(std::uint32_t addr, unsigned size) {
-  // End-exclusive, wrap-safe bounds: `addr + size` overflows 32 bits for
-  // addr near UINT32_MAX and would pass a naive `addr + size <= end` check,
-  // so compare the offset into the segment against the segment size
-  // instead — neither subtraction can wrap once `addr >= base` holds.
-  if (addr >= kDataBase) {
-    const std::uint32_t offset = addr - kDataBase;
-    if (offset < data_mem_.size() && size <= data_mem_.size() - offset) {
-      return data_mem_.data() + offset;
-    }
-  }
-  const std::uint32_t stack_base = kStackTop - kStackSize;
-  if (addr >= stack_base) {
-    const std::uint32_t offset = addr - stack_base;
-    if (offset < kStackSize && size <= kStackSize - offset) {
-      return stack_mem_.data() + offset;
-    }
-  }
-  return nullptr;
-}
+      memory_(binary.data) {}
 
 std::uint32_t Simulator::PeekWord(std::uint32_t addr) const {
   const std::uint8_t* p = MemPtr(addr, 4);

@@ -46,6 +46,7 @@
 #include "mips/binary.hpp"
 #include "mips/block_cache.hpp"
 #include "mips/isa.hpp"
+#include "mips/memory.hpp"
 #include "mips/shared_cache.hpp"
 
 namespace b2h::mips {
@@ -150,8 +151,6 @@ class Simulator {
   [[nodiscard]] std::uint32_t PeekWord(std::uint32_t addr) const;
   void PokeWord(std::uint32_t addr, std::uint32_t value);
 
-  static constexpr std::uint32_t kDataSegmentSize = 1u << 20;  // 1 MiB
-  static constexpr std::uint32_t kStackSize = 1u << 16;        // 64 KiB
   /// Latch events buffered per observer callback (see RunObserver).
   static constexpr std::size_t kBranchBatch = 128;
   /// A partial batch is flushed once this many instructions have elapsed
@@ -186,8 +185,12 @@ class Simulator {
                                         RunObserver* observer);
 
   [[nodiscard]] const std::uint8_t* MemPtr(std::uint32_t addr,
-                                           unsigned size) const;
-  [[nodiscard]] std::uint8_t* MemPtr(std::uint32_t addr, unsigned size);
+                                           unsigned size) const {
+    return memory_.At(addr, size);
+  }
+  [[nodiscard]] std::uint8_t* MemPtr(std::uint32_t addr, unsigned size) {
+    return memory_.At(addr, size);
+  }
 
   /// The engine bodies build their RunResult from this: whatever storage
   /// the recycling Run() overload parked in `recycle_` (empty otherwise),
@@ -220,8 +223,7 @@ class Simulator {
   /// and the superblock trace tables (trace run loop).  One per process per
   /// (text, cycle model) — see SharedBlockCache.
   std::shared_ptr<const PredecodedProgram> pre_;
-  std::vector<std::uint8_t> data_mem_;
-  std::vector<std::uint8_t> stack_mem_;
+  Memory memory_;
 };
 
 }  // namespace b2h::mips

@@ -421,7 +421,7 @@ std::vector<std::size_t> GreedyChosenSubset(const CandidateSet& set,
                                             const Platform& platform,
                                             const PartitionOptions& options) {
   SelectionState greedy(set, platform, options);
-  PaperGreedySelect(set, greedy, options);
+  PaperGreedySelect(set, greedy);
   std::vector<std::size_t> chosen = greedy.chosen();
   std::sort(chosen.begin(), chosen.end());
   return chosen;

@@ -100,10 +100,10 @@ class CandidateSet {
 
   /// Memoized synthesis of candidate `id`: the first call synthesizes, later
   /// calls return the cached result (synthesis is deterministic, so the
-  /// memo ignores `options` after the first call — sets shared through a
-  /// CandidateSetPool are keyed on the partition-options hash to keep that
-  /// sound).  Thread-safe: concurrent strategy invocations on a shared set
-  /// serialize per call but compute each candidate exactly once.
+  /// memo ignores `options` after the first call — every caller of a set
+  /// shared through a CandidateSetPool passes the default options, which
+  /// keeps that sound).  Thread-safe: concurrent strategy invocations on a
+  /// shared set serialize per call but compute each candidate exactly once.
   [[nodiscard]] const Result<synth::SynthesizedRegion>& Synthesize(
       std::size_t id, const synth::SynthOptions& options) const;
 
@@ -171,11 +171,11 @@ class CandidateSet {
     const decomp::DecompiledProgram& program, const mips::ExecProfile& profile,
     std::shared_ptr<const CandidateSet> shared);
 
-/// Process-lifetime pool of CandidateSets keyed by (decompile artifact key,
-/// partition-options hash).  Entries pin the decompiled program they point
-/// into; a key is only served when the caller presents the SAME program
-/// instance (a rehydrated program is a different instance and rebuilds the
-/// entry), so pooled candidates can never dangle into a replaced program.
+/// Process-lifetime pool of CandidateSets keyed by decompile artifact key.
+/// Entries pin the decompiled program they point into; a key is only served
+/// when the caller presents the SAME program instance (a rehydrated program
+/// is a different instance and rebuilds the entry), so pooled candidates can
+/// never dangle into a replaced program.
 /// Bounded LRU so a long-lived server cannot accumulate unbounded IR.
 class CandidateSetPool {
  public:
@@ -271,8 +271,7 @@ class SelectionState {
 /// The paper's three selection steps (frequency, alias, greedy fill) run
 /// against a SelectionState.  Defined with the paper-greedy strategy;
 /// search strategies reuse it to seed their incumbent/start subset.
-void PaperGreedySelect(const CandidateSet& set, SelectionState& state,
-                       const PartitionOptions& options);
+void PaperGreedySelect(const CandidateSet& set, SelectionState& state);
 
 /// The greedy subset as a sorted id list (runs PaperGreedySelect on a
 /// scratch state) — the incumbent/start point of the search strategies.

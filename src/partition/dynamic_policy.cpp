@@ -100,14 +100,13 @@ KernelEstimate PriceDynamicKernel(std::string name, const Platform& platform,
 }
 
 std::optional<std::vector<std::size_t>> PlanEviction(
-    const DynamicPolicy& policy, std::vector<ActiveKernel> active,
-    double area_budget_gates, double area_used_gates, double candidate_gates,
+    std::vector<ActiveKernel> active, double area_budget_gates,
+    double area_used_gates, double candidate_gates,
     double candidate_value_density) {
   if (candidate_gates > area_budget_gates) return std::nullopt;
   if (area_used_gates + candidate_gates <= area_budget_gates) {
     return std::vector<std::size_t>{};
   }
-  if (!policy.allow_eviction) return std::nullopt;
 
   std::sort(active.begin(), active.end(),
             [](const ActiveKernel& a, const ActiveKernel& b) {

@@ -20,24 +20,19 @@
 
 namespace b2h::partition {
 
-/// Tunables of the online detector + swap-in decision.
+/// Tunables of the online detector + swap-in decision.  The rest of the
+/// policy is fixed, as in an on-chip partitioner: a 64-entry detector, a
+/// candidate is swapped in only when its projected per-iteration speedup
+/// is at least 1.0, lower-value kernels are evicted to make room for a
+/// higher-value newcomer (PlanEviction), and a mapped kernel is replaced
+/// when a loop strictly containing it becomes hot and profitable, which
+/// converges toward the static outer-nest choice.
 struct DynamicPolicy {
   /// Taken backward branches observed on one header before it is hot.
   /// Warp-style runtimes use thousands; the default suits this repo's
   /// miniature benchmark runs (tens of thousands of instructions) so that
   /// outer loops — the profitable nests — still cross it mid-run.
   std::uint64_t hot_threshold = 100;
-  /// Detector cache entries (rounded up to a power of two).
-  std::size_t detector_entries = 64;
-  /// Projected per-iteration hardware speedup a candidate must clear before
-  /// being swapped in (1.0 = merely profitable).
-  double min_kernel_speedup = 1.0;
-  /// Evict lower-value kernels to make room for a higher-value newcomer
-  /// when the FPGA area budget is exhausted.
-  bool allow_eviction = true;
-  /// Replace a mapped kernel when a loop strictly containing it becomes hot
-  /// and profitable (converges toward the static outer-nest choice).
-  bool allow_upgrade = true;
   /// Simulated-time model of the online CAD work (incremental decompile +
   /// synthesis): how many *simulated CPU cycles* one host wall-clock
   /// millisecond of CAD corresponds to.  The default models CAD running
@@ -104,8 +99,8 @@ struct ActiveKernel {
 /// candidate.  Returns the ids to evict (possibly empty when the candidate
 /// already fits), or nullopt when the candidate should be rejected.
 [[nodiscard]] std::optional<std::vector<std::size_t>> PlanEviction(
-    const DynamicPolicy& policy, std::vector<ActiveKernel> active,
-    double area_budget_gates, double area_used_gates, double candidate_gates,
+    std::vector<ActiveKernel> active, double area_budget_gates,
+    double area_used_gates, double candidate_gates,
     double candidate_value_density);
 
 }  // namespace b2h::partition

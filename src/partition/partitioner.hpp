@@ -29,11 +29,10 @@
 
 namespace b2h::partition {
 
+/// Synthesis setup every strategy hands to the CandidateSet memo.  The
+/// three steps and the 90-10 coverage target are fixed (strategy_greedy.cpp).
 struct PartitionOptions {
-  double coverage_target = 0.90;  ///< the 90-10 rule
   synth::SynthOptions synth;
-  bool enable_alias_step = true;   ///< step 2
-  bool enable_greedy_step = true;  ///< step 3
 };
 
 enum class SelectedBy : std::uint8_t {

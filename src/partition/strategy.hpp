@@ -8,11 +8,10 @@
 // backends:
 //
 //   "paper-greedy"     — the paper's three-step heuristic (partitioner.hpp);
-//                        the strategy behind Toolchain::Run/RunOn/RunMany.
+//                        the strategy behind Toolchain::RunOn/RunMany.
 //   "knapsack-optimal" — branch-and-bound over the candidate regions under
 //                        the gate budget; exact on the suite's candidate
-//                        counts (falls back to the top
-//                        StrategyOptions::exact_candidate_cap candidates on
+//                        counts (falls back to the top 20 candidates on
 //                        pathological inputs, and never returns a selection
 //                        worse than paper-greedy: the greedy solution seeds
 //                        the incumbent).
@@ -63,12 +62,9 @@ struct StrategyOptions {
   /// once its best subset provably cannot improve, with the result the
   /// whole budget gives.
   unsigned annealing_iterations = 2000;
-  /// Candidate-count ceiling for the exact search; above it the knapsack
-  /// strategy keeps the highest-cycle candidates only (noted in `rejected`).
-  std::size_t exact_candidate_cap = 20;
   /// Pre-scanned candidate machinery for the (program, profile) pair this
   /// call partitions, normally served from a CandidateSetPool keyed on the
-  /// decompile artifact + partition-options hash.  Strategies sharing one
+  /// decompile artifact.  Strategies sharing one
   /// set share its synthesis memo, so e.g. an annealing seed sweep
   /// synthesizes each candidate once total.  Null = scan fresh.  NOT part
   /// of any artifact key or OptionsFingerprint: it changes where work
@@ -88,7 +84,7 @@ class Strategy {
   [[nodiscard]] virtual bool objective_sensitive() const { return true; }
 
   /// Fingerprint of the StrategyOptions fields this strategy consumes
-  /// *beyond* the objective (seed, iteration counts, search caps, ...).
+  /// *beyond* the objective (seed, iteration counts, ...).
   /// Cached sweep artifacts are keyed on it, so knobs a strategy ignores —
   /// e.g. changing the annealing seed — never invalidate its entries.
   [[nodiscard]] virtual std::string OptionsFingerprint(

@@ -11,9 +11,15 @@
 #include "partition/strategy.hpp"
 
 namespace b2h::partition {
+namespace {
 
-void PaperGreedySelect(const CandidateSet& set, SelectionState& state,
-                       const PartitionOptions& options) {
+/// Step 1 stops once the selected loops cover this share of the loop
+/// cycles: the paper's 90-10 rule.
+constexpr double kCoverageTarget = 0.90;
+
+}  // namespace
+
+void PaperGreedySelect(const CandidateSet& set, SelectionState& state) {
   const std::vector<Candidate>& candidates = set.candidates();
 
   // ---- Step 1: most frequent loops up to the coverage target -------------
@@ -21,8 +27,7 @@ void PaperGreedySelect(const CandidateSet& set, SelectionState& state,
   for (std::size_t id = 0; id < candidates.size(); ++id) {
     if (set.loop_cycles_total() == 0) break;
     if (static_cast<double>(covered) >=
-        options.coverage_target *
-            static_cast<double>(set.loop_cycles_total())) {
+        kCoverageTarget * static_cast<double>(set.loop_cycles_total())) {
       break;
     }
     if (candidates[id].sw_cycles == 0) break;
@@ -32,38 +37,34 @@ void PaperGreedySelect(const CandidateSet& set, SelectionState& state,
   }
 
   // ---- Step 2: alias-connected regions -----------------------------------
-  if (options.enable_alias_step) {
-    // Arrays touched by the current hardware partition.
-    std::set<std::pair<const ir::Function*, int>> hw_arrays;
-    for (std::size_t id : state.chosen()) {
-      for (int region : candidates[id].alias_regions) {
-        hw_arrays.insert({candidates[id].function, region});
-      }
+  // Arrays touched by the current hardware partition.
+  std::set<std::pair<const ir::Function*, int>> hw_arrays;
+  for (std::size_t id : state.chosen()) {
+    for (int region : candidates[id].alias_regions) {
+      hw_arrays.insert({candidates[id].function, region});
     }
-    for (std::size_t id = 0; id < candidates.size(); ++id) {
-      if (state.selected(id)) continue;
-      bool shares = false;
-      for (int region : candidates[id].alias_regions) {
-        if (hw_arrays.count({candidates[id].function, region}) != 0) {
-          shares = true;
-          break;
-        }
-      }
-      if (shares) {
-        if (state.TrySelect(id, SelectedBy::kAlias)) {
-          // All kernels touching these arrays can now keep them resident.
-        }
-      }
-    }
-    state.ComputeResidency();
   }
+  for (std::size_t id = 0; id < candidates.size(); ++id) {
+    if (state.selected(id)) continue;
+    bool shares = false;
+    for (int region : candidates[id].alias_regions) {
+      if (hw_arrays.count({candidates[id].function, region}) != 0) {
+        shares = true;
+        break;
+      }
+    }
+    if (shares) {
+      if (state.TrySelect(id, SelectedBy::kAlias)) {
+        // All kernels touching these arrays can now keep them resident.
+      }
+    }
+  }
+  state.ComputeResidency();
 
   // ---- Step 3: greedy fill until the area constraint ---------------------
-  if (options.enable_greedy_step) {
-    for (std::size_t id = 0; id < candidates.size(); ++id) {
-      if (state.selected(id) || candidates[id].sw_cycles == 0) continue;
-      (void)state.TrySelect(id, SelectedBy::kGreedy);
-    }
+  for (std::size_t id = 0; id < candidates.size(); ++id) {
+    if (state.selected(id) || candidates[id].sw_cycles == 0) continue;
+    (void)state.TrySelect(id, SelectedBy::kGreedy);
   }
 }
 
@@ -87,7 +88,7 @@ class PaperGreedyStrategy final : public Strategy {
         ObtainCandidates(program, profile, strategy_options.candidates);
     const CandidateSet& set = *shared;
     SelectionState state(set, platform, options);
-    PaperGreedySelect(set, state, options);
+    PaperGreedySelect(set, state);
     return state.Take();
   }
 };

@@ -10,9 +10,9 @@
 //
 //   * the paper-greedy solution seeds the incumbent, so the result is never
 //     worse than the heuristic it is being compared against;
-//   * inputs with more than StrategyOptions::exact_candidate_cap viable
-//     candidates are truncated to the highest-cycle ones (recorded in
-//     `rejected`) instead of exploding the search.
+//   * inputs with more than kExactCandidateCap viable candidates are
+//     truncated to the highest-cycle ones (recorded in `rejected`) instead
+//     of exploding the search.
 //
 // For the speedup objective the search prunes with an admissible bound
 // (best-case saved seconds ignore all communication costs); energy-style
@@ -27,6 +27,10 @@
 
 namespace b2h::partition {
 namespace {
+
+/// Candidate-count ceiling of the exact search with the speedup bound; the
+/// unbounded exhaustive walk of the other objectives stops at 16.
+constexpr std::size_t kExactCandidateCap = 20;
 
 class KnapsackStrategy final : public Strategy {
  public:
@@ -55,10 +59,7 @@ class KnapsackStrategy final : public Strategy {
     // input cannot explode the walk to 2^20 subset evaluations.
     const bool use_bound =
         strategy_options.objective == Objective::kSpeedup;
-    const std::size_t cap =
-        use_bound ? strategy_options.exact_candidate_cap
-                  : std::min<std::size_t>(strategy_options.exact_candidate_cap,
-                                          16);
+    const std::size_t cap = use_bound ? kExactCandidateCap : 16;
     std::vector<std::size_t> capped;
     if (viable.size() > cap) {
       capped.assign(viable.begin() + cap, viable.end());
@@ -147,11 +148,6 @@ class KnapsackStrategy final : public Strategy {
     return CommitSubset(set, platform, options, best, SelectedBy::kOptimal,
                         viable_set, "excluded by optimal selection",
                         std::move(cap_rejections));
-  }
-
-  [[nodiscard]] std::string OptionsFingerprint(
-      const StrategyOptions& options) const override {
-    return "cap=" + std::to_string(options.exact_candidate_cap);
   }
 };
 

@@ -11,25 +11,21 @@ namespace {
 
 using ir::Opcode;
 
+/// Cycle budget of one Run: a region that has not returned by then fails.
+constexpr std::uint64_t kMaxFsmCycles = 500'000'000;
+
 }  // namespace
 
 RtlSimulator::RtlSimulator(const HwRegion& region,
                            const RegionSchedule& schedule,
-                           std::span<const std::uint8_t> initial_data,
-                           RtlOptions options)
-    : region_(region), schedule_(schedule), options_(options) {
-  data_mem_.assign(options_.data_size, 0);
-  std::memcpy(data_mem_.data(), initial_data.data(),
-              std::min<std::size_t>(initial_data.size(), data_mem_.size()));
-  stack_mem_.assign(options_.stack_size, 0);
-}
+                           std::span<const std::uint8_t> initial_data)
+    : region_(region), schedule_(schedule), memory_(initial_data) {}
 
 std::uint32_t RtlSimulator::PeekWord(std::uint32_t addr) const {
-  Check(addr >= options_.data_base &&
-            addr + 4 <= options_.data_base + data_mem_.size(),
-        "RtlSimulator::PeekWord outside data");
+  const std::uint8_t* p = memory_.At(addr, 4);
+  Check(p != nullptr, "RtlSimulator::PeekWord outside memory");
   std::uint32_t value;
-  std::memcpy(&value, data_mem_.data() + (addr - options_.data_base), 4);
+  std::memcpy(&value, p, 4);
   return value;
 }
 
@@ -43,19 +39,6 @@ RtlResult RtlSimulator::Run(
     return result;
   };
 
-  const auto mem_ptr = [this](std::uint32_t addr,
-                              unsigned size) -> std::uint8_t* {
-    if (addr >= options_.data_base &&
-        addr + size <= options_.data_base + data_mem_.size()) {
-      return data_mem_.data() + (addr - options_.data_base);
-    }
-    const std::uint32_t stack_base = options_.stack_top - options_.stack_size;
-    if (addr >= stack_base && addr + size <= options_.stack_top) {
-      return stack_mem_.data() + (addr - stack_base);
-    }
-    return nullptr;
-  };
-
   // Register file: values produced by instructions.  Availability tracking
   // enforces schedule legality during execution.
   std::unordered_map<const ir::Instr*, std::int32_t> values;
@@ -65,7 +48,7 @@ RtlResult RtlSimulator::Run(
   const ir::Block* prev_block = nullptr;
 
   while (true) {
-    if (result.fsm_cycles >= options_.max_cycles) {
+    if (result.fsm_cycles >= kMaxFsmCycles) {
       return fail("rtl: cycle budget exhausted");
     }
     const BlockSchedule* bs = schedule_.ForBlock(block);
@@ -224,7 +207,7 @@ RtlResult RtlSimulator::Run(
           break;
         case Opcode::kLoad: {
           const unsigned size = instr->mem_bytes;
-          std::uint8_t* p = mem_ptr(ua, size);
+          std::uint8_t* p = memory_.At(ua, size);
           if (p == nullptr || (ua & (size - 1)) != 0) {
             return fail("rtl: bad load address");
           }
@@ -240,7 +223,7 @@ RtlResult RtlSimulator::Run(
         }
         case Opcode::kStore: {
           const unsigned size = instr->mem_bytes;
-          std::uint8_t* p = mem_ptr(ua, size);
+          std::uint8_t* p = memory_.At(ua, size);
           if (p == nullptr || (ua & (size - 1)) != 0) {
             return fail("rtl: bad store address");
           }

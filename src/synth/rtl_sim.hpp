@@ -13,19 +13,11 @@
 #include <map>
 #include <span>
 #include <string>
-#include <vector>
 
+#include "mips/memory.hpp"
 #include "synth/schedule.hpp"
 
 namespace b2h::synth {
-
-struct RtlOptions {
-  std::uint32_t data_base = 0x1000'0000u;
-  std::uint32_t stack_top = 0x7FFF'F000u;
-  std::uint32_t stack_size = 1u << 16;
-  std::uint32_t data_size = 1u << 20;
-  std::uint64_t max_cycles = 500'000'000;
-};
 
 struct RtlResult {
   bool ok = false;
@@ -35,11 +27,12 @@ struct RtlResult {
   std::map<const ir::Instr*, std::int32_t> live_out_values;
 };
 
+/// Runs over the MIPS platform's memory (mips/memory.hpp), with
+/// `initial_data` as the binary's .data image.
 class RtlSimulator {
  public:
   RtlSimulator(const HwRegion& region, const RegionSchedule& schedule,
-               std::span<const std::uint8_t> initial_data,
-               RtlOptions options = {});
+               std::span<const std::uint8_t> initial_data);
 
   /// `live_in_values`: value for every live-in instruction (input ports);
   /// `inputs` additionally provides kInput registers for function regions
@@ -53,9 +46,7 @@ class RtlSimulator {
  private:
   const HwRegion& region_;
   const RegionSchedule& schedule_;
-  RtlOptions options_;
-  std::vector<std::uint8_t> data_mem_;
-  std::vector<std::uint8_t> stack_mem_;
+  mips::Memory memory_;
 };
 
 }  // namespace b2h::synth

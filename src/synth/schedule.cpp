@@ -9,6 +9,9 @@ namespace {
 
 using ir::Opcode;
 
+constexpr unsigned kMaxMults = 4;  ///< MULT18x18 budget per step
+constexpr unsigned kMaxDivs = 1;   ///< divider budget per step
+
 bool IsMemOp(const ir::Instr* instr) {
   return instr->op == Opcode::kLoad || instr->op == Opcode::kStore;
 }
@@ -130,12 +133,12 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
           chain_in = 0.0;
           continue;
         }
-        if (cls == FuClass::kMul && u.mul >= options.max_mults) {
+        if (cls == FuClass::kMul && u.mul >= kMaxMults) {
           ++step;
           chain_in = 0.0;
           continue;
         }
-        if (cls == FuClass::kDiv && u.div >= options.max_divs) {
+        if (cls == FuClass::kDiv && u.div >= kMaxDivs) {
           ++step;
           chain_in = 0.0;
           continue;
@@ -173,8 +176,7 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
   }
 
   // Loop pipelining for a single-block self-loop region.
-  if (options.enable_pipelining && region.loop != nullptr &&
-      region.loop->blocks.size() == 1) {
+  if (region.loop != nullptr && region.loop->blocks.size() == 1) {
     const ir::Block* body = region.loop->header;
     const BlockSchedule* bs = schedule.ForBlock(body);
     if (bs != nullptr) {
@@ -193,9 +195,7 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
       }
       unsigned ii = 1;
       ii = std::max(ii, (mem_ops + options.mem_ports - 1) / options.mem_ports);
-      ii = std::max(ii, options.max_mults == 0
-                            ? muls
-                            : (muls + options.max_mults - 1) / options.max_mults);
+      ii = std::max(ii, (muls + kMaxMults - 1) / kMaxMults);
       if (divs > 0) ii = std::max(ii, lib.div_latency_cycles);
 
       // Recurrence II: longest latency cycle phi -> ... -> latch operand.
@@ -319,8 +319,8 @@ Status VerifySchedule(const HwRegion& region, const RegionSchedule& schedule,
       }
     }
     for (const auto& [step, u] : usage) {
-      if (u.mem > options.mem_ports || u.mul > options.max_mults ||
-          u.div > options.max_divs) {
+      if (u.mem > options.mem_ports || u.mul > kMaxMults ||
+          u.div > kMaxDivs) {
         return Status::Error(ErrorKind::kResource,
                              "resource overuse in " + region.name);
       }

@@ -18,12 +18,11 @@
 
 namespace b2h::synth {
 
+/// Per step the scheduler also issues at most four multiplies (the
+/// MULT18x18 budget) and one divide.
 struct ScheduleOptions {
   double clock_ns = 10.0;   ///< target period (100 MHz)
   unsigned mem_ports = 2;   ///< dual-port BRAM
-  unsigned max_mults = 4;   ///< MULT18x18 budget per step
-  unsigned max_divs = 1;
-  bool enable_pipelining = true;
   bool enable_chaining = true;
 };
 

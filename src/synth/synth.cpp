@@ -21,7 +21,7 @@ Result<SynthesizedRegion> Synthesize(const HwRegion& region,
   out.area = EstimateArea(region, out.schedule, options.library);
   out.clock_mhz = AchievableClockMhz(out.schedule, options.schedule);
   out.hw_cycles = EstimateCycles(region, out.schedule);
-  if (options.emit_vhdl) out.vhdl = EmitVhdl(region, out.schedule);
+  out.vhdl = EmitVhdl(region, out.schedule);
   return out;
 }
 

@@ -20,7 +20,6 @@ namespace b2h::synth {
 struct SynthOptions {
   ScheduleOptions schedule;
   ResourceLibrary library;
-  bool emit_vhdl = true;
 };
 
 struct SynthesizedRegion {

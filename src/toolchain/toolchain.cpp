@@ -5,7 +5,6 @@
 
 #include "obs/obs.hpp"
 #include "support/json.hpp"
-#include "support/parallel_for.hpp"
 #include "support/schema.hpp"
 
 namespace b2h {
@@ -161,12 +160,6 @@ Toolchain& Toolchain::WithPipeline(std::string spec) {
   return *this;
 }
 
-Toolchain& Toolchain::WithPartitionOptions(
-    partition::PartitionOptions options) {
-  partition_options_ = std::move(options);
-  return *this;
-}
-
 Toolchain& Toolchain::WithMaxSimInstructions(std::uint64_t max_instructions) {
   max_sim_instructions_ = max_instructions;
   return *this;
@@ -177,23 +170,8 @@ Toolchain& Toolchain::WithThreads(unsigned threads) {
   return *this;
 }
 
-Toolchain& Toolchain::WithVerifyIr(bool verify) {
-  verify_ir_ = verify;
-  return *this;
-}
-
-Toolchain& Toolchain::WithPlatform(std::string registered_name) {
-  default_platform_name_ = std::move(registered_name);
-  return *this;
-}
-
 Toolchain& Toolchain::WithDynamicPolicy(partition::DynamicPolicy policy) {
   dynamic_policy_ = policy;
-  return *this;
-}
-
-Toolchain& Toolchain::WithDynamic(bool enabled) {
-  dynamic_enabled_ = enabled;
   return *this;
 }
 
@@ -207,10 +185,8 @@ Toolchain& Toolchain::WithArtifactCache(
 explore::ExplorerConfig Toolchain::Config() const {
   explore::ExplorerConfig config;
   config.pipeline = pipeline_spec_;
-  config.partition = partition_options_;
   config.max_sim_instructions = max_sim_instructions_;
   config.threads = threads_;
-  config.verify_ir = verify_ir_;
   return config;
 }
 
@@ -219,21 +195,12 @@ explore::ExploreResult Toolchain::Explore(
   return explore::Explorer(Config(), artifact_cache_).Run(spec);
 }
 
-dynamic::DynamicOptions Toolchain::DynamicConfig() const {
-  dynamic::DynamicOptions options;
-  options.policy = dynamic_policy_;
-  options.pipeline = pipeline_spec_;
-  options.synth = partition_options_.synth;
-  options.max_instructions = max_sim_instructions_;
-  options.verify_ir = verify_ir_;
-  return options;
-}
-
-BatchResult Toolchain::Sweep(std::vector<NamedBinary> binaries,
-                             std::vector<std::string> platform_names) const {
+BatchResult Toolchain::RunMany(
+    const std::vector<NamedBinary>& binaries,
+    const std::vector<std::string>& platform_names) const {
   explore::ExploreSpec spec;
-  spec.binaries = std::move(binaries);
-  spec.platforms = std::move(platform_names);
+  spec.binaries = binaries;
+  spec.platforms = platform_names;
   spec.strategies = {"paper-greedy"};
   spec.objectives = {partition::Objective::kSpeedup};
   // A null cache gives the sweep a private memory-only one, never
@@ -258,62 +225,13 @@ BatchResult Toolchain::Sweep(std::vector<NamedBinary> binaries,
   return batch;
 }
 
-Result<ToolchainRun> Toolchain::Run(
-    std::shared_ptr<const mips::SoftBinary> binary,
-    std::string binary_name) const {
-  return RunOn(default_platform_name_, std::move(binary),
-               std::move(binary_name));
-}
-
 Result<ToolchainRun> Toolchain::RunOn(
     std::string_view platform_name,
     std::shared_ptr<const mips::SoftBinary> binary,
     std::string binary_name) const {
-  BatchResult batch = Sweep({{std::move(binary_name), std::move(binary)}},
-                            {std::string(platform_name)});
+  BatchResult batch = RunMany({{std::move(binary_name), std::move(binary)}},
+                              {std::string(platform_name)});
   return std::move(batch.runs.front());
-}
-
-BatchResult Toolchain::RunMany(
-    const std::vector<NamedBinary>& binaries,
-    const std::vector<std::string>& platform_names) const {
-  BatchResult batch = Sweep(binaries, platform_names);
-  if (!dynamic_enabled_) return batch;
-  // Each ok pair gets its own simulator + detector, so the fan-out stays
-  // deterministic (parallel == serial).
-  support::ParallelFor(batch.runs.size(), threads_, [&](std::size_t index) {
-    Result<ToolchainRun>& slot = batch.runs[index];
-    if (!slot.ok()) return;
-    try {
-      auto dynamic_run = RunOnline(slot.value());
-      if (!dynamic_run.ok()) {
-        slot = dynamic_run.status();
-        return;
-      }
-      slot.value().dynamic_run = std::make_shared<const dynamic::DynamicRun>(
-          std::move(dynamic_run).take());
-    } catch (const std::exception& e) {
-      slot = Status::Error(ErrorKind::kUnsupported,
-                           std::string("internal error: ") + e.what());
-    }
-  });
-  return batch;
-}
-
-Result<dynamic::DynamicRun> Toolchain::RunOnline(
-    const ToolchainRun& run) const {
-  const auto platform = PlatformRegistry::Global().Find(run.platform_name);
-  Check(platform.has_value(), "Toolchain: platform vanished from registry");
-  dynamic::DynamicPartitioner online(*platform, DynamicConfig(),
-                                     run.platform_name);
-  return online.Run(run.binary, run.binary_name);
-}
-
-Result<DynamicToolchainRun> Toolchain::RunDynamic(
-    std::shared_ptr<const mips::SoftBinary> binary,
-    std::string binary_name) const {
-  return RunDynamicOn(default_platform_name_, std::move(binary),
-                      std::move(binary_name));
 }
 
 Result<DynamicToolchainRun> Toolchain::RunDynamicOn(
@@ -323,7 +241,15 @@ Result<DynamicToolchainRun> Toolchain::RunDynamicOn(
   auto static_run =
       RunOn(platform_name, std::move(binary), std::move(binary_name));
   if (!static_run.ok()) return static_run.status();
-  auto dynamic_run = RunOnline(static_run.value());
+  const ToolchainRun& oracle = static_run.value();
+  const auto platform = PlatformRegistry::Global().Find(oracle.platform_name);
+  Check(platform.has_value(), "Toolchain: platform vanished from registry");
+  dynamic::DynamicOptions options;
+  options.policy = dynamic_policy_;
+  options.pipeline = pipeline_spec_;
+  options.max_instructions = max_sim_instructions_;
+  dynamic::DynamicPartitioner online(*platform, options, oracle.platform_name);
+  auto dynamic_run = online.Run(oracle.binary, oracle.binary_name);
   if (!dynamic_run.ok()) return dynamic_run.status();
 
   DynamicToolchainRun run;

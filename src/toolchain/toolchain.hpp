@@ -4,16 +4,18 @@
 //   synthesize -> estimate
 //
 // There is one flow path: every entry point runs on the exploration engine
-// (explore::Explorer).  Run, RunOn and RunMany are views of a sweep over
-// the given binaries x platform names x {"paper-greedy"} x {kSpeedup};
-// each ok point becomes a ToolchainRun.  Explore exposes the full grid.
-// The Toolchain adds:
+// (explore::Explorer), and each flow has one call.  RunOn and RunMany are
+// views of a sweep over the given binaries x platform names x
+// {"paper-greedy"} x {kSpeedup}; each ok point becomes a ToolchainRun.
+// RunDynamicOn runs the online partitioner next to its static oracle.
+// Explore exposes the full grid.  The Toolchain adds:
 //
 //   * a named platform registry ("mips200-xc2v1000", "mips40", "mips400",
-//     plus custom registrations) so sweeps are spelled as name lists;
-//   * builder-style configuration (pipeline spec, partition options,
-//     simulation budget, thread count) shared across every run;
-//   * the online (dynamic) partitioner next to its static oracle.
+//     plus custom registrations) so every call names its platforms;
+//   * builder-style configuration (pipeline spec, simulation budget, thread
+//     count, online-partitioner policy, artifact cache, tracing) shared
+//     across every run.  Partitioning itself has no knobs: the paper's
+//     three steps, its 90-10 rule and one synthesis setup.
 //
 // Caching rationale: the decompiled, profile-annotated CDFG depends only on
 // the binary bytes and the CPU cycle model — not on clocks or FPGA
@@ -21,10 +23,11 @@
 // matches.  The paper's three registered platforms share the default
 // model, so a RunMany sweep over them decompiles each binary once.
 //
-// Run, RunOn and RunMany each use a private memory-only artifact cache.  A
-// disk-served PartitionArtifact has no IR, profile or schedule, so it could
-// not fill a ToolchainRun (Report() dereferences `program`).  Only Explore
-// reads and fills the Toolchain's own (optionally disk-backed) cache.
+// RunOn, RunMany and RunDynamicOn each use a private memory-only artifact
+// cache.  A disk-served PartitionArtifact has no IR, profile or schedule,
+// so it could not fill a ToolchainRun (Report() dereferences `program`).
+// Only Explore reads and fills the Toolchain's own (optionally disk-backed)
+// cache.
 #pragma once
 
 #include <cstdint>
@@ -59,9 +62,6 @@ struct ToolchainRun {
   std::shared_ptr<const decomp::DecompiledProgram> program;
   partition::PartitionResult partition;
   partition::AppEstimate estimate;
-  /// Filled by RunMany when WithDynamic(true): the online (runtime)
-  /// partitioning outcome for the same (binary, platform) pair.
-  std::shared_ptr<const dynamic::DynamicRun> dynamic_run;
 
   /// The view of one ok explore point: names, partition and estimate, plus
   /// the program and profiling run when the artifact carries them (not
@@ -82,7 +82,7 @@ struct ToolchainRun {
   [[nodiscard]] std::string Json() const;
 };
 
-/// Outcome of RunDynamic: the online run next to its static oracle.
+/// Outcome of RunDynamicOn: the online run next to its static oracle.
 struct DynamicToolchainRun {
   ToolchainRun static_run;          ///< ahead-of-time flow (the oracle)
   dynamic::DynamicRun dynamic_run;  ///< online flow on the same binary
@@ -123,24 +123,15 @@ class Toolchain {
 
   // ------------------------------------------------- builder configuration
   /// Decompilation pipeline spec (see PassManager::FromSpec).  Invalid
-  /// specs surface as an error from Run/RunMany, not here.
+  /// specs surface as an error from RunOn/RunMany, not here.
   Toolchain& WithPipeline(std::string spec);
-  Toolchain& WithPartitionOptions(partition::PartitionOptions options);
   Toolchain& WithMaxSimInstructions(std::uint64_t max_instructions);
   /// Worker threads for RunMany and Explore (0 = hardware concurrency,
   /// 1 = serial).
   Toolchain& WithThreads(unsigned threads);
-  Toolchain& WithVerifyIr(bool verify);
-  /// Default platform for Run and RunDynamic, by registered name.  A
-  /// custom platform is registered first (PlatformRegistry::Register).
-  Toolchain& WithPlatform(std::string registered_name);
-  /// Online-partitioning configuration for RunDynamic and for RunMany in
-  /// dynamic mode.  Pipeline spec, verify flag, and simulation budget are
-  /// inherited from the toolchain configuration.
+  /// Online-partitioning configuration for RunDynamicOn.  Pipeline spec
+  /// and simulation budget are inherited from the toolchain configuration.
   Toolchain& WithDynamicPolicy(partition::DynamicPolicy policy);
-  /// When enabled, RunMany additionally executes the online partitioner for
-  /// every (binary, platform) pair and attaches ToolchainRun::dynamic_run.
-  Toolchain& WithDynamic(bool enabled);
   /// Share an artifact cache between toolchains' Explore calls (by default
   /// every Toolchain owns a private cache that persists across them).
   Toolchain& WithArtifactCache(std::shared_ptr<explore::ArtifactCache> cache);
@@ -170,7 +161,8 @@ class Toolchain {
   }
   /// Hit/miss counters of the process-wide simulator pre-decode cache
   /// (mips/shared_cache.hpp): every Simulator this toolchain constructs —
-  /// Run, RunMany, explore sweeps — shares its superblock tables through it.
+  /// RunOn, RunMany, explore sweeps — shares its superblock tables through
+  /// it.
   [[nodiscard]] static mips::SharedBlockCache::Stats BlockCacheStats() {
     return mips::SharedBlockCache::Global().stats();
   }
@@ -180,12 +172,7 @@ class Toolchain {
   }
 
   // --------------------------------------------------------------- running
-  /// Single binary on the configured default platform.
-  [[nodiscard]] Result<ToolchainRun> Run(
-      std::shared_ptr<const mips::SoftBinary> binary,
-      std::string binary_name = "binary") const;
-
-  /// Single binary on a named registered platform.
+  /// Single binary on a named registered platform: RunMany with one slot.
   [[nodiscard]] Result<ToolchainRun> RunOn(
       std::string_view platform_name,
       std::shared_ptr<const mips::SoftBinary> binary,
@@ -196,21 +183,14 @@ class Toolchain {
   /// (binary bytes, cycle model); partitioning fans out on the thread pool.
   /// Per-run failures (null binaries, unknown platform names, faults, CDFG
   /// recovery) are reported in the corresponding slot, in that order of
-  /// precedence, without aborting the batch.  With WithDynamic(true) every
-  /// ok slot also gets its online run.
+  /// precedence, without aborting the batch.
   [[nodiscard]] BatchResult RunMany(
       const std::vector<NamedBinary>& binaries,
       const std::vector<std::string>& platform_names) const;
 
-  /// Dynamic front door: run the online partitioner on the configured
-  /// default platform AND the static oracle on the same binary, reporting
-  /// both plus their convergence.
-  [[nodiscard]] Result<DynamicToolchainRun> RunDynamic(
-      std::shared_ptr<const mips::SoftBinary> binary,
-      std::string binary_name = "binary") const;
-
   /// Dynamic front door against a named registered platform: RunOn (the
-  /// static oracle), then the online partitioner on the same binary.
+  /// static oracle), then the online partitioner on the same binary,
+  /// reporting both plus their convergence.
   [[nodiscard]] Result<DynamicToolchainRun> RunDynamicOn(
       std::string_view platform_name,
       std::shared_ptr<const mips::SoftBinary> binary,
@@ -218,8 +198,8 @@ class Toolchain {
 
   /// Design-space exploration front door: sweep the spec's
   /// {binaries} x {platforms} x {strategies} x {objectives} grid through
-  /// the exploration engine, using this toolchain's pipeline, partition
-  /// options, simulation budget, thread count, and artifact cache.
+  /// the exploration engine, using this toolchain's pipeline, simulation
+  /// budget, thread count, and artifact cache.
   /// Repeated/overlapping sweeps on the same Toolchain reuse cached
   /// decompile and partition artifacts (a warm identical sweep performs
   /// zero decompilations).  Per-point failures are reported in the
@@ -229,24 +209,11 @@ class Toolchain {
 
  private:
   [[nodiscard]] explore::ExplorerConfig Config() const;
-  [[nodiscard]] dynamic::DynamicOptions DynamicConfig() const;
-  /// The static view shared by Run, RunOn and RunMany: one paper-greedy
-  /// sweep on a private memory-only cache.
-  [[nodiscard]] BatchResult Sweep(
-      std::vector<NamedBinary> binaries,
-      std::vector<std::string> platform_names) const;
-  /// The online partitioner on the binary and platform of `run`.
-  [[nodiscard]] Result<dynamic::DynamicRun> RunOnline(
-      const ToolchainRun& run) const;
 
   std::string pipeline_spec_ = "default";
-  partition::PartitionOptions partition_options_;
   std::uint64_t max_sim_instructions_ = 200'000'000;
   unsigned threads_ = 0;
-  bool verify_ir_ = true;
-  std::string default_platform_name_ = "mips200-xc2v1000";
   partition::DynamicPolicy dynamic_policy_;
-  bool dynamic_enabled_ = false;
   std::string trace_path_;  ///< WithTrace auto-flush target ("" = none)
   std::shared_ptr<explore::ArtifactCache> artifact_cache_;
 };

@@ -69,21 +69,19 @@ TEST(HotRegionCache, ConflictingHeaderMustWearDownResident) {
 // ----------------------------------------------------- eviction plan unit
 
 TEST(DynamicPolicy, PlanEvictionFitsWithoutEvicting) {
-  partition::DynamicPolicy policy;
-  const auto plan = partition::PlanEviction(policy, {}, 1000.0, 200.0, 300.0,
+  const auto plan = partition::PlanEviction({}, 1000.0, 200.0, 300.0,
                                             /*candidate_value_density=*/1.0);
   ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->empty());
 }
 
 TEST(DynamicPolicy, PlanEvictionPicksLowestValueDensity) {
-  partition::DynamicPolicy policy;
   std::vector<partition::ActiveKernel> active = {
       {/*id=*/0, /*area=*/400.0, /*density=*/0.5},
       {/*id=*/1, /*area=*/400.0, /*density=*/0.1},
   };
   const auto plan =
-      partition::PlanEviction(policy, active, 1000.0, 800.0, 300.0,
+      partition::PlanEviction(active, 1000.0, 800.0, 300.0,
                               /*candidate_value_density=*/0.3);
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->size(), 1u);
@@ -91,17 +89,15 @@ TEST(DynamicPolicy, PlanEvictionPicksLowestValueDensity) {
 }
 
 TEST(DynamicPolicy, PlanEvictionRefusesWhenCandidateIsWorse) {
-  partition::DynamicPolicy policy;
   std::vector<partition::ActiveKernel> active = {
       {/*id=*/0, /*area=*/800.0, /*density=*/0.9},
   };
-  EXPECT_FALSE(partition::PlanEviction(policy, active, 1000.0, 800.0, 300.0,
+  EXPECT_FALSE(partition::PlanEviction(active, 1000.0, 800.0, 300.0,
                                        /*candidate_value_density=*/0.3)
                    .has_value());
   // And an over-budget candidate is rejected outright.
   EXPECT_FALSE(
-      partition::PlanEviction(policy, {}, 1000.0, 0.0, 1500.0, 9.0)
-          .has_value());
+      partition::PlanEviction({}, 1000.0, 0.0, 1500.0, 9.0).has_value());
 }
 
 // ------------------------------------------- instrumented-run equivalence
@@ -255,8 +251,8 @@ TEST(DynamicFlow, DeterministicReports) {
   auto binary = BuildSuiteBinary("fir");
   ASSERT_NE(binary, nullptr);
   Toolchain toolchain;
-  auto first = toolchain.RunDynamic(binary, "fir");
-  auto second = toolchain.RunDynamic(binary, "fir");
+  auto first = toolchain.RunDynamicOn("mips200-xc2v1000", binary, "fir");
+  auto second = toolchain.RunDynamicOn("mips200-xc2v1000", binary, "fir");
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value().dynamic_run.Report(),
@@ -267,33 +263,39 @@ TEST(DynamicFlow, DeterministicReports) {
             second.value().dynamic_run.swaps.size());
 }
 
-TEST(DynamicFlow, RunManyDynamicParallelEqualsSerial) {
+TEST(DynamicFlow, OracleMatchesRunManyAcrossThreadCounts) {
+  // RunDynamicOn's static oracle is the RunMany slot of the same pair, and
+  // neither the oracle nor the online run depends on the thread count.
   std::vector<NamedBinary> binaries;
   for (const char* name : {"crc", "fir", "checksum", "brev"}) {
     auto binary = BuildSuiteBinary(name);
     ASSERT_NE(binary, nullptr) << name;
     binaries.push_back({name, std::move(binary)});
   }
+  const std::vector<std::string> platforms = {"mips200-xc2v1000", "mips400"};
   Toolchain serial;
-  serial.WithDynamic(true).WithThreads(1);
+  serial.WithThreads(1);
   Toolchain parallel;
-  parallel.WithDynamic(true).WithThreads(4);
-  const auto lhs = serial.RunMany(binaries, {"mips200-xc2v1000", "mips400"});
-  const auto rhs = parallel.RunMany(binaries, {"mips200-xc2v1000", "mips400"});
-  ASSERT_EQ(lhs.runs.size(), rhs.runs.size());
-  for (std::size_t i = 0; i < lhs.runs.size(); ++i) {
-    ASSERT_TRUE(lhs.runs[i].ok());
-    ASSERT_TRUE(rhs.runs[i].ok());
-    ASSERT_NE(lhs.runs[i].value().dynamic_run, nullptr);
-    ASSERT_NE(rhs.runs[i].value().dynamic_run, nullptr);
-    EXPECT_EQ(lhs.runs[i].value().dynamic_run->Report(),
-              rhs.runs[i].value().dynamic_run->Report());
+  parallel.WithThreads(4);
+  const BatchResult batch = parallel.RunMany(binaries, platforms);
+  for (std::size_t b = 0; b < binaries.size(); ++b) {
+    for (std::size_t p = 0; p < platforms.size(); ++p) {
+      const std::string where = binaries[b].name + " on " + platforms[p];
+      const auto lhs = serial.RunDynamicOn(platforms[p], binaries[b].binary,
+                                           binaries[b].name);
+      const auto rhs = parallel.RunDynamicOn(platforms[p], binaries[b].binary,
+                                             binaries[b].name);
+      ASSERT_TRUE(lhs.ok()) << where;
+      ASSERT_TRUE(rhs.ok()) << where;
+      ASSERT_TRUE(batch.At(b, p).ok()) << where;
+      EXPECT_EQ(lhs.value().Report(), rhs.value().Report()) << where;
+      EXPECT_EQ(lhs.value().static_run.ReportBody(),
+                batch.At(b, p).value().ReportBody())
+          << where;
+      EXPECT_EQ(lhs.value().static_run.Json(), batch.At(b, p).value().Json())
+          << where;
+    }
   }
-  // Without dynamic mode the field stays empty.
-  Toolchain plain;
-  const auto off = plain.RunMany({binaries[0]}, {"mips200-xc2v1000"});
-  ASSERT_TRUE(off.runs[0].ok());
-  EXPECT_EQ(off.runs[0].value().dynamic_run, nullptr);
 }
 
 TEST(DynamicFlow, AreaBudgetRespectedUnderEviction) {

@@ -517,7 +517,7 @@ TEST(Explore, CacheDirEnvironmentOverride) {
 // program: its reported estimate equals the best EvaluateSubset score over
 // every feasible subset.
 TEST(Strategy, KnapsackMatchesExhaustiveSearchOnFir) {
-  auto run = Toolchain().Run(BuildBench("fir"), "fir");
+  auto run = Toolchain().RunOn("mips200-xc2v1000", BuildBench("fir"), "fir");
   ASSERT_TRUE(run.ok());
   const auto& program = *run.value().program;
   const auto& profile = run.value().software_run->profile;

@@ -1,8 +1,8 @@
 // Simulator halt paths end-to-end: binaries that exhaust the instruction
 // budget (HaltReason::kMaxInstructions) or fault (HaltReason::kFault) must
 // surface as clean Result errors from every flow entry point —
-// Toolchain::Run, Toolchain::RunMany, and RunDynamic — never as partial or
-// garbage estimates.
+// Toolchain::RunOn, Toolchain::RunMany, and RunDynamicOn — never as partial
+// or garbage estimates.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -69,7 +69,8 @@ TEST(HaltPaths, SimulatorReportsBudgetAndFault) {
 TEST(HaltPaths, ToolchainRunPropagatesBothHaltReasons) {
   Toolchain budgeted;
   budgeted.WithMaxSimInstructions(5'000);
-  auto exhausted = budgeted.Run(InfiniteLoopBinary(), "spin");
+  auto exhausted =
+      budgeted.RunOn("mips200-xc2v1000", InfiniteLoopBinary(), "spin");
   ASSERT_FALSE(exhausted.ok());
   EXPECT_EQ(exhausted.status().kind(), ErrorKind::kMalformedBinary);
   EXPECT_NE(exhausted.status().message().find("did not complete"),
@@ -77,7 +78,8 @@ TEST(HaltPaths, ToolchainRunPropagatesBothHaltReasons) {
       << exhausted.status().message();
 
   Toolchain toolchain;
-  auto faulted = toolchain.Run(FaultingBinary(), "faulty");
+  auto faulted =
+      toolchain.RunOn("mips200-xc2v1000", FaultingBinary(), "faulty");
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().kind(), ErrorKind::kMalformedBinary);
   EXPECT_NE(faulted.status().message().find("fault"), std::string::npos)
@@ -129,7 +131,8 @@ TEST(HaltPaths, RunManyIsolatesBadBinariesPerSlot) {
 TEST(HaltPaths, DynamicFrontDoorPropagatesBudgetExhaustion) {
   Toolchain toolchain;
   toolchain.WithMaxSimInstructions(5'000);
-  auto result = toolchain.RunDynamic(InfiniteLoopBinary(), "spin");
+  auto result =
+      toolchain.RunDynamicOn("mips200-xc2v1000", InfiniteLoopBinary(), "spin");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().kind(), ErrorKind::kMalformedBinary);
 }

@@ -12,6 +12,8 @@
 #include "ir/loops.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "mips/assembler.hpp"
+#include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
 
@@ -345,6 +347,34 @@ TEST(Interp, StepBudgetStopsRunaways) {
   const auto result = interp.Run();
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("budget"), std::string::npos);
+}
+
+TEST(Interp, LoadAtTopOfAddressSpaceFailsCleanly) {
+  // 0xFFFFFFFC + 4 wraps to 0 in 32 bits, so an `addr + size <= end`
+  // bounds check passes it; the Simulator reports a fault, and so must the
+  // interpreter, on a binary that also has no .data segment.
+  auto assembled = mips::Assemble(R"(
+    main:
+      li $t0, -4
+      lw $v0, 0($t0)
+      jr $ra
+  )");
+  ASSERT_TRUE(assembled.ok()) << assembled.status().message();
+  const mips::SoftBinary& binary = assembled.value();
+  ASSERT_TRUE(binary.data.empty());
+  mips::Simulator simulator(binary);
+  EXPECT_EQ(simulator.Run().reason, mips::HaltReason::kFault);
+
+  const auto manager = decomp::PassManager::Preset("default");
+  ASSERT_TRUE(manager.ok());
+  const auto program =
+      manager.value().Run(std::make_shared<const mips::SoftBinary>(binary));
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  Interpreter interp(program.value().module, binary.data);
+  const InterpResult result = interp.Run();
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("bad load address"), std::string::npos)
+      << result.error;
 }
 
 }  // namespace

@@ -60,10 +60,8 @@ namespace {
 
 /// Runs `binary` through Toolchain::RunOn on a registered platform.
 ToolchainRun RunBinary(mips::SoftBinary binary, const std::string& name,
-                       const std::string& platform_name = "mips200-xc2v1000",
-                       const PartitionOptions& options = {}) {
+                       const std::string& platform_name = "mips200-xc2v1000") {
   Toolchain toolchain;
-  toolchain.WithPartitionOptions(options);
   auto run = toolchain.RunOn(
       platform_name,
       std::make_shared<const mips::SoftBinary>(std::move(binary)), name);
@@ -74,13 +72,12 @@ ToolchainRun RunBinary(mips::SoftBinary binary, const std::string& name,
 /// Builds benchmark `name` at -O1 and runs it as RunBinary does.
 ToolchainRun RunBenchmark(
     const std::string& name,
-    const std::string& platform_name = "mips200-xc2v1000",
-    const PartitionOptions& options = {}) {
+    const std::string& platform_name = "mips200-xc2v1000") {
   const suite::Benchmark* bench = suite::FindBenchmark(name);
   EXPECT_NE(bench, nullptr);
   auto binary = suite::BuildBinary(*bench, 1);
   EXPECT_TRUE(binary.ok());
-  return RunBinary(std::move(binary).take(), name, platform_name, options);
+  return RunBinary(std::move(binary).take(), name, platform_name);
 }
 
 TEST(Partitioner, SelectsHotLoopsFirst) {
@@ -134,19 +131,6 @@ TEST(Partitioner, AliasStepMakesArraysResident) {
     if (selected.arrays_resident) any_resident = true;
   }
   EXPECT_TRUE(any_resident);
-}
-
-TEST(Partitioner, StepsCanBeDisabled) {
-  PartitionOptions no_steps;
-  no_steps.enable_alias_step = false;
-  no_steps.enable_greedy_step = false;
-  const ToolchainRun base = RunBenchmark("fir");
-  const ToolchainRun reduced =
-      RunBenchmark("fir", "mips200-xc2v1000", no_steps);
-  EXPECT_LE(reduced.partition.hw.size(), base.partition.hw.size());
-  for (const auto& selected : reduced.partition.hw) {
-    EXPECT_EQ(selected.selected_by, SelectedBy::kFrequency);
-  }
 }
 
 TEST(Estimator, SpeedupRequiresPositiveTimes) {

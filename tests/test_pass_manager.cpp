@@ -53,8 +53,7 @@ TEST(PassRegistry, RejectsDuplicatesAndUnknownLookups) {
 }
 
 TEST(PassManager, PresetNamesResolve) {
-  for (const char* preset :
-       {"default", "is-overhead-only", "no-undo", "none"}) {
+  for (const char* preset : {"default", "none"}) {
     auto manager = PassManager::Preset(preset);
     EXPECT_TRUE(manager.ok()) << preset;
   }

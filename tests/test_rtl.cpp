@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mips/assembler.hpp"
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
@@ -108,6 +109,35 @@ TEST(RtlSim, LiveOutValuesExposed) {
   // A whole-function region has no live-outs (the ret consumes them).
   EXPECT_TRUE(region.live_outs.empty());
   EXPECT_TRUE(region.live_ins.empty());
+}
+
+TEST(RtlSim, LoadAtTopOfAddressSpaceFailsCleanly) {
+  // 0xFFFFFFFC + 4 wraps to 0 in 32 bits, so an `addr + size <= end`
+  // bounds check passes it.  The binary has no .data segment either, so
+  // the constructor sees an empty initial image.
+  auto assembled = mips::Assemble(R"(
+    main:
+      li $t0, -4
+      lw $v0, 0($t0)
+      jr $ra
+  )");
+  ASSERT_TRUE(assembled.ok()) << assembled.status().message();
+  const mips::SoftBinary& binary = assembled.value();
+  ASSERT_TRUE(binary.data.empty());
+  auto program = DecompileWith("default", binary);
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  const HwRegion region = ExtractFunctionRegion(*program.value().module.main);
+  ASSERT_TRUE(region.synthesizable) << region.reject_reason;
+  auto synthesized = Synthesize(region, nullptr);
+  ASSERT_TRUE(synthesized.ok()) << synthesized.status().message();
+
+  RtlSimulator rtl(region, synthesized.value().schedule, binary.data);
+  std::map<unsigned, std::int32_t> inputs;
+  inputs[29] = static_cast<std::int32_t>(mips::kStackTop - 64);
+  const RtlResult result = rtl.Run({}, inputs);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("bad load address"), std::string::npos)
+      << result.error;
 }
 
 }  // namespace

@@ -179,7 +179,7 @@ TEST(Simulator, SegmentBoundariesStayEndExclusive) {
   // The wrap-safe checks must not shrink the valid range: the last aligned
   // word of the data segment is accessible, one byte past it is not.
   const std::uint32_t last_word =
-      kDataBase + Simulator::kDataSegmentSize - 4;
+      kDataBase + kDataSegmentSize - 4;
   {
     std::ostringstream src;
     src << "main:\n li $t0, " << last_word << "\n lw $v0, 0($t0)\n jr $ra\n";

@@ -1,5 +1,5 @@
 // Toolchain facade tests: platform registry, builder configuration, and
-// the Run/RunOn/RunMany views over the exploration engine — in particular
+// the RunOn/RunMany views over the exploration engine — in particular
 // that a platform sweep reuses ONE decompilation per binary, that parallel
 // and serial batches produce identical results, that VHDL is identical
 // across runs and entry points, and that a warm disk cache never reaches
@@ -61,7 +61,7 @@ TEST(Toolchain, RunOutlivesCallerBinary) {
   // and the surrounding scope are gone.
   ToolchainRun run = [] {
     auto binary = BuildBench("brev");
-    auto result = Toolchain().Run(binary, "brev");
+    auto result = Toolchain().RunOn("mips200-xc2v1000", binary, "brev");
     EXPECT_TRUE(result.ok());
     binary.reset();  // drop the caller's only handle
     return std::move(result).take();
@@ -83,7 +83,7 @@ TEST(Toolchain, UnknownPlatformIsAnError) {
 TEST(Toolchain, BadPipelineSpecSurfacesAtRunTime) {
   Toolchain toolchain;
   toolchain.WithPipeline("default,-simplify-constants,no-such-pass");
-  auto run = toolchain.Run(BuildBench("fir"), "fir");
+  auto run = toolchain.RunOn("mips200-xc2v1000", BuildBench("fir"), "fir");
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().kind(), ErrorKind::kUnsupported);
 }
@@ -91,12 +91,12 @@ TEST(Toolchain, BadPipelineSpecSurfacesAtRunTime) {
 TEST(Toolchain, PipelineSpecSelectsPasses) {
   Toolchain toolchain;
   toolchain.WithPipeline("none");
-  auto run = toolchain.Run(BuildBench("fir"), "fir");
+  auto run = toolchain.RunOn("mips200-xc2v1000", BuildBench("fir"), "fir");
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run.value().program->pass_runs.empty());
 
   toolchain.WithPipeline("default");
-  auto full = toolchain.Run(BuildBench("fir"), "fir");
+  auto full = toolchain.RunOn("mips200-xc2v1000", BuildBench("fir"), "fir");
   ASSERT_TRUE(full.ok());
   EXPECT_FALSE(full.value().program->pass_runs.empty());
 }
@@ -227,7 +227,7 @@ TEST(Toolchain, RunManyPropagatesCdfgFailures) {
 // VHDL ports follow the regions' live values.  With those ordered by
 // instruction id rather than heap address (checked region by region in
 // test_synth), the generated VHDL is identical run to run in one process
-// and across Run, RunMany and Explore.  These binaries are where address
+// and across RunOn, RunMany and Explore.  These binaries are where address
 // order used to show.
 TEST(Toolchain, VhdlIsIdenticalAcrossRunsAndEntryPoints) {
   std::vector<NamedBinary> binaries;
@@ -286,7 +286,7 @@ TEST(Toolchain, VhdlIsIdenticalAcrossRunsAndEntryPoints) {
   }
 }
 
-// Run, RunOn and RunMany use a private memory-only cache, never the
+// RunOn and RunMany use a private memory-only cache, never the
 // Toolchain's own.  A disk-served artifact has no program or profile, so a
 // view reading it would hand out a run whose Report() dereferences null.
 TEST(Toolchain, RunStaysLiveOverAWarmDiskCache) {
@@ -305,19 +305,19 @@ TEST(Toolchain, RunStaysLiveOverAWarmDiskCache) {
   }
 
   Toolchain fresh;
-  auto run = fresh.Run(binary, "fir");
+  auto run = fresh.RunOn("mips200-xc2v1000", binary, "fir");
   ASSERT_TRUE(run.ok()) << run.status().message();
   ASSERT_NE(run.value().program, nullptr);
   ASSERT_NE(run.value().software_run, nullptr);
   EXPECT_FALSE(run.value().Report().empty());
 
   // The same Toolchain's Explore is served from disk, without IR, and
-  // leaves those artifacts in its memory tier; Run still never sees them.
+  // leaves those artifacts in its memory tier; RunOn still never sees them.
   const explore::ExploreResult replay = fresh.Explore(spec);
   ASSERT_TRUE(replay.At(0, 0, 0, 0).status.ok());
   EXPECT_GT(replay.cache_disk_hits, 0u);
   EXPECT_EQ(replay.At(0, 0, 0, 0).artifact->program, nullptr);
-  auto again = fresh.Run(binary, "fir");
+  auto again = fresh.RunOn("mips200-xc2v1000", binary, "fir");
   ASSERT_TRUE(again.ok()) << again.status().message();
   ASSERT_NE(again.value().program, nullptr);
   ASSERT_NE(again.value().software_run, nullptr);
