@@ -3,7 +3,9 @@
 // Three measurements back the dynamic subsystem's headline claims:
 //   1. Detector overhead — the simulator hot path with the backward-branch
 //      hook + hot-region cache enabled (but no swaps) versus the plain
-//      uninstrumented Run().  Target: <= 10% slowdown.
+//      uninstrumented Run().  Informational: one attempt per benchmark
+//      moves with host load.  test_detector_overhead gates the same ratio,
+//      with retries, against its per-build bound.
 //   2. Online CAD latency — host wall-clock time from run start to the
 //      first kernel swap (incremental decompilation + synthesis), plus the
 //      *simulated* swap point as a fraction of the run.
@@ -78,7 +80,8 @@ int main() {
     json.Record("detector_overhead", overhead * 100.0, "%", name);
   }
   const double avg_overhead = measured > 0 ? sum_overhead / measured : 0.0;
-  printf("average overhead: %.1f%% (target <= 10%%), worst-case %.1f%%\n\n",
+  printf("average overhead: %.1f%%, worst-case %.1f%% (gated by "
+         "test_detector_overhead)\n\n",
          avg_overhead * 100.0, worst_overhead * 100.0);
   json.Record("detector_overhead_avg", avg_overhead * 100.0, "%");
   json.Record("detector_overhead_worst", worst_overhead * 100.0, "%");

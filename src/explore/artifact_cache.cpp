@@ -42,6 +42,30 @@ const char* TierName(HitTier tier) {
   return "miss";
 }
 
+/// Records which tier served one lookup: in the cache's Stats (the caller
+/// holds its mutex), the process-wide counters, the lookup's span and
+/// `out` (when non-null).
+void CountLookup(HitTier served, ArtifactCache::Stats& stats,
+                 obs::ScopedSpan& span, HitTier* out) {
+  TierMetrics& metrics = TierMetrics::Get();
+  switch (served) {
+    case HitTier::kMemory:
+      ++stats.memory_hits;
+      metrics.memory_hits.Add();
+      break;
+    case HitTier::kDisk:
+      ++stats.disk_hits;
+      metrics.disk_hits.Add();
+      break;
+    case HitTier::kMiss:
+      ++stats.misses;
+      metrics.misses.Add();
+      break;
+  }
+  span.Arg("tier", TierName(served));
+  if (out != nullptr) *out = served;
+}
+
 using support::BinaryReader;
 using support::BinaryWriter;
 
@@ -65,39 +89,6 @@ bool DecodeStatus(BinaryReader& in, Status* status) {
   *status = kind == 0 ? Status::Ok()
                       : Status::Error(static_cast<ErrorKind>(kind),
                                       std::move(message));
-  return true;
-}
-
-void EncodeRunResult(BinaryWriter& out, const mips::RunResult& run) {
-  out.I64(run.return_value);
-  out.U64(run.instructions);
-  out.U64(run.cycles);
-  out.U8(static_cast<std::uint8_t>(run.reason));
-  out.Str(run.fault_message);
-  out.VecU64(run.profile.instr_count);
-  out.VecU64(run.profile.cycle_count);
-  out.VecU64(run.profile.branch_taken);
-  out.VecU64(run.profile.branch_not_taken);
-  out.U64(run.profile.total_instructions);
-  out.U64(run.profile.total_cycles);
-}
-
-bool DecodeRunResult(BinaryReader& in, mips::RunResult* run) {
-  std::int64_t return_value = 0;
-  std::uint8_t reason = 0;
-  if (!in.I64(&return_value) || !in.U64(&run->instructions) ||
-      !in.U64(&run->cycles) || !in.U8(&reason) ||
-      reason > static_cast<std::uint8_t>(mips::HaltReason::kFault) ||
-      !in.Str(&run->fault_message) || !in.VecU64(&run->profile.instr_count) ||
-      !in.VecU64(&run->profile.cycle_count) ||
-      !in.VecU64(&run->profile.branch_taken) ||
-      !in.VecU64(&run->profile.branch_not_taken) ||
-      !in.U64(&run->profile.total_instructions) ||
-      !in.U64(&run->profile.total_cycles)) {
-    return false;
-  }
-  run->return_value = static_cast<std::int32_t>(return_value);
-  run->reason = static_cast<mips::HaltReason>(reason);
   return true;
 }
 
@@ -343,35 +334,6 @@ std::string HashPlatform(const partition::Platform& platform) {
 
 // ------------------------------------------------ artifact (de)serialization
 
-std::string EncodeDecompileArtifact(const DecompileArtifact& artifact) {
-  BinaryWriter out;
-  EncodeStatus(out, artifact.status);
-  out.Bool(artifact.software_run != nullptr);
-  if (artifact.software_run != nullptr) {
-    EncodeRunResult(out, *artifact.software_run);
-  }
-  // Deliberately no IR: see the header contract — the profile is enough to
-  // rebuild the program without re-simulating.
-  return out.Take();
-}
-
-std::shared_ptr<const DecompileArtifact> DecodeDecompileArtifact(
-    std::string_view payload) {
-  BinaryReader in(payload);
-  auto artifact = std::make_shared<DecompileArtifact>();
-  bool has_run = false;
-  if (!DecodeStatus(in, &artifact->status) || !in.Bool(&has_run)) {
-    return nullptr;
-  }
-  if (has_run) {
-    auto run = std::make_shared<mips::RunResult>();
-    if (!DecodeRunResult(in, run.get())) return nullptr;
-    artifact->software_run = std::move(run);
-  }
-  if (!in.AtEnd()) return nullptr;
-  return artifact;
-}
-
 std::string EncodePartitionArtifact(const PartitionArtifact& artifact) {
   BinaryWriter out;
   EncodeStatus(out, artifact.status);
@@ -406,102 +368,66 @@ ArtifactCache::ArtifactCache(DiskStore::Options disk) {
 // stall every concurrent lookup on a shared cache.  The worst a race costs
 // is decoding or encoding the same content twice.
 
-template <typename Artifact>
-std::shared_ptr<const Artifact> ArtifactCache::FindInTiers(
-    std::unordered_map<std::string, std::shared_ptr<const Artifact>>& entries,
-    std::string_view kind,
-    std::shared_ptr<const Artifact> (*decode)(std::string_view),
-    const std::string& key, HitTier* tier) {
-  TierMetrics& metrics = TierMetrics::Get();
-  obs::ScopedSpan span("cache.find", "cache");
-  span.Arg("kind", kind);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries.find(key);
-    if (it != entries.end()) {
-      ++stats_.memory_hits;
-      metrics.memory_hits.Add();
-      span.Arg("tier", TierName(HitTier::kMemory));
-      if (tier != nullptr) *tier = HitTier::kMemory;
-      return it->second;
-    }
-  }
-  if (disk_ != nullptr) {
-    if (auto payload = disk_->Load(kind, key)) {
-      if (auto artifact = decode(*payload)) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const auto [it, inserted] = entries.emplace(key, artifact);
-        if (!inserted) artifact = it->second;  // racing promotion won
-        stats_.entries = decompiles_.size() + partitions_.size();
-        ++stats_.disk_hits;
-        metrics.disk_hits.Add();
-        span.Arg("tier", TierName(HitTier::kDisk));
-        if (tier != nullptr) *tier = HitTier::kDisk;
-        return artifact;
-      }
-      // Valid envelope, undecodable payload: a plain miss — and reclaim
-      // the file so the recomputed artifact can be persisted again.
-      disk_->Remove(kind, key);
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.disk_bad_entries;
-      metrics.disk_bad_entries.Add();
-    }
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.misses;
-  metrics.misses.Add();
-  span.Arg("tier", TierName(HitTier::kMiss));
-  if (tier != nullptr) *tier = HitTier::kMiss;
-  return nullptr;
-}
-
-template <typename Artifact>
-void ArtifactCache::PutInTiers(
-    std::unordered_map<std::string, std::shared_ptr<const Artifact>>& entries,
-    std::string_view kind, std::string (*encode)(const Artifact&),
-    const std::string& key, std::shared_ptr<const Artifact> artifact) {
-  // Existence probe before encoding: re-puts of an already-persisted key
-  // (e.g. the Explorer refreshing a rehydrated artifact) skip the
-  // serialization work entirely, not just the write.
-  bool stored = false;
-  if (disk_ != nullptr && artifact != nullptr && !disk_->Contains(kind, key)) {
-    obs::ScopedSpan span("cache.store", "cache");
-    span.Arg("kind", kind);
-    stored = disk_->Store(kind, key, encode(*artifact));
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (stored) {
-    ++stats_.disk_stores;
-    TierMetrics::Get().disk_stores.Add();
-  }
-  entries[key] = std::move(artifact);
-  stats_.entries = decompiles_.size() + partitions_.size();
-}
-
 std::shared_ptr<const DecompileArtifact> ArtifactCache::FindDecompile(
     const std::string& key, HitTier* tier) {
-  return FindInTiers(decompiles_, kDecompileKind, &DecodeDecompileArtifact,
-                     key, tier);
+  obs::ScopedSpan span("cache.find", "cache");
+  span.Arg("kind", "decompile");
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = decompiles_.find(key);
+  if (it == decompiles_.end()) {
+    CountLookup(HitTier::kMiss, stats_, span, tier);
+    return nullptr;
+  }
+  CountLookup(HitTier::kMemory, stats_, span, tier);
+  return it->second;
 }
 
 std::shared_ptr<const PartitionArtifact> ArtifactCache::FindPartition(
     const std::string& key, HitTier* tier) {
-  return FindInTiers(partitions_, kPartitionKind, &DecodePartitionArtifact,
-                     key, tier);
+  obs::ScopedSpan span("cache.find", "cache");
+  span.Arg("kind", "partition");
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = partitions_.find(key);
+    if (it != partitions_.end()) {
+      CountLookup(HitTier::kMemory, stats_, span, tier);
+      return it->second;
+    }
+  }
+  if (disk_ != nullptr) {
+    if (auto payload = disk_->Load(key)) {
+      if (auto artifact = DecodePartitionArtifact(*payload)) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        const auto [it, inserted] = partitions_.emplace(key, artifact);
+        if (!inserted) artifact = it->second;  // racing promotion won
+        stats_.entries = decompiles_.size() + partitions_.size();
+        CountLookup(HitTier::kDisk, stats_, span, tier);
+        return artifact;
+      }
+      // Valid envelope, undecodable payload: a plain miss — and reclaim
+      // the file so the recomputed artifact can be persisted again.
+      disk_->Remove(key);
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++stats_.disk_bad_entries;
+      TierMetrics::Get().disk_bad_entries.Add();
+    }
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  CountLookup(HitTier::kMiss, stats_, span, tier);
+  return nullptr;
 }
 
 void ArtifactCache::PutDecompile(
     const std::string& key, std::shared_ptr<const DecompileArtifact> artifact) {
-  PutInTiers(decompiles_, kDecompileKind, &EncodeDecompileArtifact, key,
-             artifact);
   // Release single-flight waiters AFTER the memory tier holds the artifact,
   // so a waiter that re-probes instead of holding the future still hits.
   // The promise is fulfilled outside the lock — waiters wake straight into
-  // their own work, and a double Put (job + any later refresh) finds the
-  // registry entry already gone.
+  // their own work, and a double Put finds the registry entry already gone.
   std::shared_ptr<InFlightDecompile> flight;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
+    decompiles_[key] = artifact;
+    stats_.entries = decompiles_.size() + partitions_.size();
     const auto it = in_flight_decompiles_.find(key);
     if (it != in_flight_decompiles_.end()) {
       flight = std::move(it->second);
@@ -509,6 +435,25 @@ void ArtifactCache::PutDecompile(
     }
   }
   if (flight != nullptr) flight->promise.set_value(std::move(artifact));
+}
+
+void ArtifactCache::PutPartition(
+    const std::string& key, std::shared_ptr<const PartitionArtifact> artifact) {
+  // Existence probe before encoding: a key another process sharing the
+  // directory has persisted already skips the serialization work, not
+  // just the write.
+  bool stored = false;
+  if (disk_ != nullptr && artifact != nullptr && !disk_->Contains(key)) {
+    obs::ScopedSpan span("cache.store", "cache");
+    stored = disk_->Store(key, EncodePartitionArtifact(*artifact));
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (stored) {
+    ++stats_.disk_stores;
+    TierMetrics::Get().disk_stores.Add();
+  }
+  partitions_[key] = std::move(artifact);
+  stats_.entries = decompiles_.size() + partitions_.size();
 }
 
 bool ArtifactCache::LeadDecompile(const std::string& key) {
@@ -537,12 +482,6 @@ std::shared_ptr<const DecompileArtifact> ArtifactCache::WaitDecompile(
   }
   obs::ScopedSpan span("cache.wait_decompile", "cache");
   return future.get();
-}
-
-void ArtifactCache::PutPartition(
-    const std::string& key, std::shared_ptr<const PartitionArtifact> artifact) {
-  PutInTiers(partitions_, kPartitionKind, &EncodePartitionArtifact, key,
-             std::move(artifact));
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {

@@ -9,36 +9,34 @@
 // so each artifact is stored under a hash of exactly those inputs (FNV-1a
 // 64 over a canonical serialization).  Repeated or overlapping sweeps —
 // re-running a sweep, widening a platform grid, adding a strategy — skip
-// all work whose key already exists.
+// all work whose key already exists.  The decompile key hashes inputs
+// only, so every partition key is known before any artifact exists: the
+// Explorer probes partition keys first and looks up a decompile only for
+// a partition that missed.
 //
-// Tier 1 (memory) stores shared_ptr-owned immutable artifacts; a
-// PartitionResult points into its decompiled program's IR, so the partition
-// artifact keeps the program alive alongside it.
+// Tier 1 (memory) stores shared_ptr-owned immutable artifacts of both
+// kinds; a PartitionResult points into its decompiled program's IR, so the
+// partition artifact keeps the program alive alongside it.
 //
-// Tier 2 (disk, optional — explore::DiskStore) persists a binary
-// serialization of each artifact so warm sweeps survive process restarts:
-// a sweep re-run from a fresh process against the same cache dir performs
-// zero simulations/decompilations/partitions and produces a bit-identical
-// Report().  Two deliberate limits of the serialized form:
+// Tier 2 (disk, optional — explore::DiskStore) persists partition
+// artifacts only, so warm sweeps survive process restarts: a sweep re-run
+// from a fresh process against the same cache dir performs zero
+// simulations/decompilations/partitions and produces a bit-identical
+// Report().  A partition entry carries the status, the full AppEstimate,
+// and the report-relevant PartitionResult fields (region names/metrics/
+// VHDL, rejection log, totals).  Hydrated SelectedRegions have null IR
+// pointers and an empty schedule, and the artifact has no program or
+// profile; everything the Explorer and its reports consume is present and
+// bit-exact (doubles round-trip by bit pattern).  Decompile artifacts live
+// in the memory tier only: after a restart, a partition key that misses
+// profiles and decompiles its binary again.
 //
-//   * a decompile entry carries the status + full profiling RunResult but
-//     NOT the decompiled IR (serializing the CDFG is not worth it when the
-//     partition artifacts that consume it are cached next to it).  A
-//     disk-hydrated DecompileArtifact therefore has `program == nullptr`;
-//     the Explorer rebuilds the program from the cached profile — skipping
-//     the simulation — only when a partition key actually misses.
-//   * a partition entry carries the status, the full AppEstimate, and the
-//     report-relevant PartitionResult fields (region names/metrics/VHDL,
-//     rejection log, totals).  Hydrated SelectedRegions have null IR
-//     pointers and an empty schedule; everything the Explorer and its
-//     reports consume is present and bit-exact (doubles round-trip by bit
-//     pattern).
-//
-// Cached *failures* (faulting binaries, CDFG recovery) persist too —
-// `status` carries the error and the payload pointers stay null — so a
-// warm sweep never redoes known-bad work either.  Every Find/Put reports
-// its tier through Stats (memory hits vs disk hits vs misses), which the
-// Explorer splits out in StatsReport().
+// Cached *failures* persist too — `status` carries the error and the
+// payload pointers stay null — so a warm sweep never redoes known-bad
+// work either.  A failed decompile (a faulting binary, CDFG recovery) is
+// cached as a failed PartitionArtifact under each partition key that
+// needed it.  Every Find/Put reports its tier through Stats (memory hits
+// vs disk hits vs misses), which the Explorer splits out in StatsReport().
 #pragma once
 
 #include <cstdint>
@@ -84,8 +82,7 @@ class ContentHasher {
 [[nodiscard]] std::string HashPlatform(const partition::Platform& platform);
 
 /// Profiling run + decompiled program for one (binary, cycle model,
-/// pipeline) key.  `program == nullptr` with an ok status marks a
-/// disk-hydrated summary: the profile is available, the IR is not.
+/// pipeline) key; both are set exactly when `status` is ok.
 struct DecompileArtifact {
   Status status;
   std::shared_ptr<const mips::RunResult> software_run;
@@ -96,7 +93,7 @@ struct DecompileArtifact {
 /// objective) key.  `program` keeps the IR the partition points into
 /// alive; on disk-hydrated artifacts it is null and `partition.hw` carries
 /// names/metrics/VHDL without live IR pointers.  As above, a failed
-/// partition is cached with its `status`.
+/// partition or decompile is cached with its `status`.
 struct PartitionArtifact {
   Status status;
   std::shared_ptr<const decomp::DecompiledProgram> program;
@@ -105,13 +102,9 @@ struct PartitionArtifact {
   partition::AppEstimate estimate;
 };
 
-// Artifact (de)serialization for the disk tier.  Decode returns nullptr on
-// any malformed input (the store's checksum makes this rare; the decoders
-// are still fully bounds-checked).  Exposed for the cache tests.
-[[nodiscard]] std::string EncodeDecompileArtifact(
-    const DecompileArtifact& artifact);
-[[nodiscard]] std::shared_ptr<const DecompileArtifact> DecodeDecompileArtifact(
-    std::string_view payload);
+// Partition-artifact (de)serialization for the disk tier.  Decode returns
+// nullptr on any malformed input (the store's checksum makes this rare; the
+// decoder is still fully bounds-checked).  Exposed for the cache tests.
 [[nodiscard]] std::string EncodePartitionArtifact(
     const PartitionArtifact& artifact);
 [[nodiscard]] std::shared_ptr<const PartitionArtifact> DecodePartitionArtifact(
@@ -139,19 +132,19 @@ class ArtifactCache {
   explicit ArtifactCache(DiskStore::Options disk);
 
   /// nullptr on miss; every call counts toward the stats, and `tier` (when
-  /// non-null) reports which tier served it.  Disk hits are promoted into
-  /// the memory tier.
+  /// non-null) reports which tier served it.  FindDecompile reads the
+  /// memory tier only; FindPartition falls back to the disk tier and
+  /// promotes disk hits into memory.
   [[nodiscard]] std::shared_ptr<const DecompileArtifact> FindDecompile(
       const std::string& key, HitTier* tier = nullptr);
   [[nodiscard]] std::shared_ptr<const PartitionArtifact> FindPartition(
       const std::string& key, HitTier* tier = nullptr);
 
-  /// Publishing a decompile artifact also releases any single-flight
-  /// waiters registered for `key` (see LeadDecompile); keys that were never
-  /// led — Stage A' rehydrations refreshing a disk hit — pass through
-  /// unaffected.
+  /// Memory tier only.  Publishing a decompile artifact also releases any
+  /// single-flight waiters registered for `key` (see LeadDecompile).
   void PutDecompile(const std::string& key,
                     std::shared_ptr<const DecompileArtifact> artifact);
+  /// Memory tier, and the disk tier when enabled.
   void PutPartition(const std::string& key,
                     std::shared_ptr<const PartitionArtifact> artifact);
 
@@ -192,22 +185,6 @@ class ArtifactCache {
   }
 
  private:
-  // Shared two-tier lookup/insert machinery behind the typed entry points
-  // (defined in the .cpp; instantiated only there).
-  template <typename Artifact>
-  [[nodiscard]] std::shared_ptr<const Artifact> FindInTiers(
-      std::unordered_map<std::string, std::shared_ptr<const Artifact>>&
-          entries,
-      std::string_view kind,
-      std::shared_ptr<const Artifact> (*decode)(std::string_view),
-      const std::string& key, HitTier* tier);
-  template <typename Artifact>
-  void PutInTiers(
-      std::unordered_map<std::string, std::shared_ptr<const Artifact>>&
-          entries,
-      std::string_view kind, std::string (*encode)(const Artifact&),
-      const std::string& key, std::shared_ptr<const Artifact> artifact);
-
   /// In-flight single-flight decompiles: key -> the future every waiter
   /// blocks on.  Entries are created by the losing LeadDecompile race,
   /// fulfilled and erased by PutDecompile.  Clear() leaves them alone —

@@ -48,27 +48,23 @@ DiskStore::DiskStore(Options options)
       root_(options_.directory),
       version_root_(root_ / VersionDirName()) {}
 
-fs::path DiskStore::EntryPath(std::string_view kind,
-                              const std::string& key) const {
-  return version_root_ / std::string(kind) / (key + ".bin");
+fs::path DiskStore::EntryPath(const std::string& key) const {
+  return version_root_ / (key + ".bin");
 }
 
-std::optional<std::string> DiskStore::Load(std::string_view kind,
-                                           const std::string& key) {
-  const fs::path path = EntryPath(kind, key);
+std::optional<std::string> DiskStore::Load(const std::string& key) {
+  const fs::path path = EntryPath(key);
   const auto file = support::ReadFile(path);
   if (!file.has_value()) return std::nullopt;
   support::BinaryReader reader(
       std::string_view(*file).substr(
           std::min<std::size_t>(file->size(), sizeof kMagic)));
   std::uint32_t version = 0;
-  std::string stored_kind;
   std::uint64_t checksum = 0;
   std::string payload;
   if (file->size() < sizeof kMagic ||
       file->compare(0, sizeof kMagic, kMagic, sizeof kMagic) != 0 ||
       !reader.U32(&version) || version != kCacheSchemaVersion ||
-      !reader.Str(&stored_kind) || stored_kind != kind ||
       !reader.U64(&checksum) || !reader.Str(&payload) || !reader.AtEnd() ||
       support::Fnv1a64(payload) != checksum) {
     // An invalid entry is a miss — AND it must not be permanent: Store()
@@ -82,18 +78,17 @@ std::optional<std::string> DiskStore::Load(std::string_view kind,
   return payload;
 }
 
-bool DiskStore::Contains(std::string_view kind, const std::string& key) const {
+bool DiskStore::Contains(const std::string& key) const {
   std::error_code ec;
-  return fs::exists(EntryPath(kind, key), ec);
+  return fs::exists(EntryPath(key), ec);
 }
 
-void DiskStore::Remove(std::string_view kind, const std::string& key) {
-  support::RemoveFileQuiet(EntryPath(kind, key));
+void DiskStore::Remove(const std::string& key) {
+  support::RemoveFileQuiet(EntryPath(key));
 }
 
-bool DiskStore::Store(std::string_view kind, const std::string& key,
-                      std::string_view payload) {
-  const fs::path path = EntryPath(kind, key);
+bool DiskStore::Store(const std::string& key, std::string_view payload) {
+  const fs::path path = EntryPath(key);
   std::error_code ec;
   if (fs::exists(path, ec)) {
     // Content-addressed: an existing entry for this key holds these bytes
@@ -103,7 +98,6 @@ bool DiskStore::Store(std::string_view kind, const std::string& key,
   support::BinaryWriter writer;
   std::string entry(kMagic, sizeof kMagic);
   writer.U32(kCacheSchemaVersion);
-  writer.Str(kind);
   writer.U64(support::Fnv1a64(payload));
   writer.Str(payload);
   entry += writer.buffer();
@@ -118,19 +112,13 @@ bool DiskStore::Store(std::string_view kind, const std::string& key,
 
 DiskStore::Stats DiskStore::ComputeStats() const {
   Stats stats;
-  const fs::path de_dir = version_root_ / std::string(kDecompileKind);
-  const fs::path pa_dir = version_root_ / std::string(kPartitionKind);
   for (const support::FileInfo& info : support::ListFilesRecursive(root_)) {
     stats.total_bytes += info.size;
     const std::string name = info.path.filename().string();
     const bool is_entry = name.size() > 4 &&
                           name.compare(name.size() - 4, 4, ".bin") == 0;
-    const fs::path parent = info.path.parent_path();
-    if (is_entry && parent == de_dir) {
-      ++stats.decompile_entries;
-      stats.entry_bytes += info.size;
-    } else if (is_entry && parent == pa_dir) {
-      ++stats.partition_entries;
+    if (is_entry && info.path.parent_path() == version_root_) {
+      ++stats.entries;
       stats.entry_bytes += info.size;
     } else {
       ++stats.stale_files;  // other-schema trees, temp files, foreign junk

@@ -1,17 +1,17 @@
 // Versioned, crash-safe, content-addressed entry store — the disk tier of
 // the explore::ArtifactCache.
 //
-// Layout (one file per entry, sharded by kind):
+// Layout: one file per entry, and every entry is a partition artifact
+// (decompiles stay in the memory tier, see artifact_cache.hpp):
 //
-//   <dir>/v<schema>/de/<key>.bin    decompile artifacts
-//   <dir>/v<schema>/pa/<key>.bin    partition artifacts
+//   <dir>/v<schema>/<key>.bin
 //
 // The schema version appears twice: in the directory prefix, so bumping
 // kCacheSchemaVersion makes every stale-format entry an automatic miss
 // without any migration code, and in each entry header, so a file dropped
 // into the wrong tree is still rejected.  Entry format:
 //
-//   "B2HC" | u32 schema | str kind | u64 fnv1a64(payload) | str payload
+//   "B2HC" | u32 schema | u64 fnv1a64(payload) | str payload
 //
 // Durability/robustness contract (tested in test_artifact_cache):
 //   * writes are temp-file + atomic-rename, so a crashed or concurrent
@@ -41,12 +41,10 @@ namespace b2h::explore {
 /// (recovery passes, strategies, estimator, synthesis/area models) — so
 /// every stale entry self-invalidates (it lives in a different v<N> tree
 /// AND fails the header check) instead of replaying pre-change results.
-/// The CI artifact-cache key embeds this number for the same reason.
-inline constexpr std::uint32_t kCacheSchemaVersion = 1;
-
-/// Entry kinds (directory shards).
-inline constexpr std::string_view kDecompileKind = "de";
-inline constexpr std::string_view kPartitionKind = "pa";
+/// The CI artifact-cache key embeds this number for the same reason
+/// (ci.yml's B2H_CACHE_SCHEMA, which a build-and-test step checks against
+/// it).
+inline constexpr std::uint32_t kCacheSchemaVersion = 2;
 
 /// Cache-dir resolution: the B2H_CACHE_DIR environment variable overrides
 /// any configured directory (the CI cache-warm gate points whole processes
@@ -64,9 +62,8 @@ class DiskStore {
   };
 
   struct Stats {
-    std::size_t decompile_entries = 0;
-    std::size_t partition_entries = 0;
-    std::uint64_t entry_bytes = 0;        ///< current-schema entries
+    std::size_t entries = 0;              ///< current-schema entries
+    std::uint64_t entry_bytes = 0;
     std::size_t stale_files = 0;          ///< other-schema trees + temp junk
     std::uint64_t stale_bytes = 0;
     std::uint64_t total_bytes = 0;
@@ -81,22 +78,19 @@ class DiskStore {
 
   /// Entry payload, or nullopt on miss/corruption.  A hit refreshes the
   /// entry's mtime (LRU).
-  [[nodiscard]] std::optional<std::string> Load(std::string_view kind,
-                                                const std::string& key);
+  [[nodiscard]] std::optional<std::string> Load(const std::string& key);
 
   /// Cheap existence probe (one stat) — lets callers skip serializing a
   /// payload that Store() would discard anyway.
-  [[nodiscard]] bool Contains(std::string_view kind,
-                              const std::string& key) const;
+  [[nodiscard]] bool Contains(const std::string& key) const;
 
   /// Remove one entry (corrupt-entry reclamation).  Quiet on absence.
-  void Remove(std::string_view kind, const std::string& key);
+  void Remove(const std::string& key);
 
   /// Write an entry; skips the write when the key already exists (entries
   /// are content-addressed, so a racing writer's bytes are identical).
   /// Returns true only when this call actually wrote the entry.
-  bool Store(std::string_view kind, const std::string& key,
-             std::string_view payload);
+  bool Store(const std::string& key, std::string_view payload);
 
   [[nodiscard]] Stats ComputeStats() const;
 
@@ -111,8 +105,7 @@ class DiskStore {
   void Clear();
 
  private:
-  [[nodiscard]] std::filesystem::path EntryPath(std::string_view kind,
-                                                const std::string& key) const;
+  [[nodiscard]] std::filesystem::path EntryPath(const std::string& key) const;
   void MaybeAutoGc();
 
   Options options_;

@@ -1,6 +1,5 @@
 #include "explore/explorer.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
@@ -188,10 +187,85 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     spec.progress(progress);
   };
 
-  // ---- Stage A: one profile + decompilation per unique artifact key ------
-  // The key covers binary bytes, pipeline spec, and CPU cycle model: clock
-  // frequency and FPGA capacity do not affect cycle counts, so the paper's
-  // whole platform grid shares one decompilation per binary.
+  // ---- Probe: one partition key per point, before any work runs ---------
+  // The decompile key hashes inputs only (binary bytes, pipeline spec, CPU
+  // cycle model, sim budget), so every partition key is known up front and
+  // a warm sweep never touches a decompile key.  Clock frequency and FPGA
+  // capacity do not affect cycle counts, so the paper's whole platform grid
+  // shares one decompile key per binary; objective-insensitive strategies
+  // (the paper heuristic) collapse all objectives onto one partition key.
+  struct PartitionJob {
+    std::string key;
+    std::string decomp_key;
+    std::size_t binary = 0;
+    std::size_t platform = 0;
+    std::size_t strategy = 0;
+    partition::Objective objective = partition::Objective::kSpeedup;
+  };
+  std::vector<std::string> point_keys(num_points);
+  std::vector<PartitionJob> partition_jobs;
+  // Every key's artifact, failed ones included (null while queued).
+  std::map<std::string, std::shared_ptr<const PartitionArtifact>> partitions;
+  std::set<std::string> partition_cached_keys;  // hits at probe time
+  for (std::size_t b = 0; b < out.num_binaries; ++b) {
+    for (std::size_t p = 0; p < out.num_platforms; ++p) {
+      const bool resolved =
+          spec.binaries[b].binary != nullptr && platforms[p].has_value();
+      const std::string decomp_key =
+          resolved ? DecompKey(binary_hashes[b], config_.pipeline,
+                               platforms[p]->cpu.cycle_model,
+                               config_.max_sim_instructions)
+                   : std::string();
+      for (std::size_t s = 0; s < out.num_strategies; ++s) {
+        for (std::size_t o = 0; o < out.num_objectives; ++o) {
+          ExplorePoint& point = out.points[point_index(b, p, s, o)];
+          if (spec.binaries[b].binary == nullptr) {
+            point.status = Status::Error(
+                ErrorKind::kMalformedBinary,
+                "null binary: " + spec.binaries[b].name);
+            continue;
+          }
+          if (!platforms[p].has_value()) {
+            point.status = Status::Error(
+                ErrorKind::kUnsupported,
+                "unknown platform: " + spec.platforms[p]);
+            continue;
+          }
+          if (strategies[s] == nullptr) {
+            point.status = Status::Error(
+                ErrorKind::kUnsupported,
+                "unknown strategy: " + spec.strategies[s]);
+            continue;
+          }
+          const std::string_view objective_key =
+              strategies[s]->objective_sensitive()
+                  ? partition::ObjectiveName(spec.objectives[o])
+                  : "objective-insensitive";
+          const std::string key = PartitionKey(
+              decomp_key, platform_hashes[p], spec.strategies[s],
+              objective_key,
+              strategies[s]->OptionsFingerprint(spec.strategy_options));
+          point_keys[point_index(b, p, s, o)] = key;
+          const auto [slot, inserted] = partitions.try_emplace(key);
+          if (!inserted) continue;
+          HitTier tier = HitTier::kMiss;
+          slot->second = cache_->FindPartition(key, &tier);
+          if (slot->second != nullptr) {
+            count_hit(tier);
+            partition_cached_keys.insert(key);
+          } else {
+            ++cache_misses;
+            partition_jobs.push_back(
+                {key, decomp_key, b, p, s, spec.objectives[o]});
+          }
+        }
+      }
+    }
+  }
+
+  // ---- Stage A: profile + decompile what the missed partitions need -----
+  // One job per decompile key behind a missed partition key, unless the
+  // memory tier holds it (the disk tier keeps no decompiles).
   struct DecompJob {
     std::string key;
     std::size_t binary = 0;
@@ -202,47 +276,19 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     bool lead = true;
   };
   std::vector<DecompJob> decomp_jobs;
-  std::map<std::string, std::shared_ptr<const DecompileArtifact>> decomp_done;
-  std::map<std::string, Status> decomp_failed;
-  // decomp key per (binary, platform); empty when unresolvable.
-  std::vector<std::string> pair_decomp_key(out.num_binaries *
-                                           out.num_platforms);
-  // First binary observed per decomp key, for program rehydration of
-  // summary-only disk hits (any binary with the key works — the key covers
-  // the binary hash).
-  std::map<std::string, std::size_t> decomp_key_binary;
-  for (std::size_t b = 0; b < out.num_binaries; ++b) {
-    for (std::size_t p = 0; p < out.num_platforms; ++p) {
-      if (spec.binaries[b].binary == nullptr || !platforms[p].has_value()) {
-        continue;
-      }
-      const std::string key =
-          DecompKey(binary_hashes[b], config_.pipeline,
-                    platforms[p]->cpu.cycle_model,
-                    config_.max_sim_instructions);
-      pair_decomp_key[b * out.num_platforms + p] = key;
-      decomp_key_binary.emplace(key, b);
-      if (decomp_done.count(key) != 0 || decomp_failed.count(key) != 0) {
-        continue;
-      }
-      if (std::any_of(decomp_jobs.begin(), decomp_jobs.end(),
-                      [&](const DecompJob& job) { return job.key == key; })) {
-        continue;
-      }
-      HitTier tier = HitTier::kMiss;
-      auto cached = cache_->FindDecompile(key, &tier);
-      if (cached != nullptr) {
-        count_hit(tier);
-        if (cached->status.ok()) {
-          decomp_done.emplace(key, std::move(cached));
-        } else {
-          decomp_failed.emplace(key, cached->status);
-        }
-      } else {
-        ++cache_misses;
-        decomp_jobs.push_back({key, b, platforms[p]->cpu.cycle_model,
-                               cache_->LeadDecompile(key)});
-      }
+  std::map<std::string, std::shared_ptr<const DecompileArtifact>> decomps;
+  for (const PartitionJob& job : partition_jobs) {
+    const auto [slot, inserted] = decomps.try_emplace(job.decomp_key);
+    if (!inserted) continue;
+    HitTier tier = HitTier::kMiss;
+    slot->second = cache_->FindDecompile(job.decomp_key, &tier);
+    if (slot->second != nullptr) {
+      count_hit(tier);
+    } else {
+      ++cache_misses;
+      decomp_jobs.push_back({job.decomp_key, job.binary,
+                             platforms[job.platform]->cpu.cycle_model,
+                             cache_->LeadDecompile(job.decomp_key)});
     }
   }
 
@@ -251,23 +297,6 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
   std::vector<double> decomp_job_ms(decomp_jobs.size(), 0.0);
   std::atomic<std::size_t> simulations{0};
   std::atomic<std::size_t> decompilations{0};
-  // Shared decompile tail of Stage A (fresh simulation) and Stage A'
-  // (profile served from the disk cache): run the pass pipeline over the
-  // profiled binary and finish the artifact.
-  const auto decompile_into =
-      [&](DecompileArtifact& artifact,
-          const std::shared_ptr<const mips::SoftBinary>& binary,
-          std::shared_ptr<const mips::RunResult> run) {
-        auto program = pipeline.Run(binary, &run->profile);
-        decompilations.fetch_add(1);
-        if (!program.ok()) {
-          artifact.status = program.status();
-          return;
-        }
-        artifact.software_run = std::move(run);
-        artifact.program = std::make_shared<const decomp::DecompiledProgram>(
-            std::move(program).take());
-      };
   std::atomic<std::uint64_t> decomp_progress{0};
   report_progress("decompile", 0, decomp_jobs.size());
   support::ParallelFor(
@@ -309,7 +338,16 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
                 ErrorKind::kMalformedBinary,
                 "software run did not complete: " + run->fault_message);
           } else {
-            decompile_into(*artifact, binary, std::move(run));
+            auto program = pipeline.Run(binary, &run->profile);
+            decompilations.fetch_add(1);
+            if (!program.ok()) {
+              artifact->status = program.status();
+            } else {
+              artifact->software_run = std::move(run);
+              artifact->program =
+                  std::make_shared<const decomp::DecompiledProgram>(
+                      std::move(program).take());
+            }
           }
         } catch (const std::exception& e) {
           artifact->status = Status::Error(
@@ -324,200 +362,40 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
         decomp_slots[index] = std::move(artifact);
         finish();
       });
-  // Decompile stage time per key, for point attribution; rehydrations
-  // (Stage A') add theirs below.
-  std::map<std::string, double> decomp_ms_by_key;
   for (std::size_t index = 0; index < decomp_jobs.size(); ++index) {
     // No PutDecompile here: the jobs published (leaders) or consumed a
     // publication (single-flight waiters) already.
-    std::shared_ptr<const DecompileArtifact> artifact =
-        std::move(decomp_slots[index]);
-    decomp_ms_by_key[decomp_jobs[index].key] = decomp_job_ms[index];
     out.decompile_stage_ms += decomp_job_ms[index];
-    if (artifact->status.ok()) {
-      decomp_done.emplace(decomp_jobs[index].key, std::move(artifact));
-    } else {
-      decomp_failed.emplace(decomp_jobs[index].key, artifact->status);
-    }
+    decomps[decomp_jobs[index].key] = std::move(decomp_slots[index]);
   }
 
-  // ---- Stage B: one partition per unique artifact key --------------------
-  // Objective-insensitive strategies (the paper heuristic) collapse all
-  // objectives onto one key, so those sweep points are served by a single
-  // partition.
-  struct PartitionJob {
-    std::string key;
-    std::size_t binary = 0;
-    std::size_t platform = 0;
-    std::size_t strategy = 0;
-    partition::Objective objective = partition::Objective::kSpeedup;
-  };
-  std::vector<std::string> point_keys(num_points);
-  std::vector<PartitionJob> partition_jobs;
-  std::map<std::string, std::shared_ptr<const PartitionArtifact>>
-      partition_done;
-  std::map<std::string, Status> partition_failed;
-  std::set<std::string> partition_cached_keys;  // hits at probe time
-  std::set<std::string> partition_queued;
-  for (std::size_t b = 0; b < out.num_binaries; ++b) {
-    for (std::size_t p = 0; p < out.num_platforms; ++p) {
-      for (std::size_t s = 0; s < out.num_strategies; ++s) {
-        for (std::size_t o = 0; o < out.num_objectives; ++o) {
-          ExplorePoint& point = out.points[point_index(b, p, s, o)];
-          if (spec.binaries[b].binary == nullptr) {
-            point.status = Status::Error(
-                ErrorKind::kMalformedBinary,
-                "null binary: " + spec.binaries[b].name);
-            continue;
-          }
-          if (!platforms[p].has_value()) {
-            point.status = Status::Error(
-                ErrorKind::kUnsupported,
-                "unknown platform: " + spec.platforms[p]);
-            continue;
-          }
-          if (strategies[s] == nullptr) {
-            point.status = Status::Error(
-                ErrorKind::kUnsupported,
-                "unknown strategy: " + spec.strategies[s]);
-            continue;
-          }
-          const std::string& decomp_key =
-              pair_decomp_key[b * out.num_platforms + p];
-          const auto failed = decomp_failed.find(decomp_key);
-          if (failed != decomp_failed.end()) {
-            point.status = failed->second;
-            continue;
-          }
-          const std::string_view objective_key =
-              strategies[s]->objective_sensitive()
-                  ? partition::ObjectiveName(spec.objectives[o])
-                  : "objective-insensitive";
-          const std::string key = PartitionKey(
-              decomp_key, platform_hashes[p], spec.strategies[s],
-              objective_key,
-              strategies[s]->OptionsFingerprint(spec.strategy_options));
-          point_keys[point_index(b, p, s, o)] = key;
-          if (partition_queued.count(key) != 0 ||
-              partition_cached_keys.count(key) != 0) {
-            continue;
-          }
-          HitTier tier = HitTier::kMiss;
-          auto cached = cache_->FindPartition(key, &tier);
-          if (cached != nullptr) {
-            count_hit(tier);
-            partition_cached_keys.insert(key);
-            if (cached->status.ok()) {
-              partition_done.emplace(key, std::move(cached));
-            } else {
-              partition_failed.emplace(key, cached->status);
-            }
-          } else {
-            ++cache_misses;
-            partition_queued.insert(key);
-            partition_jobs.push_back(
-                {key, b, p, s, spec.objectives[o]});
-          }
-        }
-      }
-    }
-  }
-
-  // ---- Stage A': rehydrate summary-only decompile artifacts --------------
-  // A disk-hydrated DecompileArtifact carries the profile but not the IR
-  // (see artifact_cache.hpp).  That is enough for every fully-warm point;
-  // only when a partition key actually missed does its program get rebuilt
-  // here — from the cached profile, skipping the simulation.
-  struct RehydrateJob {
-    std::string key;
-    std::size_t binary = 0;
-  };
-  std::vector<RehydrateJob> rehydrate_jobs;
+  // A failed decompile fails every partition key that needed it.  Each
+  // key caches the failure as a failed PartitionArtifact, so a warm sweep
+  // — in this process or, through the disk tier, in the next — replays it
+  // without profiling the binary again.
   {
-    std::set<std::string> queued;
-    for (const PartitionJob& job : partition_jobs) {
-      const std::string& key =
-          pair_decomp_key[job.binary * out.num_platforms + job.platform];
-      const auto it = decomp_done.find(key);
-      if (it != decomp_done.end() && it->second->program == nullptr &&
-          queued.insert(key).second) {
-        rehydrate_jobs.push_back({key, decomp_key_binary.at(key)});
-      }
-    }
-  }
-  std::vector<std::shared_ptr<DecompileArtifact>> rehydrate_slots(
-      rehydrate_jobs.size());
-  std::vector<double> rehydrate_job_ms(rehydrate_jobs.size(), 0.0);
-  std::atomic<std::size_t> rehydrations{0};
-  std::atomic<std::uint64_t> rehydrate_progress{0};
-  if (!rehydrate_jobs.empty()) {
-    report_progress("rehydrate", 0, rehydrate_jobs.size());
-  }
-  support::ParallelFor(
-      rehydrate_jobs.size(), config_.threads, [&](std::size_t index) {
-        const RehydrateJob& job = rehydrate_jobs[index];
-        obs::ScopedSpan span("explore.rehydrate", "explore");
-        span.Arg("binary", spec.binaries[job.binary].name);
-        const obs::Stopwatch watch;
-        auto artifact = std::make_shared<DecompileArtifact>();
-        rehydrate_slots[index] = artifact;
-        try {
-          const auto& summary = decomp_done.at(job.key);
-          decompile_into(*artifact, spec.binaries[job.binary].binary,
-                         summary->software_run);
-          // Counted after the decompile so rehydrations can never exceed
-          // decompilations_run (the documented "of decompilations_run"
-          // relationship), even on an exception path.
-          rehydrations.fetch_add(1);
-        } catch (const std::exception& e) {
-          artifact->status = Status::Error(
-              ErrorKind::kUnsupported,
-              std::string("internal error: ") + e.what());
-        }
-        rehydrate_job_ms[index] = watch.Millis();
-        report_progress(
-            "rehydrate",
-            rehydrate_progress.fetch_add(1, std::memory_order_relaxed) + 1,
-            rehydrate_jobs.size());
-      });
-  for (std::size_t index = 0; index < rehydrate_jobs.size(); ++index) {
-    const std::string& key = rehydrate_jobs[index].key;
-    decomp_ms_by_key[key] += rehydrate_job_ms[index];
-    out.decompile_stage_ms += rehydrate_job_ms[index];
-    std::shared_ptr<const DecompileArtifact> artifact =
-        std::move(rehydrate_slots[index]);
-    if (artifact->status.ok()) {
-      decomp_done[key] = artifact;
-      cache_->PutDecompile(key, artifact);  // refresh the memory tier
-    } else {
-      // A deterministic recompute of a previously-ok artifact cannot
-      // normally fail; degrade gracefully anyway: the dependent partition
-      // jobs are dropped and their points report the failure.
-      decomp_done.erase(key);
-      decomp_failed.emplace(key, artifact->status);
-    }
-  }
-  if (!rehydrate_jobs.empty()) {
-    std::vector<PartitionJob> keep;
-    keep.reserve(partition_jobs.size());
+    std::vector<PartitionJob> runnable;
+    runnable.reserve(partition_jobs.size());
     for (PartitionJob& job : partition_jobs) {
-      const std::string& key =
-          pair_decomp_key[job.binary * out.num_platforms + job.platform];
-      const auto failed = decomp_failed.find(key);
-      if (failed != decomp_failed.end()) {
-        partition_failed.emplace(job.key, failed->second);
-      } else {
-        keep.push_back(std::move(job));
+      const Status& status = decomps.at(job.decomp_key)->status;
+      if (status.ok()) {
+        runnable.push_back(std::move(job));
+        continue;
       }
+      auto failed = std::make_shared<PartitionArtifact>();
+      failed->status = status;
+      cache_->PutPartition(job.key, failed);
+      partitions[job.key] = std::move(failed);
     }
-    partition_jobs = std::move(keep);
+    partition_jobs = std::move(runnable);
   }
 
+  // ---- Stage B: one partition per missed partition key -------------------
   std::vector<std::shared_ptr<PartitionArtifact>> partition_slots(
       partition_jobs.size());
   std::vector<double> partition_job_synth_ms(partition_jobs.size(), 0.0);
   std::vector<double> partition_job_ms(partition_jobs.size(), 0.0);
-  std::atomic<std::size_t> partitions{0};
+  std::atomic<std::size_t> partitions_run{0};
   std::atomic<std::uint64_t> partition_progress{0};
   report_progress("partition", 0, partition_jobs.size());
   support::ParallelFor(
@@ -526,9 +404,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
         auto artifact = std::make_shared<PartitionArtifact>();
         partition_slots[index] = artifact;
         try {
-          const std::string& decomp_key =
-              pair_decomp_key[job.binary * out.num_platforms + job.platform];
-          const auto& base = decomp_done.at(decomp_key);
+          const auto& base = decomps.at(job.decomp_key);
           partition::StrategyOptions strategy_options = spec.strategy_options;
           strategy_options.objective = job.objective;
           // Every job on the same program shares one pooled CandidateSet,
@@ -539,7 +415,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
             synth_span.Arg("binary", spec.binaries[job.binary].name);
             const obs::Stopwatch synth_watch;
             strategy_options.candidates = cache_->candidate_pool()->Obtain(
-                decomp_key, base->program,
+                job.decomp_key, base->program,
                 base->software_run->profile);
             partition_job_synth_ms[index] = synth_watch.Millis();
           }
@@ -550,7 +426,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
           auto partitioned = strategies[job.strategy]->Partition(
               *base->program, base->software_run->profile,
               *platforms[job.platform], partition_options, strategy_options);
-          partitions.fetch_add(1);
+          partitions_run.fetch_add(1);
           partition_job_ms[index] = watch.Millis();
           if (!partitioned.ok()) {
             artifact->status = partitioned.status();
@@ -571,39 +447,26 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
             partition_progress.fetch_add(1, std::memory_order_relaxed) + 1,
             partition_jobs.size());
       });
-  struct StageMs {
-    double synth_ms = 0.0;
-    double partition_ms = 0.0;
-  };
-  std::map<std::string, StageMs> partition_ms_by_key;
   for (std::size_t index = 0; index < partition_jobs.size(); ++index) {
-    std::shared_ptr<const PartitionArtifact> artifact =
-        std::move(partition_slots[index]);
-    cache_->PutPartition(partition_jobs[index].key, artifact);
-    partition_ms_by_key[partition_jobs[index].key] = {
-        partition_job_synth_ms[index], partition_job_ms[index]};
     out.synth_stage_ms += partition_job_synth_ms[index];
     out.partition_stage_ms += partition_job_ms[index];
-    if (artifact->status.ok()) {
-      partition_done.emplace(partition_jobs[index].key, std::move(artifact));
-    } else {
-      partition_failed.emplace(partition_jobs[index].key, artifact->status);
-    }
+    cache_->PutPartition(partition_jobs[index].key, partition_slots[index]);
+    partitions[partition_jobs[index].key] = std::move(partition_slots[index]);
   }
 
   // ---- Fill points and compute per-binary Pareto frontiers ---------------
   for (std::size_t i = 0; i < num_points; ++i) {
     ExplorePoint& point = out.points[i];
-    if (!point.status.ok() || point_keys[i].empty()) continue;
-    const auto failed = partition_failed.find(point_keys[i]);
-    if (failed != partition_failed.end()) {
-      point.status = failed->second;
+    if (!point.status.ok()) continue;
+    const auto found = partitions.find(point_keys[i]);
+    Check(found != partitions.end() && found->second != nullptr,
+          "Explorer: missing artifact");
+    const PartitionArtifact& artifact = *found->second;
+    if (!artifact.status.ok()) {
+      point.status = artifact.status;
       continue;
     }
-    const auto done = partition_done.find(point_keys[i]);
-    Check(done != partition_done.end(), "Explorer: missing artifact");
-    point.artifact = done->second;
-    const PartitionArtifact& artifact = *done->second;
+    point.artifact = found->second;
     point.speedup = artifact.estimate.speedup;
     point.partitioned_time = artifact.estimate.partitioned_time;
     point.energy = artifact.estimate.partitioned_energy;
@@ -619,22 +482,6 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     }
     point.rejected = artifact.partition.rejected;
     point.from_cache = partition_cached_keys.count(point_keys[i]) != 0;
-    // Stage cost attribution: the job(s) that produced this point's
-    // artifacts this sweep (absent key = served from cache = 0 ms).
-    const std::size_t b = i / (out.num_platforms * out.num_strategies *
-                               out.num_objectives);
-    const std::size_t p =
-        (i / (out.num_strategies * out.num_objectives)) % out.num_platforms;
-    if (const auto ms =
-            decomp_ms_by_key.find(pair_decomp_key[b * out.num_platforms + p]);
-        ms != decomp_ms_by_key.end()) {
-      point.decompile_ms = ms->second;
-    }
-    if (const auto ms = partition_ms_by_key.find(point_keys[i]);
-        ms != partition_ms_by_key.end()) {
-      point.synth_ms = ms->second.synth_ms;
-      point.partition_ms = ms->second.partition_ms;
-    }
   }
   for (std::size_t b = 0; b < out.num_binaries; ++b) {
     std::vector<std::size_t> ok_points;
@@ -657,8 +504,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
 
   out.simulations_run = simulations.load();
   out.decompilations_run = decompilations.load();
-  out.partitions_run = partitions.load();
-  out.decompile_rehydrations = rehydrations.load();
+  out.partitions_run = partitions_run.load();
   out.cache_hits = cache_hits;
   out.cache_misses = cache_misses;
   out.cache_memory_hits = cache_memory_hits;
@@ -744,7 +590,7 @@ std::string ExploreResult::Report() const {
   return out.str();
 }
 
-std::string ExploreResult::Json(bool include_stage_ms) const {
+std::string ExploreResult::Json() const {
   std::ostringstream out;
   char number[64];
   const auto emit_double = [&](const char* name, double value) {
@@ -784,13 +630,6 @@ std::string ExploreResult::Json(bool include_stage_ms) const {
     emit_double("area_gates", point.area_gates);
     emit_strings("hw_regions", point.hw_names);
     emit_strings("rejected", point.rejected);
-    if (include_stage_ms) {
-      // Host-time data: only behind the opt-in flag, never on the
-      // byte-compared default surface (see the header contract).
-      emit_double("decompile_ms", point.decompile_ms);
-      emit_double("synth_ms", point.synth_ms);
-      emit_double("partition_ms", point.partition_ms);
-    }
     out << ",\"pareto\":" << (point.on_frontier ? "true" : "false") << "}";
   }
   out << "]}";
@@ -801,10 +640,8 @@ std::string ExploreResult::StatsReport() const {
   std::ostringstream out;
   char line[256];
   std::snprintf(line, sizeof line,
-                "work: %zu simulations, %zu decompilations "
-                "(%zu rehydrated), %zu partitions\n",
-                simulations_run, decompilations_run, decompile_rehydrations,
-                partitions_run);
+                "work: %zu simulations, %zu decompilations, %zu partitions\n",
+                simulations_run, decompilations_run, partitions_run);
   out << line;
   std::snprintf(line, sizeof line,
                 "cache: %zu hits (%zu memory + %zu disk), %zu misses "

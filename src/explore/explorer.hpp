@@ -1,8 +1,10 @@
 // Design-space exploration engine: sweep {binaries} x {platforms} x
-// {strategies} x {objectives}, reusing one profile+decompilation per
-// (binary, cycle model) and one partition per distinct artifact key, and
-// emit every point plus the multi-objective Pareto frontier (speedup vs.
-// energy vs. FPGA area).
+// {strategies} x {objectives}, reusing one partition per distinct artifact
+// key and one profile+decompilation per (binary, cycle model), and emit
+// every point plus the multi-objective Pareto frontier (speedup vs. energy
+// vs. FPGA area).  Lookups go partition first: every point's partition key
+// is probed before anything runs, and only the decompiles behind missed
+// partition keys are looked up or computed.
 //
 // Layering: the Explorer is built from the pass manager, the platform and
 // strategy registries, a thread-pool fan-out and the content-addressed
@@ -18,7 +20,9 @@
 // contract holds ACROSS PROCESSES: a sweep re-run from a fresh process
 // against the same cache dir performs zero simulations/decompilations/
 // partitions and reports bit-identically (asserted in test_explore and by
-// the CI cache-warm gate).
+// the CI cache-warm gate).  The disk tier keeps partition artifacts only:
+// after a restart, a partition key that misses profiles and decompiles its
+// binary again.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +51,8 @@ namespace b2h::explore {
 
 /// Point-in-time progress of a running sweep, for long-explore streaming
 /// (the serve daemon forwards these as progress frames / a polled HTTP
-/// resource).  `stage` is a static string: "decompile", "rehydrate",
-/// "partition", or "done".
+/// resource).  `stage` is a static string: "decompile", "partition", or
+/// "done".
 struct ExploreProgress {
   const char* stage = "";
   std::uint64_t stage_done = 0;   ///< jobs finished in this stage
@@ -99,17 +103,6 @@ struct ExplorePoint {
   bool on_frontier = false;   ///< Pareto-optimal within its binary
   bool from_cache = false;    ///< partition artifact predates this sweep
 
-  // Host-time cost (ms) of the stage jobs that produced this point's
-  // artifacts this sweep; 0 when the stage was served from the cache.
-  // Stage jobs are shared across points (one decompile per cycle model, one
-  // partition per artifact key), so every point served by a job reports the
-  // job's full cost.  Volatile like from_cache: excluded from the
-  // deterministic Report()/Json() surfaces unless explicitly requested
-  // (Json(/*include_stage_ms=*/true)).
-  double decompile_ms = 0.0;  ///< profile simulation + pass pipeline
-  double synth_ms = 0.0;      ///< candidate scan + synthesis (pool Obtain)
-  double partition_ms = 0.0;  ///< strategy selection over the candidates
-
   /// The artifact this point was read from (null on failed points).  It
   /// carries the full PartitionResult the Toolchain views hand out; never
   /// rendered by Report()/Json().  Artifacts served from the disk tier have
@@ -145,12 +138,11 @@ struct ExploreResult {
   std::size_t simulations_run = 0;
   std::size_t decompilations_run = 0;
   std::size_t partitions_run = 0;
-  /// Of decompilations_run: programs rebuilt from a disk-cached profile
-  /// (no re-simulation) because a partition key missed while its decompile
-  /// entry was summary-only.  Zero on fully-warm and fully-cold sweeps.
-  std::size_t decompile_rehydrations = 0;
   // Unique-artifact cache traffic this sweep, split by serving tier
-  // (cache_hits == cache_memory_hits + cache_disk_hits).
+  // (cache_hits == cache_memory_hits + cache_disk_hits).  Partition keys
+  // are probed for every point; a decompile key only behind a missed
+  // partition key, so a fully-warm sweep counts one hit per distinct
+  // partition key.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t cache_memory_hits = 0;
@@ -170,19 +162,17 @@ struct ExploreResult {
   /// Deterministic sweep report: every point plus the per-binary Pareto
   /// frontier.  Identical across thread counts and cache states.
   [[nodiscard]] std::string Report() const;
-  /// Work/cache counters and wall time (varies between runs by design).
+  /// Work counters, cache traffic by tier, summed stage times and wall
+  /// time (varies between runs by design).  Its first line, which the CI
+  /// cache-warm gate greps for zeros, reads
+  /// "work: N simulations, N decompilations, N partitions".
   [[nodiscard]] std::string StatsReport() const;
   /// Deterministic JSON report, stamped with kReportSchemaVersion: every
   /// point (metrics, hw region names, rejections, frontier flag) plus the
   /// grid shape.  Deliberately excludes from_cache and all work counters so
   /// warm/cold and serial/concurrent runs serialize bit-identically — the
   /// serve daemon's `explore` responses embed this object.
-  ///
-  /// `include_stage_ms` additionally emits the per-point stage durations
-  /// (decompile_ms/synth_ms/partition_ms) — host-time data that varies
-  /// between runs, so it is OFF by default and must never be turned on for
-  /// a byte-compared surface (serve responses, the CI cache-warm gate).
-  [[nodiscard]] std::string Json(bool include_stage_ms = false) const;
+  [[nodiscard]] std::string Json() const;
 };
 
 struct ExplorerConfig {

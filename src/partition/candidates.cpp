@@ -230,7 +230,7 @@ std::shared_ptr<const CandidateSet> CandidateSetPool::Obtain(
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
     // Serve only an entry built against this exact program instance: a
-    // disk-rehydrated program is a different instance, and the pooled
+    // recomputed program is a different instance, and the pooled
     // candidates point into the instance they were scanned from.
     if (it != entries_.end() && it->second.program.get() == program.get()) {
       ++hits_;

@@ -173,8 +173,9 @@ class CandidateSet {
 
 /// Process-lifetime pool of CandidateSets keyed by decompile artifact key.
 /// Entries pin the decompiled program they point into; a key is only served
-/// when the caller presents the SAME program instance (a rehydrated program
-/// is a different instance and rebuilds the entry), so pooled candidates can
+/// when the caller presents the SAME program instance (a program recomputed
+/// after ArtifactCache::Clear() or after a vanished single-flight is a
+/// different instance and rebuilds the entry), so pooled candidates can
 /// never dangle into a replaced program.
 /// Bounded LRU so a long-lived server cannot accumulate unbounded IR.
 class CandidateSetPool {

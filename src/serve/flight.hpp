@@ -73,7 +73,7 @@ class RequestLog {
 
 /// Point-in-time progress of one in-flight (or just-finished) work item.
 struct ProgressState {
-  std::string stage;           // "decompile", "rehydrate", "partition", ...
+  std::string stage;           // "decompile", "partition", "done"
   std::uint64_t stage_done = 0;
   std::uint64_t stage_total = 0;
   std::uint64_t points_total = 0;  // grid points in the explore

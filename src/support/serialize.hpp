@@ -11,7 +11,6 @@
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace b2h::support {
 
@@ -55,11 +54,6 @@ class BinaryWriter {
   void Str(std::string_view text) {
     U64(text.size());
     out_.append(text.data(), text.size());
-  }
-
-  void VecU64(const std::vector<std::uint64_t>& values) {
-    U64(values.size());
-    for (const std::uint64_t v : values) U64(v);
   }
 
   [[nodiscard]] const std::string& buffer() const { return out_; }
@@ -131,18 +125,6 @@ class BinaryReader {
     if (!U64(&size) || !Need(size)) return false;
     out->assign(data_.data() + pos_, static_cast<std::size_t>(size));
     pos_ += static_cast<std::size_t>(size);
-    return true;
-  }
-
-  bool VecU64(std::vector<std::uint64_t>* out) {
-    std::uint64_t size = 0;
-    // Each element is 8 bytes; reject sizes the remaining buffer cannot
-    // hold before allocating.
-    if (!U64(&size) || size > (data_.size() - pos_) / 8) return Fail();
-    out->resize(static_cast<std::size_t>(size));
-    for (auto& v : *out) {
-      if (!U64(&v)) return false;
-    }
     return true;
   }
 

@@ -1,9 +1,10 @@
-// Persistent artifact-cache robustness: serialization round-trips through
-// the disk tier, schema-version self-invalidation, corruption/truncation
-// tolerance (always a miss, never an error), concurrent writers sharing one
-// directory, LRU eviction under a size budget, and stale-schema garbage
-// collection.  The end-to-end "process-restarted sweep is free" contract
-// lives in test_explore; this file stresses the storage layer underneath.
+// Persistent artifact-cache robustness: partition-artifact round-trips
+// through the disk tier, decompiles kept to the memory tier, schema-version
+// self-invalidation, corruption/truncation tolerance (always a miss, never
+// an error), concurrent writers sharing one directory, LRU eviction under a
+// size budget, and stale-schema garbage collection.  The end-to-end
+// "process-restarted sweep is free" contract lives in test_explore; this
+// file stresses the storage layer underneath.
 #include "explore/artifact_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -23,23 +24,6 @@ namespace {
 namespace fs = std::filesystem;
 
 using testing_support::TempDir;
-
-std::shared_ptr<DecompileArtifact> MakeDecompileArtifact() {
-  auto artifact = std::make_shared<DecompileArtifact>();
-  auto run = std::make_shared<mips::RunResult>();
-  run->return_value = -7;
-  run->instructions = 123456;
-  run->cycles = 654321;
-  run->reason = mips::HaltReason::kReturned;
-  run->profile.instr_count = {1, 2, 3, 0, 9};
-  run->profile.cycle_count = {2, 4, 6, 0, 18};
-  run->profile.branch_taken = {0, 1, 0, 0, 5};
-  run->profile.branch_not_taken = {1, 0, 0, 0, 4};
-  run->profile.total_instructions = 15;
-  run->profile.total_cycles = 30;
-  artifact->software_run = std::move(run);
-  return artifact;
-}
 
 std::shared_ptr<PartitionArtifact> MakePartitionArtifact() {
   auto artifact = std::make_shared<PartitionArtifact>();
@@ -76,45 +60,32 @@ std::shared_ptr<PartitionArtifact> MakePartitionArtifact() {
   return artifact;
 }
 
-/// Path of the single on-disk entry of `kind`.
-fs::path OnlyEntry(const std::string& dir, std::string_view kind) {
-  const fs::path shard = fs::path(dir) /
-                         ("v" + std::to_string(kCacheSchemaVersion)) /
-                         std::string(kind);
-  const auto files = support::ListFilesRecursive(shard);
+/// Path of the single on-disk entry.
+fs::path OnlyEntry(const std::string& dir) {
+  const auto files = support::ListFilesRecursive(
+      fs::path(dir) / ("v" + std::to_string(kCacheSchemaVersion)));
   EXPECT_EQ(files.size(), 1u);
   return files.empty() ? fs::path() : files.front().path;
 }
 
-TEST(ArtifactCacheDisk, DecompileRoundTripAcrossCaches) {
+TEST(ArtifactCacheDisk, DecompilesStayInTheMemoryTier) {
   TempDir dir;
+  const auto artifact = std::make_shared<const DecompileArtifact>();
   {
     ArtifactCache writer{DiskStore::Options{dir.path, 0}};
-    writer.PutDecompile("k1", MakeDecompileArtifact());
-    EXPECT_EQ(writer.stats().disk_stores, 1u);
+    writer.PutDecompile("k1", artifact);
+    EXPECT_EQ(writer.stats().disk_stores, 0u);
+    HitTier tier = HitTier::kMiss;
+    EXPECT_EQ(writer.FindDecompile("k1", &tier), artifact);
+    EXPECT_EQ(tier, HitTier::kMemory);
   }
-  // A fresh cache (fresh memory tier) must serve the artifact off disk.
+  EXPECT_EQ(DiskStore({dir.path, 0}).ComputeStats().entries, 0u);
+  // A fresh cache (fresh memory tier) over the same directory misses.
   ArtifactCache reader{DiskStore::Options{dir.path, 0}};
-  HitTier tier = HitTier::kMiss;
-  const auto found = reader.FindDecompile("k1", &tier);
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(tier, HitTier::kDisk);
-  EXPECT_TRUE(found->status.ok());
-  EXPECT_EQ(found->program, nullptr);  // summary-only by design
-  ASSERT_NE(found->software_run, nullptr);
-  const auto original = MakeDecompileArtifact();
-  EXPECT_EQ(found->software_run->return_value,
-            original->software_run->return_value);
-  EXPECT_EQ(found->software_run->instructions,
-            original->software_run->instructions);
-  EXPECT_EQ(found->software_run->profile.instr_count,
-            original->software_run->profile.instr_count);
-  EXPECT_EQ(found->software_run->profile.total_cycles,
-            original->software_run->profile.total_cycles);
-  // Second lookup is a memory hit (disk hits are promoted).
-  const auto again = reader.FindDecompile("k1", &tier);
-  EXPECT_EQ(again, found);
-  EXPECT_EQ(tier, HitTier::kMemory);
+  HitTier tier = HitTier::kMemory;
+  EXPECT_EQ(reader.FindDecompile("k1", &tier), nullptr);
+  EXPECT_EQ(tier, HitTier::kMiss);
+  EXPECT_EQ(reader.stats().misses, 1u);
 }
 
 TEST(ArtifactCacheDisk, PartitionRoundTripPreservesReportFields) {
@@ -152,30 +123,33 @@ TEST(ArtifactCacheDisk, PartitionRoundTripPreservesReportFields) {
 TEST(ArtifactCacheDisk, FailureArtifactsPersist) {
   TempDir dir;
   {
+    // The shape a failed decompile is cached in, under each partition key
+    // that needed it.
     ArtifactCache writer{DiskStore::Options{dir.path, 0}};
-    auto failed = std::make_shared<DecompileArtifact>();
+    auto failed = std::make_shared<PartitionArtifact>();
     failed->status = Status::Error(ErrorKind::kIndirectJump,
                                    "CDFG recovery failed at 0x400100");
-    writer.PutDecompile("bad", std::move(failed));
+    writer.PutPartition("bad", std::move(failed));
   }
   ArtifactCache reader{DiskStore::Options{dir.path, 0}};
-  const auto found = reader.FindDecompile("bad");
+  const auto found = reader.FindPartition("bad");
   ASSERT_NE(found, nullptr);
   EXPECT_FALSE(found->status.ok());
   EXPECT_EQ(found->status.kind(), ErrorKind::kIndirectJump);
   EXPECT_EQ(found->status.message(), "CDFG recovery failed at 0x400100");
-  EXPECT_EQ(found->software_run, nullptr);
+  EXPECT_EQ(found->program, nullptr);
+  EXPECT_TRUE(found->partition.hw.empty());
 }
 
 TEST(ArtifactCacheDisk, VersionMismatchIsAMiss) {
   TempDir dir;
   {
     ArtifactCache writer{DiskStore::Options{dir.path, 0}};
-    writer.PutDecompile("k1", MakeDecompileArtifact());
+    writer.PutPartition("p1", MakePartitionArtifact());
   }
   // Bump the version stamp inside the entry header (byte 4 = version LSB,
   // right after the 4-byte magic): the entry must self-invalidate.
-  const fs::path entry = OnlyEntry(dir.path, kDecompileKind);
+  const fs::path entry = OnlyEntry(dir.path);
   auto bytes = support::ReadFile(entry);
   ASSERT_TRUE(bytes.has_value());
   (*bytes)[4] = static_cast<char>((*bytes)[4] + 1);
@@ -183,7 +157,7 @@ TEST(ArtifactCacheDisk, VersionMismatchIsAMiss) {
 
   ArtifactCache reader{DiskStore::Options{dir.path, 0}};
   HitTier tier = HitTier::kMemory;
-  EXPECT_EQ(reader.FindDecompile("k1", &tier), nullptr);
+  EXPECT_EQ(reader.FindPartition("p1", &tier), nullptr);
   EXPECT_EQ(tier, HitTier::kMiss);
   EXPECT_EQ(reader.stats().misses, 1u);
 }
@@ -194,7 +168,7 @@ TEST(ArtifactCacheDisk, TruncatedEntryIsAMissNeverAnError) {
     ArtifactCache writer{DiskStore::Options{dir.path, 0}};
     writer.PutPartition("p1", MakePartitionArtifact());
   }
-  const fs::path entry = OnlyEntry(dir.path, kPartitionKind);
+  const fs::path entry = OnlyEntry(dir.path);
   auto bytes = support::ReadFile(entry);
   ASSERT_TRUE(bytes.has_value());
   bytes->resize(bytes->size() / 2);
@@ -211,7 +185,7 @@ TEST(ArtifactCacheDisk, CorruptedPayloadFailsTheChecksum) {
     ArtifactCache writer{DiskStore::Options{dir.path, 0}};
     writer.PutPartition("p1", MakePartitionArtifact());
   }
-  const fs::path entry = OnlyEntry(dir.path, kPartitionKind);
+  const fs::path entry = OnlyEntry(dir.path);
   auto bytes = support::ReadFile(entry);
   ASSERT_TRUE(bytes.has_value());
   bytes->back() = static_cast<char>(bytes->back() ^ 0x5a);  // flip payload bits
@@ -227,17 +201,17 @@ TEST(ArtifactCacheDisk, UndecodablePayloadCountsAsBadEntry) {
   // artifact: the envelope (magic/version/checksum) passes, decoding fails,
   // and the cache reports a miss plus a bad-entry diagnostic.
   DiskStore store({dir.path, 0});
-  EXPECT_TRUE(store.Store(kDecompileKind, "junk", "not an artifact"));
+  EXPECT_TRUE(store.Store("junk", "not an artifact"));
   ArtifactCache reader{DiskStore::Options{dir.path, 0}};
-  EXPECT_EQ(reader.FindDecompile("junk"), nullptr);
+  EXPECT_EQ(reader.FindPartition("junk"), nullptr);
   EXPECT_EQ(reader.stats().disk_bad_entries, 1u);
   EXPECT_EQ(reader.stats().misses, 1u);
   // Bad entries are reclaimed, not permanent: the key is storable again
   // (Store skips existing paths, so leaving the file would pin the miss).
-  EXPECT_FALSE(store.Contains(kDecompileKind, "junk"));
-  reader.PutDecompile("junk", MakeDecompileArtifact());
+  EXPECT_FALSE(store.Contains("junk"));
+  reader.PutPartition("junk", MakePartitionArtifact());
   ArtifactCache again{DiskStore::Options{dir.path, 0}};
-  EXPECT_NE(again.FindDecompile("junk"), nullptr);
+  EXPECT_NE(again.FindPartition("junk"), nullptr);
 }
 
 TEST(ArtifactCacheDisk, ConcurrentWritersShareOneDirectory) {
@@ -247,10 +221,9 @@ TEST(ArtifactCacheDisk, ConcurrentWritersShareOneDirectory) {
   // resulting entry is complete and decodable.
   ArtifactCache a{DiskStore::Options{dir.path, 0}};
   ArtifactCache b{DiskStore::Options{dir.path, 0}};
-  constexpr int kKeys = 40;
+  constexpr int kKeys = 80;
   const auto writer = [&](ArtifactCache& cache) {
     for (int i = 0; i < kKeys; ++i) {
-      cache.PutDecompile("d" + std::to_string(i), MakeDecompileArtifact());
       cache.PutPartition("p" + std::to_string(i), MakePartitionArtifact());
     }
   };
@@ -261,7 +234,6 @@ TEST(ArtifactCacheDisk, ConcurrentWritersShareOneDirectory) {
 
   ArtifactCache reader{DiskStore::Options{dir.path, 0}};
   for (int i = 0; i < kKeys; ++i) {
-    ASSERT_NE(reader.FindDecompile("d" + std::to_string(i)), nullptr) << i;
     ASSERT_NE(reader.FindPartition("p" + std::to_string(i)), nullptr) << i;
   }
   EXPECT_EQ(reader.stats().disk_bad_entries, 0u);
@@ -276,34 +248,34 @@ TEST(DiskStoreTest, EvictionKeepsTheStoreUnderItsBudget) {
   // Budget fits ~3 entries; writes beyond that must evict the oldest.
   DiskStore store({dir.path, 3 * 4096});
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(store.Store(kDecompileKind, "k" + std::to_string(i), payload));
+    ASSERT_TRUE(store.Store("k" + std::to_string(i), payload));
     // Distinct mtimes make the LRU order deterministic on coarse-timestamp
     // filesystems.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   const auto stats = store.ComputeStats();
   EXPECT_LE(stats.total_bytes, 3u * 4096u);
-  EXPECT_LT(stats.decompile_entries, 12u);
-  EXPECT_GT(stats.decompile_entries, 0u);
+  EXPECT_LT(stats.entries, 12u);
+  EXPECT_GT(stats.entries, 0u);
   // LRU-by-mtime: the newest entry survives, the oldest is gone.
-  EXPECT_TRUE(store.Load(kDecompileKind, "k11").has_value());
-  EXPECT_FALSE(store.Load(kDecompileKind, "k0").has_value());
+  EXPECT_TRUE(store.Load("k11").has_value());
+  EXPECT_FALSE(store.Load("k0").has_value());
 }
 
 TEST(DiskStoreTest, GcReclaimsStaleSchemaTrees) {
   TempDir dir;
   DiskStore store({dir.path, 0});
-  ASSERT_TRUE(store.Store(kPartitionKind, "keep", "payload"));
-  // Simulate a leftover tree from an older on-disk format.
-  const fs::path stale = fs::path(dir.path) / "v0" / "pa";
+  ASSERT_TRUE(store.Store("keep", "payload"));
+  // Simulate a tree left by the older v1 format.
+  const fs::path stale = fs::path(dir.path) / "v1" / "pa";
   ASSERT_TRUE(support::AtomicWriteFile(stale / "old.bin", "stale bytes"));
   EXPECT_EQ(store.ComputeStats().stale_files, 1u);
 
   EXPECT_GE(store.Gc(0), 1u);
   const auto stats = store.ComputeStats();
   EXPECT_EQ(stats.stale_files, 0u);
-  EXPECT_EQ(stats.partition_entries, 1u);  // current entries survive
-  EXPECT_TRUE(store.Load(kPartitionKind, "keep").has_value());
+  EXPECT_EQ(stats.entries, 1u);  // current entries survive
+  EXPECT_TRUE(store.Load("keep").has_value());
 }
 
 TEST(DiskStoreTest, GcAndClearNeverTouchForeignFiles) {
@@ -312,7 +284,7 @@ TEST(DiskStoreTest, GcAndClearNeverTouchForeignFiles) {
   // a mistyped --dir): maintenance must only ever touch the store's own
   // v<N> trees.
   DiskStore store({dir.path, 0});
-  ASSERT_TRUE(store.Store(kDecompileKind, "k", "payload"));
+  ASSERT_TRUE(store.Store("k", "payload"));
   ASSERT_TRUE(support::AtomicWriteFile(fs::path(dir.path) / "notes.txt",
                                        "user data"));
   ASSERT_TRUE(support::AtomicWriteFile(
@@ -321,26 +293,26 @@ TEST(DiskStoreTest, GcAndClearNeverTouchForeignFiles) {
   store.Clear();
   EXPECT_TRUE(fs::exists(fs::path(dir.path) / "notes.txt"));
   EXPECT_TRUE(fs::exists(fs::path(dir.path) / "project" / "main.cpp"));
-  EXPECT_FALSE(store.Load(kDecompileKind, "k").has_value());
+  EXPECT_FALSE(store.Load("k").has_value());
 }
 
 TEST(DiskStoreTest, ClearRemovesEverything) {
   TempDir dir;
   DiskStore store({dir.path, 0});
-  ASSERT_TRUE(store.Store(kDecompileKind, "k", "payload"));
+  ASSERT_TRUE(store.Store("k", "payload"));
   store.Clear();
-  EXPECT_FALSE(store.Load(kDecompileKind, "k").has_value());
+  EXPECT_FALSE(store.Load("k").has_value());
   const auto stats = store.ComputeStats();
-  EXPECT_EQ(stats.decompile_entries + stats.partition_entries, 0u);
+  EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.total_bytes, 0u);
 }
 
 TEST(DiskStoreTest, StoreSkipsExistingKeys) {
   TempDir dir;
   DiskStore store({dir.path, 0});
-  EXPECT_TRUE(store.Store(kDecompileKind, "k", "first"));
-  EXPECT_FALSE(store.Store(kDecompileKind, "k", "second"));  // already there
-  EXPECT_EQ(*store.Load(kDecompileKind, "k"), "first");
+  EXPECT_TRUE(store.Store("k", "first"));
+  EXPECT_FALSE(store.Store("k", "second"));  // already there
+  EXPECT_EQ(*store.Load("k"), "first");
 }
 
 }  // namespace

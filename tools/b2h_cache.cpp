@@ -143,8 +143,7 @@ int main(int argc, char** argv) {
       const auto stats = b2h::explore::DiskStore({dir, 0}).ComputeStats();
       std::printf("cache dir: %s (schema v%u)\n", dir.c_str(),
                   b2h::explore::kCacheSchemaVersion);
-      std::printf("  decompile entries: %zu\n", stats.decompile_entries);
-      std::printf("  partition entries: %zu\n", stats.partition_entries);
+      std::printf("  entries:           %zu\n", stats.entries);
       std::printf("  entry bytes:       %llu\n",
                   static_cast<unsigned long long>(stats.entry_bytes));
       std::printf("  stale files:       %zu (%llu bytes)\n", stats.stale_files,
@@ -169,9 +168,7 @@ int main(int argc, char** argv) {
     const std::size_t removed = store.Gc(max_bytes);
     const auto stats = store.ComputeStats();
     std::printf("gc: removed %zu file(s); %zu entr%s, %llu bytes remain\n",
-                removed, stats.decompile_entries + stats.partition_entries,
-                stats.decompile_entries + stats.partition_entries == 1 ? "y"
-                                                                       : "ies",
+                removed, stats.entries, stats.entries == 1 ? "y" : "ies",
                 static_cast<unsigned long long>(stats.total_bytes));
     return 0;
   }
