@@ -16,8 +16,10 @@
 //      CandidateSet, so contention on it shows here; CI holds the ratio at
 //      or above 1.0 (the pool is never slower than one thread).  The same
 //      sweeps record annealing_proposals, the proposals the annealing
-//      walks made (the registry counter partition.annealing.proposals): a
-//      deterministic work count that CI holds from rising.
+//      walks made (the registry counter partition.annealing.proposals), and
+//      cfg_recomputes, the CFG rebuilds their decompilations made (the
+//      registry counter decomp.cfg_recomputes): deterministic work counts
+//      that CI holds from rising.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -95,7 +97,10 @@ int main() {
   double grid_pool_ms = 0.0;
   const obs::Counter& proposals =
       obs::Registry::Global().counter("partition.annealing.proposals");
+  const obs::Counter& recomputes =
+      obs::Registry::Global().counter("decomp.cfg_recomputes");
   const std::uint64_t proposals_before = proposals.Value();
+  const std::uint64_t recomputes_before = recomputes.Value();
   for (const NamedBinary& binary : binaries) {
     grid.binaries = {binary};
     Toolchain one_thread;  // fresh toolchains: both sweeps cache-cold
@@ -114,9 +119,14 @@ int main() {
   json.Record("grid_sweep_wall_pool", grid_pool_ms, "ms");
   json.Record("grid_pool_scaling", grid_scaling, "x");
   const std::uint64_t grid_proposals = proposals.Value() - proposals_before;
-  printf("annealing proposals over those sweeps: %llu\n\n",
+  const std::uint64_t grid_recomputes = recomputes.Value() - recomputes_before;
+  printf("annealing proposals over those sweeps: %llu\n",
          static_cast<unsigned long long>(grid_proposals));
+  printf("CFG recomputes over those sweeps: %llu\n\n",
+         static_cast<unsigned long long>(grid_recomputes));
   json.Record("annealing_proposals", static_cast<double>(grid_proposals),
+              "count");
+  json.Record("cfg_recomputes", static_cast<double>(grid_recomputes),
               "count");
 
   // ---- 1. Greedy-vs-optimal gap per benchmark (default platform). --------

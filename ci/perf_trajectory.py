@@ -133,6 +133,10 @@ RULES = [
     # once its best equals the best any subset scores, so a rise means the
     # exact stop stopped firing.
     ("annealing_proposals", "lower", 0.02, True),
+    # CFG rebuilds (registry counter decomp.cfg_recomputes) the same sweeps'
+    # decompilations made: a deterministic work count.  A rise means a pass
+    # rebuilds the CFG more often for the same programs.
+    ("cfg_recomputes", "lower", 0.02, True),
     ("speedup", "higher", 0.02, True),          # deterministic model outputs
     ("convergence", "higher", 0.02, True),
     ("hit_rate", "higher", 0.02, True),

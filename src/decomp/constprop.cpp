@@ -4,12 +4,11 @@
 // immediate value of zero in order to move a value between two registers ...
 // If the arithmetic operator is synthesized, then large amounts of area will
 // be wasted.  We remove this overhead using constant propagation."
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
-#include "decomp/lifter.hpp"
 #include "decomp/passes.hpp"
 #include "support/bits.hpp"
 
@@ -131,9 +130,8 @@ Value Identity(const ir::Instr& instr) {
 
 std::size_t SimplifyConstants(ir::Function& function) {
   std::size_t simplified = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  while (true) {
+    bool changed = false;
     std::unordered_map<const ir::Instr*, Value> replacements;
 
     for (const auto& block : function.blocks()) {
@@ -207,75 +205,32 @@ std::size_t SimplifyConstants(ir::Function& function) {
       }
     }
 
-    // Fold constant conditional branches (one per round: each fold changes
-    // the CFG, and phi operands in the dropped successor must be removed in
-    // lockstep with the predecessor edge).
+    // Fold one constant conditional branch per round; the cleanup below
+    // drops the phi operands of the edge that goes away.
     for (const auto& block : function.blocks()) {
       if (!block->has_terminator()) continue;
       ir::Instr* term = block->terminator();
       if (term->op != Opcode::kCondBr || !term->operands[0].is_const()) {
         continue;
       }
-      const bool taken = term->operands[0].imm != 0;
-      ir::Block* kept = taken ? term->target0 : term->target1;
-      ir::Block* dropped = taken ? term->target1 : term->target0;
-      // Remove the phi operand for the dropped edge.  When both targets are
-      // the same block it has two pred entries for `block` carrying the same
-      // value; dropping either keeps alignment.
-      std::vector<std::size_t> occurrences;
-      for (std::size_t i = 0; i < dropped->preds.size(); ++i) {
-        if (dropped->preds[i] == block.get()) occurrences.push_back(i);
-      }
-      std::size_t drop_index = SIZE_MAX;
-      if (dropped == kept) {
-        // Two entries: taken edge (target0) first, fallthrough second.
-        // Keep the surviving edge's operand, drop the other.
-        if (occurrences.size() == 2) {
-          drop_index = taken ? occurrences[1] : occurrences[0];
-        }
-      } else if (!occurrences.empty()) {
-        drop_index = occurrences[0];
-      }
-      if (drop_index != SIZE_MAX) {
-        for (ir::Instr* phi : dropped->Phis()) {
-          if (drop_index < phi->operands.size()) {
-            phi->operands.erase(
-                phi->operands.begin() +
-                static_cast<std::ptrdiff_t>(drop_index));
-          }
-        }
-      }
       term->op = Opcode::kBr;
-      term->target0 = kept;
+      term->target0 = term->operands[0].imm != 0 ? term->target0
+                                                 : term->target1;
       term->target1 = nullptr;
       term->operands.clear();
       term->width = 0;
-      function.RecomputeCfg();
       changed = true;
-      break;  // CFG changed; rescan from a clean state
+      break;
     }
 
     if (!replacements.empty()) {
       function.ReplaceAllUses(replacements);
-      for (const auto& block : function.blocks()) {
-        auto& instrs = block->instrs;
-        instrs.erase(std::remove_if(instrs.begin(), instrs.end(),
-                                    [&](const ir::Instr* instr) {
-                                      return replacements.count(instr) != 0;
-                                    }),
-                     instrs.end());
-      }
       simplified += replacements.size();
       changed = true;
     }
-    if (changed) {
-      function.RemoveUnreachableBlocks();
-      EliminateTrivialPhis(function);
-    }
+    if (!changed) return simplified;
+    function.Cleanup();
   }
-  function.RemoveDeadInstrs();
-  function.RecomputeCfg();
-  return simplified;
 }
 
 }  // namespace b2h::decomp

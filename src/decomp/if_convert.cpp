@@ -13,10 +13,9 @@
 // code (no loads/stores/calls/divides), and worthwhile only when they are
 // short.  ADPCM-style clamping kernels collapse to single-block loops and
 // pipeline at II=1 after this pass.
-#include <algorithm>
 #include <unordered_map>
+#include <vector>
 
-#include "decomp/lifter.hpp"
 #include "decomp/passes.hpp"
 
 namespace b2h::decomp {
@@ -67,33 +66,22 @@ struct Candidate {
 
 /// Straighten the CFG: splice single-pred blocks into their unconditional
 /// single predecessor.  Converted diamonds then collapse into one block —
-/// which is what makes the enclosing loop body pipelinable.
+/// which is what makes the enclosing loop body pipelinable.  Needs
+/// up-to-date preds and no single-pred phis (a clean function has none).
+/// Merging is confluent, so one walk in block order merges every chain
+/// into its head.  The emptied blocks stay for the caller's cleanup.
 std::size_t MergeStraightLineBlocks(ir::Function& function) {
   std::size_t merged = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    function.RecomputeCfg();
-    EliminateTrivialPhis(function);  // single-pred phis become copies
-    for (const auto& block : function.blocks()) {
-      if (!block->has_terminator()) continue;
-      ir::Instr* term = block->terminator();
-      if (term->op != Opcode::kBr) continue;
-      ir::Block* next = term->target0;
-      if (next == block.get() || next == function.entry()) continue;
-      if (next->preds.size() != 1 || !next->Phis().empty()) continue;
-      // Splice: drop our Br, adopt the successor's instructions.
-      block->Remove(term);
-      for (ir::Instr* instr : next->instrs) {
-        instr->parent = block.get();
-        block->instrs.push_back(instr);
-      }
-      next->instrs.clear();
-      // `next` is now empty and unreachable; drop it.
-      function.RemoveUnreachableBlocks();
+  for (const auto& block : function.blocks()) {
+    while (block->has_terminator() && block->terminator()->is(Opcode::kBr)) {
+      ir::Block* next = block->terminator()->target0;
+      if (next == block.get() || next == function.entry()) break;
+      if (next->preds.size() != 1 || !next->Phis().empty()) break;
+      // Splice: drop our Br, adopt the successor's instructions and edges;
+      // `next` is left empty and unreachable.
+      block->Remove(block->terminator());
+      function.MoveTail(next, 0, block.get());
       ++merged;
-      changed = true;
-      break;  // block list changed; restart scan
     }
   }
   return merged;
@@ -103,10 +91,7 @@ std::size_t MergeStraightLineBlocks(ir::Function& function) {
 
 IfConversionStats ConvertIfs(ir::Function& function) {
   IfConversionStats stats;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    function.RecomputeCfg();
+  while (true) {
     Candidate found;
     for (const auto& block : function.blocks()) {
       if (!block->has_terminator()) continue;
@@ -143,17 +128,14 @@ IfConversionStats ConvertIfs(ir::Function& function) {
 
     ir::Instr* term = found.head->terminator();
     const Value cond = term->operands[0];
-    // Hoist arm bodies into the head (speculative execution).
+    // Hoist arm bodies into the head (speculative execution).  The arms
+    // are left empty, without their branches to the merge.
     const auto hoist = [&](ir::Block* arm) {
       if (arm == nullptr) return;
-      std::vector<ir::Instr*> body;
       for (ir::Instr* instr : arm->instrs) {
-        if (!instr->is_terminator()) body.push_back(instr);
+        if (!instr->is_terminator()) found.head->Append(instr);
       }
-      for (ir::Instr* instr : body) {
-        arm->Remove(instr);
-        found.head->Append(instr);  // lands before the terminator
-      }
+      arm->instrs.clear();
     };
     hoist(found.taken);
     hoist(found.fallthrough);
@@ -175,7 +157,6 @@ IfConversionStats ConvertIfs(ir::Function& function) {
       select->src_pc = phi->src_pc;
       found.head->Append(select);
       replacements[phi] = Value::Of(select);
-      found.merge->Remove(phi);
       ++stats.selects_created;
     }
     function.ReplaceAllUses(replacements);
@@ -187,17 +168,14 @@ IfConversionStats ConvertIfs(ir::Function& function) {
     term->target0 = found.merge;
     term->target1 = nullptr;
 
-    // Profile: the head's counts flow through unchanged.
-    function.RemoveUnreachableBlocks();
-    EliminateTrivialPhis(function);
-    function.RemoveDeadInstrs();
+    // Profile: the head's counts flow through unchanged.  The head now
+    // feeds the merge alone, so the two collapse into one block.
+    function.RecomputeCfg();
     MergeStraightLineBlocks(function);
+    function.Cleanup();
     ++stats.diamonds_converted;
-    changed = true;
   }
-  MergeStraightLineBlocks(function);
-  function.RemoveDeadInstrs();
-  function.RecomputeCfg();
+  if (MergeStraightLineBlocks(function) > 0) function.Cleanup();
   return stats;
 }
 

@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "decomp/lifter.hpp"
 #include "decomp/passes.hpp"
 
 namespace b2h::decomp {
@@ -35,21 +34,18 @@ bool IsLeaf(const ir::Function& function) {
   return true;
 }
 
-/// Inline one call site.  Returns the block that execution continues in.
+/// Inline one call site.
 void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
                 const ir::Function& callee) {
-  // Split the caller block at the call.
+  // Split the caller block at the call: the continuation block takes over
+  // everything after the call, out-edges included.  The call itself stays
+  // (replaced at the end once the return value is known).
   ir::Block* cont = caller.CreateBlock(block->name + "_ret", call->src_pc);
-  auto& instrs = block->instrs;
+  const auto& instrs = block->instrs;
   const auto call_it = std::find(instrs.begin(), instrs.end(), call);
   Check(call_it != instrs.end(), "InlineCall: call not in block");
-  // Move everything after the call into the continuation block; the call
-  // itself stays (deleted at the end once its uses are rewritten).
-  for (auto it = call_it + 1; it != instrs.end(); ++it) {
-    (*it)->parent = cont;
-    cont->instrs.push_back(*it);
-  }
-  instrs.erase(call_it + 1, instrs.end());
+  caller.MoveTail(block, static_cast<std::size_t>(call_it - instrs.begin()) + 1,
+                  cont);
 
   // Clone callee blocks and instructions.
   std::unordered_map<const ir::Block*, ir::Block*> block_map;
@@ -150,9 +146,13 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
   }
   // Resolve the deferred return values.
   for (auto& [rb, rv] : returns) rv = map_value(rv);
-  // Map branch targets.
+  // Map branch targets, and predecessors so the cloned phis keep their
+  // operands across the next RecomputeCfg.
   for (const auto& cb : callee.blocks()) {
     ir::Block* nb = block_map[cb.get()];
+    for (const ir::Block* pred : cb->preds) {
+      nb->preds.push_back(block_map.at(pred));
+    }
     if (!nb->has_terminator()) continue;
     ir::Instr* term = nb->terminator();
     if (term->target0 != nullptr && block_map.count(term->target0) != 0) {
@@ -182,11 +182,7 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
   if (returns.size() == 1) {
     result = returns.front().second;
   } else {
-    ir::Instr* phi = caller.Create(Opcode::kPhi);
-    // Operand order must match cont->preds; RecomputeCfg will order preds
-    // by block iteration order, so build after recompute below.  Use a
-    // placeholder now.
-    cont->PrependPhi(phi);
+    // The phi's operands follow cont's predecessors, the return blocks.
     caller.RecomputeCfg();
     std::vector<Value> operands(cont->preds.size(), Value::Const(0));
     for (std::size_t i = 0; i < cont->preds.size(); ++i) {
@@ -194,15 +190,14 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
         if (cont->preds[i] == rb) operands[i] = rv;
       }
     }
+    ir::Instr* phi = caller.Create(Opcode::kPhi);
     phi->operands = std::move(operands);
+    cont->PrependPhi(phi);
     result = Value::Of(phi);
   }
 
-  // Replace the call's uses with the return value and delete the call.
-  std::unordered_map<const ir::Instr*, Value> replacement{{call, result}};
-  caller.ReplaceAllUses(replacement);
-  block->Remove(call);
-  caller.RecomputeCfg();
+  // Replace the call's uses with the return value (erasing the call).
+  caller.ReplaceAllUses({{call, result}});
 }
 
 }  // namespace
@@ -257,9 +252,7 @@ InlineStats InlineSmallFunctions(ir::Module& module) {
         // Clean up immediately: the deleted call was often the only user
         // of this function's sp input, and IsLeaf must see the post-DCE
         // state for the next round to flatten transitively.
-        EliminateTrivialPhis(*function);
-        function->RemoveDeadInstrs();
-        function->RecomputeCfg();
+        function->Cleanup();
       }
     }
   }

@@ -1,12 +1,10 @@
 #include "decomp/lifter.hpp"
 
-#include <algorithm>
 #include <array>
 #include <deque>
 #include <map>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 #include "mips/isa.hpp"
 #include "support/bits.hpp"
@@ -148,10 +146,7 @@ class FunctionLifter {
     }
     function_.RecomputeCfg();
     ResolvePlaceholders();
-    function_.RemoveUnreachableBlocks();
-    EliminateTrivialPhis(function_);
-    function_.RemoveDeadInstrs();
-    function_.RecomputeCfg();
+    function_.Cleanup();
     AnnotateProfile();
     return Status::Ok();
   }
@@ -206,11 +201,11 @@ class FunctionLifter {
       input->parent = entry;
       value = ir::Value::Of(input);
     } else {
-      // Create a phi placeholder; operands are filled after all blocks are
-      // lifted (ResolvePlaceholders).  Memoize first to break cycles.
+      // Create a phi placeholder; it joins its block with its operands once
+      // all blocks are lifted and the CFG is known (ResolvePlaceholders).
+      // Memoize first to break cycles.
       ir::Instr* phi = function_.Create(ir::Opcode::kPhi);
       phi->src_pc = leader;
-      blocks_.at(leader)->PrependPhi(phi);
       entry_values_[key] = ir::Value::Of(phi);
       pending_phis_.emplace_back(phi, leader, reg);
       return ir::Value::Of(phi);
@@ -233,6 +228,7 @@ class FunctionLifter {
     for (std::size_t i = 0; i < pending_phis_.size(); ++i) {
       const auto [phi, leader, reg] = pending_phis_[i];
       ir::Block* block = blocks_.at(leader);
+      block->PrependPhi(phi);
       std::vector<ir::Value> operands;
       operands.reserve(block->preds.size());
       for (ir::Block* pred : block->preds) {
@@ -513,50 +509,6 @@ class FunctionLifter {
   std::vector<std::tuple<ir::Instr*, std::uint32_t, unsigned>> pending_phis_;
   ir::Instr* undef_ = nullptr;
 };
-
-}  // namespace
-
-std::size_t EliminateTrivialPhis(ir::Function& function) {
-  std::size_t total_removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::unordered_map<const ir::Instr*, ir::Value> replacements;
-    for (const auto& block : function.blocks()) {
-      for (ir::Instr* phi : block->Phis()) {
-        ir::Value unique = ir::Value::None();
-        bool trivial = true;
-        for (const ir::Value& operand : phi->operands) {
-          if (operand.is_instr() && operand.def == phi) continue;  // self
-          if (unique.is_none()) {
-            unique = operand;
-          } else if (!(unique == operand)) {
-            trivial = false;
-            break;
-          }
-        }
-        if (trivial && !unique.is_none()) {
-          replacements[phi] = unique;
-        }
-      }
-    }
-    if (replacements.empty()) break;
-    function.ReplaceAllUses(replacements);
-    for (const auto& block : function.blocks()) {
-      auto& instrs = block->instrs;
-      instrs.erase(std::remove_if(instrs.begin(), instrs.end(),
-                                  [&](const ir::Instr* instr) {
-                                    return replacements.count(instr) != 0;
-                                  }),
-                   instrs.end());
-    }
-    total_removed += replacements.size();
-    changed = true;
-  }
-  return total_removed;
-}
-
-namespace {
 
 /// Shared lift driver: recover and lift `root_entry` plus its transitive
 /// callees.  Whole-binary lifting roots at the binary entry point;

@@ -53,8 +53,4 @@ struct LiftOptions {
 [[nodiscard]] std::vector<std::uint32_t> FunctionEntries(
     const mips::SoftBinary& binary);
 
-/// Remove phis whose operands are all identical (or self-references).
-/// Returns number of phis removed.  Exposed for reuse by stack-op removal.
-std::size_t EliminateTrivialPhis(ir::Function& function);
-
 }  // namespace b2h::decomp

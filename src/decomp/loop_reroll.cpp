@@ -24,15 +24,12 @@
 // On a match, sections 1..U-1 are deleted, the induction step S becomes
 // S/U, phi latch operands are rewired into section 0, and profile counts
 // are rescaled (the rerolled loop iterates U times more often).
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "decomp/lifter.hpp"
 #include "decomp/passes.hpp"
 #include "ir/dominators.hpp"
 #include "ir/loops.hpp"
@@ -274,21 +271,8 @@ class RerollAttempt {
         escapes[at(j, k)] = Value::Of(at(0, k));
       }
     }
+    // Replacing them deletes sections 1..U-1.
     function.ReplaceAllUses(escapes);
-
-    // Delete sections 1..U-1.
-    std::unordered_set<const ir::Instr*> doomed;
-    for (std::size_t j = 1; j < factor_; ++j) {
-      for (std::size_t k = 0; k < section_len_; ++k) {
-        doomed.insert(at(j, k));
-      }
-    }
-    auto& instrs = shape_.block->instrs;
-    instrs.erase(std::remove_if(instrs.begin(), instrs.end(),
-                                [&](const ir::Instr* instr) {
-                                  return doomed.count(instr) != 0;
-                                }),
-                 instrs.end());
 
     // Rescale profile annotations: the rerolled loop runs U iterations for
     // every original iteration, with the same number of loop entries/exits.
@@ -309,8 +293,6 @@ class RerollAttempt {
         block->not_taken_count = new_back;
       }
     }
-    function.RemoveDeadInstrs();
-    function.RecomputeCfg();
   }
 
   [[nodiscard]] std::size_t removed_ops() const {
@@ -423,16 +405,7 @@ std::size_t FoldRegisterMoves(ir::Function& function) {
       }
     }
   }
-  if (replacements.empty()) return 0;
   function.ReplaceAllUses(replacements);
-  for (const auto& block : function.blocks()) {
-    auto& instrs = block->instrs;
-    instrs.erase(std::remove_if(instrs.begin(), instrs.end(),
-                                [&](const ir::Instr* instr) {
-                                  return replacements.count(instr) != 0;
-                                }),
-                 instrs.end());
-  }
   return replacements.size();
 }
 
@@ -468,11 +441,7 @@ RerollStats RerollLoops(ir::Function& function) {
       }
     }
   }
-  if (stats.loops_rerolled > 0) {
-    EliminateTrivialPhis(function);
-    function.RemoveDeadInstrs();
-    function.RecomputeCfg();
-  }
+  if (stats.loops_rerolled > 0) function.Cleanup();
   return stats;
 }
 

@@ -314,10 +314,9 @@ Result<DecompiledProgram> PassManager::Finish(
 
   RunOnModule(program.module, program.stats, program.pass_runs);
 
-  // Final cleanup: dead-instruction elimination + CFG recompute, always.
+  // Final cleanup, always: a pipeline may end with a custom pass.
   for (const auto& function : program.module.functions) {
-    function->RemoveDeadInstrs();
-    function->RecomputeCfg();
+    function->Cleanup();
     program.stats.final_instrs += function->NumInstrs();
   }
 

@@ -10,10 +10,13 @@
 //   4. RemoveStackOperations
 //   5. SimplifyConstants    — cleanup enabled by promotion
 //   6. InlineSmallFunctions — keeps helper-calling loops synthesizable
-//   7. PromoteStrength      — shift/add chains -> mul (undo compiler opt)
-//   8. ReduceStrength       — mul/div by 2^k -> shift/mask (for synthesis)
-//   9. ReduceOperatorSizes  — width annotations for the area/delay model
-//  10. final DCE + IR verification
+//   7. SimplifyConstants
+//   8. ConvertIfs           — short branch diamonds become selects
+//   9. SimplifyConstants
+//  10. PromoteStrength      — shift/add chains -> mul (undo compiler opt)
+//  11. ReduceStrength       — mul/div by 2^k -> shift/mask (for synthesis)
+//  12. ReduceOperatorSizes  — width annotations for the area/delay model
+//  13. final ir::Function::Cleanup + IR verification
 //
 // Every pass can be disabled individually (the ablation benchmark measures
 // each one's contribution to synthesis quality).
@@ -26,7 +29,6 @@
 
 #include "decomp/alias.hpp"
 #include "decomp/passes.hpp"
-#include "decomp/structure.hpp"
 #include "ir/ir.hpp"
 #include "mips/binary.hpp"
 #include "mips/simulator.hpp"
@@ -73,11 +75,6 @@ struct DecompiledProgram {
   DecompileStats stats;
   std::vector<PassRunStats> pass_runs;  ///< per-pass timing + counters
   std::shared_ptr<const mips::SoftBinary> binary;
-
-  /// Per-function recovered control structure (reporting).
-  [[nodiscard]] StructureInfo StructureOf(const ir::Function& f) const {
-    return RecoverStructure(f);
-  }
 };
 
 }  // namespace b2h::decomp

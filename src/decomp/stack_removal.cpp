@@ -16,15 +16,14 @@
 //    below the caller's sp.
 //  - Slots with mixed access sizes or overlapping extents are left in
 //    memory.
-#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
 #include <unordered_map>
 
-#include "decomp/lifter.hpp"
 #include "decomp/passes.hpp"
 
 namespace b2h::decomp {
@@ -335,21 +334,8 @@ StackRemovalStats RemoveStackOperations(ir::Function& function) {
   }
 
   function.ReplaceAllUses(load_replacements);
-  for (const auto& block : function.blocks()) {
-    auto& instrs = block->instrs;
-    instrs.erase(
-        std::remove_if(instrs.begin(), instrs.end(),
-                       [&](const ir::Instr* instr) {
-                         return load_replacements.count(instr) != 0 ||
-                                std::find(dead_stores.begin(),
-                                          dead_stores.end(),
-                                          instr) != dead_stores.end();
-                       }),
-        instrs.end());
-  }
-  EliminateTrivialPhis(function);
-  function.RemoveDeadInstrs();
-  function.RecomputeCfg();
+  for (ir::Instr* store : dead_stores) store->parent->Remove(store);
+  function.Cleanup();
   return stats;
 }
 

@@ -226,8 +226,7 @@ StrengthPromotionStats PromoteStrength(ir::Function& function) {
       ++stats.muls_recovered;
     }
   }
-  function.RemoveDeadInstrs();
-  function.RecomputeCfg();
+  if (stats.muls_recovered > 0) function.Cleanup();
   return stats;
 }
 

@@ -143,9 +143,13 @@ std::size_t DiskStore::Gc(std::uint64_t max_bytes) {
   while (!ec && it != end) {
     const std::string name = it->path().filename().string();
     if (IsVersionDirName(name) && name != VersionDirName()) {
+      // Count the tree's files, not its directories.
+      for (const support::FileInfo& info :
+           support::ListFilesRecursive(it->path())) {
+        if (support::RemoveFileQuiet(info.path)) ++removed;
+      }
       std::error_code remove_ec;
-      removed += static_cast<std::size_t>(
-          fs::remove_all(it->path(), remove_ec));
+      fs::remove_all(it->path(), remove_ec);
     }
     it.increment(ec);
   }

@@ -4,7 +4,20 @@
 #include <deque>
 #include <unordered_set>
 
+#include "obs/obs.hpp"
+
 namespace b2h::ir {
+namespace {
+
+/// CFG rebuilds, summed over functions: a deterministic work count for a
+/// fixed decompile mix.
+obs::Counter& CfgRecomputesCounter() {
+  static obs::Counter& counter =
+      obs::Registry::Global().counter("decomp.cfg_recomputes");
+  return counter;
+}
+
+}  // namespace
 
 const char* OpcodeName(Opcode op) noexcept {
   switch (op) {
@@ -171,7 +184,10 @@ Block* Function::CreateBlock(std::string name, std::uint32_t start_pc) {
 Instr* Function::Create(Opcode op) {
   auto instr = std::make_unique<Instr>();
   instr->op = op;
-  if (IsComparison(op)) instr->width = 1;
+  if (IsComparison(op)) {
+    instr->width = 1;
+    instr->is_signed = false;  // 0 or 1, as `slt` leaves it in a register
+  }
   if (IsTerminator(op) || op == Opcode::kStore) instr->width = 0;
   pool_.push_back(std::move(instr));
   return pool_.back().get();
@@ -189,15 +205,68 @@ Instr* Function::Emit(Block* block, Opcode op, std::vector<Value> operands,
 }
 
 void Function::RecomputeCfg() {
-  for (auto& block : blocks_) block->preds.clear();
+  CfgRecomputesCounter().Add();
+  // Keep the old preds of every block with phis: they say which block each
+  // operand flows in from.
+  std::vector<std::pair<Block*, std::vector<Block*>>> phi_blocks;
+  for (auto& block : blocks_) {
+    if (!block->instrs.empty() && block->instrs.front()->is(Opcode::kPhi)) {
+      phi_blocks.emplace_back(block.get(), std::move(block->preds));
+    }
+    block->preds.clear();
+  }
   for (auto& block : blocks_) {
     for (Block* succ : block->succs()) succ->preds.push_back(block.get());
+  }
+  for (auto& [block, old_preds] : phi_blocks) {
+    if (block->preds == old_preds) continue;
+    // New slot i takes the operand of the first unclaimed old slot of the
+    // same block; old slots nobody claims belonged to vanished edges.
+    std::vector<std::size_t> from(block->preds.size());
+    std::vector<bool> claimed(old_preds.size(), false);
+    for (std::size_t i = 0; i < block->preds.size(); ++i) {
+      std::size_t j = 0;
+      while (j < old_preds.size() &&
+             (claimed[j] || old_preds[j] != block->preds[i])) {
+        ++j;
+      }
+      if (j == old_preds.size()) {
+        throw InternalError("RecomputeCfg: " + block->name +
+                            " gained predecessor " + block->preds[i]->name +
+                            " that no phi operand flows in from");
+      }
+      claimed[j] = true;
+      from[i] = j;
+    }
+    for (Instr* phi : block->Phis()) {
+      Check(phi->operands.size() == old_preds.size(),
+            "RecomputeCfg: phi operand count != predecessor count");
+      std::vector<Value> operands;
+      operands.reserve(from.size());
+      for (std::size_t j : from) operands.push_back(phi->operands[j]);
+      phi->operands = std::move(operands);
+    }
   }
   int block_id = 0;
   int instr_id = 0;
   for (auto& block : blocks_) {
     block->id = block_id++;
     for (Instr* instr : block->instrs) instr->id = instr_id++;
+  }
+}
+
+void Function::MoveTail(Block* from, std::size_t first, Block* heir) {
+  Check(first < from->instrs.size() && from->has_terminator(),
+        "MoveTail: the moved tail must end in a terminator");
+  Check(!heir->has_terminator(), "MoveTail: heir already has a terminator");
+  const auto tail = from->instrs.begin() + static_cast<std::ptrdiff_t>(first);
+  for (auto it = tail; it != from->instrs.end(); ++it) {
+    (*it)->parent = heir;
+    heir->instrs.push_back(*it);
+  }
+  from->instrs.erase(tail, from->instrs.end());
+  for (Block* succ : heir->succs()) {
+    std::replace(succ->preds.begin(), succ->preds.end(), from, heir);
   }
 }
 
@@ -216,6 +285,9 @@ void Function::ReplaceAllUses(
     return value;
   };
   for (auto& block : blocks_) {
+    std::erase_if(block->instrs, [&map](const Instr* instr) {
+      return map.count(instr) != 0;
+    });
     for (Instr* instr : block->instrs) {
       for (Value& operand : instr->operands) operand = chase(operand);
     }
@@ -256,8 +328,33 @@ std::size_t Function::RemoveDeadInstrs() {
   return removed;
 }
 
+std::size_t Function::EliminateTrivialPhis() {
+  std::size_t removed = 0;
+  while (true) {
+    std::unordered_map<const Instr*, Value> replacements;
+    for (const auto& block : blocks_) {
+      for (Instr* phi : block->Phis()) {
+        Value unique = Value::None();
+        bool trivial = true;
+        for (const Value& operand : phi->operands) {
+          if (operand.is_instr() && operand.def == phi) continue;  // self
+          if (unique.is_none()) {
+            unique = operand;
+          } else if (!(unique == operand)) {
+            trivial = false;
+            break;
+          }
+        }
+        if (trivial && !unique.is_none()) replacements[phi] = unique;
+      }
+    }
+    if (replacements.empty()) return removed;
+    ReplaceAllUses(replacements);
+    removed += replacements.size();
+  }
+}
+
 void Function::RemoveUnreachableBlocks() {
-  RecomputeCfg();
   std::unordered_set<const Block*> reachable;
   std::deque<Block*> work{entry()};
   reachable.insert(entry());
@@ -268,26 +365,18 @@ void Function::RemoveUnreachableBlocks() {
       if (reachable.insert(succ).second) work.push_back(succ);
     }
   }
-  // Drop phi operands that came from removed predecessors.
-  for (auto& block : blocks_) {
-    if (reachable.count(block.get()) == 0) continue;
-    std::vector<std::size_t> keep;
-    for (std::size_t i = 0; i < block->preds.size(); ++i) {
-      if (reachable.count(block->preds[i]) != 0) keep.push_back(i);
-    }
-    if (keep.size() == block->preds.size()) continue;
-    for (Instr* phi : block->Phis()) {
-      std::vector<Value> operands;
-      operands.reserve(keep.size());
-      for (std::size_t i : keep) operands.push_back(phi->operands[i]);
-      phi->operands = std::move(operands);
-    }
-  }
   blocks_.erase(std::remove_if(blocks_.begin(), blocks_.end(),
                                [&reachable](const auto& block) {
                                  return reachable.count(block.get()) == 0;
                                }),
                 blocks_.end());
+  RecomputeCfg();
+}
+
+void Function::Cleanup() {
+  RemoveUnreachableBlocks();
+  EliminateTrivialPhis();
+  RemoveDeadInstrs();
   RecomputeCfg();
 }
 

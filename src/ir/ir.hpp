@@ -12,6 +12,17 @@
 //    result of another instruction or an immediate constant (`Value`).
 //  - No persistent use-lists: passes rewrite operands through
 //    ReplaceAllUses(), which is O(instructions) and keeps invariants simple.
+//    It also erases the instructions it replaces, so a pass never leaves a
+//    replaced instruction behind to delete by hand.
+//  - Phi operands follow their predecessor blocks.  A phi's operand i
+//    belongs to Block::preds[i]; RecomputeCfg() rebuilds every preds list in
+//    block order and carries each operand along with its block: operands of
+//    vanished predecessors are dropped, the rest are reordered.  The one
+//    edit it cannot infer is a block taking over another block's
+//    out-edges, which passes announce through Function::MoveTail().
+//  - Function::Cleanup() is the state every pass leaves a function in: no
+//    unreachable blocks, trivial phis or dead instructions, and an
+//    up-to-date CFG.
 //  - Every instruction carries `width`, the number of significant result
 //    bits.  Lifting produces width 32 (or 1 for comparisons); the operator
 //    size reduction pass narrows widths, which the synthesis area/delay
@@ -51,7 +62,7 @@ enum class Opcode : std::uint8_t {
   // Memory (mem_bytes: 1/2/4; loads: mem_signed picks sign/zero extension).
   kLoad,   ///< operands (address)
   kStore,  ///< operands (address, value)
-  // SSA merge: operands parallel to Block::preds order.
+  // SSA merge: operand i flows in from Block::preds[i].
   kPhi,
   // Control flow (block terminators).
   kBr,      ///< unconditional; successor target0
@@ -140,7 +151,9 @@ class Block {
   std::uint64_t not_taken_count = 0;
   Function* parent = nullptr;
   std::vector<Instr*> instrs;      ///< phis first, terminator last
-  std::vector<Block*> preds;       ///< maintained by Function::RecomputeCfg
+  /// Maintained by Function::RecomputeCfg; phi operand i flows in from
+  /// preds[i].
+  std::vector<Block*> preds;
 
   /// Successors derived from the terminator (empty for kRet).
   [[nodiscard]] std::vector<Block*> succs() const;
@@ -186,19 +199,39 @@ class Function {
   Instr* Emit(Block* block, Opcode op, std::vector<Value> operands,
               std::uint8_t width = 32);
 
-  /// Recompute preds from terminators; renumber blocks and instructions.
+  /// Recompute preds from terminators, in block order, carrying each phi
+  /// operand with its predecessor block: operands of predecessors that
+  /// vanished are dropped and the rest reordered.  Renumbers blocks and
+  /// instructions.  Throws InternalError when a block with phis gains a
+  /// predecessor none of its operands belongs to.
   void RecomputeCfg();
 
-  /// Rewrite every operand whose definition appears in `replacements`.
-  /// Chains (a->b, b->c) are followed.  Does not erase replaced instrs.
+  /// Move `from`'s instructions from index `first` on (which must include
+  /// its terminator) to the end of `heir`, which has none: `heir` takes over
+  /// `from`'s out-edges, and the successors' phi operands that flowed in
+  /// from `from` now flow in from `heir`.
+  void MoveTail(Block* from, std::size_t first, Block* heir);
+
+  /// Rewrite every operand whose definition appears in `map` and erase the
+  /// replaced instructions from their blocks.  Chains (a->b, b->c) are
+  /// followed.
   void ReplaceAllUses(const std::unordered_map<const Instr*, Value>& map);
 
   /// Remove instructions not reachable from side effects (classic DCE).
   /// Returns the number of instructions removed.
   std::size_t RemoveDeadInstrs();
 
-  /// Erase blocks unreachable from the entry; fixes phis of surviving blocks.
+  /// Remove phis whose operands are all identical (or self-references),
+  /// to a fixpoint.  Returns the number of phis removed.
+  std::size_t EliminateTrivialPhis();
+
+  /// Erase blocks unreachable from the entry, then RecomputeCfg (which
+  /// drops the phi operands that flowed in from them).
   void RemoveUnreachableBlocks();
+
+  /// The state every pass leaves a function in: remove unreachable blocks,
+  /// trivial phis and dead instructions, then RecomputeCfg.
+  void Cleanup();
 
   /// Total static operation count (reporting).
   [[nodiscard]] std::size_t CountOps() const;

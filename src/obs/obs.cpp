@@ -212,13 +212,6 @@ std::string Registry::PrometheusText() const {
   return out.str();
 }
 
-void Registry::ResetForTest() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
 // ------------------------------------------------------------------ Tracer
 
 Tracer& Tracer::Global() {

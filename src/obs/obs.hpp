@@ -209,10 +209,6 @@ class Registry {
   /// the b2h-serve HTTP plane at GET /metrics.
   [[nodiscard]] std::string PrometheusText() const;
 
-  /// Zero every instrument (references stay valid).  Test-only: values are
-  /// process-cumulative by design.
-  void ResetForTest();
-
  private:
   Registry() = default;
   mutable std::mutex mutex_;

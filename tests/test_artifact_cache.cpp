@@ -271,11 +271,23 @@ TEST(DiskStoreTest, GcReclaimsStaleSchemaTrees) {
   ASSERT_TRUE(support::AtomicWriteFile(stale / "old.bin", "stale bytes"));
   EXPECT_EQ(store.ComputeStats().stale_files, 1u);
 
-  EXPECT_GE(store.Gc(0), 1u);
+  EXPECT_EQ(store.Gc(0), 1u);
   const auto stats = store.ComputeStats();
   EXPECT_EQ(stats.stale_files, 0u);
   EXPECT_EQ(stats.entries, 1u);  // current entries survive
   EXPECT_TRUE(store.Load("keep").has_value());
+}
+
+TEST(DiskStoreTest, GcCountsStaleFilesNotDirectories) {
+  TempDir dir;
+  DiskStore store({dir.path, 0});
+  // Two files in two subdirectories of a stale v1 tree: five filesystem
+  // objects, two of them files.
+  const fs::path stale = fs::path(dir.path) / "v1";
+  ASSERT_TRUE(support::AtomicWriteFile(stale / "de" / "a.bin", "a"));
+  ASSERT_TRUE(support::AtomicWriteFile(stale / "pa" / "b.bin", "b"));
+  EXPECT_EQ(store.Gc(0), 2u);
+  EXPECT_FALSE(fs::exists(stale));
 }
 
 TEST(DiskStoreTest, GcAndClearNeverTouchForeignFiles) {

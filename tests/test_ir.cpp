@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "decomp/pass_manager.hpp"
 #include "ir/dominators.hpp"
@@ -124,6 +126,10 @@ TEST(IrCore, ReplaceAllUsesFollowsChains) {
     }
   }
   EXPECT_FALSE(any_input_use);
+  // The replaced instruction left its block.
+  EXPECT_EQ(std::count(d.entry->instrs.begin(), d.entry->instrs.end(),
+                       d.input),
+            0);
 }
 
 TEST(IrCore, RemoveUnreachableBlocksFixesPhis) {
@@ -139,6 +145,70 @@ TEST(IrCore, RemoveUnreachableBlocksFixesPhis) {
   EXPECT_TRUE(Verify(d.function).ok());
   EXPECT_EQ(d.function.blocks().size(), 3u);
   EXPECT_EQ(d.phi->operands.size(), 1u);
+}
+
+TEST(IrCore, TakeOverKeepsPhiOperandsWithTheirBlocks) {
+  // `early` sits before `left` in block order and takes over `right`'s
+  // branch to the merge: the merge's preds go from [left, right] to
+  // [early, left], and the operand that flowed in from `right` must now
+  // flow in from `early`.
+  Function function("takeover");
+  Block* entry = function.CreateBlock("entry");
+  Block* early = function.CreateBlock("early");
+  Block* left = function.CreateBlock("left");
+  Block* right = function.CreateBlock("right");
+  Block* merge = function.CreateBlock("merge");
+  Instr* input = function.Create(Opcode::kInput);
+  input->input_index = 4;
+  entry->Append(input);
+  Instr* cmp =
+      function.Emit(entry, Opcode::kGtS, {Value::Of(input), Value::Const(0)});
+  Instr* branch = function.Create(Opcode::kCondBr);
+  branch->operands = {Value::Of(cmp)};
+  branch->target0 = left;
+  branch->target1 = right;
+  entry->Append(branch);
+  for (Block* arm : {left, right}) {
+    Instr* br = function.Create(Opcode::kBr);
+    br->target0 = merge;
+    arm->Append(br);
+  }
+  function.RecomputeCfg();
+  ASSERT_EQ(merge->preds, (std::vector<Block*>{left, right}));
+  Instr* phi = function.Create(Opcode::kPhi);
+  phi->operands = {Value::Const(1), Value::Const(2)};
+  merge->PrependPhi(phi);
+  Instr* ret = function.Create(Opcode::kRet);
+  ret->operands = {Value::Of(phi)};
+  merge->Append(ret);
+  function.RecomputeCfg();
+
+  function.MoveTail(right, 0, early);
+  Instr* to_early = function.Create(Opcode::kBr);
+  to_early->target0 = early;
+  right->Append(to_early);
+  function.RecomputeCfg();
+
+  ASSERT_EQ(merge->preds, (std::vector<Block*>{early, left}));
+  EXPECT_TRUE(phi->operands[merge->PredIndex(early)].is_const_value(2));
+  EXPECT_TRUE(phi->operands[merge->PredIndex(left)].is_const_value(1));
+  EXPECT_TRUE(Verify(function).ok());
+  Module module;
+  module.main = &function;
+  const std::vector<std::uint8_t> no_data;
+  Interpreter positive(module, no_data);
+  EXPECT_EQ(positive.Run(std::vector<std::int32_t>{5}).return_value, 1);
+  Interpreter negative(module, no_data);
+  EXPECT_EQ(negative.Run(std::vector<std::int32_t>{-5}).return_value, 2);
+}
+
+TEST(IrCore, PhiBlockGainingAnUnmatchedPredecessorThrows) {
+  Diamond d;
+  Block* extra = d.function.CreateBlock("extra");
+  Instr* br = d.function.Create(Opcode::kBr);
+  br->target0 = d.merge;
+  extra->Append(br);
+  EXPECT_THROW(d.function.RecomputeCfg(), InternalError);
 }
 
 TEST(Dominators, DiamondRelations) {
@@ -182,8 +252,8 @@ struct LoopFunction {
     enter->target0 = loop;
     entry->Append(enter);
 
+    // The phi joins the loop block once its operands exist (below).
     phi = function.Create(Opcode::kPhi);
-    loop->PrependPhi(phi);
     Instr* next = function.Emit(loop, Opcode::kAdd,
                                 {Value::Of(phi), Value::Const(1)});
     Instr* cmp = function.Emit(loop, Opcode::kLtS,
@@ -205,6 +275,7 @@ struct LoopFunction {
       operands.push_back(pred == entry ? Value::Const(0) : Value::Of(next));
     }
     phi->operands = operands;
+    loop->PrependPhi(phi);
     function.RecomputeCfg();
   }
 };

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "decomp/lifter.hpp"
+#include "decomp/pass_manager.hpp"
 #include "ir/interp.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
@@ -768,6 +773,108 @@ TEST(Inline, InlinesSmallLeafFunction) {
   const auto result = interp.Run();
   EXPECT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.return_value, 13);
+}
+
+// ---------------------------------------------------------------------------
+// Block layouts that reorder a phi's predecessors
+// ---------------------------------------------------------------------------
+
+struct Expectation {
+  std::int32_t a0;
+  std::int32_t result;
+};
+
+/// The simulator returns each expected result, and the default pipeline
+/// decompiles `source` to IR that returns the same.  Run one pass at a time
+/// (as perfbench's decompile probe does), every pass leaves a module that
+/// verifies.
+void ExpectDecompilesFaithfully(const std::string& source,
+                                const std::vector<Expectation>& expected) {
+  auto assembled = mips::Assemble(source);
+  ASSERT_TRUE(assembled.ok()) << assembled.status().message();
+  const auto binary =
+      std::make_shared<const mips::SoftBinary>(std::move(assembled).take());
+  const auto manager = PassManager::Preset("default");
+  ASSERT_TRUE(manager.ok());
+  const auto program = manager.value().Run(binary);
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  for (const Expectation& e : expected) {
+    const std::int32_t args[] = {e.a0};
+    mips::Simulator sim(*binary);
+    const auto run = sim.Run(args);
+    ASSERT_EQ(run.reason, mips::HaltReason::kReturned) << run.fault_message;
+    EXPECT_EQ(run.return_value, e.result) << "simulator, a0=" << e.a0;
+    ir::Interpreter interp(program.value().module, binary->data);
+    const auto result = interp.Run(args);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.return_value, e.result) << "IR, a0=" << e.a0;
+  }
+
+  auto lifted = Lift(*binary);
+  ASSERT_TRUE(lifted.ok()) << lifted.status().message();
+  ir::Module module = std::move(lifted).take();
+  DecompileStats stats;
+  std::vector<PassRunStats> runs;
+  for (const Pass* pass : manager.value().pipeline()) {
+    const auto one = PassManager::FromNames({pass->name()});
+    ASSERT_TRUE(one.ok());
+    one.value().RunOnModule(module, stats, runs);
+    const Status status = ir::Verify(module);
+    EXPECT_TRUE(status.ok()) << "after " << pass->name() << ": "
+                             << status.message();
+  }
+}
+
+TEST(Layouts, JumpOverABlockIntoASinglePredecessorBlock) {
+  // N's only predecessor jumps over P; merging N into it moves S's
+  // predecessor from N (after P) to the block before P.
+  ExpectDecompilesFaithfully(R"(
+    main:
+      beq $a0, $zero, P
+      li $t0, 11
+      j N
+    P:
+      li $t0, 22
+      j S
+    N:
+      addiu $t0, $t0, 1
+    S:
+      move $v0, $t0
+      jr $ra
+  )",
+                             {{0, 22}, {1, 12}});
+}
+
+TEST(Layouts, TwoReturnCallInTheBlockThatFallsIntoALoop) {
+  // Inlining f splits the call block; the half that falls into the loop
+  // is a new block placed after the loop.
+  ExpectDecompilesFaithfully(R"(
+    main:
+      addiu $sp, $sp, -8
+      sw $ra, 4($sp)
+      jal f
+      move $t1, $v0
+      li $t0, 0
+    loop:
+      addiu $t1, $t1, 3
+      addiu $t0, $t0, 1
+      slti $t2, $t0, 4
+      bne $t2, $zero, loop
+      move $v0, $t1
+      lw $ra, 4($sp)
+      addiu $sp, $sp, 8
+      jr $ra
+    f:
+      beq $a0, $zero, fz
+      li $t3, 2
+      div $a0, $t3
+      mflo $v0
+      jr $ra
+    fz:
+      li $v0, 7
+      jr $ra
+  )",
+                             {{0, 19}, {10, 17}});
 }
 
 }  // namespace
