@@ -3,14 +3,19 @@
 #include <algorithm>
 #include <optional>
 
+#include "mips/binary.hpp"
+
 namespace b2h::decomp {
 namespace {
 
 using ir::Opcode;
 using ir::Value;
 
-constexpr std::uint32_t kDataBase = 0x1000'0000u;
-constexpr std::uint32_t kStackBase = 0x7FF0'0000u;
+/// Globals live in the data segment of the platform's memory map.
+bool InDataSegment(std::uint64_t addr) {
+  return addr >= mips::kDataBase &&
+         addr - mips::kDataBase < mips::kDataSegmentSize;
+}
 
 /// Additive decomposition of an address expression: constant part plus
 /// non-constant leaves (looking through adds/subs only).
@@ -52,7 +57,7 @@ AliasAnalysis::AliasAnalysis(
     : function_(function) {
   if (data_symbols != nullptr) {
     for (const auto& [name, addr] : *data_symbols) {
-      if (addr >= kDataBase && addr < kStackBase) {
+      if (InDataSegment(addr)) {
         sorted_symbols_.emplace_back(addr, name);
       }
     }
@@ -83,7 +88,7 @@ int AliasAnalysis::ClassifyAddress(const Value& addr) {
 
   const auto base = static_cast<std::uint64_t>(decomp.const_sum);
   // Global array: constant base inside the data segment.
-  if (decomp.const_sum > 0 && base >= kDataBase && base < kStackBase) {
+  if (decomp.const_sum > 0 && InDataSegment(base)) {
     MemRegion region;
     region.kind = MemRegion::Kind::kGlobal;
     region.key = base;

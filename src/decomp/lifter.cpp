@@ -1,11 +1,12 @@
 #include "decomp/lifter.hpp"
 
-#include <array>
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "ir/ssa.hpp"
 #include "mips/isa.hpp"
 #include "support/bits.hpp"
 
@@ -139,26 +140,36 @@ class FunctionLifter {
 
   Status Run() {
     CreateBlocks();
-    // Lift blocks in discovery (address) order; SSA state resolution handles
-    // any order because block-entry reads become placeholders.
+    ir::SsaBuilder ssa(function_, kNumLocs, [this](std::size_t reg) {
+      ir::Instr* input = function_.Create(ir::Opcode::kInput);
+      input->input_index = static_cast<std::uint16_t>(reg);
+      input->src_pc = cfg_.entry;
+      return ir::Value::Of(PrependToEntry(input));
+    });
+    // Lift blocks in discovery (address) order; the builder handles any
+    // order because block-entry reads become placeholders.
     for (const auto& [leader, mblock] : cfg_.blocks) {
-      if (Status status = LiftBlock(mblock); !status.ok()) return status;
+      if (Status status = LiftBlock(mblock, ssa); !status.ok()) return status;
     }
     function_.RecomputeCfg();
-    ResolvePlaceholders();
+    ssa.Seal();
     function_.Cleanup();
     AnnotateProfile();
     return Status::Ok();
   }
 
  private:
-  struct BlockState {
-    std::array<ir::Value, kNumLocs> reg;  // value at current point / exit
-    ir::Block* block = nullptr;
-  };
-
   void CreateBlocks() {
-    // The entry block must be first in the function.
+    // The entry block comes first, and no edge may enter it: when a branch
+    // targets the function's first instruction, an empty entry block falls
+    // into that instruction's block.
+    bool entry_is_target = false;
+    for (const auto& [leader, mblock] : cfg_.blocks) {
+      entry_is_target |= std::find(mblock.succs.begin(), mblock.succs.end(),
+                                   cfg_.entry) != mblock.succs.end();
+    }
+    ir::Block* head =
+        entry_is_target ? function_.CreateBlock("entry", 0) : nullptr;
     std::vector<std::uint32_t> order;
     order.push_back(cfg_.entry);
     for (const auto& [leader, mblock] : cfg_.blocks) {
@@ -167,90 +178,39 @@ class FunctionLifter {
     for (std::uint32_t leader : order) {
       std::ostringstream name;
       name << "bb_" << std::hex << leader;
-      ir::Block* block = function_.CreateBlock(name.str(), leader);
-      blocks_[leader] = block;
-      states_[leader].block = block;
+      blocks_[leader] = function_.CreateBlock(name.str(), leader);
     }
+    if (head != nullptr) {
+      ir::Instr* br = function_.Create(ir::Opcode::kBr);
+      br->target0 = blocks_.at(cfg_.entry);
+      head->Append(br);
+    }
+  }
+
+  /// Put a value without operands first in the entry block, where it
+  /// dominates every use.
+  ir::Instr* PrependToEntry(ir::Instr* instr) {
+    ir::Block* entry = function_.entry();
+    entry->instrs.insert(entry->instrs.begin(), instr);
+    instr->parent = entry;
+    return instr;
   }
 
   ir::Value Undef() {
     if (undef_ == nullptr) {
-      undef_ = function_.Create(ir::Opcode::kUndef);
-      // Prepend into entry so it dominates all uses.
-      ir::Block* entry = blocks_.at(cfg_.entry);
-      entry->instrs.insert(entry->instrs.begin(), undef_);
-      undef_->parent = entry;
+      undef_ = PrependToEntry(function_.Create(ir::Opcode::kUndef));
     }
     return ir::Value::Of(undef_);
   }
 
-  /// Value of register `reg` at the entry of `leader`'s block.
-  ir::Value EntryValue(std::uint32_t leader, unsigned reg) {
-    if (reg == 0) return ir::Value::Const(0);
-    const auto key = std::make_pair(leader, reg);
-    if (const auto it = entry_values_.find(key); it != entry_values_.end()) {
-      return it->second;
-    }
-    ir::Value value;
-    if (leader == cfg_.entry) {
-      ir::Instr* input = function_.Create(ir::Opcode::kInput);
-      input->input_index = static_cast<std::uint16_t>(reg);
-      input->src_pc = leader;
-      ir::Block* entry = blocks_.at(cfg_.entry);
-      entry->instrs.insert(entry->instrs.begin(), input);
-      input->parent = entry;
-      value = ir::Value::Of(input);
-    } else {
-      // Create a phi placeholder; it joins its block with its operands once
-      // all blocks are lifted and the CFG is known (ResolvePlaceholders).
-      // Memoize first to break cycles.
-      ir::Instr* phi = function_.Create(ir::Opcode::kPhi);
-      phi->src_pc = leader;
-      entry_values_[key] = ir::Value::Of(phi);
-      pending_phis_.emplace_back(phi, leader, reg);
-      return ir::Value::Of(phi);
-    }
-    entry_values_[key] = value;
-    return value;
-  }
-
-  /// Value of register `reg` at the exit of `leader`'s block.
-  ir::Value ExitValue(std::uint32_t leader, unsigned reg) {
-    if (reg == 0) return ir::Value::Const(0);
-    const BlockState& state = states_.at(leader);
-    if (!state.reg[reg].is_none()) return state.reg[reg];
-    return EntryValue(leader, reg);
-  }
-
-  void ResolvePlaceholders() {
-    // ExitValue may create further placeholder phis while we fill operands,
-    // so iterate by index over the growing vector.
-    for (std::size_t i = 0; i < pending_phis_.size(); ++i) {
-      const auto [phi, leader, reg] = pending_phis_[i];
-      ir::Block* block = blocks_.at(leader);
-      block->PrependPhi(phi);
-      std::vector<ir::Value> operands;
-      operands.reserve(block->preds.size());
-      for (ir::Block* pred : block->preds) {
-        operands.push_back(ExitValue(pred->start_pc, reg));
-      }
-      phi->operands = std::move(operands);
-    }
-  }
-
-  Status LiftBlock(const MBlock& mblock) {
+  Status LiftBlock(const MBlock& mblock, ir::SsaBuilder& ssa) {
     ir::Block* block = blocks_.at(mblock.start);
-    BlockState& state = states_.at(mblock.start);
 
     const auto read = [&](unsigned reg) -> ir::Value {
-      if (reg == 0) return ir::Value::Const(0);
-      if (state.reg[reg].is_none()) {
-        state.reg[reg] = EntryValue(mblock.start, reg);
-      }
-      return state.reg[reg];
+      return reg == 0 ? ir::Value::Const(0) : ssa.Read(block, reg);
     };
     const auto write = [&](unsigned reg, ir::Value value) {
-      if (reg != 0) state.reg[reg] = value;
+      if (reg != 0) ssa.Write(block, reg, value);
     };
     const auto emit = [&](ir::Opcode op, std::vector<ir::Value> operands,
                           std::uint32_t pc) -> ir::Instr* {
@@ -504,9 +464,6 @@ class FunctionLifter {
   ir::Function& function_;
   const LiftOptions& options_;
   std::map<std::uint32_t, ir::Block*> blocks_;
-  std::map<std::uint32_t, BlockState> states_;
-  std::map<std::pair<std::uint32_t, unsigned>, ir::Value> entry_values_;
-  std::vector<std::tuple<ir::Instr*, std::uint32_t, unsigned>> pending_phis_;
   ir::Instr* undef_ = nullptr;
 };
 

@@ -12,10 +12,12 @@
 // `jalr`) aborts recovery with ErrorKind::kIndirectJump — exactly the
 // failure mode the paper reports for two EEMBC benchmarks.
 //
-// Lifting produces SSA directly: machine registers are treated as variables,
-// per-block symbolic state maps registers to IR values, and block-entry
-// reads become phi placeholders resolved once the CFG is complete (trivial
-// phis are then removed).
+// Lifting produces SSA directly: machine registers are the variables of an
+// ir::SsaBuilder (ir/ssa.hpp), whose entry-block reads become live-in
+// `kInput`s and whose other block-entry reads become phi placeholders,
+// filled once the CFG is complete (trivial phis are then removed).  No edge
+// enters a lifted function's entry block: when a branch targets the
+// function's first instruction, an empty entry block falls into it.
 #pragma once
 
 #include "ir/ir.hpp"

@@ -15,14 +15,13 @@ namespace {
 /// Adapter turning a stats-producing callable into a registered Pass.
 class LambdaPass final : public Pass {
  public:
-  using Body = std::function<void(ir::Module&, PassRunStats&, DecompileStats&)>;
+  using Body = std::function<void(ir::Module&, DecompileStats&)>;
 
   LambdaPass(std::string name, std::string description, Body body)
       : Pass(std::move(name), std::move(description)), body_(std::move(body)) {}
 
-  void Run(ir::Module& module, PassRunStats& run,
-           DecompileStats& stats) const override {
-    body_(module, run, stats);
+  void Run(ir::Module& module, DecompileStats& stats) const override {
+    body_(module, stats);
   }
 
  private:
@@ -37,11 +36,9 @@ void RegisterBuiltins(PassRegistry& registry) {
   };
 
   add("reroll-loops", "roll compiler-unrolled loop bodies back up",
-      [](ir::Module& module, PassRunStats& run, DecompileStats& stats) {
+      [](ir::Module& module, DecompileStats& stats) {
         for (const auto& function : module.functions) {
           const RerollStats reroll = RerollLoops(*function);
-          run.counters["loops_rerolled"] += reroll.loops_rerolled;
-          run.counters["ops_removed"] += reroll.ops_removed;
           stats.loops_rerolled += reroll.loops_rerolled;
           stats.reroll_ops_removed += reroll.ops_removed;
         }
@@ -49,21 +46,16 @@ void RegisterBuiltins(PassRegistry& registry) {
 
   add("simplify-constants",
       "constant folding / copy propagation / move-idiom removal to fixpoint",
-      [](ir::Module& module, PassRunStats& run, DecompileStats& stats) {
+      [](ir::Module& module, DecompileStats& stats) {
         for (const auto& function : module.functions) {
-          const std::size_t simplified = SimplifyConstants(*function);
-          run.counters["simplified"] += simplified;
-          stats.constants_simplified += simplified;
+          stats.constants_simplified += SimplifyConstants(*function);
         }
       });
 
   add("remove-stack-ops", "promote stack slots to SSA values",
-      [](ir::Module& module, PassRunStats& run, DecompileStats& stats) {
+      [](ir::Module& module, DecompileStats& stats) {
         for (const auto& function : module.functions) {
           const StackRemovalStats stack = RemoveStackOperations(*function);
-          run.counters["slots_promoted"] += stack.slots_promoted;
-          run.counters["loads_removed"] += stack.loads_removed;
-          run.counters["stores_removed"] += stack.stores_removed;
           stats.stack_slots_promoted += stack.slots_promoted;
           stats.stack_ops_removed +=
               stack.loads_removed + stack.stores_removed;
@@ -72,41 +64,33 @@ void RegisterBuiltins(PassRegistry& registry) {
 
   add("inline-small-functions",
       "inline small leaf callees so helper-calling loops stay synthesizable",
-      [](ir::Module& module, PassRunStats& run, DecompileStats& stats) {
+      [](ir::Module& module, DecompileStats& stats) {
         const InlineStats inlined = InlineSmallFunctions(module);
-        run.counters["calls_inlined"] += inlined.calls_inlined;
         stats.calls_inlined += inlined.calls_inlined;
       });
 
   add("convert-ifs", "turn short branch diamonds/triangles into selects",
-      [](ir::Module& module, PassRunStats& run, DecompileStats& stats) {
+      [](ir::Module& module, DecompileStats& stats) {
         for (const auto& function : module.functions) {
           const IfConversionStats ifs = ConvertIfs(*function);
-          run.counters["diamonds_converted"] += ifs.diamonds_converted;
-          run.counters["selects_created"] += ifs.selects_created;
           stats.ifs_converted += ifs.diamonds_converted;
         }
       });
 
   add("promote-strength",
       "collapse shift/add chains back into multiplications",
-      [](ir::Module& module, PassRunStats& run, DecompileStats& stats) {
+      [](ir::Module& module, DecompileStats& stats) {
         for (const auto& function : module.functions) {
           const StrengthPromotionStats promoted = PromoteStrength(*function);
-          run.counters["muls_recovered"] += promoted.muls_recovered;
-          run.counters["ops_collapsed"] += promoted.ops_collapsed;
           stats.muls_recovered += promoted.muls_recovered;
         }
       });
 
   add("reduce-strength",
       "mul/div/rem by powers of two become shifts/masks for synthesis",
-      [](ir::Module& module, PassRunStats& run, DecompileStats& stats) {
+      [](ir::Module& module, DecompileStats& stats) {
         for (const auto& function : module.functions) {
           const StrengthReductionStats reduced = ReduceStrength(*function);
-          run.counters["muls_to_shifts"] += reduced.muls_to_shifts;
-          run.counters["divs_to_shifts"] += reduced.divs_to_shifts;
-          run.counters["rems_to_masks"] += reduced.rems_to_masks;
           stats.strength_reduced += reduced.muls_to_shifts +
                                     reduced.divs_to_shifts +
                                     reduced.rems_to_masks;
@@ -115,11 +99,9 @@ void RegisterBuiltins(PassRegistry& registry) {
 
   add("reduce-operator-sizes",
       "annotate every instruction with its significant result width",
-      [](ir::Module& module, PassRunStats& run, DecompileStats& stats) {
+      [](ir::Module& module, DecompileStats& stats) {
         for (const auto& function : module.functions) {
           const SizeReductionStats sizes = ReduceOperatorSizes(*function);
-          run.counters["narrowed"] += sizes.narrowed;
-          run.counters["bits_saved"] += sizes.total_bits_saved;
           stats.instrs_narrowed += sizes.narrowed;
           stats.bits_saved += sizes.total_bits_saved;
         }
@@ -269,13 +251,10 @@ void PassManager::RunOnModule(ir::Module& module, DecompileStats& stats,
                               std::vector<PassRunStats>& pass_runs) const {
   obs::ScopedSpan pipeline_span("decomp.pipeline", "decomp");
   for (const Pass* pass : pipeline_) {
-    PassRunStats run;
-    run.pass = pass->name();
     obs::ScopedSpan span(pass->name(), "decomp");
     const obs::Stopwatch watch;
-    pass->Run(module, run, stats);
-    run.millis = watch.Millis();
-    pass_runs.push_back(std::move(run));
+    pass->Run(module, stats);
+    pass_runs.push_back(PassRunStats{pass->name(), watch.Millis()});
   }
   pipeline_span.Arg("passes", static_cast<std::uint64_t>(pipeline_.size()));
 }

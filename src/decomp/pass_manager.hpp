@@ -3,11 +3,9 @@
 // Every recovery technique from the paper is a registered `Pass` with a
 // stable name; pipelines are built from presets ("default", "none"), from
 // explicit name lists, or from a compact spec string
-// ("default,-reroll-loops").  The manager times each
-// pass and collects its named counters, replacing the hand-threaded
-// `DecompileStats` plumbing the old hardwired pipeline used — the aggregate
-// struct is still filled in for compatibility, but per-pass numbers now come
-// from `DecompiledProgram::pass_runs`.
+// ("default,-reroll-loops").  Each pass adds what it did to the one
+// `DecompileStats` record of the program; the manager times each pass into
+// `DecompiledProgram::pass_runs`.
 #pragma once
 
 #include <map>
@@ -24,7 +22,7 @@
 
 namespace b2h::decomp {
 
-// PassRunStats (per-pass timing + counters) lives in pipeline.hpp so that
+// PassRunStats (per-pass timing) lives in pipeline.hpp so that
 // DecompiledProgram can carry a vector of them.
 
 /// A named, registered decompilation pass.  Passes are stateless: all
@@ -41,10 +39,8 @@ class Pass {
     return description_;
   }
 
-  /// Transform the module; record named counters in `run` and fold them
-  /// into the legacy aggregate `stats`.
-  virtual void Run(ir::Module& module, PassRunStats& run,
-                   DecompileStats& stats) const = 0;
+  /// Transform the module and add what it did to `stats`.
+  virtual void Run(ir::Module& module, DecompileStats& stats) const = 0;
 
  private:
   std::string name_;

@@ -22,7 +22,6 @@
 // each one's contribution to synthesis quality).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +35,8 @@
 
 namespace b2h::decomp {
 
-/// Aggregated pass statistics for reporting and the ablation benches.
+/// What the passes did, summed over the pipeline: the one record of pass
+/// counters, printed by ToolchainRun::ReportBody() and read by the benches.
 struct DecompileStats {
   std::size_t constants_simplified = 0;
   std::size_t stack_slots_promoted = 0;
@@ -53,17 +53,11 @@ struct DecompileStats {
   std::size_t final_instrs = 0;
 };
 
-/// Wall time and named counters for one executed pass instance
-/// (collected by the PassManager, see pass_manager.hpp).
+/// Wall time of one executed pass instance (collected by the PassManager,
+/// see pass_manager.hpp).
 struct PassRunStats {
   std::string pass;
   double millis = 0.0;
-  std::map<std::string, std::size_t> counters;
-
-  [[nodiscard]] std::size_t Counter(const std::string& key) const {
-    const auto it = counters.find(key);
-    return it == counters.end() ? 0u : it->second;
-  }
 };
 
 /// A decompiled program with its analyses.  Shares ownership of the binary
@@ -73,7 +67,7 @@ struct PassRunStats {
 struct DecompiledProgram {
   ir::Module module;
   DecompileStats stats;
-  std::vector<PassRunStats> pass_runs;  ///< per-pass timing + counters
+  std::vector<PassRunStats> pass_runs;  ///< per-pass timing
   std::shared_ptr<const mips::SoftBinary> binary;
 };
 

@@ -17,14 +17,13 @@
 //  - Slots with mixed access sizes or overlapping extents are left in
 //    memory.
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <map>
-#include <optional>
 #include <set>
 #include <unordered_map>
 
 #include "decomp/passes.hpp"
+#include "ir/ssa.hpp"
 
 namespace b2h::decomp {
 namespace {
@@ -232,106 +231,51 @@ StackRemovalStats RemoveStackOperations(ir::Function& function) {
     if (it->second.mixed) rejected.insert(it->first);
   }
 
-  // mem2reg over the surviving slots, with the same placeholder-phi approach
-  // as the lifter.
+  // mem2reg over the surviving slots, numbered densely.  On function entry
+  // every slot holds one undefined value.
+  std::map<std::int32_t, std::size_t> variables;
+  for (const auto& [offset, slot] : slots) {
+    if (rejected.count(offset) == 0) {
+      variables.emplace(offset, variables.size());
+    }
+  }
+  stats.slots_promoted = variables.size();
   function.RecomputeCfg();
-  std::map<std::pair<const ir::Block*, std::int32_t>, Value> entry_values;
-  std::vector<std::tuple<ir::Instr*, const ir::Block*, std::int32_t>>
-      pending_phis;
-  // Per-block sequential state and exit values.
-  std::map<const ir::Block*, std::map<std::int32_t, Value>> exit_values;
+  ir::Instr* undef = function.Create(Opcode::kUndef);
+  ir::Block* entry = function.entry();
+  entry->instrs.insert(entry->instrs.begin(), undef);
+  undef->parent = entry;
+  ir::SsaBuilder ssa(function, variables.size(),
+                     [undef](std::size_t) { return Value::Of(undef); });
   std::unordered_map<const ir::Instr*, Value> load_replacements;
   std::vector<ir::Instr*> dead_stores;
-  ir::Instr* undef = nullptr;
-
-  const auto get_undef = [&]() -> Value {
-    if (undef == nullptr) {
-      undef = function.Create(Opcode::kUndef);
-      ir::Block* entry = function.entry();
-      entry->instrs.insert(entry->instrs.begin(), undef);
-      undef->parent = entry;
-    }
-    return Value::Of(undef);
-  };
-
-  std::function<Value(const ir::Block*, std::int32_t)> entry_value =
-      [&](const ir::Block* block, std::int32_t offset) -> Value {
-    const auto key = std::make_pair(block, offset);
-    if (const auto it = entry_values.find(key); it != entry_values.end()) {
-      return it->second;
-    }
-    if (block->preds.empty()) {
-      const Value value = get_undef();
-      entry_values[key] = value;
-      return value;
-    }
-    ir::Instr* phi = function.Create(Opcode::kPhi);
-    const_cast<ir::Block*>(block)->PrependPhi(phi);
-    entry_values[key] = Value::Of(phi);
-    pending_phis.emplace_back(phi, block, offset);
-    return Value::Of(phi);
-  };
-
   for (const auto& block : function.blocks()) {
-    std::map<std::int32_t, Value> state;
-    // Iterate over a snapshot: entry_value() may prepend phis to
-    // block->instrs (for this or other blocks) while we walk.
-    const std::vector<ir::Instr*> snapshot = block->instrs;
-    for (ir::Instr* instr : snapshot) {
+    for (ir::Instr* instr : block->instrs) {
       if (instr->op != Opcode::kLoad && instr->op != Opcode::kStore) continue;
       const AddrClass addr = analysis.ClassOf(instr->operands[0]);
-      if (addr.kind != AddrClass::Kind::kSp ||
-          rejected.count(addr.offset) != 0) {
-        continue;
-      }
+      if (addr.kind != AddrClass::Kind::kSp) continue;
+      const auto variable = variables.find(addr.offset);
+      if (variable == variables.end()) continue;
       if (instr->op == Opcode::kStore) {
-        state[addr.offset] = instr->operands[1];
+        ssa.Write(block.get(), variable->second, instr->operands[1]);
         dead_stores.push_back(instr);
         ++stats.stores_removed;
-      } else {
-        Value value;
-        if (const auto it = state.find(addr.offset); it != state.end()) {
-          value = it->second;
-        } else {
-          value = entry_value(block.get(), addr.offset);
-        }
-        if (instr->mem_bytes < 4) {
-          // Narrow load: only the stored value's low bytes are observed.
-          // Mutate the load into the matching extension in place.
-          instr->ext_from = static_cast<std::uint8_t>(instr->mem_bytes * 8);
-          instr->op = instr->mem_signed ? Opcode::kSExt : Opcode::kZExt;
-          instr->operands = {value};
-        } else {
-          load_replacements[instr] = value;
-        }
-        ++stats.loads_removed;
+        continue;
       }
+      const Value value = ssa.Read(block.get(), variable->second);
+      if (instr->mem_bytes < 4) {
+        // Narrow load: only the stored value's low bytes are observed.
+        // Mutate the load into the matching extension in place.
+        instr->ext_from = static_cast<std::uint8_t>(instr->mem_bytes * 8);
+        instr->op = instr->mem_signed ? Opcode::kSExt : Opcode::kZExt;
+        instr->operands = {value};
+      } else {
+        load_replacements[instr] = value;
+      }
+      ++stats.loads_removed;
     }
-    exit_values[block.get()] = std::move(state);
   }
-
-  // Fill phi operands (may create more placeholder phis; index loop).
-  const auto exit_value = [&](const ir::Block* block,
-                              std::int32_t offset) -> Value {
-    const auto& state = exit_values[block];
-    if (const auto it = state.find(offset); it != state.end()) {
-      return it->second;
-    }
-    return entry_value(block, offset);
-  };
-  for (std::size_t i = 0; i < pending_phis.size(); ++i) {
-    const auto [phi, block, offset] = pending_phis[i];
-    std::vector<Value> operands;
-    operands.reserve(block->preds.size());
-    for (const ir::Block* pred : block->preds) {
-      operands.push_back(exit_value(pred, offset));
-    }
-    phi->operands = std::move(operands);
-  }
-
-  for (const auto& [offset, slot] : slots) {
-    if (rejected.count(offset) == 0) ++stats.slots_promoted;
-  }
+  ssa.Seal();
 
   function.ReplaceAllUses(load_replacements);
   for (ir::Instr* store : dead_stores) store->parent->Remove(store);

@@ -2,10 +2,12 @@
 // analyzes the CDFG and determines high-level control structures, such as
 // loops and if statements."
 //
-// The recovered structure serves three purposes: it defines the loop
-// granules the partitioner selects, it drives the synthesis FSM layout, and
-// it backs the paper's claim that "our approach recovered almost all the
-// relevant high-level constructs successfully" (the stats below).
+// RecoverStructure counts the loops, if-thens and if-then-elses of one
+// function and renders them as indented pseudo-code.  It backs the paper's
+// claim that "our approach recovered almost all the relevant high-level
+// constructs successfully" (the stats below); the flow itself does not call
+// it.  The loops the partitioner selects come from ir::LoopForest
+// (ir/loops.hpp), and synthesis schedules each region from the CDFG.
 #pragma once
 
 #include <string>

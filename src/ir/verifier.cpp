@@ -118,6 +118,12 @@ Status Verify(const Function& function) {
                   "preds out of date (run RecomputeCfg)");
     }
   }
+  // SSA construction (ir/ssa.hpp) reads a variable in the entry block as
+  // its live-in, and the interpreter enters that block from no predecessor.
+  if (!function.entry()->preds.empty()) {
+    return Fail(function, function.entry(), nullptr,
+                "an edge enters the entry block");
+  }
 
   // Phi arity matches preds.
   for (const auto& block : function.blocks()) {

@@ -13,6 +13,7 @@
 #include "ir/interp.hpp"
 #include "ir/loops.hpp"
 #include "ir/printer.hpp"
+#include "ir/ssa.hpp"
 #include "ir/verifier.hpp"
 #include "mips/assembler.hpp"
 #include "mips/simulator.hpp"
@@ -377,6 +378,101 @@ TEST(Verifier, CatchesStalePreds) {
   Diamond d;
   d.merge->preds.pop_back();
   EXPECT_FALSE(Verify(d.function).ok());
+}
+
+TEST(Verifier, CatchesAnEdgeIntoTheEntryBlock) {
+  // The entry block heads a loop: SSA construction would read the values it
+  // carries as live-ins, and the interpreter enters it with no previous
+  // block.
+  Function function("entry_loop");
+  Block* entry = function.CreateBlock("entry", 0x300);
+  Block* exit = function.CreateBlock("exit", 0x310);
+  Instr* input = function.Create(Opcode::kInput);
+  input->input_index = 4;
+  entry->Append(input);
+  Instr* cmp = function.Emit(entry, Opcode::kGtS,
+                             {Value::Of(input), Value::Const(0)});
+  Instr* br = function.Create(Opcode::kCondBr);
+  br->operands = {Value::Of(cmp)};
+  br->target0 = entry;
+  br->target1 = exit;
+  entry->Append(br);
+  Instr* ret = function.Create(Opcode::kRet);
+  ret->operands = {Value::Of(input)};
+  exit->Append(ret);
+  function.RecomputeCfg();
+  const Status status = Verify(function);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("entry block"), std::string::npos)
+      << status.message();
+}
+
+TEST(SsaBuilder, JoinsGetPhisInReadOrderAndEntryValuesComeOnce) {
+  // entry -> (left | right) -> merge; variable 0 is written in each arm,
+  // variable 1 only ever read.
+  Function function("ssa");
+  Block* entry = function.CreateBlock("entry", 0x100);
+  Block* left = function.CreateBlock("left", 0x110);
+  Block* right = function.CreateBlock("right", 0x120);
+  Block* merge = function.CreateBlock("merge", 0x130);
+  std::vector<std::size_t> asked;
+  Instr* live_in = nullptr;
+  SsaBuilder ssa(function, 2, [&](std::size_t variable) {
+    asked.push_back(variable);
+    live_in = function.Create(Opcode::kInput);
+    live_in->input_index = static_cast<std::uint16_t>(variable);
+    entry->instrs.insert(entry->instrs.begin(), live_in);
+    live_in->parent = entry;
+    return Value::Of(live_in);
+  });
+
+  Instr* cmp = function.Emit(entry, Opcode::kGtS,
+                             {ssa.Read(entry, 1), Value::Const(0)});
+  Instr* branch = function.Create(Opcode::kCondBr);
+  branch->operands = {Value::Of(cmp)};
+  branch->target0 = left;
+  branch->target1 = right;
+  entry->Append(branch);
+  ssa.Write(left, 0, Value::Const(1));
+  ssa.Write(right, 0, Value::Const(2));
+  for (Block* arm : {left, right}) {
+    Instr* br = function.Create(Opcode::kBr);
+    br->target0 = merge;
+    arm->Append(br);
+  }
+  const Value first = ssa.Read(merge, 1);
+  const Value second = ssa.Read(merge, 0);
+  EXPECT_EQ(ssa.Read(merge, 0), second);
+  Instr* sum = function.Emit(merge, Opcode::kAdd, {first, second});
+  Instr* ret = function.Create(Opcode::kRet);
+  ret->operands = {Value::Of(sum)};
+  merge->Append(ret);
+
+  function.RecomputeCfg();
+  ssa.Seal();
+  // Placeholders join their block in creation order, with one operand per
+  // predecessor.  Variable 1 reaches the join through a placeholder in each
+  // arm, which Seal() created and filled from the entry block's one live-in.
+  const std::vector<Instr*> phis = merge->Phis();
+  ASSERT_EQ(phis.size(), 2u);
+  EXPECT_EQ(phis[0], first.def);
+  EXPECT_EQ(phis[1], second.def);
+  ASSERT_EQ(merge->preds.size(), 2u);
+  for (std::size_t i = 0; i < merge->preds.size(); ++i) {
+    const Instr* arm_phi = phis[0]->operands[i].def;
+    ASSERT_NE(arm_phi, nullptr);
+    EXPECT_EQ(arm_phi->parent, merge->preds[i]);
+    EXPECT_EQ(arm_phi->operands, std::vector<Value>{Value::Of(live_in)});
+    EXPECT_EQ(phis[1]->operands[i],
+              Value::Const(merge->preds[i] == left ? 1 : 2));
+  }
+  EXPECT_EQ(asked, std::vector<std::size_t>{1});
+  function.RecomputeCfg();
+  const Status status = Verify(function);
+  EXPECT_TRUE(status.ok()) << status.message();
+  function.Cleanup();
+  EXPECT_EQ(merge->Phis().size(), 1u);  // the trivial ones go
+  EXPECT_TRUE(left->Phis().empty());
 }
 
 TEST(Interp, ExecutesDiamond) {

@@ -1,10 +1,14 @@
 // Lifter / CFG recovery tests: block discovery, SSA construction, the
-// indirect-jump failure mode, function discovery through jal, and profile
-// annotation.
+// indirect-jump failure mode, function discovery through jal, profile
+// annotation, and functions whose first instruction heads a loop.
 #include "decomp/lifter.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "decomp/pass_manager.hpp"
+#include "ir/interp.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "mips/assembler.hpp"
@@ -196,6 +200,97 @@ TEST(Lifter, HiLoRegistersFlowThroughMultDiv) {
   auto lifted = Lift(binary);
   ASSERT_TRUE(lifted.ok());
   EXPECT_TRUE(ir::Verify(lifted.value()).ok());
+}
+
+// The loop heads the function: its back edge targets the first instruction.
+constexpr const char* kEntryLoop = R"(
+    main:
+      addiu $v0, $v0, 1
+      slt $t0, $v0, $a0
+      bne $t0, $zero, main
+      jr $ra
+  )";
+
+// The same loop as a leaf that main calls.
+constexpr const char* kEntryLoopLeaf = R"(
+    main:
+      addiu $sp, $sp, -8
+      sw $ra, 4($sp)
+      jal count
+      lw $ra, 4($sp)
+      addiu $sp, $sp, 8
+      jr $ra
+    count:
+      addiu $v0, $v0, 1
+      slt $t0, $v0, $a0
+      bne $t0, $zero, count
+      jr $ra
+  )";
+
+constexpr std::int32_t kEntryLoopInputs[] = {5, 1, -3};
+
+/// Interpreting `module` must give the simulator's result for every input;
+/// a small step budget turns a loop that never sees its carried values into
+/// a quick failure.
+void ExpectInterpreterMatchesSimulator(const mips::SoftBinary& binary,
+                                       const ir::Module& module) {
+  for (const std::int32_t a0 : kEntryLoopInputs) {
+    const std::int32_t args[] = {a0};
+    mips::Simulator sim(binary);
+    const auto run = sim.Run(args);
+    ASSERT_EQ(run.reason, mips::HaltReason::kReturned) << run.fault_message;
+    EXPECT_EQ(run.return_value, a0 > 1 ? a0 : 1) << "simulator, a0=" << a0;
+    ir::InterpOptions options;
+    options.max_steps = 100'000;
+    ir::Interpreter interp(module, binary.data, options);
+    const auto result = interp.Run(args);
+    ASSERT_TRUE(result.ok) << "a0=" << a0 << ": " << result.error;
+    EXPECT_EQ(result.return_value, run.return_value) << "IR, a0=" << a0;
+  }
+}
+
+TEST(Lifter, EntryLoopHeaderGetsAnEmptyEntryBlock) {
+  const auto binary = Asm(kEntryLoop);
+  auto module = Lift(binary);
+  ASSERT_TRUE(module.ok()) << module.status().message();
+  const ir::Function& main = *module.value().main;
+  const Status status = ir::Verify(main);
+  ASSERT_TRUE(status.ok()) << status.message();
+  // The entry block holds only the live-ins and falls into the loop, whose
+  // header merges them with the values carried around the back edge.
+  const ir::Block* entry = main.entry();
+  EXPECT_EQ(entry->start_pc, 0u);
+  EXPECT_TRUE(entry->preds.empty());
+  ASSERT_EQ(entry->succs().size(), 1u);
+  const ir::Block* header = entry->succs()[0];
+  EXPECT_EQ(header->start_pc, binary.entry);
+  EXPECT_EQ(header->preds.size(), 2u);
+  EXPECT_EQ(header->Phis().size(), 1u) << ir::Print(main);  // $v0
+}
+
+TEST(Lifter, EntryLoopDecompilesToTheSimulatorsResult) {
+  const auto manager = PassManager::Preset("default");
+  ASSERT_TRUE(manager.ok());
+  for (const char* source : {kEntryLoop, kEntryLoopLeaf}) {
+    SCOPED_TRACE(source);
+    const auto binary = std::make_shared<const mips::SoftBinary>(Asm(source));
+    const auto program = manager.value().Run(binary);
+    ASSERT_TRUE(program.ok()) << program.status().message();
+    ExpectInterpreterMatchesSimulator(*binary, program.value().module);
+  }
+}
+
+TEST(Lifter, EntryLoopLeafDecompilesAloneThroughLiftAt) {
+  // The online partitioner lifts only the function around a hot loop.
+  const auto binary = std::make_shared<const mips::SoftBinary>(
+      Asm(kEntryLoopLeaf));
+  const auto manager = PassManager::Preset("default");
+  ASSERT_TRUE(manager.ok());
+  const auto program =
+      manager.value().RunAt(binary, binary->symbols.at("count"));
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  EXPECT_EQ(program.value().module.main->name(), "count");
+  ExpectInterpreterMatchesSimulator(*binary, program.value().module);
 }
 
 TEST(TrivialPhis, RemovedAfterLifting) {

@@ -1,6 +1,6 @@
 // PassManager tests: registration completeness, preset and spec parsing,
-// every single-pass ablation producing verifiable IR, and per-pass stats
-// round-trip against the aggregate DecompileStats.
+// every single-pass ablation producing verifiable IR, and per-pass timings
+// in pipeline order next to the DecompileStats the passes fill.
 #include "decomp/pass_manager.hpp"
 
 #include <gtest/gtest.h>
@@ -46,7 +46,7 @@ TEST(PassRegistry, RejectsDuplicatesAndUnknownLookups) {
   class Dummy : public Pass {
    public:
     Dummy() : Pass("reroll-loops", "duplicate") {}
-    void Run(ir::Module&, PassRunStats&, DecompileStats&) const override {}
+    void Run(ir::Module&, DecompileStats&) const override {}
   };
   EXPECT_THROW(PassRegistry::Global().Register(std::make_unique<Dummy>()),
                InternalError);
@@ -122,30 +122,13 @@ TEST(PassManager, PerPassStatsRoundTrip) {
   const auto& runs = program.value().pass_runs;
   ASSERT_EQ(runs.size(), preset.value().pipeline().size());
 
-  // Per-pass counters must re-aggregate to the legacy totals.
-  const DecompileStats& stats = program.value().stats;
-  std::size_t simplified = 0, rerolled = 0, stack_ops = 0, narrowed = 0,
-              muls = 0, inlined = 0, ifs = 0;
+  // One timed run per pipeline entry, in pipeline order.
   for (std::size_t i = 0; i < runs.size(); ++i) {
     EXPECT_EQ(runs[i].pass, preset.value().pipeline()[i]->name());
     EXPECT_GE(runs[i].millis, 0.0);
-    simplified += runs[i].Counter("simplified");
-    rerolled += runs[i].Counter("loops_rerolled");
-    stack_ops +=
-        runs[i].Counter("loads_removed") + runs[i].Counter("stores_removed");
-    narrowed += runs[i].Counter("narrowed");
-    muls += runs[i].Counter("muls_recovered");
-    inlined += runs[i].Counter("calls_inlined");
-    ifs += runs[i].Counter("diamonds_converted");
   }
-  EXPECT_EQ(simplified, stats.constants_simplified);
-  EXPECT_EQ(rerolled, stats.loops_rerolled);
-  EXPECT_EQ(stack_ops, stats.stack_ops_removed);
-  EXPECT_EQ(narrowed, stats.instrs_narrowed);
-  EXPECT_EQ(muls, stats.muls_recovered);
-  EXPECT_EQ(inlined, stats.calls_inlined);
-  EXPECT_EQ(ifs, stats.ifs_converted);
   // fir at -O3 actually exercises the interesting passes.
+  const DecompileStats& stats = program.value().stats;
   EXPECT_GT(stats.constants_simplified, 0u);
   EXPECT_GT(stats.loops_rerolled, 0u);
 }

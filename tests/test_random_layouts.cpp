@@ -2,7 +2,9 @@
 // where the compiler put each block.  Each seed assembles a small program
 // whose blocks sit in a random order in the text segment, joined by forward
 // beq/bne/j edges, with counted backward loops and calls to one- and
-// two-return leaf functions.  For several $a0 values, the MIPS simulator's
+// two-return leaf functions.  A second set of seeds makes every leaf, and
+// sometimes main, start with a counted loop, so a function's first
+// instruction heads a loop.  For several $a0 values, the MIPS simulator's
 // result must equal the IR interpreter's result on the default pipeline's
 // CDFG.
 #include <gtest/gtest.h>
@@ -24,6 +26,8 @@ namespace b2h {
 namespace {
 
 constexpr unsigned kPrograms = 300;
+/// The entry-loop programs draw from their own seeds, 1001-1300.
+constexpr unsigned kEntryLoopSeedBase = 1000;
 constexpr std::int32_t kInputs[] = {0, 1, 3, -4, 10};
 
 /// A program generator over one seed.  Only std::mt19937's raw output is
@@ -31,7 +35,10 @@ constexpr std::int32_t kInputs[] = {0, 1, 3, -4, 10};
 /// not), so a seed names the same program everywhere.
 class LayoutGenerator {
  public:
-  explicit LayoutGenerator(unsigned seed) : rng_(seed) {}
+  /// With `entry_loops`, every leaf and sometimes main start with a
+  /// counted loop.  Without it a seed draws the same program as ever.
+  LayoutGenerator(unsigned seed, bool entry_loops)
+      : rng_(seed), entry_loops_(entry_loops) {}
 
   std::string Generate() {
     const unsigned segments = 3 + Pick(4);
@@ -49,8 +56,18 @@ class LayoutGenerator {
     }
 
     std::ostringstream out;
-    out << "main:\n"
-        << "  addiu $sp, $sp, -8\n"
+    out << "main:\n";
+    if (entry_loops_ && Pick(2) == 0) {
+      // $s4 and $s6 start at zero; $s6 carries a sum out of the loop and
+      // the prologue overwrites what the ALU step leaves in $s0-$s3.
+      out << "  addiu $s4, $s4, 1\n"
+          << "  " << Alu() << "\n"
+          << "  addu $s6, $s6, " << Src() << "\n"
+          << "  addu $s6, $s6, $a0\n"
+          << "  slti $t0, $s4, " << 1 + Pick(4) << "\n"
+          << "  bne $t0, $zero, main\n";
+    }
+    out << "  addiu $sp, $sp, -8\n"
         << "  sw $ra, 4($sp)\n"
         << "  move $s5, $a0\n"
         << "  addiu $s0, $a0, 1\n"
@@ -99,6 +116,8 @@ class LayoutGenerator {
     std::vector<std::string> lines;
     if (Pick(5) < 2) {
       lines.push_back("move $a0, " + Src());
+      // An entry-loop leaf counts $a1 down, which bounds its trip count.
+      if (entry_loops_) lines.push_back("andi $a1, " + Src() + ", 7");
       lines.push_back("jal F" + std::to_string(Pick(leaves)));
       lines.push_back("addu " + Reg() + ", " + Reg() + ", $v0");
     }
@@ -116,6 +135,7 @@ class LayoutGenerator {
     if (i + 1 == segments) {
       lines.push_back("addu $v0, " + Src() + ", " + Src());
       lines.push_back("xor $v0, $v0, " + Src());
+      if (entry_loops_) lines.push_back("addu $v0, $v0, $s6");
       lines.push_back("lw $ra, 4($sp)");
       lines.push_back("addiu $sp, $sp, 8");
       lines.push_back("jr $ra");
@@ -145,6 +165,14 @@ class LayoutGenerator {
     const std::string name = "F" + std::to_string(leaf);
     std::ostringstream out;
     out << name << ":\n";
+    if (entry_loops_) {
+      static const char* const kSteps[] = {
+          "addiu $a0, $a0, 3", "sll $a0, $a0, 1", "xor $a0, $a0, $a1",
+          "addu $a0, $a0, $a1"};
+      out << "  " << kSteps[Pick(4)] << "\n"
+          << "  addiu $a1, $a1, -1\n"
+          << "  bgtz $a1, " << name << "\n";
+    }
     if (Pick(2) == 0) {
       out << "  addiu $v0, $a0, " << Pick(9) << "\n"
           << "  sll $v0, $v0, " << Pick(3) << "\n"
@@ -167,15 +195,19 @@ class LayoutGenerator {
   }
 
   std::mt19937 rng_;
+  bool entry_loops_;
   std::vector<bool> ends_in_jump_;
 };
 
-TEST(RandomLayouts, DecompiledIrMatchesTheSimulator) {
+/// Decompile the programs of seeds base + 1 .. base + kPrograms and compare
+/// the IR interpreter with the simulator on each.
+void ExpectLayoutsMatchTheSimulator(unsigned base, bool entry_loops) {
   const auto manager = decomp::PassManager::Preset("default");
   ASSERT_TRUE(manager.ok());
   unsigned failures = 0;
-  for (unsigned seed = 1; seed <= kPrograms && failures < 3; ++seed) {
-    const std::string source = LayoutGenerator(seed).Generate();
+  for (unsigned seed = base + 1; seed <= base + kPrograms && failures < 3;
+       ++seed) {
+    const std::string source = LayoutGenerator(seed, entry_loops).Generate();
     auto assembled = mips::Assemble(source);
     ASSERT_TRUE(assembled.ok()) << "seed " << seed << ": "
                                 << assembled.status().message() << "\n"
@@ -208,6 +240,14 @@ TEST(RandomLayouts, DecompiledIrMatchesTheSimulator) {
       }
     }
   }
+}
+
+TEST(RandomLayouts, DecompiledIrMatchesTheSimulator) {
+  ExpectLayoutsMatchTheSimulator(0, false);
+}
+
+TEST(RandomLayouts, EntryLoopHeadersMatchTheSimulator) {
+  ExpectLayoutsMatchTheSimulator(kEntryLoopSeedBase, true);
 }
 
 }  // namespace
