@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "decomp/passes.hpp"
-#include "support/bits.hpp"
+#include "ir/eval.hpp"
 
 namespace b2h::decomp {
 namespace {
@@ -18,68 +18,20 @@ namespace {
 using ir::Opcode;
 using ir::Value;
 
-/// Evaluate a binary op over constants with the platform's semantics
-/// (identical to the IR interpreter and MIPS simulator).
-std::optional<std::int32_t> Fold(Opcode op, std::int32_t a, std::int32_t b) {
-  const auto ua = static_cast<std::uint32_t>(a);
-  const auto ub = static_cast<std::uint32_t>(b);
-  switch (op) {
-    case Opcode::kAdd: return static_cast<std::int32_t>(ua + ub);
-    case Opcode::kSub: return static_cast<std::int32_t>(ua - ub);
-    case Opcode::kMul: return static_cast<std::int32_t>(ua * ub);
-    case Opcode::kMulHiS:
-      return static_cast<std::int32_t>(
-          (static_cast<std::int64_t>(a) * static_cast<std::int64_t>(b)) >> 32);
-    case Opcode::kMulHiU:
-      return static_cast<std::int32_t>(
-          (static_cast<std::uint64_t>(ua) * static_cast<std::uint64_t>(ub)) >>
-          32);
-    case Opcode::kDivS:
-      return b == 0 ? 0 : (a == INT32_MIN && b == -1) ? INT32_MIN : a / b;
-    case Opcode::kDivU:
-      return b == 0 ? 0 : static_cast<std::int32_t>(ua / ub);
-    case Opcode::kRemS:
-      return b == 0 ? a : (a == INT32_MIN && b == -1) ? 0 : a % b;
-    case Opcode::kRemU:
-      return b == 0 ? a : static_cast<std::int32_t>(ua % ub);
-    case Opcode::kAnd: return static_cast<std::int32_t>(ua & ub);
-    case Opcode::kOr:  return static_cast<std::int32_t>(ua | ub);
-    case Opcode::kXor: return static_cast<std::int32_t>(ua ^ ub);
-    case Opcode::kNor: return static_cast<std::int32_t>(~(ua | ub));
-    case Opcode::kShl: return static_cast<std::int32_t>(ua << (ub & 31u));
-    case Opcode::kShrL: return static_cast<std::int32_t>(ua >> (ub & 31u));
-    case Opcode::kShrA: return a >> (ub & 31u);
-    case Opcode::kEq:  return a == b;
-    case Opcode::kNe:  return a != b;
-    case Opcode::kLtS: return a < b;
-    case Opcode::kLtU: return ua < ub;
-    case Opcode::kLeS: return a <= b;
-    case Opcode::kLeU: return ua <= ub;
-    case Opcode::kGtS: return a > b;
-    case Opcode::kGtU: return ua > ub;
-    case Opcode::kGeS: return a >= b;
-    case Opcode::kGeU: return ua >= ub;
-    default: return std::nullopt;
+/// The value of `instr` when all its operands are constants and its
+/// operator's result depends on them alone (ir::Evaluate).
+std::optional<std::int32_t> FoldConstants(const ir::Instr& instr) {
+  std::int32_t imm[3] = {};
+  for (std::size_t i = 0; i < instr.operands.size(); ++i) {
+    if (i >= 3 || !instr.operands[i].is_const()) return std::nullopt;
+    imm[i] = instr.operands[i].imm;
   }
-}
-
-bool IsBinary(Opcode op) {
-  switch (op) {
-    case Opcode::kAdd: case Opcode::kSub: case Opcode::kMul:
-    case Opcode::kMulHiS: case Opcode::kMulHiU: case Opcode::kDivS:
-    case Opcode::kDivU: case Opcode::kRemS: case Opcode::kRemU:
-    case Opcode::kAnd: case Opcode::kOr: case Opcode::kXor:
-    case Opcode::kNor: case Opcode::kShl: case Opcode::kShrL:
-    case Opcode::kShrA:
-      return true;
-    default:
-      return ir::IsComparison(op);
-  }
+  return ir::Evaluate(instr, imm[0], imm[1], imm[2]);
 }
 
 /// Algebraic identities returning a replacement value, or None.
 Value Identity(const ir::Instr& instr) {
-  if (!IsBinary(instr.op) || instr.operands.size() != 2) return Value::None();
+  if (instr.operands.size() != 2) return Value::None();
   const Value& a = instr.operands[0];
   const Value& b = instr.operands[1];
   switch (instr.op) {
@@ -136,18 +88,10 @@ std::size_t SimplifyConstants(ir::Function& function) {
 
     for (const auto& block : function.blocks()) {
       for (ir::Instr* instr : block->instrs) {
-        // Constant-fold pure binaries.
-        if (IsBinary(instr->op) && instr->operands.size() == 2 &&
-            instr->operands[0].is_const() && instr->operands[1].is_const()) {
-          if (auto value = Fold(instr->op, instr->operands[0].imm,
-                                instr->operands[1].imm)) {
-            replacements[instr] = Value::Const(*value);
-            continue;
-          }
-        }
-        // kConst instructions become immediate operands.
-        if (instr->op == Opcode::kConst) {
-          replacements[instr] = Value::Const(instr->imm);
+        // Fold operators over constants; kConst instructions become
+        // immediate operands this way too.
+        if (const auto value = FoldConstants(*instr)) {
+          replacements[instr] = Value::Const(*value);
           continue;
         }
         // Select with constant condition.
@@ -155,22 +99,6 @@ std::size_t SimplifyConstants(ir::Function& function) {
           replacements[instr] =
               instr->operands[0].imm != 0 ? instr->operands[1]
                                           : instr->operands[2];
-          continue;
-        }
-        // Extensions of constants.
-        if ((instr->op == Opcode::kSExt || instr->op == Opcode::kZExt ||
-             instr->op == Opcode::kTrunc) &&
-            instr->operands[0].is_const()) {
-          const auto raw = static_cast<std::uint32_t>(instr->operands[0].imm);
-          std::int32_t value = 0;
-          if (instr->op == Opcode::kSExt) {
-            value = SignExtend(raw, instr->ext_from);
-          } else if (instr->op == Opcode::kZExt) {
-            value = static_cast<std::int32_t>(raw & LowMask(instr->ext_from));
-          } else {
-            value = static_cast<std::int32_t>(raw & LowMask(instr->width));
-          }
-          replacements[instr] = Value::Const(value);
           continue;
         }
         // Algebraic identities.
@@ -181,8 +109,7 @@ std::size_t SimplifyConstants(ir::Function& function) {
         }
         // Canonicalize: constants on the right for commutative ops
         // (simplifies later pattern matchers).
-        if (IsBinary(instr->op) && ir::IsCommutative(instr->op) &&
-            instr->operands.size() == 2 && instr->operands[0].is_const() &&
+        if (ir::IsCommutative(instr->op) && instr->operands[0].is_const() &&
             !instr->operands[1].is_const()) {
           std::swap(instr->operands[0], instr->operands[1]);
           changed = true;

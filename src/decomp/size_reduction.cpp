@@ -178,7 +178,10 @@ class ForwardWidths {
         if (instr.operands[1].is_const()) {
           const unsigned sh =
               static_cast<unsigned>(instr.operands[1].imm) & 31u;
-          const Fact a = op_fact(0);
+          Fact a = op_fact(0);
+          // An unsigned 32-bit value may have bit 31 set, and sra copies
+          // that bit down: shift it as the signed value it is.
+          if (!a.is_signed && a.width >= 32) a = {32, true};
           const unsigned w = a.width > sh ? a.width - sh : 1;
           return {std::max(1u, w), a.is_signed};
         }
@@ -190,8 +193,13 @@ class ForwardWidths {
         return {32, true};
       }
       case Opcode::kRemU: {
+        // x % y < y, but x % 0 = x: only a divisor that cannot be zero
+        // bounds the result.
         const Fact a = op_fact(0), b = op_fact(1);
-        if (!b.is_signed) return {b.width, false};
+        const Value& divisor = instr.operands[1];
+        if (!b.is_signed && divisor.is_const() && divisor.imm != 0) {
+          return {b.width, false};
+        }
         if (!a.is_signed) return {a.width, false};
         return {32, true};
       }

@@ -9,8 +9,6 @@ namespace b2h::explore {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 /// Process-wide cache tier counters, resolved once (instruments are
 /// never destroyed, see obs::Registry).  Mirrors the per-cache Stats so
 /// the serve `metrics` endpoint and traced sweeps see tier traffic
@@ -256,20 +254,13 @@ bool DecodePartitionResult(BinaryReader& in,
 }  // namespace
 
 ContentHasher& ContentHasher::Bytes(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    state_ ^= bytes[i];
-    state_ *= kFnvPrime;
-  }
+  state_ = support::Fnv1a64({static_cast<const char*>(data), size}, state_);
   return *this;
 }
 
 ContentHasher& ContentHasher::U64(std::uint64_t value) {
-  unsigned char encoded[8];
-  for (int i = 0; i < 8; ++i) {
-    encoded[i] = static_cast<unsigned char>(value >> (i * 8));
-  }
-  return Bytes(encoded, sizeof encoded);
+  state_ = support::Fnv1a64U64(value, state_);
+  return *this;
 }
 
 ContentHasher& ContentHasher::F64(double value) {

@@ -57,6 +57,7 @@
 #include "partition/partitioner.hpp"
 #include "partition/platform.hpp"
 #include "support/error.hpp"
+#include "support/serialize.hpp"
 
 namespace b2h::explore {
 
@@ -73,7 +74,7 @@ class ContentHasher {
   [[nodiscard]] std::string Hex() const;
 
  private:
-  std::uint64_t state_ = 1469598103934665603ull;
+  std::uint64_t state_ = support::kFnv1a64Basis;
 };
 
 /// Content hash of a software binary (text, data, entry point, symbols).

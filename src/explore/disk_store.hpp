@@ -44,7 +44,7 @@ namespace b2h::explore {
 /// The CI artifact-cache key embeds this number for the same reason
 /// (ci.yml's B2H_CACHE_SCHEMA, which a build-and-test step checks against
 /// it).
-inline constexpr std::uint32_t kCacheSchemaVersion = 2;
+inline constexpr std::uint32_t kCacheSchemaVersion = 3;
 
 /// Cache-dir resolution: the B2H_CACHE_DIR environment variable overrides
 /// any configured directory (the CI cache-warm gate points whole processes

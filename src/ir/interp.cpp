@@ -1,10 +1,9 @@
 #include "ir/interp.hpp"
 
 #include <array>
-#include <cstring>
 #include <unordered_map>
 
-#include "support/bits.hpp"
+#include "ir/eval.hpp"
 
 namespace b2h::ir {
 namespace {
@@ -21,11 +20,9 @@ Interpreter::Interpreter(const Module& module,
     : module_(module), options_(options), memory_(initial_data) {}
 
 std::uint32_t Interpreter::PeekWord(std::uint32_t addr) const {
-  const std::uint8_t* p = memory_.At(addr, 4);
-  Check(p != nullptr, "Interpreter::PeekWord outside memory");
-  std::uint32_t value;
-  std::memcpy(&value, p, 4);
-  return value;
+  const auto word = memory_.Load(addr, 4, false);
+  Check(word.has_value(), "Interpreter::PeekWord outside memory");
+  return static_cast<std::uint32_t>(*word);
 }
 
 InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
@@ -37,7 +34,6 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
 
   // Explicit call stack (recursion depth bounded only by memory).
   struct Activation {
-    const Function* function;
     std::unordered_map<const Instr*, std::int32_t> values;
     const Block* block = nullptr;
     const Block* prev_block = nullptr;
@@ -50,7 +46,6 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
   const auto enter = [&](const Function* function,
                          std::array<std::int32_t, 5> inputs) {
     Activation activation;
-    activation.function = function;
     activation.block = function->entry();
     activation.inputs = inputs;
     stack.push_back(std::move(activation));
@@ -110,14 +105,10 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
     }
 
     const auto operand = [&](std::size_t i) {
-      return value_of(act, in->operands[i]);
-    };
-    const auto uoperand = [&](std::size_t i) {
-      return static_cast<std::uint32_t>(operand(i));
+      return i < in->operands.size() ? value_of(act, in->operands[i]) : 0;
     };
 
     std::int32_t out = 0;
-    bool produces = in->width > 0;
     bool advanced = false;
 
     switch (in->op) {
@@ -126,97 +117,27 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
           out = act.inputs[in->input_index - kRegA0];
         } else if (in->input_index == kRegSp) {
           out = act.inputs[4];
-        } else {
-          out = 0;
         }
         break;
-      case Opcode::kConst: out = in->imm; break;
-      case Opcode::kUndef: out = 0; break;
-      case Opcode::kAdd: out = static_cast<std::int32_t>(uoperand(0) + uoperand(1)); break;
-      case Opcode::kSub: out = static_cast<std::int32_t>(uoperand(0) - uoperand(1)); break;
-      case Opcode::kMul: out = static_cast<std::int32_t>(uoperand(0) * uoperand(1)); break;
-      case Opcode::kMulHiS:
-        out = static_cast<std::int32_t>(
-            (static_cast<std::int64_t>(operand(0)) *
-             static_cast<std::int64_t>(operand(1))) >> 32);
-        break;
-      case Opcode::kMulHiU:
-        out = static_cast<std::int32_t>(
-            (static_cast<std::uint64_t>(uoperand(0)) *
-             static_cast<std::uint64_t>(uoperand(1))) >> 32);
-        break;
-      case Opcode::kDivS: {
-        const std::int32_t a = operand(0), b = operand(1);
-        out = b == 0 ? 0 : (a == INT32_MIN && b == -1) ? INT32_MIN : a / b;
-        break;
-      }
-      case Opcode::kDivU: {
-        const std::uint32_t a = uoperand(0), b = uoperand(1);
-        out = b == 0 ? 0 : static_cast<std::int32_t>(a / b);
-        break;
-      }
-      case Opcode::kRemS: {
-        const std::int32_t a = operand(0), b = operand(1);
-        out = b == 0 ? a : (a == INT32_MIN && b == -1) ? 0 : a % b;
-        break;
-      }
-      case Opcode::kRemU: {
-        const std::uint32_t a = uoperand(0), b = uoperand(1);
-        out = b == 0 ? operand(0) : static_cast<std::int32_t>(a % b);
-        break;
-      }
-      case Opcode::kAnd: out = static_cast<std::int32_t>(uoperand(0) & uoperand(1)); break;
-      case Opcode::kOr:  out = static_cast<std::int32_t>(uoperand(0) | uoperand(1)); break;
-      case Opcode::kXor: out = static_cast<std::int32_t>(uoperand(0) ^ uoperand(1)); break;
-      case Opcode::kNor: out = static_cast<std::int32_t>(~(uoperand(0) | uoperand(1))); break;
-      case Opcode::kShl: out = static_cast<std::int32_t>(uoperand(0) << (uoperand(1) & 31u)); break;
-      case Opcode::kShrL: out = static_cast<std::int32_t>(uoperand(0) >> (uoperand(1) & 31u)); break;
-      case Opcode::kShrA: out = operand(0) >> (uoperand(1) & 31u); break;
-      case Opcode::kEq:  out = operand(0) == operand(1); break;
-      case Opcode::kNe:  out = operand(0) != operand(1); break;
-      case Opcode::kLtS: out = operand(0) < operand(1); break;
-      case Opcode::kLtU: out = uoperand(0) < uoperand(1); break;
-      case Opcode::kLeS: out = operand(0) <= operand(1); break;
-      case Opcode::kLeU: out = uoperand(0) <= uoperand(1); break;
-      case Opcode::kGtS: out = operand(0) > operand(1); break;
-      case Opcode::kGtU: out = uoperand(0) > uoperand(1); break;
-      case Opcode::kGeS: out = operand(0) >= operand(1); break;
-      case Opcode::kGeU: out = uoperand(0) >= uoperand(1); break;
-      case Opcode::kSelect: out = operand(0) != 0 ? operand(1) : operand(2); break;
-      case Opcode::kSExt: out = SignExtend(uoperand(0), in->ext_from); break;
-      case Opcode::kZExt: out = static_cast<std::int32_t>(uoperand(0) & LowMask(in->ext_from)); break;
-      case Opcode::kTrunc: out = static_cast<std::int32_t>(uoperand(0) & LowMask(in->width)); break;
+      case Opcode::kUndef: break;
       case Opcode::kLoad: {
-        const std::uint32_t addr = uoperand(0);
-        const unsigned size = in->mem_bytes;
-        const std::uint8_t* p = memory_.At(addr, size);
-        if (p == nullptr || (addr & (size - 1)) != 0) {
+        const auto loaded = memory_.Load(static_cast<std::uint32_t>(operand(0)),
+                                         in->mem_bytes, in->mem_signed);
+        if (!loaded.has_value()) {
           result.error = "interp: bad load address";
           return result;
         }
-        std::uint32_t raw = 0;
-        for (unsigned b = 0; b < size; ++b) raw |= static_cast<std::uint32_t>(p[b]) << (8 * b);
-        if (size < 4) {
-          out = in->mem_signed ? SignExtend(raw, size * 8)
-                               : static_cast<std::int32_t>(raw);
-        } else {
-          out = static_cast<std::int32_t>(raw);
-        }
+        out = *loaded;
         break;
       }
-      case Opcode::kStore: {
-        const std::uint32_t addr = uoperand(0);
-        const std::uint32_t value = uoperand(1);
-        const unsigned size = in->mem_bytes;
-        std::uint8_t* p = memory_.At(addr, size);
-        if (p == nullptr || (addr & (size - 1)) != 0) {
+      case Opcode::kStore:
+        if (!memory_.Store(static_cast<std::uint32_t>(operand(0)),
+                           in->mem_bytes,
+                           static_cast<std::uint32_t>(operand(1)))) {
           result.error = "interp: bad store address";
           return result;
         }
-        for (unsigned b = 0; b < size; ++b) p[b] = static_cast<std::uint8_t>((value >> (8 * b)) & 0xFFu);
-        produces = false;
         break;
-      }
       case Opcode::kPhi:
         // Handled at block entry; reaching one here means none were staged
         // (single-pred blocks with stale phis) — evaluate directly.
@@ -238,7 +159,7 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
         break;
       }
       case Opcode::kRet:
-        last_return = in->operands.empty() ? 0 : operand(0);
+        last_return = operand(0);
         stack.pop_back();
         advanced = true;
         break;
@@ -249,15 +170,17 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
           return result;
         }
         std::array<std::int32_t, 5> inputs{};
-        for (std::size_t i = 0; i < in->operands.size() && i < 5; ++i) {
-          inputs[i] = operand(i);
-        }
+        for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = operand(i);
         act.pending_call = in;
         ++result.steps;
         enter(callee, inputs);
         advanced = true;
         break;
       }
+      default:
+        // Every other operator's value depends on its operands alone.
+        out = Evaluate(*in, operand(0), operand(1), operand(2)).value();
+        break;
     }
 
     if (advanced) {
@@ -265,19 +188,8 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
       continue;
     }
 
-    if (produces) {
-      // Mask to the claimed width; count violations (soundness check for
-      // the operator size reduction pass).
-      std::int32_t masked = out;
-      if (in->width < 32) {
-        const std::uint32_t raw = static_cast<std::uint32_t>(out);
-        masked = in->is_signed
-                     ? SignExtend(raw, in->width)
-                     : static_cast<std::int32_t>(raw & LowMask(in->width));
-        if (masked != out) ++result.width_violations;
-      }
-      act.values[in] = masked;
-    }
+    // A value is kept at its claimed width, as the circuit's register is.
+    if (in->width > 0) act.values[in] = FitToWidth(*in, out);
     if (in->op != Opcode::kPhi) ++result.steps;
     ++act.next_instr;
   }

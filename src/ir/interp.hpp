@@ -1,17 +1,27 @@
 // Reference interpreter for the decompiled CDFG.
 //
-// This is the middle leg of the repo's three-way co-simulation (DESIGN.md §5):
-// the MIPS simulator executes the binary, this interpreter executes the
+// This is the middle leg of the repo's co-simulation (DESIGN.md §5): the
+// MIPS simulator executes the binary, this interpreter executes the
 // decompiled IR, and the RTL simulator executes the synthesized circuit.
-// All three must produce identical results for every benchmark at every
-// compiler optimization level — the strongest evidence that decompilation
-// (including the aggressive passes: stack-op removal, strength promotion,
-// loop rerolling) is semantics-preserving.
+// All must produce the native C++ reference's result for every benchmark
+// at every compiler optimization level — the strongest evidence that
+// decompilation (including the aggressive passes: stack-op removal,
+// strength promotion, loop rerolling) is semantics-preserving.
 //
-// Width checking: after operator size reduction each value carries a claimed
-// bit width.  The interpreter masks every result to its claimed width; a
-// sound analysis makes masking the identity, so any width-analysis bug shows
-// up as a co-simulation mismatch (and is also counted in width_violations).
+// What is shared and what stays independent: this interpreter, the RTL
+// simulator and constant folding take each operator's value from one
+// definition, ir::Evaluate (ir/eval.hpp), and load and store through
+// mips::Memory::Load/Store.  The interpreter's own part is control flow:
+// phis, branches, calls and the call stack.  The MIPS simulator and the
+// C++ reference implement the platform's semantics on their own, so a
+// wrong ir::Evaluate still shows up as a co-simulation mismatch.
+//
+// Widths: after operator size reduction each value carries a claimed bit
+// width, and the interpreter keeps every result at that width
+// (ir::FitToWidth), as a register of that width in the circuit would.
+// Masking is not the identity: demanded-bits narrowing keeps only the low
+// bits that every consumer observes, so a masked result is no fault.  An
+// unsound width shows up as a result that differs from the simulator's.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +39,7 @@ struct InterpOptions {
 
 struct InterpResult {
   std::int32_t return_value = 0;
-  std::uint64_t steps = 0;             ///< executed non-phi IR operations
-  std::uint64_t width_violations = 0;  ///< results that did not fit widths
+  std::uint64_t steps = 0;  ///< executed non-phi IR operations
   bool ok = false;
   std::string error;
 };

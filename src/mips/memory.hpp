@@ -3,15 +3,22 @@
 // simulator.  A data segment of kDataSegmentSize bytes at kDataBase starts
 // as a copy of the binary's initialized data; a stack segment of kStackSize
 // bytes ends at kStackTop.  Every other address is unmapped.
+//
+// The IR-level executors (interpreter, RTL simulator) load and store
+// through Load/Store, which add the platform's alignment rule and its
+// little-endian byte order.  The MIPS simulator's engines do their own
+// accesses over At, so they stay an independent implementation of both.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "mips/binary.hpp"
+#include "support/bits.hpp"
 
 namespace b2h::mips {
 
@@ -50,6 +57,35 @@ class Memory {
   [[nodiscard]] const std::uint8_t* At(std::uint32_t addr,
                                        unsigned size) const {
     return const_cast<Memory*>(this)->At(addr, size);
+  }
+
+  /// The `bytes`-byte (1, 2 or 4) little-endian value at `addr`, sign- or
+  /// zero-extended to 32 bits; nullopt when the access is unmapped or not
+  /// aligned to its size.
+  [[nodiscard]] std::optional<std::int32_t> Load(std::uint32_t addr,
+                                                 unsigned bytes,
+                                                 bool is_signed) const {
+    const std::uint8_t* p = At(addr, bytes);
+    if (p == nullptr || (addr & (bytes - 1)) != 0) return std::nullopt;
+    std::uint32_t raw = 0;
+    for (unsigned i = 0; i < bytes; ++i) {
+      raw |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+    }
+    return is_signed ? SignExtend(raw, bytes * 8)
+                     : static_cast<std::int32_t>(raw);
+  }
+
+  /// Writes the low `bytes` bytes (1, 2 or 4) of `value` at `addr`,
+  /// little-endian; false, writing nothing, when the access is unmapped or
+  /// not aligned to its size.
+  [[nodiscard]] bool Store(std::uint32_t addr, unsigned bytes,
+                           std::uint32_t value) {
+    std::uint8_t* p = At(addr, bytes);
+    if (p == nullptr || (addr & (bytes - 1)) != 0) return false;
+    for (unsigned i = 0; i < bytes; ++i) {
+      p[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+    return true;
   }
 
  private:

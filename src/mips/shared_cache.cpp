@@ -7,6 +7,7 @@
 
 #include "mips/binary.hpp"
 #include "obs/obs.hpp"
+#include "support/serialize.hpp"
 
 namespace b2h::mips {
 
@@ -34,13 +35,8 @@ struct CacheMetrics {
 
 std::uint64_t HashKey(const std::vector<std::uint32_t>& text,
                       const CycleModel& model) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = support::kFnv1a64Basis;
+  const auto mix = [&h](std::uint64_t v) { h = support::Fnv1a64U64(v, h); };
   mix(text.size());
   for (std::uint32_t word : text) mix(word);
   mix(model.base);

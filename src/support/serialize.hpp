@@ -14,14 +14,28 @@
 
 namespace b2h::support {
 
-/// FNV-1a 64 over a byte range (payload checksums).
-[[nodiscard]] inline std::uint64_t Fnv1a64(std::string_view data) {
-  std::uint64_t state = 1469598103934665603ull;
+/// FNV-1a 64's offset basis: the state before any byte is hashed.
+inline constexpr std::uint64_t kFnv1a64Basis = 1469598103934665603ull;
+
+/// FNV-1a 64 over a byte range, continuing from `state` (the result of an
+/// earlier call, to hash a sequence of ranges as one): payload checksums,
+/// artifact keys (explore::ContentHasher) and block-cache keys.
+[[nodiscard]] inline std::uint64_t Fnv1a64(
+    std::string_view data, std::uint64_t state = kFnv1a64Basis) {
   for (const char c : data) {
     state ^= static_cast<unsigned char>(c);
     state *= 1099511628211ull;
   }
   return state;
+}
+
+/// Fnv1a64 over the 8 little-endian bytes of `value`, continuing from
+/// `state`.
+[[nodiscard]] inline std::uint64_t Fnv1a64U64(std::uint64_t value,
+                                              std::uint64_t state) {
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(value >> (i * 8));
+  return Fnv1a64({bytes, sizeof bytes}, state);
 }
 
 class BinaryWriter {

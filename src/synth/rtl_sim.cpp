@@ -1,10 +1,9 @@
 #include "synth/rtl_sim.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
-#include "support/bits.hpp"
+#include "ir/eval.hpp"
 
 namespace b2h::synth {
 namespace {
@@ -22,11 +21,9 @@ RtlSimulator::RtlSimulator(const HwRegion& region,
     : region_(region), schedule_(schedule), memory_(initial_data) {}
 
 std::uint32_t RtlSimulator::PeekWord(std::uint32_t addr) const {
-  const std::uint8_t* p = memory_.At(addr, 4);
-  Check(p != nullptr, "RtlSimulator::PeekWord outside memory");
-  std::uint32_t value;
-  std::memcpy(&value, p, 4);
-  return value;
+  const auto word = memory_.Load(addr, 4, false);
+  Check(word.has_value(), "RtlSimulator::PeekWord outside memory");
+  return static_cast<std::uint32_t>(*word);
 }
 
 RtlResult RtlSimulator::Run(
@@ -132,20 +129,13 @@ RtlResult RtlSimulator::Run(
     };
 
     for (const ir::Instr* instr : order) {
-      std::int32_t a = 0;
-      std::int32_t b = 0;
-      std::int32_t c = 0;
-      if (!instr->operands.empty() && !read(instr->operands[0], a)) {
-        return fail("rtl: operand not yet available (schedule bug)");
+      std::int32_t operand[3] = {};
+      for (std::size_t i = 0; i < instr->operands.size() && i < 3; ++i) {
+        if (!read(instr->operands[i], operand[i])) {
+          return fail("rtl: operand not yet available (schedule bug)");
+        }
       }
-      if (instr->operands.size() > 1 && !read(instr->operands[1], b)) {
-        return fail("rtl: operand not yet available (schedule bug)");
-      }
-      if (instr->operands.size() > 2 && !read(instr->operands[2], c)) {
-        return fail("rtl: operand not yet available (schedule bug)");
-      }
-      const auto ua = static_cast<std::uint32_t>(a);
-      const auto ub = static_cast<std::uint32_t>(b);
+      const auto [a, b, c] = operand;
       std::int32_t out = 0;
       switch (instr->op) {
         case Opcode::kInput: {
@@ -153,102 +143,34 @@ RtlResult RtlSimulator::Run(
           out = in == inputs.end() ? 0 : in->second;
           break;
         }
-        case Opcode::kConst: out = instr->imm; break;
-        case Opcode::kUndef: out = 0; break;
-        case Opcode::kAdd: out = static_cast<std::int32_t>(ua + ub); break;
-        case Opcode::kSub: out = static_cast<std::int32_t>(ua - ub); break;
-        case Opcode::kMul: out = static_cast<std::int32_t>(ua * ub); break;
-        case Opcode::kMulHiS:
-          out = static_cast<std::int32_t>(
-              (static_cast<std::int64_t>(a) * static_cast<std::int64_t>(b)) >>
-              32);
-          break;
-        case Opcode::kMulHiU:
-          out = static_cast<std::int32_t>(
-              (static_cast<std::uint64_t>(ua) *
-               static_cast<std::uint64_t>(ub)) >> 32);
-          break;
-        case Opcode::kDivS:
-          out = b == 0 ? 0 : (a == INT32_MIN && b == -1) ? INT32_MIN : a / b;
-          break;
-        case Opcode::kDivU:
-          out = b == 0 ? 0 : static_cast<std::int32_t>(ua / ub);
-          break;
-        case Opcode::kRemS:
-          out = b == 0 ? a : (a == INT32_MIN && b == -1) ? 0 : a % b;
-          break;
-        case Opcode::kRemU:
-          out = b == 0 ? a : static_cast<std::int32_t>(ua % ub);
-          break;
-        case Opcode::kAnd: out = static_cast<std::int32_t>(ua & ub); break;
-        case Opcode::kOr:  out = static_cast<std::int32_t>(ua | ub); break;
-        case Opcode::kXor: out = static_cast<std::int32_t>(ua ^ ub); break;
-        case Opcode::kNor: out = static_cast<std::int32_t>(~(ua | ub)); break;
-        case Opcode::kShl: out = static_cast<std::int32_t>(ua << (ub & 31u)); break;
-        case Opcode::kShrL: out = static_cast<std::int32_t>(ua >> (ub & 31u)); break;
-        case Opcode::kShrA: out = a >> (ub & 31u); break;
-        case Opcode::kEq:  out = a == b; break;
-        case Opcode::kNe:  out = a != b; break;
-        case Opcode::kLtS: out = a < b; break;
-        case Opcode::kLtU: out = ua < ub; break;
-        case Opcode::kLeS: out = a <= b; break;
-        case Opcode::kLeU: out = ua <= ub; break;
-        case Opcode::kGtS: out = a > b; break;
-        case Opcode::kGtU: out = ua > ub; break;
-        case Opcode::kGeS: out = a >= b; break;
-        case Opcode::kGeU: out = ua >= ub; break;
-        case Opcode::kSelect: out = a != 0 ? b : c; break;
-        case Opcode::kSExt: out = SignExtend(ua, instr->ext_from); break;
-        case Opcode::kZExt:
-          out = static_cast<std::int32_t>(ua & LowMask(instr->ext_from));
-          break;
-        case Opcode::kTrunc:
-          out = static_cast<std::int32_t>(ua & LowMask(instr->width));
-          break;
+        case Opcode::kUndef: break;
         case Opcode::kLoad: {
-          const unsigned size = instr->mem_bytes;
-          std::uint8_t* p = memory_.At(ua, size);
-          if (p == nullptr || (ua & (size - 1)) != 0) {
-            return fail("rtl: bad load address");
-          }
-          std::uint32_t raw = 0;
-          for (unsigned i = 0; i < size; ++i) {
-            raw |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-          }
-          out = size < 4 ? (instr->mem_signed
-                                ? SignExtend(raw, size * 8)
-                                : static_cast<std::int32_t>(raw))
-                         : static_cast<std::int32_t>(raw);
+          const auto loaded = memory_.Load(static_cast<std::uint32_t>(a),
+                                           instr->mem_bytes,
+                                           instr->mem_signed);
+          if (!loaded.has_value()) return fail("rtl: bad load address");
+          out = *loaded;
           break;
         }
-        case Opcode::kStore: {
-          const unsigned size = instr->mem_bytes;
-          std::uint8_t* p = memory_.At(ua, size);
-          if (p == nullptr || (ua & (size - 1)) != 0) {
+        case Opcode::kStore:
+          if (!memory_.Store(static_cast<std::uint32_t>(a), instr->mem_bytes,
+                             static_cast<std::uint32_t>(b))) {
             return fail("rtl: bad store address");
           }
-          for (unsigned i = 0; i < size; ++i) {
-            p[i] = static_cast<std::uint8_t>((ub >> (8 * i)) & 0xFFu);
-          }
           break;
-        }
         case Opcode::kPhi:
         case Opcode::kBr:
         case Opcode::kCondBr:
         case Opcode::kRet:
         case Opcode::kCall:
           return fail("rtl: unexpected op in datapath order");
+        default:
+          // Every other operator's value depends on its operands alone.
+          out = ir::Evaluate(*instr, a, b, c).value();
+          break;
       }
-      if (instr->width > 0) {
-        // Registers are sized to the claimed width.
-        if (instr->width < 32) {
-          const auto raw = static_cast<std::uint32_t>(out);
-          out = instr->is_signed
-                    ? SignExtend(raw, instr->width)
-                    : static_cast<std::int32_t>(raw & LowMask(instr->width));
-        }
-        values[instr] = out;
-      }
+      // Registers are sized to the claimed width.
+      if (instr->width > 0) values[instr] = ir::FitToWidth(*instr, out);
     }
 
     result.fsm_cycles += static_cast<std::uint64_t>(bs->num_steps);

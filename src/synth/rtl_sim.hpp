@@ -2,11 +2,16 @@
 //
 // The paper's flow hands RT-level VHDL to Xilinx ISE; ours additionally
 // emits an executable model so the synthesized design can be *run* against
-// the decompiled CDFG and the original binary (three-way co-simulation,
-// DESIGN.md §5).  The simulator executes ops strictly in (step, chain
-// position) order and refuses to read values the schedule has not produced
-// yet, so scheduler bugs surface as simulation failures rather than as
+// the decompiled CDFG and the original binary (co-simulation, DESIGN.md
+// §5).  The simulator executes ops strictly in (step, chain position) order
+// and refuses to read values the schedule has not produced yet, so
+// scheduler bugs surface as simulation failures rather than as
 // silently-correct software semantics.
+//
+// Shared with the IR interpreter: each operator's value (ir::Evaluate),
+// register widths (ir::FitToWidth) and memory accesses
+// (mips::Memory::Load/Store).  This model's own part is the schedule
+// order, the FSM's phi loads and transitions, and the region's ports.
 #pragma once
 
 #include <cstdint>

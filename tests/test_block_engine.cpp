@@ -29,27 +29,21 @@
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "support/serialize.hpp"
 
 namespace b2h::mips {
 namespace {
 
-std::uint64_t HashU64(std::uint64_t h, std::uint64_t v) {
-  // FNV-1a over the value's bytes.
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xFFu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using support::Fnv1a64U64;
 
 std::uint64_t ProfileHash(const ExecProfile& profile) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = support::kFnv1a64Basis;
   for (const auto& vec : {profile.instr_count, profile.cycle_count,
                           profile.branch_taken, profile.branch_not_taken}) {
-    for (std::uint64_t v : vec) h = HashU64(h, v);
+    for (std::uint64_t v : vec) h = Fnv1a64U64(v, h);
   }
-  h = HashU64(h, profile.total_instructions);
-  h = HashU64(h, profile.total_cycles);
+  h = Fnv1a64U64(profile.total_instructions, h);
+  h = Fnv1a64U64(profile.total_cycles, h);
   return h;
 }
 
@@ -496,9 +490,9 @@ TEST(BlockEngine, BlockCacheTracesAreWellFormed) {
 
 std::uint64_t ResultHash(const RunResult& result) {
   std::uint64_t h = ProfileHash(result.profile);
-  h = HashU64(h, static_cast<std::uint64_t>(result.return_value));
-  h = HashU64(h, result.instructions);
-  h = HashU64(h, result.cycles);
+  h = Fnv1a64U64(static_cast<std::uint64_t>(result.return_value), h);
+  h = Fnv1a64U64(result.instructions, h);
+  h = Fnv1a64U64(result.cycles, h);
   return h;
 }
 

@@ -8,11 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "explore/disk_store.hpp"
+#include "mips/assembler.hpp"
 #include "partition/candidates.hpp"
+#include "partition/platform_registry.hpp"
 #include "partition/strategy.hpp"
+#include "support/fs.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
 #include "testing_support.hpp"
@@ -477,6 +484,61 @@ TEST(Explore, DiskCacheReRunsOnlyWhatNewWorkNeeds) {
                 replay.partitions_run,
             0u);
   EXPECT_EQ(partial.Report(), replay.Report());
+}
+
+// The names a sweep gives its disk entries.  A drift anywhere in key
+// derivation (the FNV-1a hasher, HashBinary, HashPlatform, the decompile
+// or the partition key) turns every persisted cache cold without failing
+// anything else: a cold sweep computes the same reports, and the two-run
+// cache-warm check in CI warms its own cache with the new keys.  Change
+// these literals only with a key change that is meant, and say why.
+TEST(Explore, DiskEntryNamesArePinned) {
+  auto assembled = mips::Assemble(R"(
+    main:
+      li $t0, 0
+      li $v0, 0
+    loop:
+      addu $v0, $v0, $t0
+      sll $t1, $t0, 1
+      xor $v0, $v0, $t1
+      addiu $t0, $t0, 1
+      slti $t2, $t0, 40
+      bne $t2, $zero, loop
+      jr $ra
+  )");
+  ASSERT_TRUE(assembled.ok()) << assembled.status().message();
+  const auto binary =
+      std::make_shared<const mips::SoftBinary>(std::move(assembled).take());
+  const auto platform =
+      partition::PlatformRegistry::Global().Find("mips200-xc2v1000");
+  ASSERT_TRUE(platform.has_value());
+  EXPECT_EQ(explore::HashBinary(*binary), "774fca56fb54f2d1");
+  EXPECT_EQ(explore::HashPlatform(*platform), "e1ff6e222d3f3fcc");
+
+  TempCacheDir dir;
+  ExploreSpec spec;
+  spec.binaries = {{"pinned", binary}};
+  spec.platforms = {"mips40", "mips200-xc2v1000"};
+  spec.strategies = {"paper-greedy", "annealing"};
+  Toolchain toolchain;
+  toolchain.WithCacheDir(dir.path);
+  const ExploreResult result = toolchain.Explore(spec);
+  EXPECT_EQ(result.partitions_run, 4u);
+
+  const std::string tree = "v" + std::to_string(explore::kCacheSchemaVersion);
+  std::vector<std::string> names;
+  for (const auto& file : support::ListFilesRecursive(dir.path)) {
+    names.push_back(
+        std::filesystem::relative(file.path, dir.path).generic_string());
+  }
+  std::sort(names.begin(), names.end());
+  const std::vector<std::string> expected = {
+      tree + "/1e9129133378191c.bin",
+      tree + "/4a175e241e83bf0a.bin",
+      tree + "/7592c1a3fbe44b65.bin",
+      tree + "/81743571636f73e7.bin",
+  };
+  EXPECT_EQ(names, expected);
 }
 
 // B2H_CACHE_DIR plumbing: the environment variable gives every Toolchain a

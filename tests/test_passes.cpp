@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "decomp/lifter.hpp"
@@ -48,6 +52,58 @@ std::size_t CountOps(const ir::Function& function, ir::Opcode op) {
     }
   }
   return count;
+}
+
+constexpr std::int32_t kIntMin = std::numeric_limits<std::int32_t>::min();
+constexpr std::int32_t kIntMax = std::numeric_limits<std::int32_t>::max();
+
+/// `source` assembled and decompiled through the default pipeline.
+std::optional<DecompiledProgram> DecompileDefault(const std::string& source) {
+  auto assembled = mips::Assemble(source);
+  if (!assembled.ok()) {
+    ADD_FAILURE() << assembled.status().message() << "\n" << source;
+    return std::nullopt;
+  }
+  auto program = PassManager::Preset("default").value().Run(
+      std::make_shared<const mips::SoftBinary>(std::move(assembled).take()));
+  if (!program.ok()) {
+    ADD_FAILURE() << program.status().message() << "\n" << source;
+    return std::nullopt;
+  }
+  return std::move(program).take();
+}
+
+/// Runs `program` on `args` in the simulator and in the interpreter,
+/// expects both to return the same value, and returns the simulator's.
+std::int32_t ExpectMatchesSimulator(const DecompiledProgram& program,
+                                    std::span<const std::int32_t> args,
+                                    const std::string& context) {
+  mips::Simulator sim(*program.binary);
+  const auto run = sim.Run(args);
+  EXPECT_EQ(run.reason, mips::HaltReason::kReturned)
+      << context << ": " << run.fault_message;
+  ir::Interpreter interp(program.module, program.binary->data);
+  const auto result = interp.Run(args);
+  EXPECT_TRUE(result.ok) << context << ": " << result.error;
+  EXPECT_EQ(result.return_value, run.return_value)
+      << context << "\n" << ir::Print(*program.module.main);
+  return run.return_value;
+}
+
+/// The one constant every `ret` of `function` returns, if there is one.
+std::optional<std::int32_t> ReturnedConstant(const ir::Function& function) {
+  std::optional<std::int32_t> value;
+  for (const auto& block : function.blocks()) {
+    if (!block->has_terminator()) continue;
+    const ir::Instr* term = block->terminator();
+    if (term->op != ir::Opcode::kRet) continue;
+    if (term->operands.size() != 1 || !term->operands[0].is_const() ||
+        (value.has_value() && *value != term->operands[0].imm)) {
+      return std::nullopt;
+    }
+    value = term->operands[0].imm;
+  }
+  return value;
 }
 
 // ---------------------------------------------------------------------------
@@ -140,6 +196,51 @@ TEST(ConstProp, ReassociatesAddressChains) {
   SimplifyConstants(main);
   EXPECT_EQ(main.entry()->BodySize(), 1u);  // just the ret remains
   EXPECT_EQ(InterpResultOf(lifted), 123);
+}
+
+// Every operator the lifter produces from a register-register instruction,
+// on operands that hit the platform's edge rules (division by zero,
+// INT32_MIN / -1, shift amounts of 32 and more): loaded by `li`, the
+// default pipeline folds `main` to the simulator's result; passed in
+// $a0/$a1, the interpreter computes it.
+TEST(ConstProp, FoldsEveryOperatorLikeTheMachine) {
+  const char* const ops[] = {
+      "addu $v0, $t0, $t1",       "subu $v0, $t0, $t1",
+      "and $v0, $t0, $t1",        "or $v0, $t0, $t1",
+      "xor $v0, $t0, $t1",        "nor $v0, $t0, $t1",
+      "slt $v0, $t0, $t1",        "sltu $v0, $t0, $t1",
+      "sllv $v0, $t0, $t1",       "srlv $v0, $t0, $t1",
+      "srav $v0, $t0, $t1",       "mult $t0, $t1\n  mflo $v0",
+      "mult $t0, $t1\n  mfhi $v0",  "multu $t0, $t1\n  mflo $v0",
+      "multu $t0, $t1\n  mfhi $v0", "div $t0, $t1\n  mflo $v0",
+      "div $t0, $t1\n  mfhi $v0",   "divu $t0, $t1\n  mflo $v0",
+      "divu $t0, $t1\n  mfhi $v0"};
+  const std::int32_t operands[] = {0, 1, -1, 31, 32, kIntMin, kIntMax};
+  for (const char* op : ops) {
+    const auto passed = DecompileDefault(
+        std::string("main:\n  move $t0, $a0\n  move $t1, $a1\n  ") + op +
+        "\n  jr $ra\n");
+    ASSERT_TRUE(passed.has_value());
+    for (const std::int32_t a : operands) {
+      for (const std::int32_t b : operands) {
+        const std::string where = std::string(op) + " on " +
+                                  std::to_string(a) + ", " +
+                                  std::to_string(b);
+        const std::int32_t args[] = {a, b};
+        const std::int32_t expected =
+            ExpectMatchesSimulator(*passed, args, where);
+
+        const auto loaded = DecompileDefault(
+            "main:\n  li $t0, " + std::to_string(a) + "\n  li $t1, " +
+            std::to_string(b) + "\n  " + op + "\n  jr $ra\n");
+        ASSERT_TRUE(loaded.has_value());
+        EXPECT_EQ(ReturnedConstant(*loaded->module.main),
+                  std::optional<std::int32_t>(expected))
+            << where << " folded to\n"
+            << ir::Print(*loaded->module.main);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -440,9 +541,8 @@ TEST(SizeReduction, NarrowsMaskedValues) {
   const auto result =
       interp.Run(std::vector<std::int32_t>{0x1FF, 0x2FE});
   // Inputs carry 9-bit values but consumers demand only 8 bits: the
-  // demanded-bits narrowing masks them (counted as width "violations"),
-  // yet the observable result is unchanged — that is the soundness
-  // property that matters.
+  // demanded-bits narrowing masks them, yet the observable result is
+  // unchanged — that is the soundness property that matters.
   EXPECT_EQ(result.return_value, 0xFF + 0xFE);
 }
 
@@ -472,6 +572,87 @@ TEST(SizeReduction, DemandedBitsFromByteStore) {
   ir::Interpreter interp(lifted.module, lifted.binary.data);
   EXPECT_EQ(interp.Run(std::vector<std::int32_t>{300, 300}).return_value,
             (300 + 300) & 0xFF);
+}
+
+TEST(SizeReduction, ArithmeticShiftOfAFullWidthUnsignedValueKeepsItsSign) {
+  // The sum of two 31-bit unsigned values may set bit 31, which `sra`
+  // copies into the bits it shifts in.
+  const auto program = DecompileDefault(R"(
+    main:
+      srl $t0, $a0, 1
+      srl $t1, $a1, 1
+      addu $t2, $t0, $t1
+      sra $t3, $t2, 4
+      slt $v0, $t3, $zero
+      jr $ra
+  )");
+  ASSERT_TRUE(program.has_value());
+  const std::int32_t all_ones[] = {-1, -1};
+  EXPECT_EQ(ExpectMatchesSimulator(*program, all_ones, "a0 = a1 = -1"), 1);
+}
+
+TEST(SizeReduction, UnsignedRemainderByAZeroDivisorIsTheDividend) {
+  // The masked divisor fits 3 bits but may be zero, and x % 0 = x.
+  const auto program = DecompileDefault(R"(
+    main:
+      andi $t1, $a1, 7
+      divu $a0, $t1
+      mfhi $v0
+      jr $ra
+  )");
+  ASSERT_TRUE(program.has_value());
+  const std::int32_t zero_divisor[] = {1000, 8};
+  EXPECT_EQ(ExpectMatchesSimulator(*program, zero_divisor, "a1 = 8"), 1000);
+  const std::int32_t divisor_three[] = {1000, 3};
+  EXPECT_EQ(ExpectMatchesSimulator(*program, divisor_three, "a1 = 3"), 1);
+}
+
+// Each forward width fact the analysis tells apart, fed to the operators
+// whose transfer functions read it, with the result observed whole and by
+// its sign: the decompiled program returns what the simulator returns.
+TEST(SizeReduction, WidthFactsMatchTheMachine) {
+  // Leave operand a in $t4.
+  const std::pair<const char*, const char*> producers[] = {
+      {"raw input", "move $t4, $a0"},
+      {"srl 1", "srl $t4, $a0, 1"},
+      {"andi 255", "andi $t4, $a0, 255"},
+      {"sum of shifted inputs",
+       "srl $t4, $a0, 1\n  srl $t5, $a1, 1\n  addu $t4, $t4, $t5"},
+      {"sll 24; sra 24", "sll $t4, $a0, 24\n  sra $t4, $t4, 24"},
+  };
+  // Leave the result in $t6.
+  const char* const ops[] = {
+      "addu $t6, $t4, $a1",        "subu $t6, $t4, $a1",
+      "and $t6, $t4, $a1",         "or $t6, $t4, $a1",
+      "xor $t6, $t4, $a1",         "nor $t6, $t4, $a1",
+      "slt $t6, $t4, $a1",         "sltu $t6, $t4, $a1",
+      "sll $t6, $t4, 4",           "srl $t6, $t4, 4",
+      "sra $t6, $t4, 4",           "sra $t6, $t4, 31",
+      "srav $t6, $t4, $a1",        "mult $t4, $a1\n  mflo $t6",
+      "multu $t4, $a1\n  mfhi $t6", "divu $t4, $a1\n  mflo $t6",
+      "divu $t4, $a1\n  mfhi $t6"};
+  const std::pair<const char*, const char*> observations[] = {
+      {"whole", "move $v0, $t6"}, {"sign", "slt $v0, $t6, $zero"}};
+  const std::vector<std::int32_t> arg_pairs[] = {
+      {0, 0}, {-1, -1}, {kIntMin, kIntMax}, {1, -1}};
+
+  for (const auto& [produced_as, producer] : producers) {
+    for (const char* op : ops) {
+      for (const auto& [observed_by, observation] : observations) {
+        const auto program = DecompileDefault(
+            std::string("main:\n  ") + producer + "\n  " + op + "\n  " +
+            observation + "\n  jr $ra\n");
+        ASSERT_TRUE(program.has_value());
+        for (const auto& args : arg_pairs) {
+          ExpectMatchesSimulator(
+              *program, args,
+              std::string("a = ") + produced_as + ", " + op + ", observed " +
+                  observed_by + ", args " + std::to_string(args[0]) + ", " +
+                  std::to_string(args[1]));
+        }
+      }
+    }
+  }
 }
 
 TEST(SizeReduction, ComparisonsAreOneBit) {

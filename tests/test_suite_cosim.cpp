@@ -1,10 +1,15 @@
 // The repo's capstone property test (DESIGN.md §5): for every benchmark at
-// every compiler optimization level, three independent executors agree with
-// the native C++ reference:
+// every compiler optimization level, three executors agree with the native
+// C++ reference:
 //   1. the MIPS simulator running the compiled binary,
 //   2. the IR interpreter running the fully-optimized decompiled CDFG,
 //   3. (at -O1) the RTL simulator running the synthesized whole-app circuit
 //      — covered separately in test_rtl.cpp.
+// The interpreter and the RTL simulator share each IR operator's semantics
+// (ir::Evaluate, which constant folding uses too) and their loads and
+// stores (mips::Memory::Load/Store).  The simulator and the C++ reference
+// implement the platform's semantics on their own, so they stay the
+// independent oracle: a wrong ir::Evaluate fails here.
 // Also checks the decompilation stats tell the expected story per level
 // (heavy stack traffic removed at -O0, loops rerolled at -O3).
 #include <gtest/gtest.h>
