@@ -3,6 +3,7 @@
 
 Usage:
   python3 ci/validate_trace.py TRACE.json [--require-categories a,b,c]
+                                          [--require-spans x,y,z]
 
 Checks (non-zero exit on the first failure):
 
@@ -17,7 +18,9 @@ Checks (non-zero exit on the first failure):
   * span ids are unique;
   * every required category (default: the end-to-end flow set decomp,
     partition, explore, cache) appears at least once — a traced cold
-    sweep that misses one of these lost a whole subsystem's spans.
+    sweep that misses one of these lost a whole subsystem's spans;
+  * every span name passed to --require-spans (default: none) appears at
+    least once — a layer whose span is missing cannot be attributed.
 
 A parent_id pointing at a span that is not in the file is reported but not
 fatal: the ring may legitimately have dropped an old parent on very long
@@ -43,6 +46,9 @@ def main():
     parser.add_argument("--require-categories", default=DEFAULT_CATEGORIES,
                         help="comma-separated categories that must appear "
                              f"(default: {DEFAULT_CATEGORIES}; '' disables)")
+    parser.add_argument("--require-spans", default="",
+                        help="comma-separated span names that must appear "
+                             "(default: none)")
     parser.add_argument("--allow-dropped", action="store_true",
                         help="tolerate otherData.dropped > 0 (long sessions "
                              "legitimately wrap the ring)")
@@ -74,6 +80,7 @@ def main():
 
     seen_ids = set()
     categories = {}
+    names = set()
     last_ts = None
     for index, event in enumerate(events):
         where = f"event #{index}"
@@ -101,6 +108,7 @@ def main():
             return fail(f"{where} duplicates span_id {span_id}")
         seen_ids.add(span_id)
         categories[event["cat"]] = categories.get(event["cat"], 0) + 1
+        names.add(event["name"])
     if events[0]["ts"] != 0:
         return fail(f"earliest span starts at ts={events[0]['ts']}, "
                     "expected 0 (relative timestamps)")
@@ -118,6 +126,11 @@ def main():
     if missing:
         return fail(f"required categories missing: {', '.join(missing)} "
                     f"(present: {', '.join(sorted(categories))})")
+
+    required_spans = [n for n in args.require_spans.split(",") if n]
+    missing_spans = [n for n in required_spans if n not in names]
+    if missing_spans:
+        return fail(f"required spans missing: {', '.join(missing_spans)}")
 
     summary = ", ".join(f"{name}={count}"
                         for name, count in sorted(categories.items()))

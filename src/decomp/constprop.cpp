@@ -6,7 +6,6 @@
 // be wasted.  We remove this overhead using constant propagation."
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "decomp/passes.hpp"
@@ -84,27 +83,27 @@ std::size_t SimplifyConstants(ir::Function& function) {
   std::size_t simplified = 0;
   while (true) {
     bool changed = false;
-    std::unordered_map<const ir::Instr*, Value> replacements;
+    ir::Replacements replacements;
 
     for (const auto& block : function.blocks()) {
       for (ir::Instr* instr : block->instrs) {
         // Fold operators over constants; kConst instructions become
         // immediate operands this way too.
         if (const auto value = FoldConstants(*instr)) {
-          replacements[instr] = Value::Const(*value);
+          replacements.emplace_back(instr, Value::Const(*value));
           continue;
         }
         // Select with constant condition.
         if (instr->op == Opcode::kSelect && instr->operands[0].is_const()) {
-          replacements[instr] =
-              instr->operands[0].imm != 0 ? instr->operands[1]
-                                          : instr->operands[2];
+          replacements.emplace_back(instr, instr->operands[0].imm != 0
+                                               ? instr->operands[1]
+                                               : instr->operands[2]);
           continue;
         }
         // Algebraic identities.
         const Value identity = Identity(*instr);
         if (!identity.is_none()) {
-          replacements[instr] = identity;
+          replacements.emplace_back(instr, identity);
           continue;
         }
         // Canonicalize: constants on the right for commutative ops

@@ -13,7 +13,7 @@
 // code (no loads/stores/calls/divides), and worthwhile only when they are
 // short.  ADPCM-style clamping kernels collapse to single-block loops and
 // pipeline at II=1 after this pass.
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "decomp/passes.hpp"
@@ -48,13 +48,19 @@ bool ArmConvertible(const ir::Block* arm) {
   return true;
 }
 
+/// The block `block` always branches to, or null when it does not end in
+/// an unconditional branch.
+ir::Block* JumpTarget(const ir::Block* block) {
+  const ir::Successors succs = block->succs();
+  return succs.size() == 1 ? succs[0] : nullptr;
+}
+
 /// True when `arm` is a pure forwarding arm of the diamond:
 /// single pred `head`, single succ `merge`.
 bool IsArmOf(const ir::Block* arm, const ir::Block* head,
              const ir::Block* merge) {
   if (arm->preds.size() != 1 || arm->preds[0] != head) return false;
-  const auto succs = arm->succs();
-  return succs.size() == 1 && succs[0] == merge;
+  return JumpTarget(arm) == merge;
 }
 
 struct Candidate {
@@ -63,6 +69,76 @@ struct Candidate {
   ir::Block* fallthrough = nullptr;  // may be null (triangle)
   ir::Block* merge = nullptr;
 };
+
+/// The diamond or triangle `head` branches into, if it is convertible.
+std::optional<Candidate> FindCandidate(ir::Block* head) {
+  if (!head->has_terminator()) return std::nullopt;
+  const ir::Instr* term = head->terminator();
+  if (term->op != Opcode::kCondBr) return std::nullopt;
+  ir::Block* t = term->target0;
+  ir::Block* f = term->target1;
+  if (t == f) return std::nullopt;
+  ir::Block* t_next = JumpTarget(t);
+  ir::Block* f_next = JumpTarget(f);
+  // Full diamond: both arms forward to the same merge.
+  if (t_next != nullptr && t_next == f_next && IsArmOf(t, head, t_next) &&
+      IsArmOf(f, head, f_next) && ArmConvertible(t) && ArmConvertible(f) &&
+      t_next->preds.size() == 2) {
+    return Candidate{head, t, f, t_next};
+  }
+  // Triangle: one arm forwards to the other target (the merge).
+  if (t_next == f && IsArmOf(t, head, f) && ArmConvertible(t) &&
+      f->preds.size() == 2) {
+    return Candidate{head, t, nullptr, f};
+  }
+  if (f_next == t && IsArmOf(f, head, t) && ArmConvertible(f) &&
+      t->preds.size() == 2) {
+    return Candidate{head, nullptr, f, t};
+  }
+  return std::nullopt;
+}
+
+/// Hoist the arms into the head (speculative execution), leaving them
+/// empty; append one select per merge phi, to replace it; and make the
+/// head branch straight to the merge.  The profile counts of the head flow
+/// through unchanged.
+void Convert(ir::Function& function, const Candidate& found,
+             ir::Replacements& replacements, IfConversionStats& stats) {
+  ir::Instr* term = found.head->terminator();
+  const Value cond = term->operands[0];
+  const auto hoist = [&](ir::Block* arm) {
+    if (arm == nullptr) return;
+    for (ir::Instr* instr : arm->instrs) {
+      if (!instr->is_terminator()) found.head->Append(instr);
+    }
+    arm->instrs.clear();
+  };
+  hoist(found.taken);
+  hoist(found.fallthrough);
+
+  const ir::Block* taken_pred =
+      found.taken != nullptr ? found.taken : found.head;
+  const std::size_t taken_index = found.merge->PredIndex(taken_pred);
+  for (ir::Instr* phi : found.merge->Phis()) {
+    Check(phi->operands.size() == 2, "if-convert: merge phi arity");
+    ir::Instr* select = function.Create(Opcode::kSelect);
+    select->operands = {cond, phi->operands[taken_index],
+                        phi->operands[1 - taken_index]};
+    select->width = phi->width;
+    select->is_signed = phi->is_signed;
+    select->src_pc = phi->src_pc;
+    found.head->Append(select);
+    replacements.emplace_back(phi, Value::Of(select));
+    ++stats.selects_created;
+  }
+
+  term->op = Opcode::kBr;
+  term->operands.clear();
+  term->width = 0;
+  term->target0 = found.merge;
+  term->target1 = nullptr;
+  ++stats.diamonds_converted;
+}
 
 /// Straighten the CFG: splice single-pred blocks into their unconditional
 /// single predecessor.  Converted diamonds then collapse into one block —
@@ -91,89 +167,43 @@ std::size_t MergeStraightLineBlocks(ir::Function& function) {
 
 IfConversionStats ConvertIfs(ir::Function& function) {
   IfConversionStats stats;
+  // Rounds: one scan in block order takes every candidate that shares no
+  // block with one taken before it; converting candidates that share no
+  // block commutes, so this ends where converting one at a time in block
+  // order does.  A candidate left out, or exposed when the merge collapses
+  // a converted diamond into its head, waits for the next round.
   while (true) {
-    Candidate found;
-    for (const auto& block : function.blocks()) {
-      if (!block->has_terminator()) continue;
-      ir::Instr* term = block->terminator();
-      if (term->op != Opcode::kCondBr) continue;
-      ir::Block* t = term->target0;
-      ir::Block* f = term->target1;
-      if (t == f) continue;
-      const auto t_succs = t->succs();
-      const auto f_succs = f->succs();
-      // Full diamond: both arms forward to the same merge.
-      if (t_succs.size() == 1 && f_succs.size() == 1 &&
-          t_succs[0] == f_succs[0] && IsArmOf(t, block.get(), t_succs[0]) &&
-          IsArmOf(f, block.get(), f_succs[0]) && ArmConvertible(t) &&
-          ArmConvertible(f) && t_succs[0]->preds.size() == 2) {
-        found = {block.get(), t, f, t_succs[0]};
-        break;
+    std::vector<char> in_round(function.blocks().size(), 0);  // by Block::id
+    const auto claim = [&in_round](const Candidate& candidate) {
+      const ir::Block* blocks[] = {candidate.head, candidate.taken,
+                                   candidate.fallthrough, candidate.merge};
+      for (const ir::Block* block : blocks) {
+        if (block != nullptr && in_round[static_cast<std::size_t>(block->id)]) {
+          return false;
+        }
       }
-      // Triangle: one arm forwards to the other target (the merge).
-      if (t_succs.size() == 1 && t_succs[0] == f &&
-          IsArmOf(t, block.get(), f) && ArmConvertible(t) &&
-          f->preds.size() == 2) {
-        found = {block.get(), t, nullptr, f};
-        break;
+      for (const ir::Block* block : blocks) {
+        if (block != nullptr) in_round[static_cast<std::size_t>(block->id)] = 1;
       }
-      if (f_succs.size() == 1 && f_succs[0] == t &&
-          IsArmOf(f, block.get(), t) && ArmConvertible(f) &&
-          t->preds.size() == 2) {
-        found = {block.get(), nullptr, f, t};
-        break;
-      }
-    }
-    if (found.head == nullptr) break;
-
-    ir::Instr* term = found.head->terminator();
-    const Value cond = term->operands[0];
-    // Hoist arm bodies into the head (speculative execution).  The arms
-    // are left empty, without their branches to the merge.
-    const auto hoist = [&](ir::Block* arm) {
-      if (arm == nullptr) return;
-      for (ir::Instr* instr : arm->instrs) {
-        if (!instr->is_terminator()) found.head->Append(instr);
-      }
-      arm->instrs.clear();
+      return true;
     };
-    hoist(found.taken);
-    hoist(found.fallthrough);
+    std::vector<Candidate> round;
+    for (const auto& block : function.blocks()) {
+      const std::optional<Candidate> found = FindCandidate(block.get());
+      if (found && claim(*found)) round.push_back(*found);
+    }
+    if (round.empty()) break;
 
-    // Rewrite merge phis as selects in the head.
-    const ir::Block* taken_pred =
-        found.taken != nullptr ? found.taken : found.head;
-    const std::size_t taken_index = found.merge->PredIndex(taken_pred);
-    std::vector<ir::Instr*> phis = found.merge->Phis();
-    std::unordered_map<const ir::Instr*, Value> replacements;
-    for (ir::Instr* phi : phis) {
-      Check(phi->operands.size() == 2, "if-convert: merge phi arity");
-      const Value on_taken = phi->operands[taken_index];
-      const Value on_fall = phi->operands[1 - taken_index];
-      ir::Instr* select = function.Create(Opcode::kSelect);
-      select->operands = {cond, on_taken, on_fall};
-      select->width = phi->width;
-      select->is_signed = phi->is_signed;
-      select->src_pc = phi->src_pc;
-      found.head->Append(select);
-      replacements[phi] = Value::Of(select);
-      ++stats.selects_created;
+    ir::Replacements replacements;
+    for (const Candidate& candidate : round) {
+      Convert(function, candidate, replacements, stats);
     }
     function.ReplaceAllUses(replacements);
-
-    // Head now branches straight to the merge.
-    term->op = Opcode::kBr;
-    term->operands.clear();
-    term->width = 0;
-    term->target0 = found.merge;
-    term->target1 = nullptr;
-
-    // Profile: the head's counts flow through unchanged.  The head now
-    // feeds the merge alone, so the two collapse into one block.
+    // Each head now feeds its merge alone, so the two collapse into one
+    // block.
     function.RecomputeCfg();
     MergeStraightLineBlocks(function);
     function.Cleanup();
-    ++stats.diamonds_converted;
   }
   if (MergeStraightLineBlocks(function) > 0) function.Cleanup();
   return stats;

@@ -1,6 +1,7 @@
 #include "decomp/lifter.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <deque>
 #include <map>
 #include <set>
@@ -31,9 +32,12 @@ struct MBlock {
 /// Machine-level CFG of one function.
 struct MachineCfg {
   std::uint32_t entry = 0;
-  std::map<std::uint32_t, MBlock> blocks;  // keyed by leader address
-  std::set<std::uint32_t> call_targets;    // jal destinations seen
+  std::vector<MBlock> blocks;            // in leader address order
+  std::set<std::uint32_t> call_targets;  // jal destinations seen
 };
+
+/// Index of the text word at `pc`, which must lie in the text segment.
+std::size_t TextIndex(std::uint32_t pc) { return (pc - mips::kTextBase) / 4u; }
 
 std::string Hex(std::uint32_t value) {
   std::ostringstream out;
@@ -41,57 +45,78 @@ std::string Hex(std::uint32_t value) {
   return out.str();
 }
 
+/// An instruction a CFG walk reached.
+struct Visit {
+  std::uint32_t pc = 0;
+  std::uint32_t succs[2] = {0, 0};  // successor addresses (none: a return)
+  std::uint8_t count = 0;
+  bool leader = false;
+};
+
+/// State RecoverCfg reuses across the functions of one lift.  `slot` has
+/// one entry per text word: 1 + the index of the word's record in
+/// `visits` once the current walk has reached it, else 0.  Each walk first
+/// clears the slots the previous one set, so recovering a function costs
+/// its own size, and the text segment is paid for once per lift.
+struct CfgScratch {
+  std::vector<std::uint32_t> slot;
+  std::vector<Visit> visits;
+};
+
 /// Discover the machine CFG of the function entered at `entry`.
-Result<MachineCfg> RecoverCfg(const SoftBinary& binary, std::uint32_t entry) {
+Result<MachineCfg> RecoverCfg(const SoftBinary& binary, std::uint32_t entry,
+                              CfgScratch& scratch) {
   MachineCfg cfg;
   cfg.entry = entry;
+  std::vector<Visit>& visits = scratch.visits;
+  for (const Visit& visit : visits) scratch.slot[TextIndex(visit.pc)] = 0;
+  visits.clear();
 
   // Pass 1: walk reachable instructions, record leaders and flow edges.
-  std::set<std::uint32_t> visited;
-  std::set<std::uint32_t> leaders{entry};
-  std::deque<std::uint32_t> work{entry};
-  // flow[pc] = successor addresses of the instruction at pc (empty for ret).
-  std::map<std::uint32_t, std::vector<std::uint32_t>> flow;
-
-  while (!work.empty()) {
-    std::uint32_t pc = work.front();
-    work.pop_front();
-    if (visited.count(pc) != 0) continue;
-    visited.insert(pc);
+  std::vector<std::uint32_t> leaders{entry};
+  std::vector<std::uint32_t> work{entry};  // FIFO: `next` walks it
+  for (std::size_t next = 0; next < work.size(); ++next) {
+    const std::uint32_t pc = work[next];
     if (!binary.ContainsText(pc)) {
       return Status::Error(ErrorKind::kMalformedBinary,
                            "control flows outside text at " + Hex(pc));
     }
+    std::uint32_t& slot = scratch.slot[TextIndex(pc)];
+    if (slot != 0) continue;
     const auto decoded = mips::Decode(binary.WordAt(pc));
     if (!decoded) {
       return Status::Error(ErrorKind::kMalformedBinary,
                            "undecodable instruction at " + Hex(pc));
     }
     const Instr& in = *decoded;
-    std::vector<std::uint32_t>& succs = flow[pc];
+    visits.push_back(Visit{pc});
+    slot = static_cast<std::uint32_t>(visits.size());
+    Visit& out = visits.back();
+    const auto to = [&out](std::uint32_t succ) {
+      out.succs[out.count++] = succ;
+    };
     if (mips::IsBranch(in.op)) {
       const std::uint32_t target = mips::BranchTarget(pc, in);
       // `beq $0,$0` (assembler pseudo `b`) is unconditional.
       if (in.op == Op::kBeq && in.rs == 0 && in.rt == 0) {
-        succs = {target};
+        to(target);
       } else if (in.op == Op::kBne && in.rs == in.rt) {
-        succs = {pc + 4};
+        to(pc + 4);
       } else {
-        succs = {target, pc + 4};
+        to(target);
+        to(pc + 4);
       }
-      leaders.insert(succs.begin(), succs.end());
+      leaders.insert(leaders.end(), out.succs, out.succs + out.count);
     } else if (in.op == Op::kJ) {
       const std::uint32_t target = mips::JumpTarget(pc, in);
-      succs = {target};
-      leaders.insert(target);
+      to(target);
+      leaders.push_back(target);
     } else if (in.op == Op::kJal) {
       // A call: control continues after the call in this function.
       cfg.call_targets.insert(mips::JumpTarget(pc, in));
-      succs = {pc + 4};
+      to(pc + 4);
     } else if (in.op == Op::kJr) {
-      if (in.rs == mips::kRa) {
-        succs = {};  // return
-      } else {
+      if (in.rs != mips::kRa) {
         // The paper: "CDFG recovery ... failed for two EEMBC examples
         // because of indirect jumps."  Reproduce that failure mode.
         return Status::Error(
@@ -99,34 +124,40 @@ Result<MachineCfg> RecoverCfg(const SoftBinary& binary, std::uint32_t entry) {
             "unresolvable indirect jump (jr " +
                 std::string(mips::RegName(in.rs)) + ") at " + Hex(pc));
       }
+      // `jr $ra` returns: no successor.
     } else if (in.op == Op::kJalr) {
       return Status::Error(ErrorKind::kIndirectJump,
                            "unresolvable indirect call (jalr) at " + Hex(pc));
     } else {
-      succs = {pc + 4};
+      to(pc + 4);
     }
-    for (std::uint32_t succ : succs) work.push_back(succ);
+    work.insert(work.end(), out.succs, out.succs + out.count);
+  }
+  // Every leader went on the work list, so the walk reached it.
+  for (std::uint32_t pc : leaders) {
+    visits[scratch.slot[TextIndex(pc)] - 1].leader = true;
   }
 
-  // Pass 2: form blocks [leader, next leader / control instruction].
-  for (std::uint32_t leader : leaders) {
-    if (visited.count(leader) == 0) continue;  // e.g. dead fallthrough
+  // Pass 2: form blocks [leader, next leader / control instruction] over
+  // the reached instructions in address order.  A fallthrough successor
+  // was reached, so it is the next record.
+  std::sort(visits.begin(), visits.end(),
+            [](const Visit& a, const Visit& b) { return a.pc < b.pc; });
+  for (std::size_t first = 0; first < visits.size(); ++first) {
+    if (!visits[first].leader) continue;
     MBlock block;
-    block.start = leader;
-    std::uint32_t pc = leader;
-    while (true) {
-      const auto& succs = flow.at(pc);
-      const bool is_control =
-          succs.empty() || succs.size() > 1 || succs[0] != pc + 4 ||
-          leaders.count(pc + 4) != 0;
+    block.start = visits[first].pc;
+    for (std::size_t i = first;; ++i) {
+      const Visit& out = visits[i];
+      const bool is_control = out.count != 1 || out.succs[0] != out.pc + 4 ||
+                              visits[i + 1].leader;
       if (is_control) {
-        block.end = pc + 4;
-        block.succs = succs;
+        block.end = out.pc + 4;
+        block.succs.assign(out.succs, out.succs + out.count);
         break;
       }
-      pc += 4;
     }
-    cfg.blocks.emplace(leader, std::move(block));
+    cfg.blocks.push_back(std::move(block));
   }
   return cfg;
 }
@@ -148,7 +179,7 @@ class FunctionLifter {
     });
     // Lift blocks in discovery (address) order; the builder handles any
     // order because block-entry reads become placeholders.
-    for (const auto& [leader, mblock] : cfg_.blocks) {
+    for (const MBlock& mblock : cfg_.blocks) {
       if (Status status = LiftBlock(mblock, ssa); !status.ok()) return status;
     }
     function_.RecomputeCfg();
@@ -164,28 +195,44 @@ class FunctionLifter {
     // targets the function's first instruction, an empty entry block falls
     // into that instruction's block.
     bool entry_is_target = false;
-    for (const auto& [leader, mblock] : cfg_.blocks) {
+    for (const MBlock& mblock : cfg_.blocks) {
       entry_is_target |= std::find(mblock.succs.begin(), mblock.succs.end(),
                                    cfg_.entry) != mblock.succs.end();
     }
     ir::Block* head =
         entry_is_target ? function_.CreateBlock("entry", 0) : nullptr;
-    std::vector<std::uint32_t> order;
-    order.push_back(cfg_.entry);
-    for (const auto& [leader, mblock] : cfg_.blocks) {
-      if (leader != cfg_.entry) order.push_back(leader);
-    }
-    for (std::uint32_t leader : order) {
-      std::ostringstream name;
-      name << "bb_" << std::hex << leader;
-      blocks_[leader] = function_.CreateBlock(name.str(), leader);
+    blocks_.assign(cfg_.blocks.size(), nullptr);
+    const auto create = [this](std::size_t k) {
+      const std::uint32_t leader = cfg_.blocks[k].start;
+      char name[16] = "bb_";
+      const auto end = std::to_chars(name + 3, name + sizeof name, leader, 16);
+      blocks_[k] = function_.CreateBlock(std::string(name, end.ptr), leader);
+    };
+    const std::size_t entry = IndexOf(cfg_.entry);
+    create(entry);
+    for (std::size_t k = 0; k < cfg_.blocks.size(); ++k) {
+      if (k != entry) create(k);
     }
     if (head != nullptr) {
       ir::Instr* br = function_.Create(ir::Opcode::kBr);
-      br->target0 = blocks_.at(cfg_.entry);
+      br->target0 = blocks_[entry];
       head->Append(br);
     }
   }
+
+  /// Position in cfg_.blocks of the block whose leader is at `pc`.
+  std::size_t IndexOf(std::uint32_t pc) const {
+    const auto it = std::lower_bound(
+        cfg_.blocks.begin(), cfg_.blocks.end(), pc,
+        [](const MBlock& block, std::uint32_t at) { return block.start < at; });
+    if (it == cfg_.blocks.end() || it->start != pc) {
+      throw InternalError("lifter: no block at " + Hex(pc));
+    }
+    return static_cast<std::size_t>(it - cfg_.blocks.begin());
+  }
+
+  /// The block whose leader is at `pc`.
+  ir::Block* BlockAt(std::uint32_t pc) const { return blocks_[IndexOf(pc)]; }
 
   /// Put a value without operands first in the entry block, where it
   /// dominates every use.
@@ -204,7 +251,7 @@ class FunctionLifter {
   }
 
   Status LiftBlock(const MBlock& mblock, ir::SsaBuilder& ssa) {
-    ir::Block* block = blocks_.at(mblock.start);
+    ir::Block* block = BlockAt(mblock.start);
 
     const auto read = [&](unsigned reg) -> ir::Value {
       return reg == 0 ? ir::Value::Const(0) : ssa.Read(block, reg);
@@ -376,12 +423,12 @@ class FunctionLifter {
           // Unconditional pseudo-branches were normalized in CFG recovery.
           if (in.op == Op::kBeq && in.rs == 0 && in.rt == 0) {
             ir::Instr* br = emit(ir::Opcode::kBr, {}, pc);
-            br->target0 = blocks_.at(target);
+            br->target0 = BlockAt(target);
             break;
           }
           if (in.op == Op::kBne && in.rs == in.rt) {
             ir::Instr* br = emit(ir::Opcode::kBr, {}, pc);
-            br->target0 = blocks_.at(pc + 4);
+            br->target0 = BlockAt(pc + 4);
             break;
           }
           ir::Value cond;
@@ -410,13 +457,13 @@ class FunctionLifter {
               break;
           }
           ir::Instr* br = emit(ir::Opcode::kCondBr, {cond}, pc);
-          br->target0 = blocks_.at(target);
-          br->target1 = blocks_.at(pc + 4);
+          br->target0 = BlockAt(target);
+          br->target1 = BlockAt(pc + 4);
           break;
         }
         case Op::kJ: {
           ir::Instr* br = emit(ir::Opcode::kBr, {}, pc);
-          br->target0 = blocks_.at(mips::JumpTarget(pc, in));
+          br->target0 = BlockAt(mips::JumpTarget(pc, in));
           break;
         }
         case Op::kJr:
@@ -436,7 +483,7 @@ class FunctionLifter {
       Check(mblock.succs.size() == 1, "lifter: fallthrough without successor");
       ir::Instr* br = function_.Create(ir::Opcode::kBr);
       br->src_pc = mblock.end - 4;
-      br->target0 = blocks_.at(mblock.succs[0]);
+      br->target0 = BlockAt(mblock.succs[0]);
       block->Append(br);
     }
     return Status::Ok();
@@ -463,7 +510,7 @@ class FunctionLifter {
   const MachineCfg& cfg_;
   ir::Function& function_;
   const LiftOptions& options_;
-  std::map<std::uint32_t, ir::Block*> blocks_;
+  std::vector<ir::Block*> blocks_;  // parallel to cfg_.blocks
   ir::Instr* undef_ = nullptr;
 };
 
@@ -479,11 +526,13 @@ Result<ir::Module> LiftFrom(const mips::SoftBinary& binary,
   std::set<std::uint32_t> discovered{root_entry};
   std::deque<std::uint32_t> work{root_entry};
   std::map<std::uint32_t, MachineCfg> cfgs;
+  CfgScratch scratch;
+  scratch.slot.assign(binary.text.size(), 0);
   while (!work.empty()) {
     const std::uint32_t entry = work.front();
     work.pop_front();
     if (cfgs.count(entry) != 0) continue;
-    auto cfg = RecoverCfg(binary, entry);
+    auto cfg = RecoverCfg(binary, entry, scratch);
     if (!cfg.ok()) return cfg.status();
     for (std::uint32_t callee : cfg.value().call_targets) {
       if (discovered.insert(callee).second) work.push_back(callee);
@@ -491,16 +540,18 @@ Result<ir::Module> LiftFrom(const mips::SoftBinary& binary,
     cfgs.emplace(entry, std::move(cfg).take());
   }
 
-  // Lift each function.  Names come from symbols when available.
+  // Lift each function.  Names come from symbols when available: the
+  // first symbol in name order at the entry, found in one pass over the
+  // symbol table that stops once every function has its name.
+  std::map<std::uint32_t, std::string> names;
+  for (const auto& [symbol, addr] : binary.symbols) {
+    if (names.size() == cfgs.size()) break;
+    if (cfgs.count(addr) != 0) names.emplace(addr, symbol);
+  }
   for (const auto& [entry, cfg] : cfgs) {
-    std::string name = "func_" + Hex(entry);
-    for (const auto& [symbol, addr] : binary.symbols) {
-      if (addr == entry) {
-        name = symbol;
-        break;
-      }
-    }
-    auto function = std::make_unique<ir::Function>(name, entry);
+    const auto named = names.find(entry);
+    auto function = std::make_unique<ir::Function>(
+        named != names.end() ? named->second : "func_" + Hex(entry), entry);
     FunctionLifter lifter(binary, cfg, *function, options);
     if (Status status = lifter.Run(); !status.ok()) return status;
     if (entry == root_entry) module.main = function.get();

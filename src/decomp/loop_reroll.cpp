@@ -265,10 +265,10 @@ class RerollAttempt {
     // iteration's state) reference instructions in later sections; after
     // rerolling, the final iteration's value at position k is produced by
     // section 0's instruction at position k.
-    std::unordered_map<const ir::Instr*, Value> escapes;
+    ir::Replacements escapes;
     for (std::size_t j = 1; j < factor_; ++j) {
       for (std::size_t k = 0; k < section_len_; ++k) {
-        escapes[at(j, k)] = Value::Of(at(0, k));
+        escapes.emplace_back(at(j, k), Value::Of(at(0, k)));
       }
     }
     // Replacing them deletes sections 1..U-1.
@@ -382,26 +382,28 @@ namespace {
 /// kAdd(x, 0): those are the section-0 induction offsets unrolled code
 /// carries, and the matcher keys on them.
 std::size_t FoldRegisterMoves(ir::Function& function) {
-  std::unordered_map<const ir::Instr*, ir::Value> replacements;
+  ir::Replacements replacements;
   for (const auto& block : function.blocks()) {
     for (ir::Instr* instr : block->instrs) {
       if (instr->op == Opcode::kOr) {
         if (instr->operands[0].is_const() && instr->operands[1].is_const()) {
           // `li` via lui+ori.
-          replacements[instr] = ir::Value::Const(
-              instr->operands[0].imm | instr->operands[1].imm);
+          replacements.emplace_back(
+              instr, ir::Value::Const(instr->operands[0].imm |
+                                      instr->operands[1].imm));
         } else if (instr->operands[1].is_const_value(0)) {
-          replacements[instr] = instr->operands[0];
+          replacements.emplace_back(instr, instr->operands[0]);
         } else if (instr->operands[0].is_const_value(0)) {
-          replacements[instr] = instr->operands[1];
+          replacements.emplace_back(instr, instr->operands[1]);
         }
       } else if (instr->op == Opcode::kAdd &&
                  instr->operands[0].is_const() &&
                  instr->operands[1].is_const()) {
         // `li` via addiu $rd, $zero, imm.
-        replacements[instr] = ir::Value::Const(static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(instr->operands[0].imm) +
-            static_cast<std::uint32_t>(instr->operands[1].imm)));
+        replacements.emplace_back(
+            instr, ir::Value::Const(static_cast<std::int32_t>(
+                       static_cast<std::uint32_t>(instr->operands[0].imm) +
+                       static_cast<std::uint32_t>(instr->operands[1].imm))));
       }
     }
   }

@@ -265,7 +265,10 @@ Result<DecompiledProgram> PassManager::Run(
   Check(binary != nullptr, "PassManager::Run: null binary");
   LiftOptions lift_options;
   lift_options.profile = profile;
-  auto lifted = Lift(*binary, lift_options);
+  auto lifted = [&] {
+    obs::ScopedSpan span("decomp.lift", "decomp");
+    return Lift(*binary, lift_options);
+  }();
   if (!lifted.ok()) return lifted.status();
   return Finish(std::move(binary), std::move(lifted).take());
 }
@@ -276,7 +279,10 @@ Result<DecompiledProgram> PassManager::RunAt(
   Check(binary != nullptr, "PassManager::RunAt: null binary");
   LiftOptions lift_options;
   lift_options.profile = profile;
-  auto lifted = LiftAt(*binary, root_entry, lift_options);
+  auto lifted = [&] {
+    obs::ScopedSpan span("decomp.lift", "decomp");
+    return LiftAt(*binary, root_entry, lift_options);
+  }();
   if (!lifted.ok()) return lifted.status();
   return Finish(std::move(binary), std::move(lifted).take());
 }
@@ -293,6 +299,7 @@ Result<DecompiledProgram> PassManager::Finish(
 
   RunOnModule(program.module, program.stats, program.pass_runs);
 
+  obs::ScopedSpan span("decomp.finish", "decomp");
   // Final cleanup, always: a pipeline may end with a custom pass.
   for (const auto& function : program.module.functions) {
     function->Cleanup();

@@ -14,7 +14,6 @@
 // saving comes from.
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "decomp/passes.hpp"
@@ -51,44 +50,43 @@ Fact Join(const Fact& a, const Fact& b) {
   return {std::min(32u, std::max(AsSignedWidth(a), AsSignedWidth(b))), true};
 }
 
+/// Both analyses keep one entry per instruction, indexed by Instr::id in
+/// the numbering `by_id` (Function::Renumber).
 class ForwardWidths {
  public:
-  explicit ForwardWidths(const ir::Function& function) : function_(function) {
+  explicit ForwardWidths(const std::vector<ir::Instr*>& by_id)
+      : by_id_(by_id), facts_(by_id.size()) {
     Run();
   }
 
   [[nodiscard]] Fact Of(const Value& value) const {
     if (value.is_const()) return ConstFact(value.imm);
-    const auto it = facts_.find(value.def);
-    return it == facts_.end() ? Fact{} : it->second;
+    return facts_[ir::IdIn(by_id_, value.def)];
   }
 
  private:
   void Run() {
     // Optimistic initialization; widths only grow, so iteration converges.
-    for (const auto& block : function_.blocks()) {
-      for (const ir::Instr* instr : block->instrs) {
-        if (instr->width == 0) continue;
-        facts_[instr] = Fact{1, false};
-      }
+    // Instructions without a result keep the full-width default.
+    for (std::size_t id = 0; id < by_id_.size(); ++id) {
+      if (by_id_[id]->width != 0) facts_[id] = Fact{1, false};
     }
     bool changed = true;
     int guard = 0;
     while (changed) {
       Check(++guard < 200, "size reduction: forward analysis diverged");
       changed = false;
-      for (const auto& block : function_.blocks()) {
-        for (const ir::Instr* instr : block->instrs) {
-          if (instr->width == 0) continue;
-          const Fact next = Transfer(*instr);
-          Fact& current = facts_[instr];
-          // Monotone join with the current fact.
-          const Fact merged = Join(current, next);
-          if (merged.width != current.width ||
-              merged.is_signed != current.is_signed) {
-            current = merged;
-            changed = true;
-          }
+      for (std::size_t id = 0; id < by_id_.size(); ++id) {
+        const ir::Instr& instr = *by_id_[id];
+        if (instr.width == 0) continue;
+        const Fact next = Transfer(instr);
+        Fact& current = facts_[id];
+        // Monotone join with the current fact.
+        const Fact merged = Join(current, next);
+        if (merged.width != current.width ||
+            merged.is_signed != current.is_signed) {
+          current = merged;
+          changed = true;
         }
       }
     }
@@ -227,43 +225,38 @@ class ForwardWidths {
     }
   }
 
-  const ir::Function& function_;
-  std::unordered_map<const ir::Instr*, Fact> facts_;
+  const std::vector<ir::Instr*>& by_id_;
+  std::vector<Fact> facts_;
 };
 
 /// Backward demanded-bits: how many low result bits any consumer observes.
 class DemandedBits {
  public:
-  explicit DemandedBits(const ir::Function& function) : function_(function) {
+  explicit DemandedBits(const std::vector<ir::Instr*>& by_id)
+      : by_id_(by_id), demanded_(by_id.size(), 0) {
     Run();
   }
 
   [[nodiscard]] unsigned Of(const ir::Instr* instr) const {
-    const auto it = demanded_.find(instr);
-    return it == demanded_.end() ? 32u : it->second;
+    return demanded_[ir::IdIn(by_id_, instr)];
   }
 
  private:
   void Run() {
-    for (const auto& block : function_.blocks()) {
-      for (const ir::Instr* instr : block->instrs) demanded_[instr] = 0;
-    }
     bool changed = true;
     int guard = 0;
     while (changed) {
       Check(++guard < 200, "size reduction: demanded analysis diverged");
       changed = false;
-      for (const auto& block : function_.blocks()) {
-        for (const ir::Instr* user : block->instrs) {
-          for (std::size_t i = 0; i < user->operands.size(); ++i) {
-            const Value& operand = user->operands[i];
-            if (!operand.is_instr()) continue;
-            const unsigned demand = DemandOn(*user, i);
-            unsigned& current = demanded_[operand.def];
-            if (demand > current) {
-              current = demand;
-              changed = true;
-            }
+      for (const ir::Instr* user : by_id_) {
+        for (std::size_t i = 0; i < user->operands.size(); ++i) {
+          const Value& operand = user->operands[i];
+          if (!operand.is_instr()) continue;
+          const unsigned demand = DemandOn(*user, i);
+          unsigned& current = demanded_[ir::IdIn(by_id_, operand.def)];
+          if (demand > current) {
+            current = demand;
+            changed = true;
           }
         }
       }
@@ -324,31 +317,30 @@ class DemandedBits {
     }
   }
 
-  const ir::Function& function_;
-  std::unordered_map<const ir::Instr*, unsigned> demanded_;
+  const std::vector<ir::Instr*>& by_id_;
+  std::vector<unsigned> demanded_;
 };
 
 }  // namespace
 
 SizeReductionStats ReduceOperatorSizes(ir::Function& function) {
   SizeReductionStats stats;
-  const ForwardWidths forward(function);
-  const DemandedBits demanded(function);
+  const std::vector<ir::Instr*> by_id = function.Renumber();
+  const ForwardWidths forward(by_id);
+  const DemandedBits demanded(by_id);
 
-  for (const auto& block : function.blocks()) {
-    for (ir::Instr* instr : block->instrs) {
-      if (instr->width == 0 || ir::IsComparison(instr->op)) continue;
-      const Fact fact = forward.Of(Value::Of(instr));
-      const unsigned demand = std::max(1u, demanded.Of(instr));
-      const unsigned width = std::min(fact.width, demand);
-      if (width < instr->width) {
-        stats.total_bits_saved += instr->width - width;
-        instr->width = static_cast<std::uint8_t>(width);
-        instr->is_signed = fact.is_signed;
-        ++stats.narrowed;
-      } else if (fact.width <= instr->width) {
-        instr->is_signed = fact.is_signed;
-      }
+  for (ir::Instr* instr : by_id) {
+    if (instr->width == 0 || ir::IsComparison(instr->op)) continue;
+    const Fact fact = forward.Of(Value::Of(instr));
+    const unsigned demand = std::max(1u, demanded.Of(instr));
+    const unsigned width = std::min(fact.width, demand);
+    if (width < instr->width) {
+      stats.total_bits_saved += instr->width - width;
+      instr->width = static_cast<std::uint8_t>(width);
+      instr->is_signed = fact.is_signed;
+      ++stats.narrowed;
+    } else if (fact.width <= instr->width) {
+      instr->is_signed = fact.is_signed;
     }
   }
   return stats;

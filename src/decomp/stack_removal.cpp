@@ -247,7 +247,7 @@ StackRemovalStats RemoveStackOperations(ir::Function& function) {
   undef->parent = entry;
   ir::SsaBuilder ssa(function, variables.size(),
                      [undef](std::size_t) { return Value::Of(undef); });
-  std::unordered_map<const ir::Instr*, Value> load_replacements;
+  ir::Replacements load_replacements;
   std::vector<ir::Instr*> dead_stores;
   for (const auto& block : function.blocks()) {
     for (ir::Instr* instr : block->instrs) {
@@ -270,7 +270,7 @@ StackRemovalStats RemoveStackOperations(ir::Function& function) {
         instr->op = instr->mem_signed ? Opcode::kSExt : Opcode::kZExt;
         instr->operands = {value};
       } else {
-        load_replacements[instr] = value;
+        load_replacements.emplace_back(instr, value);
       }
       ++stats.loads_removed;
     }

@@ -1,34 +1,38 @@
 #include "ir/dominators.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <utility>
 
 namespace b2h::ir {
-namespace {
-
-void PostOrderVisit(const Block* block, std::unordered_set<const Block*>& seen,
-                    std::vector<const Block*>& order) {
-  seen.insert(block);
-  for (const Block* succ : block->succs()) {
-    if (seen.count(succ) == 0) PostOrderVisit(succ, seen, order);
-  }
-  order.push_back(block);
-}
-
-}  // namespace
 
 DominatorTree::DominatorTree(const Function& function) : function_(function) {
-  // Reverse post order over reachable blocks.
-  std::unordered_set<const Block*> seen;
-  std::vector<const Block*> post;
-  PostOrderVisit(function.entry(), seen, post);
-  rpo_.assign(post.rbegin(), post.rend());
+  // Block ids are positions in function.blocks().  rpo_index_ doubles as
+  // the walk's visited mark: -1 until a block is entered, 0 while the walk
+  // is under way, and the block's RPO position afterwards.
+  rpo_index_.assign(function.blocks().size(), -1);
 
-  int max_id = 0;
-  for (const auto& block : function.blocks()) {
-    max_id = std::max(max_id, block->id);
+  // Reverse post order over reachable blocks.  The depth-first walk keeps
+  // its own stack of (block, next successor), so a long chain of blocks
+  // cannot overflow the call stack.
+  std::vector<const Block*> post;
+  std::vector<std::pair<const Block*, std::size_t>> stack;
+  const auto enter = [this, &stack](const Block* block) {
+    rpo_index_[static_cast<std::size_t>(block->id)] = 0;
+    stack.emplace_back(block, 0);
+  };
+  enter(function.entry());
+  while (!stack.empty()) {
+    auto& [block, next] = stack.back();
+    const Successors succs = block->succs();
+    if (next < succs.size()) {
+      const Block* succ = succs[next++];  // before enter() reallocates
+      if (rpo_index_[static_cast<std::size_t>(succ->id)] < 0) enter(succ);
+      continue;
+    }
+    post.push_back(block);
+    stack.pop_back();
   }
-  rpo_index_.assign(static_cast<std::size_t>(max_id) + 1, -1);
+  rpo_.assign(post.rbegin(), post.rend());
   for (std::size_t i = 0; i < rpo_.size(); ++i) {
     rpo_index_[static_cast<std::size_t>(rpo_[i]->id)] = static_cast<int>(i);
   }

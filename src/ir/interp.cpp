@@ -19,12 +19,6 @@ Interpreter::Interpreter(const Module& module,
                          InterpOptions options)
     : module_(module), options_(options), memory_(initial_data) {}
 
-std::uint32_t Interpreter::PeekWord(std::uint32_t addr) const {
-  const auto word = memory_.Load(addr, 4, false);
-  Check(word.has_value(), "Interpreter::PeekWord outside memory");
-  return static_cast<std::uint32_t>(*word);
-}
-
 InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
   InterpResult result;
   if (module_.main == nullptr) {

@@ -54,9 +54,6 @@ class Interpreter {
 
   [[nodiscard]] InterpResult Run(std::span<const std::int32_t> args = {});
 
-  /// Inspect data memory after a run (for tests on array outputs).
-  [[nodiscard]] std::uint32_t PeekWord(std::uint32_t addr) const;
-
  private:
   const Module& module_;
   InterpOptions options_;

@@ -1,8 +1,6 @@
 #include "ir/ir.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
 
 #include "obs/obs.hpp"
 
@@ -95,15 +93,15 @@ bool HasSideEffects(Opcode op) noexcept {
   return op == Opcode::kStore || op == Opcode::kCall || IsTerminator(op);
 }
 
-std::vector<Block*> Block::succs() const {
-  const Instr* term = has_terminator() ? instrs.back() : nullptr;
-  std::vector<Block*> out;
-  if (term == nullptr) return out;
+Successors Block::succs() const {
+  Successors out;
+  if (!has_terminator()) return out;
+  const Instr* term = instrs.back();
   if (term->op == Opcode::kBr) {
-    out.push_back(term->target0);
+    out.slots_[out.size_++] = term->target0;
   } else if (term->op == Opcode::kCondBr) {
-    out.push_back(term->target0);
-    out.push_back(term->target1);
+    out.slots_[out.size_++] = term->target0;
+    out.slots_[out.size_++] = term->target1;
   }
   return out;
 }
@@ -247,12 +245,28 @@ void Function::RecomputeCfg() {
       phi->operands = std::move(operands);
     }
   }
-  int block_id = 0;
-  int instr_id = 0;
-  for (auto& block : blocks_) {
-    block->id = block_id++;
-    for (Instr* instr : block->instrs) instr->id = instr_id++;
+  Renumber();
+}
+
+std::vector<Instr*> Function::Renumber() {
+  std::vector<Instr*> by_id;
+  by_id.reserve(NumInstrs());
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    blocks_[b]->id = static_cast<int>(b);
+    for (Instr* instr : blocks_[b]->instrs) {
+      instr->id = static_cast<int>(by_id.size());
+      by_id.push_back(instr);
+    }
   }
+  return by_id;
+}
+
+std::size_t IdIn(const std::vector<Instr*>& by_id, const Instr* def) {
+  // A negative id converts to a value past any table.
+  const auto id = static_cast<std::size_t>(def->id);
+  Check(id < by_id.size() && by_id[id] == def,
+        "operand defined outside the function's numbered blocks");
+  return id;
 }
 
 void Function::MoveTail(Block* from, std::size_t first, Block* heir) {
@@ -270,23 +284,29 @@ void Function::MoveTail(Block* from, std::size_t first, Block* heir) {
   }
 }
 
-void Function::ReplaceAllUses(
-    const std::unordered_map<const Instr*, Value>& map) {
-  if (map.empty()) return;
-  const auto chase = [&map](Value value) {
-    // Follow replacement chains (bounded by map size to catch cycles).
+void Function::ReplaceAllUses(const Replacements& replacements) {
+  if (replacements.empty()) return;
+  const std::vector<Instr*> by_id = Renumber();
+  std::vector<Value> replacement(by_id.size());  // kNone: kept
+  for (const auto& [instr, value] : replacements) {
+    Check(!value.is_none(), "ReplaceAllUses: replacement without a value");
+    replacement[IdIn(by_id, instr)] = value;
+  }
+  const auto chase = [&](Value value) {
+    // Follow replacement chains (bounded by their count to catch cycles).
     std::size_t hops = 0;
     while (value.is_instr()) {
-      const auto it = map.find(value.def);
-      if (it == map.end()) break;
-      value = it->second;
-      Check(++hops <= map.size() + 1, "ReplaceAllUses: replacement cycle");
+      const Value& next = replacement[IdIn(by_id, value.def)];
+      if (next.is_none()) break;
+      value = next;
+      Check(++hops <= replacements.size() + 1,
+            "ReplaceAllUses: replacement cycle");
     }
     return value;
   };
   for (auto& block : blocks_) {
-    std::erase_if(block->instrs, [&map](const Instr* instr) {
-      return map.count(instr) != 0;
+    std::erase_if(block->instrs, [&replacement](const Instr* instr) {
+      return !replacement[static_cast<std::size_t>(instr->id)].is_none();
     });
     for (Instr* instr : block->instrs) {
       for (Value& operand : instr->operands) operand = chase(operand);
@@ -297,43 +317,44 @@ void Function::ReplaceAllUses(
 std::size_t Function::RemoveDeadInstrs() {
   // Mark: roots are side-effecting instructions; sweep everything else that
   // is not transitively used by a root.
-  std::unordered_set<const Instr*> live;
-  std::deque<const Instr*> work;
-  for (const auto& block : blocks_) {
-    for (const Instr* instr : block->instrs) {
-      if (HasSideEffects(instr->op)) {
-        live.insert(instr);
-        work.push_back(instr);
-      }
+  const std::vector<Instr*> by_id = Renumber();
+  std::vector<char> live(by_id.size(), 0);
+  std::vector<const Instr*> work;
+  for (const Instr* instr : by_id) {
+    if (HasSideEffects(instr->op)) {
+      live[static_cast<std::size_t>(instr->id)] = 1;
+      work.push_back(instr);
     }
   }
   while (!work.empty()) {
-    const Instr* instr = work.front();
-    work.pop_front();
+    const Instr* instr = work.back();
+    work.pop_back();
     for (const Value& operand : instr->operands) {
-      if (operand.is_instr() && live.insert(operand.def).second) {
+      if (!operand.is_instr()) continue;
+      char& mark = live[IdIn(by_id, operand.def)];
+      if (mark == 0) {
+        mark = 1;
         work.push_back(operand.def);
       }
     }
   }
   std::size_t removed = 0;
   for (auto& block : blocks_) {
-    auto& instrs = block->instrs;
-    const auto new_end = std::remove_if(
-        instrs.begin(), instrs.end(),
-        [&live](const Instr* instr) { return live.count(instr) == 0; });
-    removed += static_cast<std::size_t>(std::distance(new_end, instrs.end()));
-    instrs.erase(new_end, instrs.end());
+    removed += std::erase_if(block->instrs, [&live](const Instr* instr) {
+      return live[static_cast<std::size_t>(instr->id)] == 0;
+    });
   }
   return removed;
 }
 
 std::size_t Function::EliminateTrivialPhis() {
   std::size_t removed = 0;
+  Replacements replacements;
   while (true) {
-    std::unordered_map<const Instr*, Value> replacements;
+    replacements.clear();
     for (const auto& block : blocks_) {
-      for (Instr* phi : block->Phis()) {
+      for (Instr* phi : block->instrs) {
+        if (!phi->is(Opcode::kPhi)) break;
         Value unique = Value::None();
         bool trivial = true;
         for (const Value& operand : phi->operands) {
@@ -345,7 +366,9 @@ std::size_t Function::EliminateTrivialPhis() {
             break;
           }
         }
-        if (trivial && !unique.is_none()) replacements[phi] = unique;
+        if (trivial && !unique.is_none()) {
+          replacements.emplace_back(phi, unique);
+        }
       }
     }
     if (replacements.empty()) return removed;
@@ -355,21 +378,25 @@ std::size_t Function::EliminateTrivialPhis() {
 }
 
 void Function::RemoveUnreachableBlocks() {
-  std::unordered_set<const Block*> reachable;
-  std::deque<Block*> work{entry()};
-  reachable.insert(entry());
+  // Block ids are positions in blocks_ (CreateBlock appends, and every
+  // removal ends in RecomputeCfg).
+  std::vector<char> reachable(blocks_.size(), 0);
+  std::vector<Block*> work{entry()};
+  reachable[static_cast<std::size_t>(entry()->id)] = 1;
   while (!work.empty()) {
-    Block* block = work.front();
-    work.pop_front();
+    Block* block = work.back();
+    work.pop_back();
     for (Block* succ : block->succs()) {
-      if (reachable.insert(succ).second) work.push_back(succ);
+      char& mark = reachable[static_cast<std::size_t>(succ->id)];
+      if (mark == 0) {
+        mark = 1;
+        work.push_back(succ);
+      }
     }
   }
-  blocks_.erase(std::remove_if(blocks_.begin(), blocks_.end(),
-                               [&reachable](const auto& block) {
-                                 return reachable.count(block.get()) == 0;
-                               }),
-                blocks_.end());
+  std::erase_if(blocks_, [&reachable](const std::unique_ptr<Block>& block) {
+    return reachable[static_cast<std::size_t>(block->id)] == 0;
+  });
   RecomputeCfg();
 }
 

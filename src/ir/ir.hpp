@@ -14,6 +14,10 @@
 //    ReplaceAllUses(), which is O(instructions) and keeps invariants simple.
 //    It also erases the instructions it replaces, so a pass never leaves a
 //    replaced instruction behind to delete by hand.
+//  - Side tables are vectors indexed by Instr::id or Block::id, never maps
+//    keyed by pointer.  Both ids come from one numbering in block order,
+//    which Function::Renumber() assigns (RecomputeCfg() ends with it); an
+//    operand whose definition lies outside that numbering is an error.
 //  - Phi operands follow their predecessor blocks.  A phi's operand i
 //    belongs to Block::preds[i]; RecomputeCfg() rebuilds every preds list in
 //    block order and carries each operand along with its block: operands of
@@ -34,7 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
@@ -121,7 +125,7 @@ class Instr {
   std::uint32_t call_target = 0; ///< kCall: callee entry address
   std::int32_t imm = 0;          ///< kConst value
   std::uint32_t src_pc = 0;      ///< binary provenance (0 = synthesized)
-  int id = -1;                   ///< dense id assigned by Function
+  int id = -1;                   ///< position in Function::Renumber()
 
   std::vector<Value> operands;
   Block* parent = nullptr;
@@ -139,9 +143,31 @@ class Instr {
   }
 };
 
+/// Instructions paired with the values that replace them.
+using Replacements = std::vector<std::pair<Instr*, Value>>;
+
+/// A block's successors in terminator order (target0, then target1): at
+/// most two, held inline, so walking them allocates nothing.
+class Successors {
+ public:
+  [[nodiscard]] Block* const* begin() const noexcept { return slots_; }
+  [[nodiscard]] Block* const* end() const noexcept { return slots_ + size_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] Block* operator[](std::size_t i) const {
+    Check(i < size_, "Successors: index out of range");
+    return slots_[i];
+  }
+
+ private:
+  friend class Block;
+  Block* slots_[2] = {nullptr, nullptr};
+  std::size_t size_ = 0;
+};
+
 class Block {
  public:
-  int id = -1;
+  int id = -1;  ///< position in Function::blocks()
   std::string name;
   std::uint32_t start_pc = 0;      ///< binary address of the block leader
   std::uint64_t exec_count = 0;    ///< profile annotation
@@ -155,8 +181,8 @@ class Block {
   /// preds[i].
   std::vector<Block*> preds;
 
-  /// Successors derived from the terminator (empty for kRet).
-  [[nodiscard]] std::vector<Block*> succs() const;
+  /// Successors derived from the terminator (none for kRet).
+  [[nodiscard]] Successors succs() const;
   [[nodiscard]] Instr* terminator() const;
   [[nodiscard]] bool has_terminator() const;
 
@@ -212,10 +238,16 @@ class Function {
   /// from `from` now flow in from `heir`.
   void MoveTail(Block* from, std::size_t first, Block* heir);
 
-  /// Rewrite every operand whose definition appears in `map` and erase the
-  /// replaced instructions from their blocks.  Chains (a->b, b->c) are
-  /// followed.
-  void ReplaceAllUses(const std::unordered_map<const Instr*, Value>& map);
+  /// Number blocks and instructions densely in block order, the numbering
+  /// RecomputeCfg leaves, and return the instructions by id.  A side table
+  /// indexed by the ids stays valid until instructions are added, removed
+  /// or moved.
+  std::vector<Instr*> Renumber();
+
+  /// Rewrite every use of each listed instruction to its paired value and
+  /// erase the listed instructions from their blocks.  Chains (a->b, b->c)
+  /// are followed; a later pair for the same instruction wins.
+  void ReplaceAllUses(const Replacements& replacements);
 
   /// Remove instructions not reachable from side effects (classic DCE).
   /// Returns the number of instructions removed.
@@ -242,6 +274,12 @@ class Function {
   std::vector<std::unique_ptr<Block>> blocks_;
   std::vector<std::unique_ptr<Instr>> pool_;
 };
+
+/// The id of `def` in `by_id`, a Function::Renumber() result.  Throws
+/// InternalError when `def` lies outside that numbering (an operand that
+/// outlived its definition's block, or a stale numbering).
+[[nodiscard]] std::size_t IdIn(const std::vector<Instr*>& by_id,
+                               const Instr* def);
 
 /// A whole decompiled program: functions plus the data image they run over.
 struct Module {

@@ -20,12 +20,6 @@ RtlSimulator::RtlSimulator(const HwRegion& region,
                            std::span<const std::uint8_t> initial_data)
     : region_(region), schedule_(schedule), memory_(initial_data) {}
 
-std::uint32_t RtlSimulator::PeekWord(std::uint32_t addr) const {
-  const auto word = memory_.Load(addr, 4, false);
-  Check(word.has_value(), "RtlSimulator::PeekWord outside memory");
-  return static_cast<std::uint32_t>(*word);
-}
-
 RtlResult RtlSimulator::Run(
     const std::map<const ir::Instr*, std::int32_t>& live_in_values,
     const std::map<unsigned, std::int32_t>& inputs) {

@@ -46,8 +46,6 @@ class RtlSimulator {
       const std::map<const ir::Instr*, std::int32_t>& live_in_values = {},
       const std::map<unsigned, std::int32_t>& inputs = {});
 
-  [[nodiscard]] std::uint32_t PeekWord(std::uint32_t addr) const;
-
  private:
   const HwRegion& region_;
   const RegionSchedule& schedule_;

@@ -11,7 +11,6 @@
 #include "decomp/alias.hpp"
 #include "synth/area.hpp"
 #include "synth/hw_region.hpp"
-#include "synth/rtl_sim.hpp"
 #include "synth/schedule.hpp"
 #include "synth/vhdl.hpp"
 

@@ -16,6 +16,12 @@
 // those platforms plus a 40,000-gate copy of mips200-xc2v1000, where the
 // online partitioner runs out of area and evicts.
 //
+// Last, one line per program@O with an `ir` digest of its decompiled,
+// profile-annotated module: ir::Print of every function, then every block's
+// id, profile counts and predecessor ids, and every instruction's id, width
+// and signedness.  Reports read only part of the IR, so this line is what
+// holds a decompiler change that promises the same IR to exactly that.
+//
 // The file is a review surface: a change that moves a report changes a line
 // here, and the change must explain it.  On a mismatch the test writes the
 // recomputed file to golden_reports.actual in its working directory (copy it
@@ -30,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/printer.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
 #include "support/serialize.hpp"
@@ -93,8 +100,33 @@ void AppendOutcome(const Result<Run>& outcome, Render render,
   out += '\n';
 }
 
+/// The decompiled module as text: ir::Print plus what it leaves out.
+std::string IrText(const ir::Module& module) {
+  std::string out = ir::Print(module);
+  for (const auto& function : module.functions) {
+    for (const auto& block : function->blocks()) {
+      out += std::to_string(block->id) + ' ' +
+             std::to_string(block->exec_count) + ' ' +
+             std::to_string(block->taken_count) + ' ' +
+             std::to_string(block->not_taken_count) + " <-";
+      for (const ir::Block* pred : block->preds) {
+        out += ' ' + std::to_string(pred->id);
+      }
+      out += '\n';
+      for (const ir::Instr* instr : block->instrs) {
+        out += std::to_string(instr->id) + ':' +
+               std::to_string(instr->width) + (instr->is_signed ? 's' : 'u') +
+               ' ';
+      }
+      out += '\n';
+    }
+  }
+  return out;
+}
+
 /// One line per binary: its RunMany slots on the paper platforms and its
-/// RunDynamicOn reports on those plus the 40k-gate platform.
+/// RunDynamicOn reports on those plus the 40k-gate platform.  Then one line
+/// per binary digesting the IR its RunMany slots share.
 void AppendViewLines(const Toolchain& toolchain,
                      const std::vector<NamedBinary>& binaries,
                      std::vector<std::string>& lines) {
@@ -126,6 +158,14 @@ void AppendViewLines(const Toolchain& toolchain,
     lines.push_back(binaries[b].name +
                     " views=" + Hex(support::Fnv1a64(views)) +
                     " dynamic=" + Hex(support::Fnv1a64(online)));
+  }
+  for (std::size_t b = 0; b < binaries.size(); ++b) {
+    std::string ir;
+    AppendOutcome(
+        batch.At(b, 0),
+        [](const ToolchainRun& run) { return IrText(run.program->module); },
+        ir);
+    lines.push_back(binaries[b].name + " ir=" + Hex(support::Fnv1a64(ir)));
   }
 }
 
@@ -186,7 +226,7 @@ TEST(Golden, ReportsMatchCheckedInDigests) {
       std::string(B2H_SOURCE_DIR) + "/tests/golden/reports.txt";
   const std::vector<std::string> expected = ReadLines(path);
   const std::vector<std::string> actual = ComputeGolden();
-  ASSERT_EQ(actual.size(), 2u + 3u * 4u * suite::AllBenchmarks().size());
+  ASSERT_EQ(actual.size(), 2u + 4u * 4u * suite::AllBenchmarks().size());
   if (actual == expected) return;
 
   std::ofstream out("golden_reports.actual");

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "decomp/pass_manager.hpp"
@@ -112,10 +113,11 @@ TEST(IrCore, RemoveDeadInstrs) {
 
 TEST(IrCore, ReplaceAllUsesFollowsChains) {
   Diamond d;
-  // input -> const 9, and anything using the phi -> const 1 (chained maps).
-  std::unordered_map<const Instr*, Value> map;
-  map[d.input] = Value::Const(9);
-  d.function.ReplaceAllUses(map);
+  // input -> the left arm's add -> const 9: every use of the input ends at
+  // the constant, and both replaced instructions leave their blocks.
+  Instr* doubled = d.left->instrs.front();
+  d.function.ReplaceAllUses(
+      {{d.input, Value::Of(doubled)}, {doubled, Value::Const(9)}});
   bool any_input_use = false;
   for (const auto& block : d.function.blocks()) {
     for (const Instr* instr : block->instrs) {
@@ -127,10 +129,23 @@ TEST(IrCore, ReplaceAllUsesFollowsChains) {
     }
   }
   EXPECT_FALSE(any_input_use);
-  // The replaced instruction left its block.
+  // The replaced instructions left their blocks.
   EXPECT_EQ(std::count(d.entry->instrs.begin(), d.entry->instrs.end(),
                        d.input),
             0);
+  EXPECT_EQ(std::count(d.left->instrs.begin(), d.left->instrs.end(), doubled),
+            0);
+  EXPECT_TRUE(d.phi->operands[d.merge->PredIndex(d.left)].is_const_value(9));
+}
+
+TEST(IrCore, OperandDefinedOutsideTheBlocksThrows) {
+  // The side tables are indexed by the block-order numbering, so a use of
+  // an instruction that left its block is an error, not a silent miss.
+  Diamond d;
+  d.entry->Remove(d.input);
+  EXPECT_THROW(d.function.RemoveDeadInstrs(), InternalError);
+  EXPECT_THROW(d.function.ReplaceAllUses({{d.phi, Value::Const(0)}}),
+               InternalError);
 }
 
 TEST(IrCore, RemoveUnreachableBlocksFixesPhis) {
@@ -234,6 +249,38 @@ TEST(Dominators, FrontierOfDiamondArms) {
   ASSERT_EQ(left_frontier.size(), 1u);
   EXPECT_EQ(left_frontier[0], d.merge);
   EXPECT_TRUE(dom.Frontier(d.entry).empty());
+}
+
+TEST(Dominators, LongChainOfBlocks) {
+  // 200,000 blocks, each a `br` to the next, the last returning the entry's
+  // input.  A post-order walk that recursed once per block overflowed the
+  // stack here (a Release build died at 100,000 blocks).
+  constexpr std::size_t kBlocks = 200'000;
+  Function function("chain");
+  std::vector<Block*> blocks;
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    blocks.push_back(function.CreateBlock("b" + std::to_string(i)));
+  }
+  Instr* input = function.Create(Opcode::kInput);
+  blocks.front()->Append(input);
+  for (std::size_t i = 0; i + 1 < kBlocks; ++i) {
+    Instr* br = function.Create(Opcode::kBr);
+    br->target0 = blocks[i + 1];
+    blocks[i]->Append(br);
+  }
+  Instr* ret = function.Create(Opcode::kRet);
+  ret->operands = {Value::Of(input)};
+  blocks.back()->Append(ret);
+  function.RecomputeCfg();
+
+  const DominatorTree dom(function);
+  ASSERT_EQ(dom.ReversePostOrder().size(), kBlocks);
+  EXPECT_EQ(dom.ReversePostOrder().back(), blocks.back());
+  EXPECT_EQ(dom.Idom(blocks.back()), blocks[kBlocks - 2]);
+  EXPECT_TRUE(dom.Dominates(blocks.front(), blocks.back()));
+  const LoopForest loops(function, dom);
+  EXPECT_TRUE(loops.loops().empty());
+  EXPECT_TRUE(Verify(function).ok());
 }
 
 /// Self-loop function: entry -> loop (self edge) -> exit.

@@ -249,6 +249,61 @@ void ExpectInterpreterMatchesSimulator(const mips::SoftBinary& binary,
   }
 }
 
+TEST(Lifter, FunctionsThatShareATailEachRecoverIt) {
+  // CFG recovery walks `first`, then `second`, over the same text: the
+  // second walk must reach the shared tail again.
+  const auto binary = std::make_shared<const mips::SoftBinary>(Asm(R"(
+    main:
+      addiu $sp, $sp, -8
+      sw $ra, 4($sp)
+      jal first
+      move $a0, $v0
+      jal second
+      lw $ra, 4($sp)
+      addiu $sp, $sp, 8
+      jr $ra
+    first:
+      addiu $v0, $a0, 1
+      j tail
+    second:
+      addiu $v0, $a0, 2
+      j tail
+    tail:
+      addu $v0, $v0, $v0
+      jr $ra
+  )"));
+  auto lifted = Lift(*binary);
+  ASSERT_TRUE(lifted.ok()) << lifted.status().message();
+  ASSERT_TRUE(ir::Verify(lifted.value()).ok());
+  for (const char* name : {"first", "second"}) {
+    const ir::Function* function =
+        lifted.value().FindByEntry(binary->symbols.at(name));
+    ASSERT_NE(function, nullptr) << name;
+    EXPECT_EQ(function->name(), name);
+    bool has_tail = false;
+    for (const auto& block : function->blocks()) {
+      has_tail |= block->start_pc == binary->symbols.at("tail");
+    }
+    EXPECT_TRUE(has_tail) << ir::Print(*function);
+  }
+
+  const auto manager = PassManager::Preset("default");
+  ASSERT_TRUE(manager.ok());
+  const auto program = manager.value().Run(binary);
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  for (const std::int32_t a0 : kEntryLoopInputs) {
+    const std::int32_t args[] = {a0};
+    mips::Simulator sim(*binary);
+    const auto run = sim.Run(args);
+    ASSERT_EQ(run.reason, mips::HaltReason::kReturned) << run.fault_message;
+    EXPECT_EQ(run.return_value, ((a0 + 1) * 2 + 2) * 2);
+    ir::Interpreter interp(program.value().module, binary->data);
+    const auto result = interp.Run(args);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.return_value, run.return_value) << "a0=" << a0;
+  }
+}
+
 TEST(Lifter, EntryLoopHeaderGetsAnEmptyEntryBlock) {
   const auto binary = Asm(kEntryLoop);
   auto module = Lift(binary);
