@@ -55,7 +55,7 @@ int main() {
     support::OverheadOptions options;
     options.samples = 5;
     options.attempts = 1;
-    const double measured_overhead = support::MeasureOverhead(
+    const support::OverheadMeasurement hook = support::MeasureOverhead(
         [&] {
           for (int i = 0; i < reps; ++i) {
             mips::Simulator sim(binary);
@@ -70,13 +70,12 @@ int main() {
           }
         },
         options);
-    const double overhead =
-        options.plain_seconds > 0.0 ? measured_overhead : 0.0;
+    const double overhead = hook.plain_seconds > 0.0 ? hook.overhead : 0.0;
     worst_overhead = std::max(worst_overhead, overhead);
     sum_overhead += overhead;
     ++measured;
-    printf("%-11s %12.3f %12.3f %9.1f%%\n", name, options.plain_seconds * 1e3,
-           options.variant_seconds * 1e3, overhead * 100.0);
+    printf("%-11s %12.3f %12.3f %9.1f%%\n", name, hook.plain_seconds * 1e3,
+           hook.variant_seconds * 1e3, overhead * 100.0);
     json.Record("detector_overhead", overhead * 100.0, "%", name);
   }
   const double avg_overhead = measured > 0 ? sum_overhead / measured : 0.0;

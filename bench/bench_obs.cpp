@@ -78,9 +78,10 @@ double GatePct() {
 /// tracer ring must already be sized (Enable called once) — the closures
 /// only flip the recording flag, never reallocate.
 template <typename Work>
-double TracingOverhead(Work&& work, support::OverheadOptions& options) {
+support::OverheadMeasurement TracingOverhead(
+    Work&& work, const support::OverheadOptions& options) {
   obs::Tracer& tracer = obs::Tracer::Global();
-  double best = 1e9;
+  support::OverheadMeasurement best;
   // The gate (2%) sits well inside same-host measurement noise, so lean
   // harder on minima than the default detector-bound knobs, at two levels:
   //
@@ -95,7 +96,8 @@ double TracingOverhead(Work&& work, support::OverheadOptions& options) {
   //
   // early_exit_below ends both loops as soon as an attempt lands inside
   // the budget, so passing runs stay cheap.
-  for (int roll = 0; roll < 3 && best > options.early_exit_below; ++roll) {
+  for (int roll = 0; roll < 3 && best.overhead > options.early_exit_below;
+       ++roll) {
     tracer.Enable(1 << 15);
     // One enabled warmup outside the measurement: first-touch costs (ring
     // pages, thread ordinals) must not land in a measured sample.
@@ -103,7 +105,7 @@ double TracingOverhead(Work&& work, support::OverheadOptions& options) {
     support::OverheadOptions attempt = options;
     attempt.samples = 12;
     attempt.attempts = 8;
-    const double measured = support::MeasureOverhead(
+    const support::OverheadMeasurement measured = support::MeasureOverhead(
         [&] {
           tracer.Disable();
           work();
@@ -113,11 +115,7 @@ double TracingOverhead(Work&& work, support::OverheadOptions& options) {
           work();
         },
         attempt);
-    if (measured < best) {
-      best = measured;
-      options.plain_seconds = attempt.plain_seconds;
-      options.variant_seconds = attempt.variant_seconds;
-    }
+    if (measured.overhead < best.overhead) best = measured;
   }
   return best;
 }
@@ -153,13 +151,14 @@ int main() {
                                             1, probe.instructions)));
     support::OverheadOptions options;
     options.early_exit_below = gate_pct / 100.0;
-    sim_overhead = TracingOverhead(
+    const support::OverheadMeasurement measured = TracingOverhead(
         [&] {
           for (int r = 0; r < reps; ++r) (void)sim.Run();
         },
         options);
+    sim_overhead = measured.overhead;
     std::printf("%-22s %12.3f %12.3f %9.2f%%\n", "simulator (crc)",
-                options.plain_seconds * 1e3, options.variant_seconds * 1e3,
+                measured.plain_seconds * 1e3, measured.variant_seconds * 1e3,
                 sim_overhead * 100.0);
     json.Record("obs_sim_overhead", sim_overhead * 100.0, "%");
     worst = std::max(worst, sim_overhead);
@@ -179,7 +178,7 @@ int main() {
     // CPU time being measured, swinging samples BOTH ways — min-of-N never
     // converges there; the median pair ratio does.
     options.median = true;
-    serve_overhead = TracingOverhead(
+    const support::OverheadMeasurement measured = TracingOverhead(
         [&] {
           for (int j = 0; j < kJobs; ++j) {
             const std::string key = "bench-obs-" + std::to_string(next_key++);
@@ -187,8 +186,9 @@ int main() {
           }
         },
         options);
+    serve_overhead = measured.overhead;
     std::printf("%-22s %12.3f %12.3f %9.2f%%\n", "serve scheduler",
-                options.plain_seconds * 1e3, options.variant_seconds * 1e3,
+                measured.plain_seconds * 1e3, measured.variant_seconds * 1e3,
                 serve_overhead * 100.0);
     json.Record("obs_serve_overhead", serve_overhead * 100.0, "%");
     worst = std::max(worst, serve_overhead);
@@ -221,13 +221,12 @@ int main() {
     // stays above budget, EnableFlight() re-rolls the ring's heap placement
     // (cache-set aliasing is the one effect min-of-N cannot average away)
     // and we remeasure; early_exit_below keeps passing runs cheap.
-    flight_overhead = 1e9;
+    support::OverheadMeasurement best;
     for (int roll = 0;
-         roll < 3 && flight_overhead > options.early_exit_below; ++roll) {
+         roll < 3 && best.overhead > options.early_exit_below; ++roll) {
       tracer.EnableFlight(1 << 12);
       work();  // first-touch warmup outside measurement
-      support::OverheadOptions attempt = options;
-      const double measured = support::MeasureOverhead(
+      const support::OverheadMeasurement measured = support::MeasureOverhead(
           [&] {
             tracer.DisableFlight();
             work();
@@ -236,16 +235,13 @@ int main() {
             tracer.ResumeFlight();
             work();
           },
-          attempt);
-      if (measured < flight_overhead) {
-        flight_overhead = measured;
-        options.plain_seconds = attempt.plain_seconds;
-        options.variant_seconds = attempt.variant_seconds;
-      }
+          options);
+      if (measured.overhead < best.overhead) best = measured;
     }
     tracer.DisableFlight();
+    flight_overhead = best.overhead;
     std::printf("%-22s %12.3f %12.3f %9.2f%%\n", "flight recorder",
-                options.plain_seconds * 1e3, options.variant_seconds * 1e3,
+                best.plain_seconds * 1e3, best.variant_seconds * 1e3,
                 flight_overhead * 100.0);
     json.Record("obs_flight_overhead", flight_overhead * 100.0, "%");
     worst = std::max(worst, flight_overhead);

@@ -12,11 +12,14 @@
 //   ./build/examples/binary_partitioner crc --pipeline default,-reroll-loops
 //   ./build/examples/binary_partitioner crc --out-dir build/vhdl
 //   ./build/examples/binary_partitioner crc --trace-out build/crc.trace.json
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -42,6 +45,19 @@ Result<mips::SoftBinary> LoadInput(const std::string& input) {
   std::ostringstream text;
   text << file.rdbuf();
   return mips::Assemble(text.str());
+}
+
+/// The value of a numeric flag: the whole of `text` parsed as a finite
+/// number above 0.  Prints an error and returns nullopt otherwise.
+std::optional<double> PositiveFlag(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value <= 0.0) {
+    printf("error: %s needs a finite number above 0, got '%s'\n", flag,
+           text);
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::string SafeFileName(std::string name) {
@@ -91,11 +107,15 @@ int main(int argc, char** argv) {
   bool custom = false;
   for (int i = 2; i + 1 < argc; i += 2) {
     if (std::strcmp(argv[i], "--cpu-mhz") == 0) {
-      platform.cpu.clock_mhz = std::atof(argv[i + 1]);
+      const std::optional<double> mhz = PositiveFlag(argv[i], argv[i + 1]);
+      if (!mhz.has_value()) return 1;
+      platform.cpu.clock_mhz = *mhz;
       platform_label += "+custom";
       custom = true;
     } else if (std::strcmp(argv[i], "--fpga-kgates") == 0) {
-      platform.fpga.capacity_gates = std::atof(argv[i + 1]) * 1000.0;
+      const std::optional<double> kgates = PositiveFlag(argv[i], argv[i + 1]);
+      if (!kgates.has_value()) return 1;
+      platform.fpga.capacity_gates = *kgates * 1000.0;
       platform.fpga.usable_fraction = 1.0;
       platform_label += "+custom";
       custom = true;
@@ -149,6 +169,11 @@ int main(int argc, char** argv) {
             .string();
     std::ofstream out(path);
     out << kernel.synthesized.vhdl;
+    out.close();
+    if (out.fail()) {
+      printf("error: cannot write '%s'\n", path.c_str());
+      return 1;
+    }
     printf("wrote %s (%.0f gates, %s)\n", path.c_str(),
            kernel.synthesized.area.total_gates,
            kernel.arrays_resident ? "arrays resident in BRAM"

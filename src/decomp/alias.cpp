@@ -147,12 +147,6 @@ std::set<int> AliasAnalysis::RegionsIn(const ir::Loop& loop) const {
   return out;
 }
 
-std::set<int> AliasAnalysis::AllRegions() const {
-  std::set<int> out;
-  for (const auto& [instr, region] : region_of_) out.insert(region);
-  return out;
-}
-
 bool AliasAnalysis::MayAlias(const ir::Instr* a, const ir::Instr* b) const {
   const int ra = RegionIdOf(a);
   const int rb = RegionIdOf(b);

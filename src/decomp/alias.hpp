@@ -45,8 +45,6 @@ class AliasAnalysis {
 
   /// Region ids touched by any load/store in `loop`.
   [[nodiscard]] std::set<int> RegionsIn(const ir::Loop& loop) const;
-  /// Region ids touched anywhere in the function.
-  [[nodiscard]] std::set<int> AllRegions() const;
 
   /// Conservative: may the two memory operations access the same location?
   [[nodiscard]] bool MayAlias(const ir::Instr* a, const ir::Instr* b) const;

@@ -1,8 +1,5 @@
 #include "decomp/pass_manager.hpp"
 
-#include <functional>
-#include <mutex>
-
 #include "decomp/lifter.hpp"
 #include "decomp/passes.hpp"
 #include "ir/verifier.hpp"
@@ -11,102 +8,6 @@
 namespace b2h::decomp {
 
 namespace {
-
-/// Adapter turning a stats-producing callable into a registered Pass.
-class LambdaPass final : public Pass {
- public:
-  using Body = std::function<void(ir::Module&, DecompileStats&)>;
-
-  LambdaPass(std::string name, std::string description, Body body)
-      : Pass(std::move(name), std::move(description)), body_(std::move(body)) {}
-
-  void Run(ir::Module& module, DecompileStats& stats) const override {
-    body_(module, stats);
-  }
-
- private:
-  Body body_;
-};
-
-void RegisterBuiltins(PassRegistry& registry) {
-  auto add = [&registry](const char* name, const char* description,
-                         LambdaPass::Body body) {
-    registry.Register(
-        std::make_unique<LambdaPass>(name, description, std::move(body)));
-  };
-
-  add("reroll-loops", "roll compiler-unrolled loop bodies back up",
-      [](ir::Module& module, DecompileStats& stats) {
-        for (const auto& function : module.functions) {
-          const RerollStats reroll = RerollLoops(*function);
-          stats.loops_rerolled += reroll.loops_rerolled;
-          stats.reroll_ops_removed += reroll.ops_removed;
-        }
-      });
-
-  add("simplify-constants",
-      "constant folding / copy propagation / move-idiom removal to fixpoint",
-      [](ir::Module& module, DecompileStats& stats) {
-        for (const auto& function : module.functions) {
-          stats.constants_simplified += SimplifyConstants(*function);
-        }
-      });
-
-  add("remove-stack-ops", "promote stack slots to SSA values",
-      [](ir::Module& module, DecompileStats& stats) {
-        for (const auto& function : module.functions) {
-          const StackRemovalStats stack = RemoveStackOperations(*function);
-          stats.stack_slots_promoted += stack.slots_promoted;
-          stats.stack_ops_removed +=
-              stack.loads_removed + stack.stores_removed;
-        }
-      });
-
-  add("inline-small-functions",
-      "inline small leaf callees so helper-calling loops stay synthesizable",
-      [](ir::Module& module, DecompileStats& stats) {
-        const InlineStats inlined = InlineSmallFunctions(module);
-        stats.calls_inlined += inlined.calls_inlined;
-      });
-
-  add("convert-ifs", "turn short branch diamonds/triangles into selects",
-      [](ir::Module& module, DecompileStats& stats) {
-        for (const auto& function : module.functions) {
-          const IfConversionStats ifs = ConvertIfs(*function);
-          stats.ifs_converted += ifs.diamonds_converted;
-        }
-      });
-
-  add("promote-strength",
-      "collapse shift/add chains back into multiplications",
-      [](ir::Module& module, DecompileStats& stats) {
-        for (const auto& function : module.functions) {
-          const StrengthPromotionStats promoted = PromoteStrength(*function);
-          stats.muls_recovered += promoted.muls_recovered;
-        }
-      });
-
-  add("reduce-strength",
-      "mul/div/rem by powers of two become shifts/masks for synthesis",
-      [](ir::Module& module, DecompileStats& stats) {
-        for (const auto& function : module.functions) {
-          const StrengthReductionStats reduced = ReduceStrength(*function);
-          stats.strength_reduced += reduced.muls_to_shifts +
-                                    reduced.divs_to_shifts +
-                                    reduced.rems_to_masks;
-        }
-      });
-
-  add("reduce-operator-sizes",
-      "annotate every instruction with its significant result width",
-      [](ir::Module& module, DecompileStats& stats) {
-        for (const auto& function : module.functions) {
-          const SizeReductionStats sizes = ReduceOperatorSizes(*function);
-          stats.instrs_narrowed += sizes.narrowed;
-          stats.bits_saved += sizes.total_bits_saved;
-        }
-      });
-}
 
 /// The paper pipeline.  The interleaved "simplify-constants" cleanups are
 /// where the old hardwired code conditionally re-ran constant propagation;
@@ -130,52 +31,83 @@ const std::vector<std::string>& DefaultNames() {
 
 }  // namespace
 
-namespace {
-
-// Guards the registry's pass list: runtime registration is advertised and
-// Toolchain batches read the registry from worker threads.  Passes are
-// never removed, so a Pass* stays valid once returned.
-std::mutex& PassRegistryMutex() {
-  static std::mutex mutex;
-  return mutex;
+const std::vector<Pass>& AllPasses() {
+  // Never destroyed: a pipeline still running on another thread at exit
+  // keeps valid Pass pointers.
+  static const auto* passes = new std::vector<Pass>{
+      {"reroll-loops", "roll compiler-unrolled loop bodies back up",
+       [](ir::Module& module, DecompileStats& stats) {
+         for (const auto& function : module.functions) {
+           const RerollStats reroll = RerollLoops(*function);
+           stats.loops_rerolled += reroll.loops_rerolled;
+           stats.reroll_ops_removed += reroll.ops_removed;
+         }
+       }},
+      {"simplify-constants",
+       "constant folding / copy propagation / move-idiom removal to fixpoint",
+       [](ir::Module& module, DecompileStats& stats) {
+         for (const auto& function : module.functions) {
+           stats.constants_simplified += SimplifyConstants(*function);
+         }
+       }},
+      {"remove-stack-ops", "promote stack slots to SSA values",
+       [](ir::Module& module, DecompileStats& stats) {
+         for (const auto& function : module.functions) {
+           const StackRemovalStats stack = RemoveStackOperations(*function);
+           stats.stack_slots_promoted += stack.slots_promoted;
+           stats.stack_ops_removed +=
+               stack.loads_removed + stack.stores_removed;
+         }
+       }},
+      {"inline-small-functions",
+       "inline small leaf callees so helper-calling loops stay synthesizable",
+       [](ir::Module& module, DecompileStats& stats) {
+         const InlineStats inlined = InlineSmallFunctions(module);
+         stats.calls_inlined += inlined.calls_inlined;
+       }},
+      {"convert-ifs", "turn short branch diamonds/triangles into selects",
+       [](ir::Module& module, DecompileStats& stats) {
+         for (const auto& function : module.functions) {
+           const IfConversionStats ifs = ConvertIfs(*function);
+           stats.ifs_converted += ifs.diamonds_converted;
+         }
+       }},
+      {"promote-strength",
+       "collapse shift/add chains back into multiplications",
+       [](ir::Module& module, DecompileStats& stats) {
+         for (const auto& function : module.functions) {
+           const StrengthPromotionStats promoted = PromoteStrength(*function);
+           stats.muls_recovered += promoted.muls_recovered;
+         }
+       }},
+      {"reduce-strength",
+       "mul/div/rem by powers of two become shifts/masks for synthesis",
+       [](ir::Module& module, DecompileStats& stats) {
+         for (const auto& function : module.functions) {
+           const StrengthReductionStats reduced = ReduceStrength(*function);
+           stats.strength_reduced += reduced.muls_to_shifts +
+                                     reduced.divs_to_shifts +
+                                     reduced.rems_to_masks;
+         }
+       }},
+      {"reduce-operator-sizes",
+       "annotate every instruction with its significant result width",
+       [](ir::Module& module, DecompileStats& stats) {
+         for (const auto& function : module.functions) {
+           const SizeReductionStats sizes = ReduceOperatorSizes(*function);
+           stats.instrs_narrowed += sizes.narrowed;
+           stats.bits_saved += sizes.total_bits_saved;
+         }
+       }},
+  };
+  return *passes;
 }
 
-}  // namespace
-
-PassRegistry& PassRegistry::Global() {
-  static PassRegistry* registry = [] {
-    auto* r = new PassRegistry();
-    RegisterBuiltins(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void PassRegistry::Register(std::unique_ptr<Pass> pass) {
-  Check(pass != nullptr, "PassRegistry::Register: null pass");
-  const std::lock_guard<std::mutex> lock(PassRegistryMutex());
-  for (const auto& existing : passes_) {
-    if (existing->name() == pass->name()) {
-      throw InternalError("duplicate pass name: " + pass->name());
-    }
-  }
-  passes_.push_back(std::move(pass));
-}
-
-const Pass* PassRegistry::Find(std::string_view name) const {
-  const std::lock_guard<std::mutex> lock(PassRegistryMutex());
-  for (const auto& pass : passes_) {
-    if (pass->name() == name) return pass.get();
+const Pass* FindPass(std::string_view name) {
+  for (const Pass& pass : AllPasses()) {
+    if (pass.name() == name) return &pass;
   }
   return nullptr;
-}
-
-std::vector<std::string> PassRegistry::Names() const {
-  const std::lock_guard<std::mutex> lock(PassRegistryMutex());
-  std::vector<std::string> names;
-  names.reserve(passes_.size());
-  for (const auto& pass : passes_) names.push_back(pass->name());
-  return names;
 }
 
 Result<PassManager> PassManager::Preset(std::string_view preset) {
@@ -214,12 +146,12 @@ Result<PassManager> PassManager::FromSpec(std::string_view spec) {
       const std::string_view name = token.substr(1);
       // A typo'd disable would otherwise silently run the full pipeline —
       // fatal for ablation results.
-      if (PassRegistry::Global().Find(name) == nullptr) {
+      if (FindPass(name) == nullptr) {
         return Status::Error(ErrorKind::kUnsupported,
                              "unknown pass in disable: " + std::string(name));
       }
       manager.Disable(name);
-    } else if (first && PassRegistry::Global().Find(token) == nullptr) {
+    } else if (first && FindPass(token) == nullptr) {
       auto preset = Preset(token);
       if (!preset.ok()) return preset.status();
       manager = std::move(preset).take();
@@ -232,7 +164,7 @@ Result<PassManager> PassManager::FromSpec(std::string_view spec) {
 }
 
 Status PassManager::Append(std::string_view name) {
-  const Pass* pass = PassRegistry::Global().Find(name);
+  const Pass* pass = FindPass(name);
   if (pass == nullptr) {
     return Status::Error(ErrorKind::kUnsupported,
                          "unknown pass: " + std::string(name));
@@ -241,10 +173,9 @@ Status PassManager::Append(std::string_view name) {
   return Status::Ok();
 }
 
-PassManager& PassManager::Disable(std::string_view name) {
+void PassManager::Disable(std::string_view name) {
   std::erase_if(pipeline_,
                 [name](const Pass* pass) { return pass->name() == name; });
-  return *this;
 }
 
 void PassManager::RunOnModule(ir::Module& module, DecompileStats& stats,
@@ -300,7 +231,11 @@ Result<DecompiledProgram> PassManager::Finish(
   RunOnModule(program.module, program.stats, program.pass_runs);
 
   obs::ScopedSpan span("decomp.finish", "decomp");
-  // Final cleanup, always: a pipeline may end with a custom pass.
+  // Final cleanup, always.  A pass calls Cleanup itself only after edits
+  // that can strand code, and reduce-strength and reduce-operator-sizes
+  // never call it; this is what guarantees the state ir.hpp promises (no
+  // unreachable blocks, trivial phis or dead instructions) whichever pass a
+  // name list or spec ends with.
   for (const auto& function : program.module.functions) {
     function->Cleanup();
     program.stats.final_instrs += function->NumInstrs();

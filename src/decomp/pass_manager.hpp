@@ -1,14 +1,13 @@
 // Named-pass pipeline management for the decompiler.
 //
-// Every recovery technique from the paper is a registered `Pass` with a
-// stable name; pipelines are built from presets ("default", "none"), from
-// explicit name lists, or from a compact spec string
-// ("default,-reroll-loops").  Each pass adds what it did to the one
+// Every recovery technique from the paper is one `Pass` in a fixed table,
+// AllPasses(), under a stable name; pipelines are built from presets
+// ("default", "none"), from explicit name lists, or from a compact spec
+// string ("default,-reroll-loops").  Each pass adds what it did to the one
 // `DecompileStats` record of the program; the manager times each pass into
 // `DecompiledProgram::pass_runs`.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -25,14 +24,17 @@ namespace b2h::decomp {
 // PassRunStats (per-pass timing) lives in pipeline.hpp so that
 // DecompiledProgram can carry a vector of them.
 
-/// A named, registered decompilation pass.  Passes are stateless: all
-/// per-run data lives in the module and the stats structs, so one registered
-/// instance can serve concurrent pipelines.
+/// A named decompilation pass.  Passes are stateless: all per-run data lives
+/// in the module and the stats structs, so one table entry can serve
+/// concurrent pipelines.
 class Pass {
  public:
-  Pass(std::string name, std::string description)
-      : name_(std::move(name)), description_(std::move(description)) {}
-  virtual ~Pass() = default;
+  using Body = void (*)(ir::Module& module, DecompileStats& stats);
+
+  Pass(std::string name, std::string description, Body body)
+      : name_(std::move(name)),
+        description_(std::move(description)),
+        body_(body) {}
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const std::string& description() const noexcept {
@@ -40,29 +42,22 @@ class Pass {
   }
 
   /// Transform the module and add what it did to `stats`.
-  virtual void Run(ir::Module& module, DecompileStats& stats) const = 0;
+  void Run(ir::Module& module, DecompileStats& stats) const {
+    body_(module, stats);
+  }
 
  private:
   std::string name_;
   std::string description_;
+  Body body_;
 };
 
-/// Process-wide pass registry.  The eight paper passes are registered on
-/// first access; custom passes can be added at runtime.
-class PassRegistry {
- public:
-  /// The global registry, with built-in passes already registered.
-  static PassRegistry& Global();
+/// The eight paper passes, each once, in the order the default pipeline
+/// first runs them.  Entries never move, so a Pass* stays valid.
+[[nodiscard]] const std::vector<Pass>& AllPasses();
 
-  /// Register a pass.  Throws InternalError on a duplicate name.
-  void Register(std::unique_ptr<Pass> pass);
-
-  [[nodiscard]] const Pass* Find(std::string_view name) const;
-  [[nodiscard]] std::vector<std::string> Names() const;
-
- private:
-  std::vector<std::unique_ptr<Pass>> passes_;
-};
+/// The pass of AllPasses() named `name`, or nullptr.
+[[nodiscard]] const Pass* FindPass(std::string_view name);
 
 /// Builds and runs pass pipelines.
 class PassManager {
@@ -87,12 +82,6 @@ class PassManager {
   ///   "default,-reroll-loops"      — ablation: default minus one pass
   ///   "simplify-constants,reduce-operator-sizes"
   [[nodiscard]] static Result<PassManager> FromSpec(std::string_view spec);
-
-  /// Append one pass by name; error if unregistered.
-  Status Append(std::string_view name);
-
-  /// Remove every pipeline occurrence of `name` (per-pass disable).
-  PassManager& Disable(std::string_view name);
 
   /// Run the IR verifier after the pipeline (default on).
   PassManager& SetVerify(bool verify) {
@@ -125,6 +114,12 @@ class PassManager {
                    std::vector<PassRunStats>& pass_runs) const;
 
  private:
+  /// Append one pass by name; error if AllPasses() has none of that name.
+  Status Append(std::string_view name);
+
+  /// Remove every pipeline occurrence of `name` (per-pass disable).
+  void Disable(std::string_view name);
+
   /// Shared tail of Run/RunAt: pipeline + final cleanup + verification.
   [[nodiscard]] Result<DecompiledProgram> Finish(
       std::shared_ptr<const mips::SoftBinary> binary, ir::Module lifted) const;

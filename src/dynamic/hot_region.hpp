@@ -98,8 +98,6 @@ class DetectionOnlyObserver final : public mips::RunObserver {
     }
   }
 
-  [[nodiscard]] const HotRegionCache& cache() const { return cache_; }
-
  private:
   HotRegionCache cache_;
 };

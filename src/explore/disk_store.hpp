@@ -74,7 +74,6 @@ class DiskStore {
   [[nodiscard]] const std::string& directory() const {
     return options_.directory;
   }
-  [[nodiscard]] std::uint64_t max_bytes() const { return options_.max_bytes; }
 
   /// Entry payload, or nullopt on miss/corruption.  A hit refreshes the
   /// entry's mtime (LRU).

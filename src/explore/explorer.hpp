@@ -189,10 +189,6 @@ class Explorer {
 
   [[nodiscard]] ExploreResult Run(const ExploreSpec& spec) const;
 
-  [[nodiscard]] const std::shared_ptr<ArtifactCache>& cache() const {
-    return cache_;
-  }
-
  private:
   ExplorerConfig config_;
   std::shared_ptr<ArtifactCache> cache_;

@@ -1,6 +1,5 @@
 #include "ir/dominators.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace b2h::ir {
@@ -65,25 +64,6 @@ DominatorTree::DominatorTree(const Function& function) : function_(function) {
       }
     }
   }
-
-  // Dominance frontiers (CHK §4).
-  frontier_.assign(static_cast<std::size_t>(n), {});
-  for (int i = 0; i < n; ++i) {
-    const Block* block = rpo_[static_cast<std::size_t>(i)];
-    if (block->preds.size() < 2) continue;
-    for (const Block* pred : block->preds) {
-      int runner = rpo_index_[static_cast<std::size_t>(pred->id)];
-      if (runner < 0) continue;
-      while (runner != idom_[static_cast<std::size_t>(i)]) {
-        auto& frontier = frontier_[static_cast<std::size_t>(runner)];
-        if (std::find(frontier.begin(), frontier.end(), block) ==
-            frontier.end()) {
-          frontier.push_back(block);
-        }
-        runner = idom_[static_cast<std::size_t>(runner)];
-      }
-    }
-  }
 }
 
 int DominatorTree::RpoIndex(const Block* block) const {
@@ -109,11 +89,6 @@ bool DominatorTree::Dominates(const Block* a, const Block* b) const {
 
 bool DominatorTree::StrictlyDominates(const Block* a, const Block* b) const {
   return a != b && Dominates(a, b);
-}
-
-const std::vector<const Block*>& DominatorTree::Frontier(
-    const Block* block) const {
-  return frontier_[static_cast<std::size_t>(RpoIndex(block))];
 }
 
 }  // namespace b2h::ir

@@ -1,6 +1,8 @@
 // Dominator tree (Cooper-Harvey-Kennedy "A Simple, Fast Dominance
-// Algorithm") plus dominance frontiers.  Used by SSA construction during
-// lifting, by the verifier, and by control structure recovery.
+// Algorithm").  Used by the verifier (every definition dominates its uses)
+// and by LoopForest (back edges), which the candidate scan and the dynamic
+// partitioner build per function.  SSA construction does not use it:
+// ir::SsaBuilder places phis block by block.
 #pragma once
 
 #include <vector>
@@ -18,9 +20,6 @@ class DominatorTree {
   [[nodiscard]] bool Dominates(const Block* a, const Block* b) const;
   /// Strict domination: Dominates(a, b) && a != b.
   [[nodiscard]] bool StrictlyDominates(const Block* a, const Block* b) const;
-  /// Dominance frontier of `block`.
-  [[nodiscard]] const std::vector<const Block*>& Frontier(
-      const Block* block) const;
   /// Blocks in reverse post order.
   [[nodiscard]] const std::vector<const Block*>& ReversePostOrder() const {
     return rpo_;
@@ -34,7 +33,6 @@ class DominatorTree {
   std::vector<const Block*> rpo_;
   std::vector<int> rpo_index_;       // block id -> rpo position (-1 if dead)
   std::vector<int> idom_;            // rpo position -> rpo position of idom
-  std::vector<std::vector<const Block*>> frontier_;  // by rpo position
 };
 
 }  // namespace b2h::ir

@@ -132,7 +132,6 @@ class Instr {
   Block* target0 = nullptr;  ///< kBr/kCondBr successor
   Block* target1 = nullptr;  ///< kCondBr fallthrough successor
 
-  [[nodiscard]] Value result() { return Value::Of(this); }
   [[nodiscard]] bool is(Opcode o) const noexcept { return op == o; }
   [[nodiscard]] bool is_terminator() const noexcept {
     return IsTerminator(op);

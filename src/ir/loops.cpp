@@ -90,14 +90,6 @@ Loop* LoopForest::LoopFor(const Block* block) const {
   return best;
 }
 
-std::vector<Loop*> LoopForest::Innermost() const {
-  std::vector<Loop*> out;
-  for (const auto& loop : loops_) {
-    if (loop->IsInnermost()) out.push_back(loop.get());
-  }
-  return out;
-}
-
 void LoopForest::AnnotateProfile() {
   for (auto& loop : loops_) {
     loop->header_count = loop->header->exec_count;

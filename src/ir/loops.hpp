@@ -49,7 +49,6 @@ class LoopForest {
   }
   /// Innermost loop containing `block`, or nullptr.
   [[nodiscard]] Loop* LoopFor(const Block* block) const;
-  [[nodiscard]] std::vector<Loop*> Innermost() const;
   /// Fill header/entry counts from Block::exec_count annotations.
   void AnnotateProfile();
 

@@ -42,10 +42,6 @@ struct SoftBinary {
   [[nodiscard]] std::uint32_t WordAt(std::uint32_t addr) const {
     return text.at((addr - kTextBase) / 4u);
   }
-  /// Size in bytes of the code, as a proxy for binary size in reports.
-  [[nodiscard]] std::size_t code_bytes() const noexcept {
-    return text.size() * 4u;
-  }
 };
 
 }  // namespace b2h::mips

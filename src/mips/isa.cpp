@@ -1,7 +1,6 @@
 #include "mips/isa.hpp"
 
 #include <array>
-#include <sstream>
 
 #include "support/bits.hpp"
 #include "support/error.hpp"
@@ -147,19 +146,6 @@ bool IsControl(Op op) noexcept {
   return IsBranch(op) || IsDirectJump(op) || IsIndirectJump(op);
 }
 
-bool WritesGpr(Op op) noexcept {
-  switch (op) {
-    case Op::kJr: case Op::kMthi: case Op::kMtlo: case Op::kMult:
-    case Op::kMultu: case Op::kDiv: case Op::kDivu: case Op::kBltz:
-    case Op::kBgez: case Op::kBeq: case Op::kBne: case Op::kBlez:
-    case Op::kBgtz: case Op::kSb: case Op::kSh: case Op::kSw: case Op::kJ:
-    case Op::kInvalid:
-      return false;
-    default:
-      return true;
-  }
-}
-
 std::uint32_t Encode(const Instr& instr) {
   Check(instr.op != Op::kInvalid, "Encode: invalid opcode");
   Check(instr.rs < 32 && instr.rt < 32 && instr.rd < 32 && instr.shamt < 32,
@@ -264,66 +250,6 @@ std::uint32_t BranchTarget(std::uint32_t pc, const Instr& instr) noexcept {
 
 std::uint32_t JumpTarget(std::uint32_t pc, const Instr& instr) noexcept {
   return ((pc + 4) & 0xF000'0000u) | (instr.target << 2);
-}
-
-std::string Disassemble(const Instr& instr, std::uint32_t pc) {
-  const OpInfo info = Info(instr.op);
-  std::ostringstream out;
-  out << info.mnemonic << ' ';
-  const auto hex = [](std::uint32_t value) {
-    std::ostringstream s;
-    s << "0x" << std::hex << value;
-    return s.str();
-  };
-  switch (info.format) {
-    case Format::kShift:
-      out << RegName(instr.rd) << ", " << RegName(instr.rt) << ", "
-          << static_cast<int>(instr.shamt);
-      break;
-    case Format::kShiftVar:
-      out << RegName(instr.rd) << ", " << RegName(instr.rt) << ", "
-          << RegName(instr.rs);
-      break;
-    case Format::kR3:
-      out << RegName(instr.rd) << ", " << RegName(instr.rs) << ", "
-          << RegName(instr.rt);
-      break;
-    case Format::kRsOnly:
-      out << RegName(instr.rs);
-      break;
-    case Format::kRdRs:
-      out << RegName(instr.rd) << ", " << RegName(instr.rs);
-      break;
-    case Format::kRsRt:
-      out << RegName(instr.rs) << ", " << RegName(instr.rt);
-      break;
-    case Format::kRdOnly:
-      out << RegName(instr.rd);
-      break;
-    case Format::kBranch1:
-      out << RegName(instr.rs) << ", " << hex(BranchTarget(pc, instr));
-      break;
-    case Format::kBranch2:
-      out << RegName(instr.rs) << ", " << RegName(instr.rt) << ", "
-          << hex(BranchTarget(pc, instr));
-      break;
-    case Format::kImmArith:
-    case Format::kImmLogic:
-      out << RegName(instr.rt) << ", " << RegName(instr.rs) << ", "
-          << instr.imm;
-      break;
-    case Format::kLui:
-      out << RegName(instr.rt) << ", " << instr.imm;
-      break;
-    case Format::kMem:
-      out << RegName(instr.rt) << ", " << instr.imm << '('
-          << RegName(instr.rs) << ')';
-      break;
-    case Format::kJump:
-      out << hex(JumpTarget(pc, instr));
-      break;
-  }
-  return out.str();
 }
 
 }  // namespace b2h::mips

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 namespace b2h::mips {
 
@@ -83,7 +82,6 @@ enum class Op : std::uint8_t {
 [[nodiscard]] bool IsLoad(Op op) noexcept;
 [[nodiscard]] bool IsStore(Op op) noexcept;
 [[nodiscard]] bool IsControl(Op op) noexcept;  // any branch or jump
-[[nodiscard]] bool WritesGpr(Op op) noexcept;  // writes a general register
 
 /// A decoded instruction.  Fields not used by a format are zero.
 struct Instr {
@@ -115,8 +113,5 @@ struct Instr {
 /// Jump target byte address for a J-type instruction at `pc`.
 [[nodiscard]] std::uint32_t JumpTarget(std::uint32_t pc,
                                        const Instr& instr) noexcept;
-
-/// One-line disassembly, e.g. "addiu $sp, $sp, -32".
-[[nodiscard]] std::string Disassemble(const Instr& instr, std::uint32_t pc);
 
 }  // namespace b2h::mips

@@ -57,7 +57,6 @@ class Stopwatch {
   [[nodiscard]] double Seconds() const {
     return static_cast<double>(Now() - start_) / 1e9;
   }
-  [[nodiscard]] std::uint64_t Nanos() const { return Now() - start_; }
 
   /// Monotonic nanoseconds since an arbitrary (process-stable) epoch.
   static std::uint64_t Now() {
@@ -295,9 +294,6 @@ class Tracer {
   /// flight analogue of Resume(), for bench_obs's interleaved samples.
   void ResumeFlight() noexcept {
     modes_.fetch_or(kModeFlight, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool flight_enabled() const noexcept {
-    return (modes_.load(std::memory_order_relaxed) & kModeFlight) != 0;
   }
 
   /// True when any ring is recording: the ScopedSpan arming check.

@@ -559,18 +559,4 @@ const AppEstimate* SubsetScorer::Score(
   return &estimate_;
 }
 
-std::optional<AppEstimate> EvaluateSubset(
-    const CandidateSet& set, const std::vector<std::size_t>& subset,
-    const Platform& platform, const PartitionOptions& options) {
-  SubsetScorer scorer(set, platform, options, subset, {});
-  const AppEstimate* scored = scorer.Score(subset);
-  if (scored == nullptr) return std::nullopt;
-  AppEstimate estimate = *scored;
-  estimate.kernels.assign(scorer.kernels().begin(), scorer.kernels().end());
-  for (std::size_t k = 0; k < subset.size(); ++k) {
-    estimate.kernels[k].name = set.candidates()[subset[k]].region.name;
-  }
-  return estimate;
-}
-
 }  // namespace b2h::partition

@@ -13,8 +13,7 @@
 //   SelectionState — commit-side bookkeeping with semantics identical to
 //                    the original three-step partitioner's try_select.
 //   SubsetScorer   — score arbitrary candidate subsets the way
-//                    EstimatePartition would, for search strategies
-//                    (EvaluateSubset is its one-shot form).
+//                    EstimatePartition would, for search strategies.
 //
 // Synthesis sharing (the seed-sweep fix): candidate synthesis is memoized
 // at the CandidateSet level, *beneath* the strategy layer — so strategies
@@ -235,8 +234,6 @@ class SelectionState {
   [[nodiscard]] const std::vector<std::size_t>& chosen() const {
     return chosen_;
   }
-  [[nodiscard]] double area_used() const { return area_used_; }
-  [[nodiscard]] double area_budget() const { return area_budget_; }
 
   void AppendRejection(std::string reason);
 
@@ -358,12 +355,5 @@ class SubsetScorer {
   std::vector<std::uint64_t> software_;   ///< candidates left in software
   AppEstimate estimate_;
 };
-
-/// One-shot SubsetScorer: the estimate of `subset` with named kernels, or
-/// nullopt when any member fails synthesis or the subset violates the area
-/// budget or overlaps internally.
-[[nodiscard]] std::optional<AppEstimate> EvaluateSubset(
-    const CandidateSet& set, const std::vector<std::size_t>& subset,
-    const Platform& platform, const PartitionOptions& options);
 
 }  // namespace b2h::partition

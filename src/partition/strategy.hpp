@@ -18,9 +18,9 @@
 //   "annealing"        — randomized refinement of the greedy solution with
 //                        a seeded RNG; deterministic under a fixed seed.
 //
-// The registry is the third process-wide extension point next to the pass
-// registry (decomp::PassManager) and the platform registry
-// (partition::PlatformRegistry).
+// The registry is the second process-wide extension point next to the
+// platform registry (partition::PlatformRegistry); decompiler passes are a
+// fixed table (decomp::AllPasses).
 #pragma once
 
 #include <cstdint>
@@ -99,8 +99,8 @@ class Strategy {
       const StrategyOptions& strategy_options) const = 0;
 };
 
-/// Process-wide strategy registry (third extension point, alongside the
-/// pass and platform registries).  Built-ins are registered on first use.
+/// Process-wide strategy registry (an extension point, alongside the
+/// platform registry).  Built-ins are registered on first use.
 class StrategyRegistry {
  public:
   using Factory = std::function<std::unique_ptr<Strategy>()>;

@@ -28,8 +28,6 @@ class Client {
   /// absent or nothing is listening.
   [[nodiscard]] static Result<Client> Connect(const std::string& socket_path);
 
-  [[nodiscard]] bool connected() const { return fd_ >= 0; }
-
   /// Send one request frame and wait up to `timeout_ms` (< 0 = forever)
   /// for the response frame.
   [[nodiscard]] Status Call(std::string_view request, std::string* response,
@@ -57,10 +55,6 @@ class Client {
   [[nodiscard]] bool SendRaw(std::string_view bytes);
 
   void Close();
-
-  [[nodiscard]] std::uint32_t max_frame_bytes() const {
-    return max_frame_bytes_;
-  }
 
  private:
   int fd_ = -1;

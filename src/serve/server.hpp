@@ -86,7 +86,6 @@ class Server {
 
   /// Async-signal-safe shutdown trigger (sets a flag; Wait() acts on it).
   void RequestShutdown() noexcept { stopping_.store(true); }
-  [[nodiscard]] bool stopping() const noexcept { return stopping_.load(); }
 
   /// Volatile server statistics as a JSON object (the `stats` response
   /// body): request/error counters, scheduler stats, cumulative toolchain

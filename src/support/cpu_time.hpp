@@ -46,10 +46,13 @@ struct OverheadOptions {
   /// quantity itself and swing both ways.  Adjacent baseline/variant pairs
   /// see the same machine state, so the median pair ratio is robust there.
   bool median = false;
+};
 
-  /// Out: the samples behind the returned minimum overhead (the winning
-  /// attempt's best baseline/variant times), so callers can print times
-  /// that are consistent with the ratio.
+/// What MeasureOverhead measured: the overhead and the samples behind it
+/// (the winning attempt's best baseline/variant times), so callers can
+/// print times that are consistent with the ratio.
+struct OverheadMeasurement {
+  double overhead = 1e9;  ///< variant/plain - 1; 1e9 when nothing measured
   double plain_seconds = 0.0;
   double variant_seconds = 0.0;
 };
@@ -65,14 +68,14 @@ struct OverheadOptions {
 /// cheaper than it is.  More samples therefore tighten the measurement
 /// monotonically toward the true ratio.
 template <typename Baseline, typename Variant>
-[[nodiscard]] double MeasureOverhead(Baseline&& baseline, Variant&& variant,
-                                     OverheadOptions& options) {
+[[nodiscard]] OverheadMeasurement MeasureOverhead(
+    Baseline&& baseline, Variant&& variant, const OverheadOptions& options) {
+  OverheadMeasurement result;
   if (options.median) {
     // One flat pass of interleaved pairs; each attempt-block checks the
     // running median so a measurement already inside the budget stays cheap.
     std::vector<double> ratios;
     double best_plain = 1e9, best_variant = 1e9;
-    double overhead = 1e9;
     for (int attempt = 0; attempt < options.attempts; ++attempt) {
       for (int sample = 0; sample < options.samples; ++sample) {
         const double plain = CpuSecondsOf(baseline);
@@ -86,16 +89,17 @@ template <typename Baseline, typename Variant>
       std::vector<double> sorted = ratios;
       const std::size_t mid = sorted.size() / 2;
       std::nth_element(sorted.begin(), sorted.begin() + mid, sorted.end());
-      overhead = sorted[mid];
-      if (overhead <= options.early_exit_below && ratios.size() >= 8) break;
+      result.overhead = sorted[mid];
+      if (result.overhead <= options.early_exit_below && ratios.size() >= 8) {
+        break;
+      }
     }
-    options.plain_seconds = best_plain;
-    options.variant_seconds = best_variant;
-    return overhead;
+    result.plain_seconds = best_plain;
+    result.variant_seconds = best_variant;
+    return result;
   }
-  double overhead = 1e9;
   for (int attempt = 0; attempt < options.attempts &&
-                        overhead > options.early_exit_below;
+                        result.overhead > options.early_exit_below;
        ++attempt) {
     double plain = 1e9;
     double hooked = 1e9;
@@ -105,13 +109,11 @@ template <typename Baseline, typename Variant>
     }
     if (plain <= 0.0) continue;  // clock quantum too coarse; retry
     const double attempt_overhead = hooked / plain - 1.0;
-    if (attempt_overhead < overhead) {
-      overhead = attempt_overhead;
-      options.plain_seconds = plain;
-      options.variant_seconds = hooked;
+    if (attempt_overhead < result.overhead) {
+      result = {attempt_overhead, plain, hooked};
     }
   }
-  return overhead;
+  return result;
 }
 
 }  // namespace b2h::support

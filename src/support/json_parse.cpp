@@ -266,25 +266,4 @@ std::vector<std::string> JsonValue::GetStringArray(std::string_view key) const {
   return out;
 }
 
-JsonValue JsonValue::MakeBool(bool value) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = value;
-  return v;
-}
-
-JsonValue JsonValue::MakeNumber(double value) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.number_ = value;
-  return v;
-}
-
-JsonValue JsonValue::MakeString(std::string value) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(value);
-  return v;
-}
-
 }  // namespace b2h::support

@@ -57,11 +57,8 @@ class JsonValue {
   [[nodiscard]] std::vector<std::string> GetStringArray(
       std::string_view key) const;
 
-  // Construction helpers (used by tests; the parser is the main producer).
+  /// A null value; the parser makes every other kind.
   static JsonValue MakeNull() { return JsonValue(); }
-  static JsonValue MakeBool(bool value);
-  static JsonValue MakeNumber(double value);
-  static JsonValue MakeString(std::string value);
 
  private:
   friend class JsonParser;

@@ -5,15 +5,8 @@
 #include <unordered_map>
 
 namespace b2h::synth {
-namespace {
 
 using ir::Opcode;
-
-bool IsBodyOp(const ir::Instr* instr) {
-  return instr->op != Opcode::kPhi && !instr->is_terminator();
-}
-
-}  // namespace
 
 AreaReport EstimateArea(const HwRegion& region,
                         const RegionSchedule& schedule,

@@ -35,11 +35,6 @@ struct HwRegion {
     }
     return false;
   }
-  [[nodiscard]] std::size_t OpCount() const {
-    std::size_t count = 0;
-    for (const ir::Block* block : blocks) count += block->BodySize();
-    return count;
-  }
 };
 
 /// Extract the region for one loop (header + body blocks).

@@ -55,7 +55,6 @@ struct ResourceLibrary {
   double shift_var_ns = 2.8;       ///< barrel shifter
   double cmp_base_ns = 1.0;
   double cmp_per_bit_ns = 0.035;
-  double mux_ns = 0.8;             ///< per shared-FU input stage
   double bram_access_ns = 3.0;     ///< synchronous BRAM: full cycle anyway
 
   /// Latency in whole cycles for multi-cycle units (0 = combinational,

@@ -87,7 +87,7 @@ RtlResult RtlSimulator::Run(
     // Execute body ops in (step, chain position) order.
     std::vector<const ir::Instr*> order;
     for (const ir::Instr* instr : block->instrs) {
-      if (instr->op == Opcode::kPhi || instr->is_terminator()) continue;
+      if (!IsBodyOp(instr)) continue;
       order.push_back(instr);
     }
     std::sort(order.begin(), order.end(),

@@ -16,10 +16,6 @@ bool IsMemOp(const ir::Instr* instr) {
   return instr->op == Opcode::kLoad || instr->op == Opcode::kStore;
 }
 
-bool IsBodyOp(const ir::Instr* instr) {
-  return instr->op != Opcode::kPhi && !instr->is_terminator();
-}
-
 /// Dependence edges within a block: data (SSA operands defined in the same
 /// block) and memory program-order edges, relaxed by alias information.
 struct BlockDeps {
@@ -75,18 +71,14 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
     bs.block = block;
     const BlockDeps deps = ComputeDeps(block, alias);
     std::vector<StepUsage> usage;
-    // Per-instr: completion step (first step a consumer may read the value
-    // in a *later* step) and chained-delay bookkeeping.
-    std::unordered_map<const ir::Instr*, int> ready_step;
-    std::unordered_map<const ir::Instr*, double> slack_delay;  // within step
-    std::unordered_map<const ir::Instr*, int> chain_counter_per_step;
+    // Per-instr chained delay within its step, and per-step chain position.
+    std::unordered_map<const ir::Instr*, double> slack_delay;
     std::map<int, int> chain_next;
 
     for (const ir::Instr* instr : block->instrs) {
       if (!IsBodyOp(instr)) continue;
       const FuClass cls = ClassifyOp(*instr);
       const double delay = lib.OpDelayNs(*instr);
-      const unsigned latency = lib.OpLatencyCycles(*instr);
 
       // Earliest step from dependences, with chaining.
       int step = 0;
@@ -151,7 +143,6 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
 
       bs.step_of[instr] = step;
       bs.chain_pos[instr] = chain_next[step]++;
-      ready_step[instr] = step + std::max(1u, latency);
       const double total_delay = chain_in + delay;
       slack_delay[instr] = total_delay;
       bs.max_step_delay_ns = std::max(bs.max_step_delay_ns, total_delay);
@@ -281,7 +272,7 @@ Status VerifySchedule(const HwRegion& region, const RegionSchedule& schedule,
   for (const auto& bs : schedule.blocks) {
     std::map<int, StepUsage> usage;
     for (const ir::Instr* instr : bs.block->instrs) {
-      if (instr->op == Opcode::kPhi || instr->is_terminator()) continue;
+      if (!IsBodyOp(instr)) continue;
       const auto it = bs.step_of.find(instr);
       if (it == bs.step_of.end()) {
         return Status::Error(ErrorKind::kUnsupported,

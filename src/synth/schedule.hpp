@@ -18,6 +18,14 @@
 
 namespace b2h::synth {
 
+/// The ops the scheduler places in control steps: every instruction but
+/// phis (registers loaded on the entry transition) and the terminator (the
+/// FSM's next-state logic).  Area, VHDL and RTL simulation walk the same
+/// ops.  Unlike Block::BodySize(), it does not count the terminator.
+[[nodiscard]] inline bool IsBodyOp(const ir::Instr* instr) {
+  return instr->op != ir::Opcode::kPhi && !instr->is_terminator();
+}
+
 /// Per step the scheduler also issues at most four multiplies (the
 /// MULT18x18 budget) and one divide.
 struct ScheduleOptions {
@@ -66,9 +74,10 @@ struct RegionSchedule {
 [[nodiscard]] double AchievableClockMhz(const RegionSchedule& schedule,
                                         const ScheduleOptions& options);
 
-/// Scheduler legality check used by tests: every operand is produced in an
-/// earlier step, or in the same step at an earlier chain position with a
-/// combinational producer; per-step resource limits hold.
+/// Scheduler legality check, run by Synthesize on every schedule: every
+/// operand is produced in an earlier step, or in the same step at an
+/// earlier chain position with a combinational producer; per-step resource
+/// limits hold.
 [[nodiscard]] Status VerifySchedule(const HwRegion& region,
                                     const RegionSchedule& schedule,
                                     const ResourceLibrary& lib,

@@ -28,12 +28,6 @@ struct SynthesizedRegion {
   double clock_mhz = 0.0;       ///< achievable clock (capped at target)
   std::uint64_t hw_cycles = 0;  ///< profile-weighted execution cycles
   std::string vhdl;
-
-  [[nodiscard]] double hw_time_seconds() const {
-    return clock_mhz <= 0.0
-               ? 0.0
-               : static_cast<double>(hw_cycles) / (clock_mhz * 1e6);
-  }
 };
 
 /// Synthesize one region.  Fails when the region is not synthesizable

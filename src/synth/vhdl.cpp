@@ -245,7 +245,7 @@ std::string EmitVhdl(const HwRegion& region, const RegionSchedule& schedule) {
       // Ops scheduled in this step, in chain order.
       std::vector<const ir::Instr*> ops;
       for (const ir::Instr* instr : bs.block->instrs) {
-        if (instr->op == Opcode::kPhi || instr->is_terminator()) continue;
+        if (!IsBodyOp(instr)) continue;
         if (bs.step_of.at(instr) == step) ops.push_back(instr);
       }
       std::sort(ops.begin(), ops.end(),

@@ -1,11 +1,10 @@
-// Alias / memory-region analysis and control-structure recovery tests.
+// Alias / memory-region analysis tests.
 #include "decomp/alias.hpp"
 
 #include <gtest/gtest.h>
 
 #include "decomp/lifter.hpp"
 #include "decomp/passes.hpp"
-#include "decomp/structure.hpp"
 #include "ir/dominators.hpp"
 #include "ir/loops.hpp"
 #include "mips/assembler.hpp"
@@ -156,50 +155,6 @@ TEST(Alias, RegionsInLoop) {
   AliasAnalysis alias(main, &lifted.binary.symbols);
   const auto regions = alias.RegionsIn(*forest.loops().front());
   EXPECT_EQ(regions.size(), 2u);
-}
-
-TEST(Structure, CountsIfAndIfElse) {
-  auto lifted = LiftAsm(R"(
-    main:
-      bgez $a0, skip
-      subu $a0, $zero, $a0
-    skip:
-      bgez $a1, else_arm
-      li $v0, 1
-      b merge
-    else_arm:
-      li $v0, 2
-    merge:
-      addu $v0, $v0, $a0
-      jr $ra
-  )");
-  const StructureInfo info = RecoverStructure(*lifted.module.main);
-  EXPECT_EQ(info.loops, 0u);
-  EXPECT_EQ(info.ifs + info.if_elses, 2u);
-  EXPECT_GE(info.if_elses, 1u);
-  EXPECT_EQ(info.unstructured_branches, 0u);
-  EXPECT_DOUBLE_EQ(info.StructuredFraction(), 1.0);
-}
-
-TEST(Structure, CountsLoops) {
-  auto lifted = LiftAsm(R"(
-    main:
-      li $t0, 0
-    outer:
-      li $t1, 0
-    inner:
-      addiu $t1, $t1, 1
-      slti $t9, $t1, 3
-      bne $t9, $zero, inner
-      addiu $t0, $t0, 1
-      slti $t9, $t0, 3
-      bne $t9, $zero, outer
-      move $v0, $zero
-      jr $ra
-  )");
-  const StructureInfo info = RecoverStructure(*lifted.module.main);
-  EXPECT_EQ(info.loops, 2u);
-  EXPECT_NE(info.pseudo.find("loop"), std::string::npos);
 }
 
 }  // namespace

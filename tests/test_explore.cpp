@@ -604,7 +604,7 @@ TEST(Strategy, KnapsackMatchesExhaustiveSearchOnFir) {
       if (mask & (1u << v)) subset.push_back(viable[v]);
     }
     const auto estimate =
-        partition::EvaluateSubset(set, subset, platform, options);
+        testing_support::EvaluateSubset(set, subset, platform, options);
     if (estimate.has_value()) best = std::max(best, estimate->speedup);
   }
 

@@ -242,15 +242,6 @@ TEST(Dominators, DiamondRelations) {
   EXPECT_EQ(dom.Idom(d.entry), nullptr);
 }
 
-TEST(Dominators, FrontierOfDiamondArms) {
-  Diamond d;
-  const DominatorTree dom(d.function);
-  const auto& left_frontier = dom.Frontier(d.left);
-  ASSERT_EQ(left_frontier.size(), 1u);
-  EXPECT_EQ(left_frontier[0], d.merge);
-  EXPECT_TRUE(dom.Frontier(d.entry).empty());
-}
-
 TEST(Dominators, LongChainOfBlocks) {
   // 200,000 blocks, each a `br` to the next, the last returning the entry's
   // input.  A post-order walk that recursed once per block overflowed the

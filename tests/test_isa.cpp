@@ -54,19 +54,6 @@ TEST(Isa, Classification) {
   EXPECT_TRUE(IsStore(Op::kSh));
   EXPECT_TRUE(IsControl(Op::kBne));
   EXPECT_FALSE(IsControl(Op::kAddu));
-  EXPECT_TRUE(WritesGpr(Op::kAddu));
-  EXPECT_FALSE(WritesGpr(Op::kSw));
-  EXPECT_FALSE(WritesGpr(Op::kMult));
-  EXPECT_TRUE(WritesGpr(Op::kMflo));
-}
-
-TEST(Isa, Disassemble) {
-  EXPECT_EQ(Disassemble({.op = Op::kAddiu, .rs = kSp, .rt = kSp, .imm = -8},
-                        0x400000),
-            "addiu $sp, $sp, -8");
-  EXPECT_EQ(Disassemble({.op = Op::kLw, .rs = kSp, .rt = kT0, .imm = 12},
-                        0x400000),
-            "lw $t0, 12($sp)");
 }
 
 TEST(Isa, RegNames) {

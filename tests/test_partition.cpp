@@ -20,6 +20,7 @@
 #include "partition/strategy.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "testing_support.hpp"
 #include "toolchain/toolchain.hpp"
 
 // Counts this thread's global operator new calls, so the scorer test can
@@ -389,7 +390,7 @@ void ExpectScorerMatchesOracle(const ToolchainRun& flow,
     const AppEstimate* scored = scorer.Score(subset);
     ASSERT_EQ(t_allocations, allocations) << label << ": Score allocated";
     const std::optional<AppEstimate> evaluated =
-        EvaluateSubset(set, subset, platform, options);
+        testing_support::EvaluateSubset(set, subset, platform, options);
     ASSERT_EQ(scored != nullptr, expected.has_value()) << label;
     ASSERT_EQ(evaluated.has_value(), expected.has_value()) << label;
     if (!expected.has_value()) {

@@ -1,4 +1,4 @@
-// PassManager tests: registration completeness, preset and spec parsing,
+// PassManager tests: the pass table's completeness, preset and spec parsing,
 // every single-pass ablation producing verifiable IR, and per-pass timings
 // in pipeline order next to the DecompileStats the passes fill.
 #include "decomp/pass_manager.hpp"
@@ -24,32 +24,20 @@ std::shared_ptr<const mips::SoftBinary> BuildBench(const std::string& name,
   return std::make_shared<const mips::SoftBinary>(std::move(binary).take());
 }
 
-TEST(PassRegistry, ContainsEveryPaperPass) {
+TEST(PassTable, HoldsEveryPaperPassDescribed) {
   const std::vector<std::string> expected = {
       "reroll-loops",       "simplify-constants",    "remove-stack-ops",
       "inline-small-functions", "convert-ifs",       "promote-strength",
       "reduce-strength",    "reduce-operator-sizes",
   };
-  for (const std::string& name : expected) {
-    EXPECT_NE(PassRegistry::Global().Find(name), nullptr) << name;
+  ASSERT_EQ(AllPasses().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const Pass& pass = AllPasses()[i];
+    EXPECT_EQ(pass.name(), expected[i]);
+    EXPECT_FALSE(pass.description().empty()) << pass.name();
+    EXPECT_EQ(FindPass(expected[i]), &pass);
   }
-  // Every built-in is documented.
-  for (const std::string& name : PassRegistry::Global().Names()) {
-    const Pass* pass = PassRegistry::Global().Find(name);
-    ASSERT_NE(pass, nullptr);
-    EXPECT_FALSE(pass->description().empty()) << name;
-  }
-}
-
-TEST(PassRegistry, RejectsDuplicatesAndUnknownLookups) {
-  EXPECT_EQ(PassRegistry::Global().Find("no-such-pass"), nullptr);
-  class Dummy : public Pass {
-   public:
-    Dummy() : Pass("reroll-loops", "duplicate") {}
-    void Run(ir::Module&, DecompileStats&) const override {}
-  };
-  EXPECT_THROW(PassRegistry::Global().Register(std::make_unique<Dummy>()),
-               InternalError);
+  EXPECT_EQ(FindPass("no-such-pass"), nullptr);
 }
 
 TEST(PassManager, PresetNamesResolve) {

@@ -6,7 +6,8 @@
 // sometimes main, start with a counted loop, so a function's first
 // instruction heads a loop.  For several $a0 values, the MIPS simulator's
 // result must equal the IR interpreter's result on the default pipeline's
-// CDFG.
+// CDFG, and every function's dominator tree must match brute-force
+// dominator sets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include "ir/interp.hpp"
 #include "mips/assembler.hpp"
 #include "mips/simulator.hpp"
+#include "testing_support.hpp"
 
 namespace b2h {
 namespace {
@@ -199,8 +201,9 @@ class LayoutGenerator {
   std::vector<bool> ends_in_jump_;
 };
 
-/// Decompile the programs of seeds base + 1 .. base + kPrograms and compare
-/// the IR interpreter with the simulator on each.
+/// Decompile the programs of seeds base + 1 .. base + kPrograms, check
+/// their dominator trees, and compare the IR interpreter with the simulator
+/// on each.
 void ExpectLayoutsMatchTheSimulator(unsigned base, bool entry_loops) {
   const auto manager = decomp::PassManager::Preset("default");
   ASSERT_TRUE(manager.ok());
@@ -221,6 +224,8 @@ void ExpectLayoutsMatchTheSimulator(unsigned base, bool entry_loops) {
       ++failures;
       continue;
     }
+    testing_support::ExpectDominatorTreesMatchBruteForce(
+        program.value().module, "seed " + std::to_string(seed));
     // One simulator and one interpreter serve every input: the programs
     // store only the return address, which each run writes before reading.
     mips::Simulator sim(*binary);

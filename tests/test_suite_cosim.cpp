@@ -10,8 +10,10 @@
 // stores (mips::Memory::Load/Store).  The simulator and the C++ reference
 // implement the platform's semantics on their own, so they stay the
 // independent oracle: a wrong ir::Evaluate fails here.
-// Also checks the decompilation stats tell the expected story per level
-// (heavy stack traffic removed at -O0, loops rerolled at -O3).
+// Also checks every decompiled function's dominator tree against
+// brute-force dominator sets, and that the decompilation stats tell the
+// expected story per level (heavy stack traffic removed at -O0, loops
+// rerolled at -O3).
 #include <gtest/gtest.h>
 
 #include "ir/interp.hpp"
@@ -44,6 +46,8 @@ TEST_P(SuiteCosim, SimulatorInterpreterReferenceAgree) {
 
   auto program = DecompileWith("default", binary.value(), &run.profile);
   ASSERT_TRUE(program.ok()) << program.status().message();
+  testing_support::ExpectDominatorTreesMatchBruteForce(
+      program.value().module, std::string(name) + " -O" + std::to_string(level));
 
   ir::Interpreter interp(program.value().module, binary.value().data);
   const auto result = interp.Run();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -12,11 +13,15 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <vector>
 
 #include "decomp/pass_manager.hpp"
+#include "ir/dominators.hpp"
+#include "partition/candidates.hpp"
 #include "partition/strategy.hpp"
 
 namespace b2h::testing_support {
@@ -81,6 +86,158 @@ inline Result<decomp::DecompiledProgram> DecompileWith(
   if (!manager.ok()) return manager.status();
   return manager.value().Run(std::make_shared<const mips::SoftBinary>(binary),
                              profile);
+}
+
+/// What ir::DominatorTree gets wrong about `function`, checked against
+/// dominator sets computed the slow way (Dom(entry) = {entry}; Dom(b) = {b}
+/// plus the intersection of Dom(p) over b's reachable predecessors, to a
+/// fixpoint), or "" when it agrees.  Checks Dominates for every pair of
+/// reachable blocks, Idom of every one, and that ReversePostOrder/RpoIndex
+/// order the reachable blocks entry first, each after a predecessor and
+/// after its dominators, with every backward edge a back edge (the flow's
+/// CFGs are reducible).
+inline std::string DominatorTreeMismatch(const ir::Function& function) {
+  const auto& blocks = function.blocks();
+  const std::size_t n = blocks.size();
+  const auto at = [](const ir::Block* block) {
+    return static_cast<std::size_t>(block->id);
+  };
+  const std::size_t entry = at(function.entry());
+  std::vector<bool> reachable(n, false);
+  reachable[entry] = true;
+  std::vector<const ir::Block*> work = {function.entry()};
+  while (!work.empty()) {
+    const ir::Block* block = work.back();
+    work.pop_back();
+    for (const ir::Block* succ : block->succs()) {
+      if (!reachable[at(succ)]) {
+        reachable[at(succ)] = true;
+        work.push_back(succ);
+      }
+    }
+  }
+  // dom[b][a]: block a dominates block b.
+  std::vector<std::vector<bool>> dom(n, std::vector<bool>(n, true));
+  dom[entry].assign(n, false);
+  dom[entry][entry] = true;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t b = 0; b < n; ++b) {
+      if (b == entry || !reachable[b]) continue;
+      std::vector<bool> next(n, true);
+      for (const ir::Block* pred : blocks[b]->preds) {
+        if (!reachable[at(pred)]) continue;
+        for (std::size_t a = 0; a < n; ++a) {
+          next[a] = next[a] && dom[at(pred)][a];
+        }
+      }
+      next[b] = true;
+      if (next != dom[b]) {
+        dom[b] = std::move(next);
+        changed = true;
+      }
+    }
+  }
+
+  std::ostringstream out;
+  const ir::DominatorTree tree(function);
+  const auto& rpo = tree.ReversePostOrder();
+  const auto reached = static_cast<std::size_t>(
+      std::count(reachable.begin(), reachable.end(), true));
+  if (rpo.size() != reached || rpo.front() != function.entry()) {
+    out << "RPO holds " << rpo.size() << " blocks from b"
+        << rpo.front()->id << ", not the " << reached
+        << " reachable ones from the entry";
+    return out.str();
+  }
+  for (std::size_t i = 0; i < rpo.size(); ++i) {
+    const ir::Block* block = rpo[i];
+    if (!reachable[at(block)] ||
+        tree.RpoIndex(block) != static_cast<int>(i)) {
+      out << "b" << block->id << " at RPO position " << i << " has RpoIndex "
+          << tree.RpoIndex(block);
+      return out.str();
+    }
+    bool after_a_pred = i == 0;
+    for (const ir::Block* pred : block->preds) {
+      if (reachable[at(pred)] && tree.RpoIndex(pred) < tree.RpoIndex(block)) {
+        after_a_pred = true;
+      }
+    }
+    if (!after_a_pred) {
+      out << "b" << block->id << " comes before all its predecessors in RPO";
+      return out.str();
+    }
+    for (const ir::Block* succ : block->succs()) {
+      if (tree.RpoIndex(succ) <= tree.RpoIndex(block) &&
+          !dom[at(block)][at(succ)]) {
+        out << "edge b" << block->id << " -> b" << succ->id
+            << " goes backward in RPO but is no back edge";
+        return out.str();
+      }
+    }
+  }
+  for (const ir::Block* b : rpo) {
+    const ir::Block* idom = nullptr;
+    std::size_t idom_depth = 0;
+    for (const ir::Block* a : rpo) {
+      const bool dominates = dom[at(b)][at(a)];
+      if (tree.Dominates(a, b) != dominates) {
+        out << "Dominates(b" << a->id << ", b" << b->id << ") is "
+            << !dominates;
+        return out.str();
+      }
+      if (dominates && tree.RpoIndex(a) > tree.RpoIndex(b)) {
+        out << "dominator b" << a->id << " follows b" << b->id << " in RPO";
+        return out.str();
+      }
+      // The immediate dominator is the strict dominator with the most
+      // dominators of its own.
+      if (!dominates || a == b) continue;
+      const auto depth = static_cast<std::size_t>(
+          std::count(dom[at(a)].begin(), dom[at(a)].end(), true));
+      if (depth > idom_depth) {
+        idom = a;
+        idom_depth = depth;
+      }
+    }
+    if (tree.Idom(b) != idom) {
+      out << "Idom(b" << b->id << ") is "
+          << (tree.Idom(b) != nullptr ? tree.Idom(b)->id : -1) << ", not "
+          << (idom != nullptr ? idom->id : -1);
+      return out.str();
+    }
+  }
+  return "";
+}
+
+/// DominatorTreeMismatch over every function of `module`; `label` names
+/// the program in the failure.
+inline void ExpectDominatorTreesMatchBruteForce(const ir::Module& module,
+                                                const std::string& label) {
+  for (const auto& function : module.functions) {
+    const std::string mismatch = DominatorTreeMismatch(*function);
+    EXPECT_EQ(mismatch, "") << label << ", function " << function->name();
+  }
+}
+
+/// One-shot partition::SubsetScorer: the estimate of `subset` with named
+/// kernels, or nullopt when any member fails synthesis or the subset
+/// violates the area budget or overlaps internally.
+inline std::optional<partition::AppEstimate> EvaluateSubset(
+    const partition::CandidateSet& set,
+    const std::vector<std::size_t>& subset,
+    const partition::Platform& platform,
+    const partition::PartitionOptions& options) {
+  partition::SubsetScorer scorer(set, platform, options, subset, {});
+  const partition::AppEstimate* scored = scorer.Score(subset);
+  if (scored == nullptr) return std::nullopt;
+  partition::AppEstimate estimate = *scored;
+  estimate.kernels.assign(scorer.kernels().begin(), scorer.kernels().end());
+  for (std::size_t k = 0; k < subset.size(); ++k) {
+    estimate.kernels[k].name = set.candidates()[subset[k]].region.name;
+  }
+  return estimate;
 }
 
 /// Gate a ParkedStrategy's calls wait at until the test releases it.
