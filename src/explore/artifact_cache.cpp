@@ -363,14 +363,11 @@ std::shared_ptr<const DecompileArtifact> ArtifactCache::FindDecompile(
     const std::string& key, HitTier* tier) {
   obs::ScopedSpan span("cache.find", "cache");
   span.Arg("kind", "decompile");
+  auto artifact = decompiles_.Find(key);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = decompiles_.find(key);
-  if (it == decompiles_.end()) {
-    CountLookup(HitTier::kMiss, stats_, span, tier);
-    return nullptr;
-  }
-  CountLookup(HitTier::kMemory, stats_, span, tier);
-  return it->second;
+  CountLookup(artifact != nullptr ? HitTier::kMemory : HitTier::kMiss, stats_,
+              span, tier);
+  return artifact;
 }
 
 std::shared_ptr<const PartitionArtifact> ArtifactCache::FindPartition(
@@ -391,7 +388,6 @@ std::shared_ptr<const PartitionArtifact> ArtifactCache::FindPartition(
         const std::lock_guard<std::mutex> lock(mutex_);
         const auto [it, inserted] = partitions_.emplace(key, artifact);
         if (!inserted) artifact = it->second;  // racing promotion won
-        stats_.entries = decompiles_.size() + partitions_.size();
         CountLookup(HitTier::kDisk, stats_, span, tier);
         return artifact;
       }
@@ -406,26 +402,6 @@ std::shared_ptr<const PartitionArtifact> ArtifactCache::FindPartition(
   const std::lock_guard<std::mutex> lock(mutex_);
   CountLookup(HitTier::kMiss, stats_, span, tier);
   return nullptr;
-}
-
-void ArtifactCache::PutDecompile(
-    const std::string& key, std::shared_ptr<const DecompileArtifact> artifact) {
-  // Release single-flight waiters AFTER the memory tier holds the artifact,
-  // so a waiter that re-probes instead of holding the future still hits.
-  // The promise is fulfilled outside the lock — waiters wake straight into
-  // their own work, and a double Put finds the registry entry already gone.
-  std::shared_ptr<InFlightDecompile> flight;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    decompiles_[key] = artifact;
-    stats_.entries = decompiles_.size() + partitions_.size();
-    const auto it = in_flight_decompiles_.find(key);
-    if (it != in_flight_decompiles_.end()) {
-      flight = std::move(it->second);
-      in_flight_decompiles_.erase(it);
-    }
-  }
-  if (flight != nullptr) flight->promise.set_value(std::move(artifact));
 }
 
 void ArtifactCache::PutPartition(
@@ -444,46 +420,19 @@ void ArtifactCache::PutPartition(
     TierMetrics::Get().disk_stores.Add();
   }
   partitions_[key] = std::move(artifact);
-  stats_.entries = decompiles_.size() + partitions_.size();
-}
-
-bool ArtifactCache::LeadDecompile(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (decompiles_.count(key) != 0) return false;  // published: waiters hit
-  const auto [it, inserted] = in_flight_decompiles_.try_emplace(key);
-  if (inserted) {
-    auto flight = std::make_shared<InFlightDecompile>();
-    flight->future = flight->promise.get_future().share();
-    it->second = std::move(flight);
-  }
-  return inserted;
-}
-
-std::shared_ptr<const DecompileArtifact> ArtifactCache::WaitDecompile(
-    const std::string& key) {
-  DecompileFlight future;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = decompiles_.find(key); it != decompiles_.end()) {
-      return it->second;
-    }
-    const auto it = in_flight_decompiles_.find(key);
-    if (it == in_flight_decompiles_.end()) return nullptr;
-    future = it->second->future;
-  }
-  obs::ScopedSpan span("cache.wait_decompile", "cache");
-  return future.get();
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats stats = stats_;
+  stats.entries = decompiles_.stats().entries + partitions_.size();
+  return stats;
 }
 
 void ArtifactCache::Clear() {
+  decompiles_.Clear();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    decompiles_.clear();
     partitions_.clear();
     stats_ = Stats{};
   }

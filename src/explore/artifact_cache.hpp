@@ -16,7 +16,9 @@
 //
 // Tier 1 (memory) stores shared_ptr-owned immutable artifacts of both
 // kinds; a PartitionResult points into its decompiled program's IR, so the
-// partition artifact keeps the program alive alongside it.
+// partition artifact keeps the program alive alongside it.  Its decompile
+// side is a support::OnceCache: ObtainDecompile builds each key once, and
+// concurrent callers wait for that build instead of repeating it.
 //
 // Tier 2 (disk, optional — explore::DiskStore) persists partition
 // artifacts only, so warm sweeps survive process restarts: a sweep re-run
@@ -40,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -57,6 +58,7 @@
 #include "partition/partitioner.hpp"
 #include "partition/platform.hpp"
 #include "support/error.hpp"
+#include "support/once_cache.hpp"
 #include "support/serialize.hpp"
 
 namespace b2h::explore {
@@ -141,31 +143,21 @@ class ArtifactCache {
   [[nodiscard]] std::shared_ptr<const PartitionArtifact> FindPartition(
       const std::string& key, HitTier* tier = nullptr);
 
-  /// Memory tier only.  Publishing a decompile artifact also releases any
-  /// single-flight waiters registered for `key` (see LeadDecompile).
-  void PutDecompile(const std::string& key,
-                    std::shared_ptr<const DecompileArtifact> artifact);
+  /// The memory tier's decompile artifact for `key`, from `build` (a
+  /// callable returning a non-null shared_ptr<const DecompileArtifact>) when
+  /// the tier holds none.  Single-flight: concurrent explorers that miss
+  /// one key run one profile+decompile and share it (the daemon's scheduler
+  /// only coalesces identical *requests*; distinct strategies over one
+  /// binary share the decompile key but not the request key).  Counts
+  /// nothing toward the stats: the caller's FindDecompile probe did.
+  template <class Build>
+  [[nodiscard]] std::shared_ptr<const DecompileArtifact> ObtainDecompile(
+      const std::string& key, Build&& build) {
+    return decompiles_.Obtain(key, std::forward<Build>(build));
+  }
   /// Memory tier, and the disk tier when enabled.
   void PutPartition(const std::string& key,
                     std::shared_ptr<const PartitionArtifact> artifact);
-
-  /// Single-flight coordination for cold decompile keys on a shared cache:
-  /// concurrent explorers that miss the same key would otherwise each run
-  /// the profile+decompile (the daemon's scheduler only coalesces identical
-  /// *requests*; distinct strategies over one binary share the decompile
-  /// key but not the request key).  The first caller for a key that is
-  /// neither published nor in flight becomes the leader (returns true) and
-  /// MUST eventually PutDecompile that key — success or failure — to
-  /// release the others.  Everyone else gets false and blocks in
-  /// WaitDecompile until the leader publishes.
-  [[nodiscard]] bool LeadDecompile(const std::string& key);
-  /// Blocks until the leader's PutDecompile and returns the published
-  /// artifact.  Returns immediately when the key is already in the memory
-  /// tier; nullptr only when the key is neither published nor in flight
-  /// (the entry vanished, e.g. Clear() raced the wait — callers should fall
-  /// back to computing locally).
-  [[nodiscard]] std::shared_ptr<const DecompileArtifact> WaitDecompile(
-      const std::string& key);
 
   [[nodiscard]] Stats stats() const;
   /// Drop the memory tier (and reset counters); disk entries survive.
@@ -186,23 +178,9 @@ class ArtifactCache {
   }
 
  private:
-  /// In-flight single-flight decompiles: key -> the future every waiter
-  /// blocks on.  Entries are created by the losing LeadDecompile race,
-  /// fulfilled and erased by PutDecompile.  Clear() leaves them alone —
-  /// their leaders are still running and must be able to release waiters.
-  using DecompileFlight =
-      std::shared_future<std::shared_ptr<const DecompileArtifact>>;
-  struct InFlightDecompile {
-    std::promise<std::shared_ptr<const DecompileArtifact>> promise;
-    DecompileFlight future;
-  };
-
-  mutable std::mutex mutex_;
+  mutable std::mutex mutex_;  ///< guards stats_ and partitions_
   mutable Stats stats_;
-  std::unordered_map<std::string, std::shared_ptr<const DecompileArtifact>>
-      decompiles_;
-  std::unordered_map<std::string, std::shared_ptr<InFlightDecompile>>
-      in_flight_decompiles_;
+  support::OnceCache<std::string, DecompileArtifact> decompiles_;
   std::unordered_map<std::string, std::shared_ptr<const PartitionArtifact>>
       partitions_;
   std::unique_ptr<DiskStore> disk_;

@@ -270,10 +270,6 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     std::string key;
     std::size_t binary = 0;
     mips::CycleModel model;
-    /// Single-flight outcome (ArtifactCache::LeadDecompile): leaders run
-    /// the profile+decompile and publish; non-leaders wait on the cache's
-    /// in-flight future instead of duplicating the work.
-    bool lead = true;
   };
   std::vector<DecompJob> decomp_jobs;
   std::map<std::string, std::shared_ptr<const DecompileArtifact>> decomps;
@@ -287,8 +283,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     } else {
       ++cache_misses;
       decomp_jobs.push_back({job.decomp_key, job.binary,
-                             platforms[job.platform]->cpu.cycle_model,
-                             cache_->LeadDecompile(job.decomp_key)});
+                             platforms[job.platform]->cpu.cycle_model});
     }
   }
 
@@ -298,6 +293,39 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
   std::atomic<std::size_t> simulations{0};
   std::atomic<std::size_t> decompilations{0};
   std::atomic<std::uint64_t> decomp_progress{0};
+  // One job's profile+decompile; a failure becomes the artifact's status
+  // and is cached like any other result.
+  const auto profile_and_decompile = [&](const DecompJob& job) {
+    auto artifact = std::make_shared<DecompileArtifact>();
+    try {
+      const auto& binary = spec.binaries[job.binary].binary;
+      mips::Simulator simulator(*binary, job.model);
+      auto run = std::make_shared<mips::RunResult>(
+          simulator.Run({}, config_.max_sim_instructions));
+      simulations.fetch_add(1);
+      if (run->reason != mips::HaltReason::kReturned) {
+        artifact->status = Status::Error(
+            ErrorKind::kMalformedBinary,
+            "software run did not complete: " + run->fault_message);
+      } else {
+        auto program = pipeline.Run(binary, &run->profile);
+        decompilations.fetch_add(1);
+        if (!program.ok()) {
+          artifact->status = program.status();
+        } else {
+          artifact->software_run = std::move(run);
+          artifact->program =
+              std::make_shared<const decomp::DecompiledProgram>(
+                  std::move(program).take());
+        }
+      }
+    } catch (const std::exception& e) {
+      artifact->status = Status::Error(
+          ErrorKind::kUnsupported,
+          std::string("internal error: ") + e.what());
+    }
+    return std::shared_ptr<const DecompileArtifact>(std::move(artifact));
+  };
   report_progress("decompile", 0, decomp_jobs.size());
   support::ParallelFor(
       decomp_jobs.size(), config_.threads, [&](std::size_t index) {
@@ -305,66 +333,23 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
         obs::ScopedSpan span("explore.decompile", "explore");
         span.Arg("binary", spec.binaries[job.binary].name);
         const obs::Stopwatch watch;
-        const auto finish = [&] {
-          decomp_job_ms[index] = watch.Millis();
-          report_progress(
-              "decompile",
-              decomp_progress.fetch_add(1, std::memory_order_relaxed) + 1,
-              decomp_jobs.size());
-        };
-        if (!job.lead) {
-          // Another explorer sharing this cache is already running this
-          // key (single-flight): block HERE, inside a parallel job — two
-          // explorers waiting on each other's keys from their serial
-          // epilogues would deadlock — and run no work of our own.
-          span.Arg("single_flight", "wait");
-          if (auto shared = cache_->WaitDecompile(job.key)) {
-            decomp_slots[index] = std::move(shared);
-            finish();
-            return;
-          }
-          // The in-flight entry vanished (a Clear() raced the leader's
-          // publish): recompute locally like a leader after all.
-        }
-        auto artifact = std::make_shared<DecompileArtifact>();
-        try {
-          const auto& binary = spec.binaries[job.binary].binary;
-          mips::Simulator simulator(*binary, job.model);
-          auto run = std::make_shared<mips::RunResult>(
-              simulator.Run({}, config_.max_sim_instructions));
-          simulations.fetch_add(1);
-          if (run->reason != mips::HaltReason::kReturned) {
-            artifact->status = Status::Error(
-                ErrorKind::kMalformedBinary,
-                "software run did not complete: " + run->fault_message);
-          } else {
-            auto program = pipeline.Run(binary, &run->profile);
-            decompilations.fetch_add(1);
-            if (!program.ok()) {
-              artifact->status = program.status();
-            } else {
-              artifact->software_run = std::move(run);
-              artifact->program =
-                  std::make_shared<const decomp::DecompiledProgram>(
-                      std::move(program).take());
-            }
-          }
-        } catch (const std::exception& e) {
-          artifact->status = Status::Error(
-              ErrorKind::kUnsupported,
-              std::string("internal error: ") + e.what());
-        }
-        // Publish from inside the job, unconditionally: waiters in other
-        // explorers unblock the moment the artifact exists, and a failed
-        // decompile releases them too (the failure is cached like any
-        // other result).
-        cache_->PutDecompile(job.key, artifact);
-        decomp_slots[index] = std::move(artifact);
-        finish();
+        // Single-flight: when another explorer sharing this cache is
+        // already running this key, wait HERE, inside a parallel job — two
+        // explorers waiting on each other's keys from their serial
+        // epilogues would deadlock — and run no work of our own.
+        bool built = false;
+        decomp_slots[index] = cache_->ObtainDecompile(job.key, [&] {
+          built = true;
+          return profile_and_decompile(job);
+        });
+        if (!built) span.Arg("single_flight", "wait");
+        decomp_job_ms[index] = watch.Millis();
+        report_progress(
+            "decompile",
+            decomp_progress.fetch_add(1, std::memory_order_relaxed) + 1,
+            decomp_jobs.size());
       });
   for (std::size_t index = 0; index < decomp_jobs.size(); ++index) {
-    // No PutDecompile here: the jobs published (leaders) or consumed a
-    // publication (single-flight waiters) already.
     out.decompile_stage_ms += decomp_job_ms[index];
     decomps[decomp_jobs[index].key] = std::move(decomp_slots[index]);
   }

@@ -139,24 +139,6 @@ BlockCache::BlockCache(std::span<const Instr> decoded,
     span.exit_count =
         static_cast<std::uint32_t>(exits_.size()) - span.exit_begin;
   }
-
-  // Leader census (reporting only): entry 0, control successors, and static
-  // branch/jump targets.
-  std::vector<bool> leader(n, false);
-  if (n > 0) leader[0] = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!decode_ok[i]) continue;
-    const PreInstr& m = instrs_[i];
-    if (!IsControl(m.op)) continue;
-    if (i + 1 < n) leader[i + 1] = true;
-    if ((IsBranch(m.op) || IsDirectJump(m.op)) && m.target >= kTextBase &&
-        (m.target - kTextBase) / 4u < n) {
-      leader[(m.target - kTextBase) / 4u] = true;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (leader[i] && decode_ok[i]) ++leader_blocks_;
-  }
 }
 
 }  // namespace b2h::mips

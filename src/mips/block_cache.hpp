@@ -143,12 +143,6 @@ class BlockCache {
     return exits_.size();
   }
 
-  /// Number of distinct maximal blocks (spans whose entry is a leader:
-  /// index 0, control-successor, or branch/jump target).  Reporting only.
-  [[nodiscard]] std::size_t leader_blocks() const noexcept {
-    return leader_blocks_;
-  }
-
   /// Approximate heap footprint (shared-cache byte accounting).
   [[nodiscard]] std::size_t bytes() const noexcept {
     return instrs_.capacity() * sizeof(PreInstr) +
@@ -160,7 +154,6 @@ class BlockCache {
   std::vector<PreInstr> instrs_;
   std::vector<BlockSpan> spans_;
   std::vector<SideExit> exits_;
-  std::size_t leader_blocks_ = 0;
 };
 
 }  // namespace b2h::mips

@@ -1,10 +1,5 @@
 #include "mips/shared_cache.hpp"
 
-#include <future>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
-
 #include "mips/binary.hpp"
 #include "obs/obs.hpp"
 #include "support/serialize.hpp"
@@ -50,187 +45,70 @@ std::uint64_t HashKey(const std::vector<std::uint32_t>& text,
 }  // namespace
 
 std::size_t PredecodedProgram::bytes() const noexcept {
-  return text.capacity() * sizeof(std::uint32_t) +
-         decoded.capacity() * sizeof(Instr) + decode_ok.capacity() / 8 +
+  return decoded.capacity() * sizeof(Instr) + decode_ok.capacity() / 8 +
          blocks.bytes() + sizeof(*this);
 }
 
-struct SharedBlockCache::Impl {
-  using Future = std::shared_future<std::shared_ptr<const PredecodedProgram>>;
-
-  struct Entry {
-    std::vector<std::uint32_t> text;  // exact key (hash-collision verify)
-    CycleModel model;
-    Future future;
-    std::size_t bytes = 0;  // 0 until the build completes
-    std::uint64_t last_use = 0;
-  };
-
-  mutable std::mutex mutex;
-  std::unordered_map<std::uint64_t, std::vector<Entry>> map;
-  std::uint64_t tick = 0;
-  std::uint64_t evictions = 0;
-  std::size_t resident_bytes = 0;
-  std::size_t entries = 0;
-  std::size_t max_bytes = kDefaultMaxBytes;
-
-  /// Evict ready entries oldest-first until the budget holds.  In-flight
-  /// entries (bytes == 0) are never evicted — their builder still needs to
-  /// finalize them.  Callers hold `mutex`.
-  void EvictLocked() {
-    while (max_bytes != 0 && resident_bytes > max_bytes && entries > 1) {
-      std::uint64_t oldest_key = 0;
-      std::size_t oldest_pos = 0;
-      std::uint64_t oldest_use = UINT64_MAX;
-      bool found = false;
-      for (auto& [key, chain] : map) {
-        for (std::size_t p = 0; p < chain.size(); ++p) {
-          const Entry& e = chain[p];
-          if (e.bytes == 0) continue;  // in flight
-          if (e.last_use < oldest_use) {
-            oldest_use = e.last_use;
-            oldest_key = key;
-            oldest_pos = p;
-            found = true;
-          }
-        }
-      }
-      if (!found) return;
-      auto& chain = map[oldest_key];
-      resident_bytes -= chain[oldest_pos].bytes;
-      chain.erase(chain.begin() + static_cast<std::ptrdiff_t>(oldest_pos));
-      if (chain.empty()) map.erase(oldest_key);
-      --entries;
-      ++evictions;
-      CacheMetrics::Get().evictions.Add();
-      CacheMetrics::Get().bytes.Set(
-          static_cast<std::int64_t>(resident_bytes));
-    }
-  }
-};
+SharedBlockCache::SharedBlockCache()
+    : programs_(
+          kMaxBytes,
+          [](const PredecodedProgram& pre) { return pre.bytes(); },
+          [](const PredecodedProgram&, std::size_t bytes) {
+            CacheMetrics::Get().evictions.Add();
+            CacheMetrics::Get().bytes.Add(-static_cast<std::int64_t>(bytes));
+          }) {}
 
 SharedBlockCache& SharedBlockCache::Global() {
   static SharedBlockCache instance;
   return instance;
 }
 
-SharedBlockCache::Impl& SharedBlockCache::impl() const {
-  static Impl impl;
-  return impl;
-}
-
 std::shared_ptr<const PredecodedProgram> SharedBlockCache::Obtain(
     const SoftBinary& binary, const CycleModel& model) {
   CacheMetrics& metrics = CacheMetrics::Get();
-  Impl& state = impl();
-  const std::uint64_t key = HashKey(binary.text, model);
-
-  std::promise<std::shared_ptr<const PredecodedProgram>> promise;
-  Impl::Future future;
-  bool build_here = false;
-  {
-    obs::ScopedSpan span("sim.blockcache.find", "cache");
-    std::lock_guard<std::mutex> lock(state.mutex);
-    auto& chain = state.map[key];
-    for (Impl::Entry& entry : chain) {
-      if (entry.model == model && entry.text == binary.text) {
-        entry.last_use = ++state.tick;
-        metrics.hits.Add();
-        span.Arg("outcome", "hit");
-        future = entry.future;
-        break;
-      }
-    }
-    if (!future.valid()) {
-      metrics.misses.Add();
-      span.Arg("outcome", "miss");
-      future = promise.get_future().share();
-      chain.push_back({binary.text, model, future, 0, ++state.tick});
-      ++state.entries;
-      build_here = true;
-    }
-  }
-
-  if (!build_here) return future.get();  // may wait on an in-flight builder
-
-  // Build outside the lock: one pre-decode per key process-wide, but
-  // lookups for other programs proceed concurrently.
-  obs::ScopedSpan span("sim.blockcache.store", "cache");
-  auto pre = std::make_shared<PredecodedProgram>();
-  pre->text = binary.text;
-  pre->model = model;
-  pre->decoded.resize(binary.text.size());
-  pre->decode_ok.resize(binary.text.size(), false);
-  for (std::size_t i = 0; i < binary.text.size(); ++i) {
-    if (auto instr = Decode(binary.text[i])) {
-      pre->decoded[i] = *instr;
-      pre->decode_ok[i] = true;
-    }
-  }
-  pre->blocks = BlockCache(pre->decoded, pre->decode_ok, model);
-  const std::size_t bytes = pre->bytes();
-  span.Arg("bytes", static_cast<std::uint64_t>(bytes))
-      .Arg("text_words", static_cast<std::uint64_t>(binary.text.size()));
-  promise.set_value(pre);
-
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    auto it = state.map.find(key);
-    if (it != state.map.end()) {
-      for (Impl::Entry& entry : it->second) {
-        if (entry.bytes == 0 && entry.model == model &&
-            entry.text == binary.text) {
-          entry.bytes = bytes;
-          state.resident_bytes += bytes;
-          metrics.bytes.Set(static_cast<std::int64_t>(state.resident_bytes));
-          break;
+  // The lookup span ends where a build starts; a hit's span includes any
+  // wait for a build in flight.
+  obs::ScopedSpan find("sim.blockcache.find", "cache");
+  bool built = false;
+  auto pre = programs_.Obtain(
+      Key{HashKey(binary.text, model), binary.text, model}, [&] {
+        built = true;
+        metrics.misses.Add();
+        find.Arg("outcome", "miss");
+        find.Close();
+        obs::ScopedSpan span("sim.blockcache.store", "cache");
+        auto built_pre = std::make_shared<PredecodedProgram>();
+        built_pre->decoded.resize(binary.text.size());
+        built_pre->decode_ok.resize(binary.text.size(), false);
+        for (std::size_t i = 0; i < binary.text.size(); ++i) {
+          if (auto instr = Decode(binary.text[i])) {
+            built_pre->decoded[i] = *instr;
+            built_pre->decode_ok[i] = true;
+          }
         }
-      }
-    }
-    state.EvictLocked();
+        built_pre->blocks =
+            BlockCache(built_pre->decoded, built_pre->decode_ok, model);
+        const std::size_t bytes = built_pre->bytes();
+        span.Arg("bytes", static_cast<std::uint64_t>(bytes))
+            .Arg("text_words", static_cast<std::uint64_t>(binary.text.size()));
+        metrics.bytes.Add(static_cast<std::int64_t>(bytes));
+        return built_pre;
+      });
+  if (!built) {
+    metrics.hits.Add();
+    find.Arg("outcome", "hit");
   }
   return pre;
 }
 
 SharedBlockCache::Stats SharedBlockCache::stats() const {
-  CacheMetrics& metrics = CacheMetrics::Get();
-  Impl& state = impl();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  Stats s;
-  s.hits = metrics.hits.Value();
-  s.misses = metrics.misses.Value();
-  s.evictions = state.evictions;
-  s.bytes = state.resident_bytes;
-  s.entries = state.entries;
-  return s;
-}
-
-void SharedBlockCache::set_max_bytes(std::size_t max_bytes) {
-  Impl& state = impl();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  state.max_bytes = max_bytes;
-  state.EvictLocked();
+  const auto cache = programs_.stats();
+  return {cache.hits, cache.builds, cache.evictions, cache.cost,
+          cache.entries};
 }
 
 void SharedBlockCache::Clear() {
-  Impl& state = impl();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  // Keep in-flight entries: their builders must still find-and-finalize
-  // them, and dropping the future would duplicate a build already running.
-  for (auto it = state.map.begin(); it != state.map.end();) {
-    auto& chain = it->second;
-    for (auto entry = chain.begin(); entry != chain.end();) {
-      if (entry->bytes != 0) {
-        state.resident_bytes -= entry->bytes;
-        entry = chain.erase(entry);
-        --state.entries;
-      } else {
-        ++entry;
-      }
-    }
-    it = chain.empty() ? state.map.erase(it) : ++it;
-  }
-  CacheMetrics::Get().bytes.Set(static_cast<std::int64_t>(state.resident_bytes));
+  CacheMetrics::Get().bytes.Add(-static_cast<std::int64_t>(programs_.Clear()));
 }
 
 }  // namespace b2h::mips

@@ -7,18 +7,16 @@
 // one cycle model rebuilt the same tables P times, bench_simulator rebuilt
 // them per engine, and every warm b2h-serve request paid it again.
 //
-// SharedBlockCache mirrors the explore ArtifactCache discipline:
+// SharedBlockCache is a support::OnceCache over pre-decodes:
 //
 //   * content-keyed: the key is (text bytes, cycle model), hashed FNV-1a
-//     and verified by exact comparison on lookup — two binaries with
-//     identical text share one entry regardless of provenance;
-//   * single-flight: concurrent Obtain() calls for the same key block on
-//     one construction (a promise/shared_future per in-flight entry), so N
-//     threads constructing Simulators for the same binary observe exactly
-//     one pre-decode;
-//   * LRU-bounded: entries are evicted least-recently-used once the byte
-//     budget is exceeded; holders keep their shared_ptr alive, eviction
-//     only drops the cache's reference;
+//     and compared exactly — two binaries with identical text share one
+//     entry regardless of provenance;
+//   * single-flight: concurrent Obtain() calls for the same key share one
+//     construction, so N threads constructing Simulators for the same
+//     binary observe exactly one pre-decode;
+//   * LRU-bounded at kMaxBytes of PredecodedProgram::bytes(); holders keep
+//     their shared_ptr alive, eviction only drops the cache's reference;
 //   * observable: obs::Registry counters sim.blockcache.{hits,misses,
 //     evictions}, gauge sim.blockcache.bytes, and a
 //     sim.blockcache.find / sim.blockcache.store span per lookup / build
@@ -32,6 +30,7 @@
 
 #include "mips/block_cache.hpp"
 #include "mips/isa.hpp"
+#include "support/once_cache.hpp"
 
 namespace b2h::mips {
 
@@ -42,8 +41,6 @@ struct SoftBinary;
 /// bitmap, and the BlockCache traces the block engine executes.  Immutable
 /// once published.
 struct PredecodedProgram {
-  std::vector<std::uint32_t> text;  ///< key material (exact-match verify)
-  CycleModel model;
   std::vector<Instr> decoded;
   std::vector<bool> decode_ok;
   BlockCache blocks;
@@ -72,22 +69,28 @@ class SharedBlockCache {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// LRU byte budget; entries above it are evicted oldest-first.  0 means
-  /// unbounded.  Applies on the next store.
-  void set_max_bytes(std::size_t max_bytes);
-
-  /// Drop every resident entry (tests).  In-flight builds still publish to
-  /// their waiters; a build whose entry was cleared mid-flight is simply
-  /// not re-registered.
+  /// Drop every resident entry (tests, benchmarks).  In-flight builds still
+  /// publish to their waiters and into the cache.
   void Clear();
 
-  static constexpr std::size_t kDefaultMaxBytes = 128u << 20;  // 128 MiB
+  /// LRU byte budget; entries above it are evicted oldest-first.
+  static constexpr std::size_t kMaxBytes = 128u << 20;  // 128 MiB
 
  private:
-  SharedBlockCache() = default;
+  SharedBlockCache();
 
-  struct Impl;
-  [[nodiscard]] Impl& impl() const;
+  /// (text, cycle model) with its FNV-1a hash, computed once per lookup.
+  struct Key {
+    std::uint64_t hash = 0;
+    std::vector<std::uint32_t> text;
+    CycleModel model;
+    [[nodiscard]] bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept { return key.hash; }
+  };
+
+  support::OnceCache<Key, PredecodedProgram, KeyHash> programs_;
 };
 
 }  // namespace b2h::mips

@@ -172,7 +172,7 @@ CandidateSet CandidateSet::Scan(const decomp::DecompiledProgram& program,
   relate(set.overlap_rows_, blocks);
   relate(set.array_rows_, arrays);
 
-  set.synth_memo_.resize(count);
+  set.memo_ = std::make_unique<SynthesisMemo>(count);
   return set;
 }
 
@@ -188,24 +188,25 @@ const decomp::AliasAnalysis& CandidateSet::alias_for(
 const Result<synth::SynthesizedRegion>& CandidateSet::Synthesize(
     std::size_t id, const synth::SynthOptions& options) const {
   Check(id < candidates_.size(), "CandidateSet::Synthesize: bad id");
-  // The memo vector is pre-sized at scan time, so a reference to a filled
-  // entry stays valid after the lock drops: entries are written once and
-  // never moved.  Computing under the lock serializes concurrent misses on
-  // a shared set, which is exactly the point — the work happens once.
-  const std::lock_guard<std::mutex> lock(*memo_mutex_);
-  auto& memo = synth_memo_[id];
-  if (!memo.has_value()) {
-    const Candidate& candidate = candidates_[id];
-    memo = synth::Synthesize(candidate.region,
-                             &alias_for(candidate.function), options);
-    ++synthesis_runs_;
-  }
-  return *memo;
+  // Slots are allocated at scan time and written once, so the reference
+  // stays valid; only callers of this same candidate wait here.
+  SynthesisMemo::Slot& slot = memo_->slots[id];
+  std::call_once(slot.once, [&] {
+    try {
+      const Candidate& candidate = candidates_[id];
+      slot.result = synth::Synthesize(candidate.region,
+                                      &alias_for(candidate.function), options);
+      memo_->runs.fetch_add(1, std::memory_order_relaxed);
+    } catch (...) {
+      slot.error = std::current_exception();
+    }
+  });
+  if (slot.error) std::rethrow_exception(slot.error);
+  return *slot.result;
 }
 
 std::size_t CandidateSet::synthesis_runs() const {
-  const std::lock_guard<std::mutex> lock(*memo_mutex_);
-  return synthesis_runs_;
+  return memo_->runs.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------- CandidateSetPool
@@ -218,73 +219,37 @@ std::shared_ptr<const CandidateSet> ObtainCandidates(
       CandidateSet::Scan(program, profile));
 }
 
-CandidateSetPool::CandidateSetPool(std::size_t max_entries)
-    : max_entries_(std::max<std::size_t>(1, max_entries)) {}
+CandidateSetPool::CandidateSetPool()
+    : sets_(kMaxEntries, {}, [this](const Pooled& evicted, std::size_t) {
+        retired_synthesis_runs_ += evicted.set.synthesis_runs();
+      }) {}
 
 std::shared_ptr<const CandidateSet> CandidateSetPool::Obtain(
     const std::string& key,
     std::shared_ptr<const decomp::DecompiledProgram> program,
     const mips::ExecProfile& profile) {
   Check(program != nullptr, "CandidateSetPool::Obtain: null program");
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    // Serve only an entry built against this exact program instance: a
-    // recomputed program is a different instance, and the pooled
-    // candidates point into the instance they were scanned from.
-    if (it != entries_.end() && it->second.program.get() == program.get()) {
-      ++hits_;
-      it->second.last_use = ++tick_;
-      return it->second.set;
-    }
-  }
-  // Scan outside the lock so distinct keys build in parallel; a racing
-  // duplicate scan is harmless (first insert wins, the loser is counted
-  // and discarded).
-  auto scanned = std::make_shared<const CandidateSet>(
-      CandidateSet::Scan(*program, profile));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++scans_;
-  auto it = entries_.find(key);
-  if (it != entries_.end() && it->second.program.get() == program.get()) {
-    it->second.last_use = ++tick_;
-    return it->second.set;
-  }
-  if (it != entries_.end()) {
-    retired_synthesis_runs_ += it->second.set->synthesis_runs();
-    entries_.erase(it);
-  }
-  while (entries_.size() >= max_entries_) {
-    auto oldest = entries_.begin();
-    for (auto walk = entries_.begin(); walk != entries_.end(); ++walk) {
-      if (walk->second.last_use < oldest->second.last_use) oldest = walk;
-    }
-    retired_synthesis_runs_ += oldest->second.set->synthesis_runs();
-    entries_.erase(oldest);
-  }
-  entries_.emplace(key, Entry{scanned, std::move(program), ++tick_});
-  return scanned;
+  const auto pooled = sets_.Obtain({key, program.get()}, [&] {
+    return std::make_shared<const Pooled>(
+        Pooled{program, CandidateSet::Scan(*program, profile)});
+  });
+  return {pooled, &pooled->set};
 }
 
 CandidateSetPool::Stats CandidateSetPool::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto cache = sets_.stats();
   Stats stats;
-  stats.scans = scans_;
-  stats.hits = hits_;
-  stats.entries = entries_.size();
+  stats.scans = cache.builds;
+  stats.hits = cache.hits;
+  stats.entries = cache.entries;
   stats.synthesis_runs = retired_synthesis_runs_;
-  for (const auto& [key, entry] : entries_) {
-    stats.synthesis_runs += entry.set->synthesis_runs();
+  for (const auto& pooled : sets_.Values()) {
+    stats.synthesis_runs += pooled->set.synthesis_runs();
   }
   return stats;
 }
 
-void CandidateSetPool::Clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  // Counters are cumulative by design (the server reports them over its
-  // lifetime); Clear only drops the pinned IR.
-}
+void CandidateSetPool::Clear() { sets_.Clear(); }
 
 // ------------------------------------------------------- SelectionState
 

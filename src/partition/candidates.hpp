@@ -21,9 +21,10 @@
 // StrategyOptions::candidates, populated from a CandidateSetPool) share
 // every synthesis result.  A seed sweep over the annealing strategy — the
 // exact repeated-request shape the b2h-serve daemon sees — synthesizes
-// each candidate once total instead of once per seed.  The synthesis memo
-// is mutex-guarded so pooled sets are safe under the Explorer's and the
-// server's concurrent strategy invocations.
+// each candidate once total instead of once per seed.  Each memo slot has
+// its own std::once_flag, so pooled sets are safe under the Explorer's and
+// the server's concurrent strategy invocations, and a thread that needs one
+// candidate never waits behind another candidate's synthesis.
 //
 // Lock-free scoring: Scan also builds two dense relation tables, one
 // bitset row per candidate with ceil(n/64) words per row — which
@@ -37,14 +38,16 @@
 // subset order and one CombineEstimates body prices the kernels.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "decomp/alias.hpp"
@@ -53,6 +56,7 @@
 #include "ir/loops.hpp"
 #include "partition/estimate.hpp"
 #include "partition/partitioner.hpp"
+#include "support/once_cache.hpp"
 #include "synth/synth.hpp"
 
 namespace b2h::partition {
@@ -101,8 +105,9 @@ class CandidateSet {
   /// calls return the cached result (synthesis is deterministic, so the
   /// memo ignores `options` after the first call — every caller of a set
   /// shared through a CandidateSetPool passes the default options, which
-  /// keeps that sound).  Thread-safe: concurrent strategy invocations on a
-  /// shared set serialize per call but compute each candidate exactly once.
+  /// keeps that sound).  Thread-safe: each candidate is computed exactly
+  /// once, and concurrent callers wait only for the candidate they asked
+  /// for.  A synthesis that throws is memoized too: every call rethrows.
   [[nodiscard]] const Result<synth::SynthesizedRegion>& Synthesize(
       std::size_t id, const synth::SynthOptions& options) const;
 
@@ -152,13 +157,23 @@ class CandidateSet {
   std::vector<std::uint64_t> overlap_rows_;
   std::vector<std::uint64_t> array_rows_;
 
-  // Guards the lazy synthesis memo; owned through a pointer so CandidateSet
-  // stays movable (Scan returns by value).
-  mutable std::unique_ptr<std::mutex> memo_mutex_ =
-      std::make_unique<std::mutex>();
-  mutable std::size_t synthesis_runs_ = 0;
-  mutable std::vector<std::optional<Result<synth::SynthesizedRegion>>>
-      synth_memo_;
+  // The lazy synthesis memo, one slot per candidate, allocated by Scan;
+  // owned through a pointer so CandidateSet stays movable (Scan returns by
+  // value).
+  struct SynthesisMemo {
+    struct Slot {
+      std::once_flag once;
+      std::optional<Result<synth::SynthesizedRegion>> result;
+      // Caught inside call_once and rethrown outside it: under
+      // ThreadSanitizer, a call_once whose callable threw never returns
+      // to the next caller.
+      std::exception_ptr error;
+    };
+    explicit SynthesisMemo(std::size_t count) : slots(count) {}
+    std::vector<Slot> slots;
+    std::atomic<std::size_t> runs{0};
+  };
+  std::unique_ptr<SynthesisMemo> memo_;
 };
 
 /// Shared candidate set for one Partition call: the pre-scanned set handed
@@ -170,13 +185,14 @@ class CandidateSet {
     const decomp::DecompiledProgram& program, const mips::ExecProfile& profile,
     std::shared_ptr<const CandidateSet> shared);
 
-/// Process-lifetime pool of CandidateSets keyed by decompile artifact key.
-/// Entries pin the decompiled program they point into; a key is only served
-/// when the caller presents the SAME program instance (a program recomputed
-/// after ArtifactCache::Clear() or after a vanished single-flight is a
-/// different instance and rebuilds the entry), so pooled candidates can
-/// never dangle into a replaced program.
-/// Bounded LRU so a long-lived server cannot accumulate unbounded IR.
+/// Process-lifetime pool of CandidateSets, a support::OnceCache keyed on
+/// (decompile artifact key, program instance).  Each entry pins the
+/// decompiled program it points into, so a set is only served to the
+/// instance it was scanned from: a program recomputed after
+/// ArtifactCache::Clear() is a different instance and gets its own scan,
+/// and pooled candidates can never dangle into a replaced program.
+/// Callers racing on one key share one scan.  Bounded LRU at kMaxEntries so
+/// a long-lived server cannot accumulate unbounded IR.
 class CandidateSetPool {
  public:
   struct Stats {
@@ -188,7 +204,9 @@ class CandidateSetPool {
     std::size_t synthesis_runs = 0;
   };
 
-  explicit CandidateSetPool(std::size_t max_entries = 16);
+  static constexpr std::size_t kMaxEntries = 16;
+
+  CandidateSetPool();
 
   [[nodiscard]] std::shared_ptr<const CandidateSet> Obtain(
       const std::string& key,
@@ -196,22 +214,26 @@ class CandidateSetPool {
       const mips::ExecProfile& profile);
 
   [[nodiscard]] Stats stats() const;
+  /// Drop every entry and its pinned IR.  Scans and hits keep counting;
+  /// the dropped sets' synthesis runs leave `synthesis_runs`.
   void Clear();
 
  private:
-  struct Entry {
-    std::shared_ptr<const CandidateSet> set;
+  /// A scanned set and the program instance its candidates point into.
+  struct Pooled {
     std::shared_ptr<const decomp::DecompiledProgram> program;
-    std::uint64_t last_use = 0;
+    CandidateSet set;
+  };
+  using Key = std::pair<std::string, const decomp::DecompiledProgram*>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept {
+      return std::hash<std::string>()(key.first) ^
+             std::hash<const void*>()(key.second);
+    }
   };
 
-  mutable std::mutex mutex_;
-  std::size_t max_entries_;
-  std::uint64_t tick_ = 0;
-  std::size_t scans_ = 0;
-  std::size_t hits_ = 0;
-  std::size_t retired_synthesis_runs_ = 0;  ///< from evicted entries
-  std::unordered_map<std::string, Entry> entries_;
+  std::atomic<std::size_t> retired_synthesis_runs_{0};  ///< of evicted sets
+  support::OnceCache<Key, Pooled, KeyHash> sets_;
 };
 
 /// Commit-side selection bookkeeping.  TrySelect reproduces the original

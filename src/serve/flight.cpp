@@ -90,7 +90,8 @@ std::vector<RequestRecord> RequestLog::Recent() const {
 
 // ----------------------------------------------------------- ProgressBoard
 
-void ProgressBoard::Update(std::string_view key, const ProgressState& state) {
+void ProgressBoard::Update(std::string_view key,
+                           const explore::ExploreProgress& state) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (Entry& entry : entries_) {
     if (entry.key == key) {
@@ -109,7 +110,8 @@ void ProgressBoard::Update(std::string_view key, const ProgressState& state) {
   entries_.push_back(Entry{std::string(key), state, next_seq_++});
 }
 
-std::optional<ProgressState> ProgressBoard::Get(std::string_view key) const {
+std::optional<explore::ExploreProgress> ProgressBoard::Get(
+    std::string_view key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const Entry& entry : entries_) {
     if (entry.key == key) return entry.state;

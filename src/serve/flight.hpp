@@ -19,6 +19,8 @@
 #include <string_view>
 #include <vector>
 
+#include "explore/explorer.hpp"
+
 namespace b2h::serve {
 
 // ------------------------------------------------------------- RequestLog
@@ -71,30 +73,22 @@ class RequestLog {
 
 // ----------------------------------------------------------- ProgressBoard
 
-/// Point-in-time progress of one in-flight (or just-finished) work item.
-struct ProgressState {
-  std::string stage;           // "decompile", "partition", "done"
-  std::uint64_t stage_done = 0;
-  std::uint64_t stage_total = 0;
-  std::uint64_t points_total = 0;  // grid points in the explore
-  std::uint64_t cache_hits = 0;
-  bool done = false;
-};
-
-/// Bounded progress store keyed by coalescing RequestKey — keyed by KEY,
-/// not corr, so every waiter of a coalesced job (and an HTTP poller with a
-/// different corr) reads the same entry via RequestLog::KeyForCorr.
+/// Bounded store of the latest explore::ExploreProgress of each in-flight
+/// (or just-finished) work item, keyed by coalescing RequestKey — keyed by
+/// KEY, not corr, so every waiter of a coalesced job (and an HTTP poller
+/// with a different corr) reads the same entry via RequestLog::KeyForCorr.
 class ProgressBoard {
  public:
   static constexpr std::size_t kMaxEntries = 128;
 
-  void Update(std::string_view key, const ProgressState& state);
-  [[nodiscard]] std::optional<ProgressState> Get(std::string_view key) const;
+  void Update(std::string_view key, const explore::ExploreProgress& state);
+  [[nodiscard]] std::optional<explore::ExploreProgress> Get(
+      std::string_view key) const;
 
  private:
   struct Entry {
     std::string key;
-    ProgressState state;
+    explore::ExploreProgress state;
     std::uint64_t seq = 0;  // for oldest-entry eviction
   };
   mutable std::mutex mutex_;

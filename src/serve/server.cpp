@@ -29,7 +29,7 @@ using support::JsonEscape;
 constexpr int kStopPollMs = 100;
 
 /// The "progress" object of a progress frame / GET /v1/progress response.
-std::string ProgressJson(const ProgressState& state) {
+std::string ProgressJson(const explore::ExploreProgress& state) {
   std::ostringstream out;
   out << "{\"stage\":\"" << JsonEscape(state.stage) << "\""
       << ",\"stage_done\":" << state.stage_done
@@ -38,17 +38,6 @@ std::string ProgressJson(const ProgressState& state) {
       << ",\"cache_hits\":" << state.cache_hits
       << ",\"done\":" << (state.done ? "true" : "false") << "}";
   return out.str();
-}
-
-ProgressState ToProgressState(const explore::ExploreProgress& progress) {
-  ProgressState state;
-  state.stage = progress.stage;
-  state.stage_done = progress.stage_done;
-  state.stage_total = progress.stage_total;
-  state.points_total = progress.points_total;
-  state.cache_hits = progress.cache_hits;
-  state.done = progress.done;
-  return state;
 }
 
 }  // namespace
@@ -125,9 +114,11 @@ Status Server::Start() {
   if (!options_.dump_dir.empty()) {
     InstallCrashHandlers(&forensics_);
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread(
+      [this] { AcceptLoop(listen_fd_, &Server::ServeConnection); });
   if (http_listen_fd_ >= 0) {
-    http_accept_thread_ = std::thread([this] { HttpAcceptLoop(); });
+    http_accept_thread_ = std::thread(
+        [this] { AcceptLoop(http_listen_fd_, &Server::ServeHttpConnection); });
   }
   return Status::Ok();
 }
@@ -168,35 +159,19 @@ void Server::Wait() {
   ::unlink(options_.socket_path.c_str());
 }
 
-void Server::AcceptLoop() {
+void Server::AcceptLoop(int listen_fd, void (Server::*serve)(int fd)) {
   while (!stopping_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
+    pollfd pfd{listen_fd, POLLIN, 0};
     const int polled = ::poll(&pfd, 1, kStopPollMs);
     if (polled <= 0) continue;  // timeout or EINTR: re-check stop flag
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     if (stopping_.load()) {
       ::close(fd);
       return;
     }
-    connections_.emplace_back([this, fd] { ServeConnection(fd); });
-  }
-}
-
-void Server::HttpAcceptLoop() {
-  while (!stopping_.load()) {
-    pollfd pfd{http_listen_fd_, POLLIN, 0};
-    const int polled = ::poll(&pfd, 1, kStopPollMs);
-    if (polled <= 0) continue;  // timeout or EINTR: re-check stop flag
-    const int fd = ::accept4(http_listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
-    }
-    connections_.emplace_back([this, fd] { ServeHttpConnection(fd); });
+    connections_.emplace_back([this, serve, fd] { (this->*serve)(fd); });
   }
 }
 
@@ -338,7 +313,7 @@ void Server::HandleHttp(int fd, const support::HttpRequest& request) {
         target.substr(0, kProgressPrefix.size()) == kProgressPrefix) {
       const std::string corr(target.substr(kProgressPrefix.size()));
       const std::optional<std::string> key = request_log_.KeyForCorr(corr);
-      std::optional<ProgressState> state;
+      std::optional<explore::ExploreProgress> state;
       if (key.has_value()) state = progress_.Get(*key);
       if (!state.has_value()) {
         (void)support::WriteHttpResponse(
@@ -491,7 +466,8 @@ std::string Server::HandleWork(const Request& request, const std::string& corr,
   if (request.progress && frame_sink != nullptr && *frame_sink) {
     poll = [this, frame_sink, &key, &request, &corr,
             last_sent = std::string()]() mutable {
-      const std::optional<ProgressState> state = progress_.Get(key);
+      const std::optional<explore::ExploreProgress> state =
+          progress_.Get(key);
       if (!state.has_value()) return;
       std::string progress_json = ProgressJson(*state);
       if (progress_json == last_sent) return;  // no news, no frame
@@ -565,7 +541,7 @@ JobResult Server::DoPartition(Request request, std::string key,
   spec.strategy_options.seed = request.seed;
   spec.strategy_options.annealing_iterations = request.annealing_iterations;
   spec.progress = [this, &key](const explore::ExploreProgress& progress) {
-    progress_.Update(key, ToProgressState(progress));
+    progress_.Update(key, progress);
   };
 
   // Through Explore — not Run — so the request hits the shared artifact
@@ -607,7 +583,7 @@ JobResult Server::DoExplore(Request request, std::string key,
   spec.strategy_options.seed = request.seed;
   spec.strategy_options.annealing_iterations = request.annealing_iterations;
   spec.progress = [this, &key](const explore::ExploreProgress& progress) {
-    progress_.Update(key, ToProgressState(progress));
+    progress_.Update(key, progress);
   };
 
   const explore::ExploreResult result = toolchain_.Explore(spec);
@@ -617,25 +593,19 @@ JobResult Server::DoExplore(Request request, std::string key,
 
 Result<std::shared_ptr<const mips::SoftBinary>> Server::ObtainBinary(
     const std::string& benchmark, int opt_level) {
-  const std::string key = benchmark + "@O" + std::to_string(opt_level);
-  {
-    const std::lock_guard<std::mutex> lock(binaries_mutex_);
-    const auto it = binaries_.find(key);
-    if (it != binaries_.end()) return it->second;
-  }
-  const suite::Benchmark* bench = suite::FindBenchmark(benchmark);
-  if (bench == nullptr) {
-    return Status::Error(ErrorKind::kUnsupported,
-                         "unknown benchmark: " + benchmark);
-  }
-  Result<mips::SoftBinary> built = suite::BuildBinary(*bench, opt_level);
-  if (!built.ok()) return built.status();
-  auto binary = std::make_shared<const mips::SoftBinary>(
-      std::move(built).take());
-  const std::lock_guard<std::mutex> lock(binaries_mutex_);
-  // First insert wins so concurrent compiles of one benchmark stay
-  // deterministic (identical content either way).
-  return binaries_.try_emplace(key, std::move(binary)).first->second;
+  using Compiled = Result<mips::SoftBinary>;
+  const auto compiled = binaries_.Obtain(
+      benchmark + "@O" + std::to_string(opt_level), [&] {
+        const suite::Benchmark* bench = suite::FindBenchmark(benchmark);
+        return std::make_shared<const Compiled>(
+            bench == nullptr
+                ? Compiled(Status::Error(ErrorKind::kUnsupported,
+                                         "unknown benchmark: " + benchmark))
+                : suite::BuildBinary(*bench, opt_level));
+      });
+  if (!compiled->ok()) return compiled->status();
+  return std::shared_ptr<const mips::SoftBinary>(compiled,
+                                                 &compiled->value());
 }
 
 ParseError Server::ValidateNames(const Request& request) const {

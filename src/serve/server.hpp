@@ -30,7 +30,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,6 +42,7 @@
 #include "serve/scheduler.hpp"
 #include "support/error.hpp"
 #include "support/http.hpp"
+#include "support/once_cache.hpp"
 #include "support/socket.hpp"
 #include "toolchain/toolchain.hpp"
 
@@ -105,9 +105,10 @@ class Server {
   /// transport cannot stream (HTTP).
   using FrameSink = std::function<bool(std::string_view)>;
 
-  void AcceptLoop();
+  /// Accepts on `listen_fd` until shutdown, one thread running `serve` per
+  /// connection.
+  void AcceptLoop(int listen_fd, void (Server::*serve)(int fd));
   void ServeConnection(int fd);
-  void HttpAcceptLoop();
   void ServeHttpConnection(int fd);
   void HandleHttp(int fd, const support::HttpRequest& request);
   [[nodiscard]] std::string HandleRequest(std::string_view payload,
@@ -120,7 +121,7 @@ class Server {
   [[nodiscard]] JobResult DoExplore(Request request, std::string key,
                                     std::string corr);
 
-  /// Compile-once benchmark binary cache (keyed bench + opt level).
+  /// The benchmark compiled at `opt_level`, compiled once per daemon.
   [[nodiscard]] Result<std::shared_ptr<const mips::SoftBinary>> ObtainBinary(
       const std::string& benchmark, int opt_level);
 
@@ -150,8 +151,9 @@ class Server {
   Forensics forensics_;
   std::atomic<std::uint64_t> next_corr_{1};  ///< server-assigned corr ids
 
-  std::mutex binaries_mutex_;
-  std::map<std::string, std::shared_ptr<const mips::SoftBinary>> binaries_;
+  /// Compiled benchmarks keyed `<benchmark>@O<level>`; a failed compile is
+  /// kept like a successful one.
+  support::OnceCache<std::string, Result<mips::SoftBinary>> binaries_;
 
   // Request/traffic metrics, backed by the process-wide obs::Registry so
   // the same instruments feed StatsJson(), the `metrics` request kind, and

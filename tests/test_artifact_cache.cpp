@@ -73,7 +73,8 @@ TEST(ArtifactCacheDisk, DecompilesStayInTheMemoryTier) {
   const auto artifact = std::make_shared<const DecompileArtifact>();
   {
     ArtifactCache writer{DiskStore::Options{dir.path, 0}};
-    writer.PutDecompile("k1", artifact);
+    EXPECT_EQ(writer.ObtainDecompile("k1", [&] { return artifact; }),
+              artifact);
     EXPECT_EQ(writer.stats().disk_stores, 0u);
     HitTier tier = HitTier::kMiss;
     EXPECT_EQ(writer.FindDecompile("k1", &tier), artifact);

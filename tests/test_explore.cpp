@@ -200,6 +200,9 @@ TEST(Explore, OneBinaryGridSweepIsThreadCountInvariant) {
         .synthesis_runs;
   };
   EXPECT_EQ(synthesis_runs(serial), synthesis_runs(parallel));
+  // Single-flight scans: the 8 threads' pool lookups, one per partition
+  // key, share one scan.
+  EXPECT_EQ(parallel.artifact_cache()->candidate_pool()->stats().scans, 1u);
   bool knapsack_wins = false;
   for (std::size_t p = 0; p < spec.platforms.size(); ++p) {
     const auto& greedy = a.At(0, p, 0, 0);

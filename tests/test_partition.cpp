@@ -1,6 +1,7 @@
 // Partitioner and estimator tests: the three steps of the paper's
 // algorithm, area budgeting, the performance/energy model, the platform
 // trends the paper reports (slower CPU -> larger speedup and savings), the
+// candidate pool serving each program instance its own set, the
 // table-driven subset scorer against the definitions it replaced, and the
 // annealing strategy's early-stopping walk against the full walk.
 #include "partition/partitioner.hpp"
@@ -14,6 +15,7 @@
 #include <new>
 #include <random>
 #include <set>
+#include <tuple>
 
 #include "minicc/codegen.hpp"
 #include "partition/candidates.hpp"
@@ -197,6 +199,73 @@ TEST(Flow, ReportMentionsEverything) {
   EXPECT_NE(report.find("speedup"), std::string::npos);
   EXPECT_NE(report.find("energy savings"), std::string::npos);
   EXPECT_NE(report.find("gates"), std::string::npos);
+}
+
+TEST(CandidateSetPool, ServesEachProgramInstanceItsOwnSet) {
+  // Two decompiles of one binary (two toolchains, two program instances)
+  // under one pool key: each gets a set scanned from its own program, so a
+  // pooled candidate never points into another instance's IR.
+  const ToolchainRun first = RunBenchmark("fir");
+  const ToolchainRun second = RunBenchmark("fir");
+  ASSERT_NE(first.program, nullptr);
+  ASSERT_NE(second.program, nullptr);
+  ASSERT_NE(first.program, second.program);
+
+  CandidateSetPool pool;
+  const auto obtain = [&pool](const ToolchainRun& run) {
+    return pool.Obtain("fir", run.program, run.software_run->profile);
+  };
+  const auto first_set = obtain(first);
+  const auto second_set = obtain(second);
+  ASSERT_NE(first_set, second_set);
+  EXPECT_EQ(obtain(first), first_set);
+  EXPECT_EQ(obtain(second), second_set);
+  const CandidateSetPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.scans, 2u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.entries, 2u);
+
+  const auto owns = [](const ToolchainRun& run, const ir::Function* function) {
+    for (const auto& owned : run.program->module.functions) {
+      if (owned.get() == function) return true;
+    }
+    return false;
+  };
+  for (const auto& [set, run, other] :
+       {std::tuple{first_set, &first, &second},
+        std::tuple{second_set, &second, &first}}) {
+    ASSERT_GT(set->size(), 0u);
+    for (const Candidate& candidate : set->candidates()) {
+      EXPECT_TRUE(owns(*run, candidate.function));
+      EXPECT_FALSE(owns(*other, candidate.function));
+    }
+  }
+}
+
+TEST(CandidateSetPool, EvictedSetsKeepTheirSynthesisRuns) {
+  // The pool holds kMaxEntries sets; the least recently used one goes when
+  // another arrives, and the synthesis work done on it stays counted.
+  const ToolchainRun flow = RunBenchmark("fir");
+  ASSERT_NE(flow.program, nullptr);
+  CandidateSetPool pool;
+  const auto obtain = [&](std::size_t key) {
+    return pool.Obtain("key" + std::to_string(key), flow.program,
+                       flow.software_run->profile);
+  };
+  const auto first = obtain(0);
+  ASSERT_GT(first->size(), 0u);
+  (void)first->Synthesize(0, synth::SynthOptions{});
+  ASSERT_EQ(first->synthesis_runs(), 1u);
+  for (std::size_t key = 1; key <= CandidateSetPool::kMaxEntries; ++key) {
+    (void)obtain(key);
+  }
+  const CandidateSetPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.scans, CandidateSetPool::kMaxEntries + 1);
+  EXPECT_EQ(stats.entries, CandidateSetPool::kMaxEntries);
+  EXPECT_EQ(stats.synthesis_runs, 1u);
+  // Key 0 was evicted: obtaining it again scans again.
+  EXPECT_NE(obtain(0), first);
+  EXPECT_EQ(pool.stats().scans, CandidateSetPool::kMaxEntries + 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -826,9 +826,9 @@ TEST(ServeDaemon, WarmRepeatDoesZeroWorkAndReportsIdentically) {
 // launched cold at the same instant with DISTINCT strategies over the same
 // binary+platform.  Their request keys differ — the daemon's scheduler
 // cannot coalesce them — but the decompile key (binary, pipeline, cycle
-// model) is shared, so exactly one profile+decompile may run; the loser of
-// the LeadDecompile race blocks on the leader's in-flight future inside
-// its own parallel job and reports zero work.
+// model) is shared, so exactly one profile+decompile may run; the tenant
+// whose ObtainDecompile finds the key in flight waits for it inside its own
+// parallel job and reports zero work.
 TEST(ServeWork, ConcurrentDistinctColdExploresRunOneDecompile) {
   const suite::Benchmark* bench = suite::FindBenchmark("crc");
   ASSERT_NE(bench, nullptr);
@@ -869,7 +869,7 @@ TEST(ServeWork, ConcurrentDistinctColdExploresRunOneDecompile) {
     partitions += result.partitions_run;
   }
   // One decompile total across both tenants, regardless of interleaving
-  // (full overlap resolves via the in-flight future, no overlap via the
+  // (full overlap resolves via the in-flight build, no overlap via the
   // memory tier) — and each tenant still computed its own partition.
   EXPECT_EQ(simulations, 1u);
   EXPECT_EQ(decompilations, 1u);
