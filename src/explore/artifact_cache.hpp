@@ -163,10 +163,9 @@ class ArtifactCache {
   /// Drop the memory tier (and reset counters); disk entries survive.
   void Clear();
 
-  /// Disk tier handle (null when memory-only) — maintenance (gc/stats/
-  /// clear) goes through it.
+  /// Disk tier handle (null when memory-only).  Only tests read it, to see
+  /// whether and where the disk tier was opened.
   [[nodiscard]] DiskStore* disk() { return disk_ ? disk_.get() : nullptr; }
-  [[nodiscard]] bool disk_enabled() const { return disk_ != nullptr; }
 
   /// Pool of pre-scanned candidate sets keyed on the decompile key; lives
   /// beside the artifact tiers so every tenant of a shared cache — all

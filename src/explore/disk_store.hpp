@@ -71,6 +71,7 @@ class DiskStore {
 
   explicit DiskStore(Options options);
 
+  /// Only tests read it: which directory B2H_CACHE_DIR resolved to.
   [[nodiscard]] const std::string& directory() const {
     return options_.directory;
   }

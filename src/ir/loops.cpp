@@ -78,18 +78,6 @@ LoopForest::LoopForest(const Function& function, const DominatorTree& dom) {
   }
 }
 
-Loop* LoopForest::LoopFor(const Block* block) const {
-  Loop* best = nullptr;
-  for (const auto& loop : loops_) {
-    if (loop->Contains(block)) {
-      if (best == nullptr || loop->blocks.size() < best->blocks.size()) {
-        best = loop.get();
-      }
-    }
-  }
-  return best;
-}
-
 void LoopForest::AnnotateProfile() {
   for (auto& loop : loops_) {
     loop->header_count = loop->header->exec_count;

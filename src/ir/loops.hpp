@@ -28,16 +28,10 @@ struct Loop {
   [[nodiscard]] bool Contains(const Block* block) const {
     return blocks.count(block) != 0;
   }
-  [[nodiscard]] bool IsInnermost() const { return children.empty(); }
 
   /// Profile-derived estimates (filled by AnnotateProfile).
   std::uint64_t header_count = 0;  ///< times the header executed
   std::uint64_t entry_count = 0;   ///< times the loop was entered
-  [[nodiscard]] double AverageTripCount() const {
-    return entry_count == 0 ? 0.0
-                            : static_cast<double>(header_count) /
-                                  static_cast<double>(entry_count);
-  }
 };
 
 class LoopForest {
@@ -47,8 +41,6 @@ class LoopForest {
   [[nodiscard]] const std::vector<std::unique_ptr<Loop>>& loops() const {
     return loops_;
   }
-  /// Innermost loop containing `block`, or nullptr.
-  [[nodiscard]] Loop* LoopFor(const Block* block) const;
   /// Fill header/entry counts from Block::exec_count annotations.
   void AnnotateProfile();
 

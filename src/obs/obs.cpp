@@ -329,11 +329,6 @@ std::vector<Span> Tracer::FlightSnapshot() const {
   return flight_.CopyOldestFirst();
 }
 
-std::size_t Tracer::flight_wrapped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return flight_.wrapped;
-}
-
 namespace {
 
 /// Shared Chrome trace-event serializer for both rings.  `dropped` lands in

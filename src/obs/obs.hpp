@@ -112,13 +112,6 @@ class Gauge {
   void Add(std::int64_t delta) noexcept {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  /// Set-if-greater, for high-water marks.
-  void MaxWith(std::int64_t v) noexcept {
-    std::int64_t seen = value_.load(std::memory_order_relaxed);
-    while (v > seen &&
-           !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
-    }
-  }
   [[nodiscard]] std::int64_t Value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
@@ -303,15 +296,14 @@ class Tracer {
 
   void Record(Span&& span);
 
-  /// Spans currently held, oldest first.
+  /// Spans currently held, oldest first.  Only tests read spans one by
+  /// one; production exports them as ChromeTraceJson().
   [[nodiscard]] std::vector<Span> Snapshot() const;
   [[nodiscard]] std::size_t dropped() const;
   void Clear();
 
-  /// Flight-ring spans, oldest first.
+  /// Flight-ring spans, oldest first; read by tests like Snapshot().
   [[nodiscard]] std::vector<Span> FlightSnapshot() const;
-  /// Spans overwritten in the flight ring since EnableFlight().
-  [[nodiscard]] std::size_t flight_wrapped() const;
 
   /// Chrome trace-event JSON ({"otherData":{"dropped":N},
   /// "traceEvents":[...]}), events sorted by start time; ts/dur are

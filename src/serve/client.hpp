@@ -39,7 +39,8 @@ class Client {
   /// `on_progress` (may be null) as it arrives; the final response lands in
   /// `*response`.  `timeout_ms` bounds each individual frame read, so a
   /// streaming explore keeps the effective timeout alive as long as the
-  /// daemon keeps talking.
+  /// daemon keeps talking.  Only tests call it, but it is the one reader
+  /// of progress frames, so it stays beside the protocol it reads.
   [[nodiscard]] Status CallStreaming(
       std::string_view request, std::string* response,
       const std::function<void(std::string_view)>& on_progress,
@@ -51,7 +52,8 @@ class Client {
   [[nodiscard]] Status Receive(std::string* response, int timeout_ms = -1);
 
   /// Write a raw byte sequence with NO length prefix — protocol-abuse
-  /// helper for the robustness tests (truncated/garbage frames).
+  /// helper for the robustness tests (truncated/garbage frames), which no
+  /// well-behaved client needs.
   [[nodiscard]] bool SendRaw(std::string_view bytes);
 
   void Close();

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <iomanip>
 #include <limits>
 #include <sstream>
 
@@ -32,6 +33,37 @@ std::optional<Request> Fail(ParseError* error, std::string code,
     error->message = std::move(message);
   }
   return std::nullopt;
+}
+
+/// String member `key` into `*out`, which keeps its value when the member
+/// is absent; false when the member is present but not a string.
+bool ReadString(const JsonValue& object, std::string_view key,
+                std::string* out) {
+  const JsonValue* member = object.Find(key);
+  if (member == nullptr) return true;
+  if (!member->is_string()) return false;
+  *out = member->string();
+  return true;
+}
+
+/// String member `key` (default `value`) as a one-element list: one axis
+/// of a partition's one-point grid.  False when present but not a string.
+bool ReadPoint(const JsonValue& object, std::string_view key,
+               std::string value, std::vector<std::string>* out) {
+  if (!ReadString(object, key, &value)) return false;
+  *out = {std::move(value)};
+  return true;
+}
+
+/// Array-of-strings member `key` into `*out`, `fallback` when absent or
+/// empty; false when present but not an array of strings.
+bool ReadList(const JsonValue& object, std::string_view key,
+              std::vector<std::string> fallback,
+              std::vector<std::string>* out) {
+  std::optional<std::vector<std::string>> list = object.GetStringArray(key);
+  if (!list.has_value()) return false;
+  *out = list->empty() ? std::move(fallback) : std::move(*list);
+  return true;
 }
 
 /// Integral member in [0, max] with a default; false on a present but
@@ -72,7 +104,8 @@ std::string_view RequestKindName(RequestKind kind) {
 }
 
 std::optional<Request> ParseRequest(std::string_view payload,
-                                    ParseError* error) {
+                                    ParseError* error,
+                                    std::optional<RequestKind> absent_kind) {
   const std::optional<JsonValue> parsed = JsonValue::Parse(payload);
   if (!parsed.has_value()) {
     return Fail(error, kErrBadJson, "request payload is not valid JSON");
@@ -87,25 +120,32 @@ std::optional<Request> ParseRequest(std::string_view payload,
     return Fail(error, kErrBadSchema,
                 "request carries no numeric \"schema\" field");
   }
-  if (static_cast<int>(schema->number()) != kWireSchemaVersion) {
+  if (schema->number() != kWireSchemaVersion) {
+    // Printed, never cast to int: 1e300 is out of its range.
+    std::ostringstream version;
+    version << std::setprecision(15) << schema->number();
     return Fail(error, kErrBadSchema,
-                "unsupported wire schema " +
-                    std::to_string(static_cast<int>(schema->number())) +
-                    " (server speaks " +
-                    std::to_string(kWireSchemaVersion) + ")");
+                "unsupported wire schema " + version.str() +
+                    " (server speaks " + std::to_string(kWireSchemaVersion) +
+                    ")");
   }
 
-  const std::string kind_name = object.GetString("kind");
+  std::string kind_name =
+      absent_kind.has_value() ? std::string(RequestKindName(*absent_kind))
+                              : "";
+  Request request;
+  if (!ReadString(object, "kind", &kind_name) ||
+      !ReadString(object, "id", &request.id) ||
+      !ReadString(object, "corr", &request.corr)) {
+    return Fail(error, kErrBadRequest,
+                "\"kind\", \"id\", and \"corr\" must be strings");
+  }
   const std::optional<RequestKind> kind = ParseKind(kind_name);
   if (!kind.has_value()) {
     return Fail(error, kErrBadRequest,
                 "unknown request kind \"" + kind_name + "\"");
   }
-
-  Request request;
   request.kind = *kind;
-  request.id = object.GetString("id");
-  request.corr = object.GetString("corr");
   if (!request.corr.empty() && !ValidCorrelationId(request.corr)) {
     return Fail(error, kErrBadRequest,
                 "\"corr\" must be 1-64 bytes of [A-Za-z0-9._-]");
@@ -153,45 +193,47 @@ std::optional<Request> ParseRequest(std::string_view payload,
     case RequestKind::kDump:
     case RequestKind::kShutdown:
       return request;
-    case RequestKind::kPartition: {
-      request.benchmark = object.GetString("benchmark");
-      if (request.benchmark.empty()) {
+    case RequestKind::kPartition:
+      if (!ReadPoint(object, "benchmark", "", &request.benchmarks) ||
+          !ReadPoint(object, "platform", "mips200-xc2v1000",
+                     &request.platforms) ||
+          !ReadPoint(object, "strategy", "paper-greedy",
+                     &request.strategies) ||
+          !ReadPoint(object, "objective", "speedup", &request.objectives)) {
+        return Fail(error, kErrBadRequest,
+                    "\"benchmark\", \"platform\", \"strategy\", and "
+                    "\"objective\" must be strings");
+      }
+      if (request.benchmarks.front().empty()) {
         return Fail(error, kErrBadRequest,
                     "partition request needs a \"benchmark\" name");
       }
-      request.platform = object.GetString("platform", request.platform);
-      request.strategy = object.GetString("strategy", request.strategy);
-      request.objective = object.GetString("objective", request.objective);
-      if (!partition::ParseObjective(request.objective).has_value()) {
+      break;
+    case RequestKind::kExplore:
+      if (!ReadList(object, "benchmarks", {}, &request.benchmarks) ||
+          !ReadList(object, "platforms",
+                    {"mips40", "mips200-xc2v1000", "mips400"},
+                    &request.platforms) ||
+          !ReadList(object, "strategies", {"paper-greedy"},
+                    &request.strategies) ||
+          !ReadList(object, "objectives", {"speedup"}, &request.objectives)) {
         return Fail(error, kErrBadRequest,
-                    "unknown objective \"" + request.objective + "\"");
+                    "\"benchmarks\", \"platforms\", \"strategies\", and "
+                    "\"objectives\" must be arrays of strings");
       }
-      return request;
-    }
-    case RequestKind::kExplore: {
-      request.benchmarks = object.GetStringArray("benchmarks");
       if (request.benchmarks.empty()) {
         return Fail(error, kErrBadRequest,
                     "explore request needs a non-empty \"benchmarks\" array");
       }
-      request.platforms = object.GetStringArray("platforms");
-      request.strategies = object.GetStringArray("strategies");
-      request.objectives = object.GetStringArray("objectives");
-      if (request.platforms.empty()) {
-        request.platforms = {"mips40", "mips200-xc2v1000", "mips400"};
-      }
-      if (request.strategies.empty()) request.strategies = {"paper-greedy"};
-      if (request.objectives.empty()) request.objectives = {"speedup"};
-      for (const std::string& objective : request.objectives) {
-        if (!partition::ParseObjective(objective).has_value()) {
-          return Fail(error, kErrBadRequest,
-                      "unknown objective \"" + objective + "\"");
-        }
-      }
-      return request;
+      break;
+  }
+  for (const std::string& objective : request.objectives) {
+    if (!partition::ParseObjective(objective).has_value()) {
+      return Fail(error, kErrBadRequest,
+                  "unknown objective \"" + objective + "\"");
     }
   }
-  return Fail(error, kErrInternal, "unreachable request kind");
+  return request;
 }
 
 std::string RequestKey(const Request& request) {
@@ -200,22 +242,14 @@ std::string RequestKey(const Request& request) {
   // grid is a different report, hence a different key).
   std::ostringstream out;
   out << RequestKindName(request.kind);
-  const auto field = [&](std::string_view value) { out << '\x1f' << value; };
   const auto list = [&](const std::vector<std::string>& values) {
     out << '\x1f' << values.size();
-    for (const std::string& value : values) field(value);
+    for (const std::string& value : values) out << '\x1f' << value;
   };
-  if (request.kind == RequestKind::kPartition) {
-    field(request.benchmark);
-    field(request.platform);
-    field(request.strategy);
-    field(request.objective);
-  } else {
-    list(request.benchmarks);
-    list(request.platforms);
-    list(request.strategies);
-    list(request.objectives);
-  }
+  list(request.benchmarks);
+  list(request.platforms);
+  list(request.strategies);
+  list(request.objectives);
   out << '\x1f' << request.opt_level << '\x1f' << request.seed << '\x1f'
       << request.annealing_iterations;
   return out.str();

@@ -19,6 +19,16 @@
 //   {"schema":1,"kind":"dump"}
 //   {"schema":1,"kind":"shutdown"}
 //
+// A `partition` is the one-point case of an `explore` grid: its singular
+// fields (defaults: platform "mips200-xc2v1000", strategy "paper-greedy",
+// objective "speedup") decode to one-element lists, and the daemon runs
+// both kinds through one work path; only the report's shape differs.
+//
+// "schema" must be the number 1 exactly (1.9 or 1e300 is `bad-schema`).
+// Every other field must have its documented type when present: strings
+// ("kind", "id", "corr", the singular partition fields), arrays of strings
+// (the explore lists), a boolean ("progress") and numbers.  A field of the
+// wrong type is rejected with `bad-request`, never read as its default.
 // Numeric fields are integers within their field's range (seed < 2^64,
 // annealing_iterations < 2^32, opt_level <= 3, and deadline_ms, which may
 // be fractional, at most 2^31 - 1); anything else is rejected with
@@ -79,8 +89,7 @@ enum class RequestKind {
 
 [[nodiscard]] std::string_view RequestKindName(RequestKind kind);
 
-/// One decoded request.  `partition` uses the singular fields; `explore`
-/// the plural ones.  Absent optional fields keep these defaults.
+/// One decoded request.  Absent optional fields keep these defaults.
 struct Request {
   RequestKind kind = RequestKind::kPing;
   std::string id;        ///< opaque client tag, echoed in the response
@@ -88,20 +97,13 @@ struct Request {
   bool progress = false; ///< stream progress frames before the final reply
   int deadline_ms = -1;  ///< < 0 = no deadline
 
-  // partition
-  std::string benchmark;
-  std::string platform = "mips200-xc2v1000";
-  std::string strategy = "paper-greedy";
-  std::string objective = "speedup";
-  int opt_level = 1;
-
-  // explore
+  // The work grid (`partition`: one element each; `explore`: the cross
+  // product) and the strategy knobs.
   std::vector<std::string> benchmarks;
   std::vector<std::string> platforms;
   std::vector<std::string> strategies;
   std::vector<std::string> objectives;
-
-  // strategy knobs shared by both work kinds
+  int opt_level = 1;
   std::uint64_t seed = 1;
   unsigned annealing_iterations = 2000;
 };
@@ -113,11 +115,14 @@ struct ParseError {
 
 /// Decode + structurally validate one request payload (schema match, known
 /// kind, required fields present and well-typed, objectives parseable).
-/// Registry-level validation (benchmark/platform/strategy existence) stays
-/// with the server, which owns the registries.  nullopt => `*error` holds
-/// the structured code/message to send back.
-[[nodiscard]] std::optional<Request> ParseRequest(std::string_view payload,
-                                                  ParseError* error);
+/// `absent_kind` is the kind of a payload without "kind" (an HTTP route's
+/// kind); without it such a payload is refused.  Registry-level validation
+/// (benchmark/platform/strategy existence) stays with the server, which
+/// owns the registries.  nullopt => `*error` holds the structured
+/// code/message to send back.
+[[nodiscard]] std::optional<Request> ParseRequest(
+    std::string_view payload, ParseError* error,
+    std::optional<RequestKind> absent_kind = std::nullopt);
 
 /// Canonical content key of the deterministic work a request names — the
 /// scheduler coalesces concurrent requests with equal keys onto one

@@ -42,12 +42,6 @@ Scheduler::~Scheduler() { Stop(); }
 
 Scheduler::Outcome Scheduler::Run(const std::string& key,
                                   std::function<JobResult()> work,
-                                  int deadline_ms) {
-  return Run(key, std::move(work), deadline_ms, nullptr);
-}
-
-Scheduler::Outcome Scheduler::Run(const std::string& key,
-                                  std::function<JobResult()> work,
                                   int deadline_ms,
                                   const std::function<void()>& poll) {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -78,37 +72,26 @@ Scheduler::Outcome Scheduler::Run(const std::string& key,
   }
   ++stats_.submitted;
 
+  // Wake at the deadline and, when polling, every kPollIntervalMs to run
+  // `poll` with the mutex released (it may block on a socket write).
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      deadline_ms < 0 ? Clock::time_point::max()
+                      : Clock::now() + std::chrono::milliseconds(deadline_ms);
   const auto finished = [&job] { return job->done; };
-  if (poll == nullptr) {
-    if (deadline_ms < 0) {
-      done_cv_.wait(lock, finished);
-    } else if (!done_cv_.wait_for(lock,
-                                  std::chrono::milliseconds(deadline_ms),
-                                  finished)) {
+  while (true) {
+    const Clock::time_point wake =
+        poll ? std::min(deadline, Clock::now() + std::chrono::milliseconds(
+                                                     kPollIntervalMs))
+             : deadline;
+    if (done_cv_.wait_until(lock, wake, finished)) break;
+    if (Clock::now() >= deadline) {
       // The waiter gives up; the job object stays queued/running and will
       // complete into the caches for the next identical request.
       ++stats_.deadline_expired;
       return {OutcomeCode::kDeadline, nullptr, coalesced};
     }
-    return {OutcomeCode::kDone, job->result, coalesced};
-  }
-
-  // Polling wait: wake at least every kPollIntervalMs, run `poll` with the
-  // mutex released (it may block on a socket write), re-check on relock.
-  using Clock = std::chrono::steady_clock;
-  const bool has_deadline = deadline_ms >= 0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(has_deadline ? deadline_ms : 0);
-  while (!job->done) {
-    Clock::time_point wake =
-        Clock::now() + std::chrono::milliseconds(kPollIntervalMs);
-    if (has_deadline && deadline < wake) wake = deadline;
-    done_cv_.wait_until(lock, wake, finished);
-    if (job->done) break;
-    if (has_deadline && Clock::now() >= deadline) {
-      ++stats_.deadline_expired;
-      return {OutcomeCode::kDeadline, nullptr, coalesced};
-    }
+    // Only a polling wait wakes before its deadline.
     lock.unlock();
     poll();
     lock.lock();

@@ -86,18 +86,15 @@ class Scheduler {
 
   /// Submit (or attach to) the job named by `key` and wait for its result
   /// up to `deadline_ms` (< 0 = forever).  Blocking: call from connection
-  /// threads, not from work closures.
-  [[nodiscard]] Outcome Run(const std::string& key,
-                            std::function<JobResult()> work, int deadline_ms);
-
-  /// Same, but invokes `poll` from the waiting thread roughly every
-  /// kPollIntervalMs while the job runs — the progress-streaming hook: the
-  /// connection thread forwards board snapshots to its client between
-  /// wakeups.  `poll` runs with the scheduler mutex RELEASED, so it may
-  /// block on socket writes; it must not call back into the scheduler.
+  /// threads, not from work closures.  A non-null `poll` is invoked from
+  /// the waiting thread roughly every kPollIntervalMs while the job runs —
+  /// the progress-streaming hook: the connection thread forwards board
+  /// snapshots to its client between wakeups.  `poll` runs with the
+  /// scheduler mutex RELEASED, so it may block on socket writes; it must
+  /// not call back into the scheduler.
   [[nodiscard]] Outcome Run(const std::string& key,
                             std::function<JobResult()> work, int deadline_ms,
-                            const std::function<void()>& poll);
+                            const std::function<void()>& poll = nullptr);
 
   /// Stop accepting work, fail queued-but-unstarted jobs with
   /// `shutting-down`, finish running ones, and join the workers.

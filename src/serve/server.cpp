@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <sstream>
@@ -15,7 +14,6 @@
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
 #include "support/json.hpp"
-#include "support/json_parse.hpp"
 #include "support/schema.hpp"
 
 namespace b2h::serve {
@@ -204,7 +202,9 @@ void Server::ServeConnection(int fd) {
     }
     if (status != support::FrameStatus::kOk) break;  // truncated / error
 
-    const std::string response = HandleRequest(payload, &frame_sink);
+    ParseError error;
+    const std::optional<Request> request = ParseRequest(payload, &error);
+    const std::string response = HandleRequest(request, error, &frame_sink);
     if (!support::WriteFrame(fd, response, options_.max_frame_bytes)) break;
   }
   connections_open_.Add(-1);
@@ -333,51 +333,37 @@ void Server::HandleHttp(int fd, const support::HttpRequest& request) {
   }
 
   if (request.method == "POST") {
-    const char* kind = nullptr;
+    std::optional<RequestKind> kind;
     if (target == "/v1/partition") {
-      kind = "partition";
+      kind = RequestKind::kPartition;
     } else if (target == "/v1/explore") {
-      kind = "explore";
+      kind = RequestKind::kExplore;
     }
-    if (kind == nullptr) {
+    if (!kind.has_value()) {
       (void)support::WriteHttpResponse(fd, 404, "Not Found", "text/plain",
                                        "unknown target\n");
       return;
     }
     // The body is the framed wire payload verbatim (so HTTP and framed
-    // clients produce byte-identical reports); "kind" may be omitted — the
-    // path supplies it — but must match the path when present.
-    std::string payload = request.body;
-    const std::optional<support::JsonValue> parsed =
-        support::JsonValue::Parse(payload);
-    if (parsed.has_value() && parsed->is_object()) {
-      const support::JsonValue* body_kind = parsed->Find("kind");
-      if (body_kind == nullptr) {
-        const std::size_t brace = payload.find('{');
-        std::size_t after = brace + 1;
-        while (after < payload.size() &&
-               std::isspace(static_cast<unsigned char>(payload[after]))) {
-          ++after;
-        }
-        const bool empty_object =
-            after < payload.size() && payload[after] == '}';
-        payload.insert(brace + 1, std::string("\"kind\":\"") + kind +
-                                      (empty_object ? "\"" : "\","));
-      } else if (!body_kind->is_string() || body_kind->string() != kind) {
-        protocol_errors_.Add(1);
-        (void)support::WriteHttpResponse(
-            fd, 400, "Bad Request", "application/json",
-            ErrorResponse("", kErrBadRequest,
-                          std::string("\"kind\" must match the request path "
-                                      "(expected \"") +
-                              kind + "\")"));
-        return;
-      }
+    // clients produce byte-identical reports); the route's kind stands in
+    // for an absent "kind", and a body naming another kind is refused
+    // before any work.
+    ParseError error;
+    const std::optional<Request> parsed =
+        ParseRequest(request.body, &error, kind);
+    if (parsed.has_value() && parsed->kind != *kind) {
+      protocol_errors_.Add(1);
+      (void)support::WriteHttpResponse(
+          fd, 400, "Bad Request", "application/json",
+          ErrorResponse("", kErrBadRequest,
+                        "\"kind\" must match the request path (expected \"" +
+                            std::string(RequestKindName(*kind)) + "\")"));
+      return;
     }
-    // Through the same HandleRequest as framed clients: shared parsing,
-    // validation, coalescing, deadlines, and cache.  Protocol-level
-    // failures ride the JSON envelope (ok:false) with HTTP 200.
-    const std::string response = HandleRequest(payload, nullptr);
+    // Through the same HandleRequest as framed clients: shared validation,
+    // coalescing, deadlines, and cache.  Protocol-level failures ride the
+    // JSON envelope (ok:false) with HTTP 200.
+    const std::string response = HandleRequest(parsed, error, nullptr);
     (void)support::WriteHttpResponse(fd, 200, "OK", "application/json",
                                      response);
     return;
@@ -387,12 +373,11 @@ void Server::HandleHttp(int fd, const support::HttpRequest& request) {
                                    "only GET and POST are supported\n");
 }
 
-std::string Server::HandleRequest(std::string_view payload,
+std::string Server::HandleRequest(const std::optional<Request>& request,
+                                  const ParseError& error,
                                   const FrameSink* frame_sink) {
   requests_.Add(1);
   obs::ScopedSpan span("serve.request", "serve");
-  ParseError error;
-  const std::optional<Request> request = ParseRequest(payload, &error);
   if (!request.has_value()) {
     protocol_errors_.Add(1);
     span.Arg("kind", "invalid");
@@ -477,10 +462,8 @@ std::string Server::HandleWork(const Request& request, const std::string& corr,
   }
   const Scheduler::Outcome outcome = scheduler_.Run(
       key,
-      [this, job_request = std::move(job_request), key, corr]() -> JobResult {
-        return job_request.kind == RequestKind::kPartition
-                   ? DoPartition(job_request, key, corr)
-                   : DoExplore(job_request, key, corr);
+      [this, job_request = std::move(job_request), key, corr] {
+        return DoWork(job_request, key, corr);
       },
       request.deadline_ms, poll);
   const double millis = latency.Millis();
@@ -522,44 +505,11 @@ std::string Server::HandleWork(const Request& request, const std::string& corr,
                     corr);
 }
 
-JobResult Server::DoPartition(Request request, std::string key,
-                              std::string corr) {
-  obs::ScopedSpan span("serve.partition", "serve");
-  span.Arg("benchmark", request.benchmark)
-      .Arg("platform", request.platform)
-      .Arg("strategy", request.strategy)
-      .Arg("corr", corr);
-  auto binary = ObtainBinary(request.benchmark, request.opt_level);
-  if (!binary.ok()) {
-    return {false, kErrInternal, binary.status().message(), ""};
-  }
-  explore::ExploreSpec spec;
-  spec.binaries = {{request.benchmark, binary.value()}};
-  spec.platforms = {request.platform};
-  spec.strategies = {request.strategy};
-  spec.objectives = {*partition::ParseObjective(request.objective)};
-  spec.strategy_options.seed = request.seed;
-  spec.strategy_options.annealing_iterations = request.annealing_iterations;
-  spec.progress = [this, &key](const explore::ExploreProgress& progress) {
-    progress_.Update(key, progress);
-  };
-
-  // Through Explore — not Run — so the request hits the shared artifact
-  // cache and candidate pool; a repeat of this request does zero work.
-  const explore::ExploreResult result = toolchain_.Explore(spec);
-  AccumulateWork(result);
-  const explore::ExplorePoint& point = result.At(0, 0, 0, 0);
-  if (!point.status.ok()) {
-    return {false, kErrFlowFailed, point.status.message(), ""};
-  }
-  // The same renderer as a local Toolchain::RunOn + Json(), so a served
-  // report is bit-identical to it (asserted in test_serve).
-  return {true, "", "", ToolchainRun::FromPoint(point).Json()};
-}
-
-JobResult Server::DoExplore(Request request, std::string key,
-                            std::string corr) {
-  obs::ScopedSpan span("serve.explore", "serve");
+JobResult Server::DoWork(const Request& request, const std::string& key,
+                         const std::string& corr) {
+  const bool partition = request.kind == RequestKind::kPartition;
+  obs::ScopedSpan span(partition ? "serve.partition" : "serve.explore",
+                       "serve");
   span.Arg("benchmarks", static_cast<std::uint64_t>(request.benchmarks.size()))
       .Arg("platforms", static_cast<std::uint64_t>(request.platforms.size()))
       .Arg("strategies",
@@ -586,9 +536,19 @@ JobResult Server::DoExplore(Request request, std::string key,
     progress_.Update(key, progress);
   };
 
+  // Every request goes through Explore — a partition as its one-point
+  // grid — so it hits the shared artifact cache and candidate pool; a
+  // repeat of a request does zero work.
   const explore::ExploreResult result = toolchain_.Explore(spec);
   AccumulateWork(result);
-  return {true, "", "", result.Json()};
+  if (!partition) return {true, "", "", result.Json()};
+  const explore::ExplorePoint& point = result.At(0, 0, 0, 0);
+  if (!point.status.ok()) {
+    return {false, kErrFlowFailed, point.status.message(), ""};
+  }
+  // The same renderer as a local Toolchain::RunOn + Json(), so a served
+  // report is bit-identical to it (asserted in test_serve).
+  return {true, "", "", ToolchainRun::FromPoint(point).Json()};
 }
 
 Result<std::shared_ptr<const mips::SoftBinary>> Server::ObtainBinary(
@@ -629,15 +589,6 @@ ParseError Server::ValidateNames(const Request& request) const {
   };
 
   ParseError error;
-  if (request.kind == RequestKind::kPartition) {
-    if (error = check_benchmark(request.benchmark); !error.code.empty()) {
-      return error;
-    }
-    if (error = check_platform(request.platform); !error.code.empty()) {
-      return error;
-    }
-    return check_strategy(request.strategy);
-  }
   for (const std::string& name : request.benchmarks) {
     if (error = check_benchmark(name); !error.code.empty()) return error;
   }

@@ -32,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -111,22 +112,25 @@ class Server {
   void ServeConnection(int fd);
   void ServeHttpConnection(int fd);
   void HandleHttp(int fd, const support::HttpRequest& request);
-  [[nodiscard]] std::string HandleRequest(std::string_view payload,
+  /// Answers one parsed request, or its parse `error` when it is empty.
+  [[nodiscard]] std::string HandleRequest(const std::optional<Request>& request,
+                                          const ParseError& error,
                                           const FrameSink* frame_sink);
   [[nodiscard]] std::string HandleWork(const Request& request,
                                        const std::string& corr,
                                        const FrameSink* frame_sink);
-  [[nodiscard]] JobResult DoPartition(Request request, std::string key,
-                                      std::string corr);
-  [[nodiscard]] JobResult DoExplore(Request request, std::string key,
-                                    std::string corr);
+  /// The work closure of both work kinds: one Explore over the request's
+  /// grid, rendered as a partition report or an explore report.
+  [[nodiscard]] JobResult DoWork(const Request& request,
+                                 const std::string& key,
+                                 const std::string& corr);
 
   /// The benchmark compiled at `opt_level`, compiled once per daemon.
   [[nodiscard]] Result<std::shared_ptr<const mips::SoftBinary>> ObtainBinary(
       const std::string& benchmark, int opt_level);
 
-  /// Registry-existence validation shared by partition and explore
-  /// requests; empty code on success.
+  /// Registry-existence validation of a work request's grid; empty code
+  /// on success.
   [[nodiscard]] ParseError ValidateNames(const Request& request) const;
 
   void AccumulateWork(const explore::ExploreResult& result);

@@ -256,12 +256,15 @@ bool JsonValue::GetBool(std::string_view key, bool fallback) const {
   return value->bool_value();
 }
 
-std::vector<std::string> JsonValue::GetStringArray(std::string_view key) const {
+std::optional<std::vector<std::string>> JsonValue::GetStringArray(
+    std::string_view key) const {
   std::vector<std::string> out;
   const JsonValue* value = Find(key);
-  if (value == nullptr || !value->is_array()) return out;
+  if (value == nullptr) return out;
+  if (!value->is_array()) return std::nullopt;
   for (const JsonValue& element : value->array()) {
-    if (element.is_string()) out.push_back(element.string());
+    if (!element.is_string()) return std::nullopt;
+    out.push_back(element.string());
   }
   return out;
 }

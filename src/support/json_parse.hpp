@@ -31,6 +31,7 @@ class JsonValue {
   [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
   [[nodiscard]] bool is_number() const { return kind_ == Kind::kNumber; }
   [[nodiscard]] bool is_bool() const { return kind_ == Kind::kBool; }
+  /// No production reader takes null; the JSON reader tests check it here.
   [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
 
   [[nodiscard]] bool bool_value() const { return bool_; }
@@ -46,19 +47,18 @@ class JsonValue {
   /// this value is not an object.
   [[nodiscard]] const JsonValue* Find(std::string_view key) const;
 
-  // Typed member accessors with defaults, for tolerant request decoding.
+  // Typed member accessors that fall back to a default when the member is
+  // absent or of another type, for reading JSON the repo's own tools wrote
+  // (replies, stats).  The request parser refuses a mistyped field instead.
   [[nodiscard]] std::string GetString(std::string_view key,
                                       std::string fallback = "") const;
   [[nodiscard]] double GetNumber(std::string_view key,
                                  double fallback = 0.0) const;
   [[nodiscard]] bool GetBool(std::string_view key, bool fallback) const;
-  /// Member as a vector of strings (non-string elements skipped); empty
-  /// when absent or not an array.
-  [[nodiscard]] std::vector<std::string> GetStringArray(
+  /// Member as a vector of strings: empty when absent, nullopt when present
+  /// but not an array of strings (the request parser refuses it).
+  [[nodiscard]] std::optional<std::vector<std::string>> GetStringArray(
       std::string_view key) const;
-
-  /// A null value; the parser makes every other kind.
-  static JsonValue MakeNull() { return JsonValue(); }
 
  private:
   friend class JsonParser;

@@ -426,7 +426,7 @@ TEST(Explore, DiskCacheMakesProcessRestartedSweepsFree) {
 
   Toolchain cold;
   cold.WithCacheDir(dir.path);
-  ASSERT_TRUE(cold.artifact_cache()->disk_enabled());
+  ASSERT_NE(cold.artifact_cache()->disk(), nullptr);
   const ExploreResult first = cold.Explore(spec);
   EXPECT_EQ(first.simulations_run, 3u);
   EXPECT_GT(first.decompilations_run, 0u);
@@ -560,7 +560,7 @@ TEST(Explore, CacheDirEnvironmentOverride) {
     ScopedEnv env("B2H_CACHE_DIR", env_dir.path.c_str());
 
     Toolchain from_env;  // constructor picks the env dir up
-    ASSERT_TRUE(from_env.artifact_cache()->disk_enabled());
+    ASSERT_NE(from_env.artifact_cache()->disk(), nullptr);
     EXPECT_EQ(from_env.artifact_cache()->disk()->directory(), env_dir.path);
 
     Toolchain overridden;  // env wins over the configured directory
@@ -579,7 +579,7 @@ TEST(Explore, CacheDirEnvironmentOverride) {
   EXPECT_EQ(cold.Report(), replay.Report());
 
   Toolchain memory_only;  // env gone: back to the memory-only default
-  EXPECT_FALSE(memory_only.artifact_cache()->disk_enabled());
+  EXPECT_EQ(memory_only.artifact_cache()->disk(), nullptr);
 }
 
 // The knapsack strategy must agree with an exhaustive check on a small

@@ -91,7 +91,7 @@ std::string Call(Client& client, const std::string& request) {
 JsonValue MustParse(const std::string& text) {
   const auto parsed = JsonValue::Parse(text);
   EXPECT_TRUE(parsed.has_value()) << text;
-  return parsed.value_or(JsonValue::MakeNull());
+  return parsed.value_or(JsonValue());
 }
 
 /// The raw "report" object text — sliced, not re-serialized, so equality

@@ -328,12 +328,12 @@ TEST(Loops, DiscoversSelfLoop) {
   const Loop* loop = forest.loops().front().get();
   EXPECT_EQ(loop->header, lf.loop);
   EXPECT_EQ(loop->blocks.size(), 1u);
-  EXPECT_TRUE(loop->IsInnermost());
+  EXPECT_TRUE(loop->children.empty());
   EXPECT_EQ(loop->depth, 1);
   ASSERT_EQ(loop->exit_blocks.size(), 1u);
   EXPECT_EQ(loop->exit_blocks[0], lf.exit);
-  EXPECT_EQ(forest.LoopFor(lf.loop), loop);
-  EXPECT_EQ(forest.LoopFor(lf.entry), nullptr);
+  EXPECT_TRUE(loop->Contains(lf.loop));
+  EXPECT_FALSE(loop->Contains(lf.entry));
 }
 
 TEST(Loops, ProfileTripCount) {
@@ -347,7 +347,6 @@ TEST(Loops, ProfileTripCount) {
   const Loop* loop = forest.loops().front().get();
   EXPECT_EQ(loop->header_count, 10u);
   EXPECT_EQ(loop->entry_count, 1u);
-  EXPECT_DOUBLE_EQ(loop->AverageTripCount(), 10.0);
 }
 
 TEST(Loops, HeadersComeOutInReversePostOrder) {

@@ -111,16 +111,12 @@ TEST(ObsCounter, ConcurrentAddsSumExactly) {
                           std::string("test.counter.") + "concurrent"));
 }
 
-TEST(ObsGauge, SetAddMaxWith) {
+TEST(ObsGauge, SetAdd) {
   obs::Gauge& gauge = obs::Registry::Global().gauge("test.gauge.basic");
   gauge.Set(5);
   EXPECT_EQ(gauge.Value(), 5);
   gauge.Add(-8);
   EXPECT_EQ(gauge.Value(), -3);
-  gauge.MaxWith(10);
-  EXPECT_EQ(gauge.Value(), 10);
-  gauge.MaxWith(4);  // never lowers
-  EXPECT_EQ(gauge.Value(), 10);
 }
 
 TEST(ObsHistogram, BucketEdgesAreInclusiveUpperBounds) {
@@ -311,7 +307,6 @@ TEST(ObsTracer, FlightRingWrapsBoundedAndCountsIntoRegistry) {
     obs::ScopedSpan span("flight.fill", "test");
   }
   EXPECT_EQ(tracer.FlightSnapshot().size(), 2u);
-  EXPECT_EQ(tracer.flight_wrapped(), 3u);
   // Wraps surface as a registry counter so /metrics and the CI trace
   // validator can detect span loss without a snapshot diff.
   EXPECT_EQ(wrapped_counter.Value() - wrapped_before, 3u);

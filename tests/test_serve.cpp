@@ -101,12 +101,16 @@ TEST(JsonParse, BoundsRecursionDepth) {
   EXPECT_FALSE(JsonValue::Parse(deep).has_value());
 }
 
-TEST(JsonParse, GetStringArraySkipsNonStrings) {
-  const auto parsed = JsonValue::Parse(R"({"v":["a",1,"b",null,"c"]})");
+TEST(JsonParse, GetStringArrayRefusesNonStrings) {
+  const auto parsed = JsonValue::Parse(
+      R"({"v":["a","b","c"],"mixed":["a",1,"b",null],"s":"a"})");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->GetStringArray("v"),
             (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_TRUE(parsed->GetStringArray("missing").empty());
+  EXPECT_EQ(parsed->GetStringArray("mixed"), std::nullopt);
+  EXPECT_EQ(parsed->GetStringArray("s"), std::nullopt);
+  ASSERT_TRUE(parsed->GetStringArray("missing").has_value());
+  EXPECT_TRUE(parsed->GetStringArray("missing")->empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -216,10 +220,12 @@ TEST(Protocol, DecodesPartitionRequestWithDefaults) {
       Parse(R"({"schema":1,"kind":"partition","benchmark":"crc"})", &error);
   ASSERT_TRUE(request.has_value()) << error.message;
   EXPECT_EQ(request->kind, serve::RequestKind::kPartition);
-  EXPECT_EQ(request->benchmark, "crc");
-  EXPECT_EQ(request->platform, "mips200-xc2v1000");
-  EXPECT_EQ(request->strategy, "paper-greedy");
-  EXPECT_EQ(request->objective, "speedup");
+  // A partition is the one-point grid: each singular field is a list of one.
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(request->benchmarks, Names{"crc"});
+  EXPECT_EQ(request->platforms, Names{"mips200-xc2v1000"});
+  EXPECT_EQ(request->strategies, Names{"paper-greedy"});
+  EXPECT_EQ(request->objectives, Names{"speedup"});
   EXPECT_EQ(request->opt_level, 1);
   EXPECT_EQ(request->seed, 1u);
   EXPECT_EQ(request->deadline_ms, -1);
@@ -261,6 +267,27 @@ TEST(Protocol, RejectsStructurallyInvalidRequests) {
       {R"({"schema":1,"kind":"explore","benchmarks":["crc"],)"
        R"("objectives":["bogus"]})",
        serve::kErrBadRequest},
+      // "schema" is exactly 1: neither truncated to it nor cast out of the
+      // int range.
+      {R"({"schema":1.9,"kind":"ping"})", serve::kErrBadSchema},
+      {R"({"schema":1e300,"kind":"ping"})", serve::kErrBadSchema},
+      // A field of the wrong type is refused, never read as its default:
+      // the defaults would answer (and coalesce onto) another request.
+      {R"({"schema":1,"kind":"partition","benchmark":"crc","platform":7})",
+       serve::kErrBadRequest},
+      {R"({"schema":1,"kind":"partition","benchmark":"crc",)"
+       R"("strategy":["annealing"]})",
+       serve::kErrBadRequest},
+      {R"({"schema":1,"kind":"partition","benchmark":"crc",)"
+       R"("objective":null})",
+       serve::kErrBadRequest},
+      {R"({"schema":1,"kind":"explore","benchmarks":["crc",5]})",
+       serve::kErrBadRequest},
+      {R"({"schema":1,"kind":"explore","benchmarks":["crc"],)"
+       R"("strategies":"annealing"})",
+       serve::kErrBadRequest},
+      {R"({"schema":1,"kind":"ping","id":42})", serve::kErrBadRequest},
+      {R"({"schema":1,"kind":"ping","corr":17})", serve::kErrBadRequest},
   };
   for (const auto& test_case : cases) {
     serve::ParseError error;
@@ -392,6 +419,36 @@ TEST(SchedulerTest, DeadlineExpiresButComputationCompletes) {
   ASSERT_NE(retry.result, nullptr);
   EXPECT_EQ(retry.result->report, "fast-result");
   EXPECT_GE(fast_runs.load(), 1);
+}
+
+TEST(SchedulerTest, PollingWaiterStillMeetsItsDeadline) {
+  Scheduler scheduler({/*workers=*/1, /*max_queue=*/8});
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<int> runs{0};
+  const auto held = [&] {
+    ++runs;
+    gate.wait();
+    return OkJob("held-result");
+  };
+
+  // Polls every kPollIntervalMs, so a 100 ms deadline sees several polls
+  // before it expires; the held job stays admitted.
+  int polls = 0;
+  const Scheduler::Outcome expired =
+      scheduler.Run("held", held, 100, [&] { ++polls; });
+  EXPECT_EQ(expired.code, Scheduler::OutcomeCode::kDeadline);
+  EXPECT_EQ(expired.result, nullptr);
+  EXPECT_GE(polls, 1);
+  EXPECT_EQ(scheduler.stats().deadline_expired, 1u);
+
+  release.set_value();
+  SpinUntil([&] { return scheduler.stats().executed == 1; });
+  const Scheduler::Outcome retry = scheduler.Run("held", held, -1);
+  EXPECT_EQ(retry.code, Scheduler::OutcomeCode::kDone);
+  ASSERT_NE(retry.result, nullptr);
+  EXPECT_EQ(retry.result->report, "held-result");
+  EXPECT_EQ(runs.load(), 2);  // the retry ran it again: nothing caches here
 }
 
 TEST(SchedulerTest, BoundedAdmissionRejectsNovelButAdmitsAttach) {
@@ -530,7 +587,7 @@ std::string Call(Client& client, const std::string& request) {
 JsonValue MustParse(const std::string& response) {
   const auto parsed = JsonValue::Parse(response);
   EXPECT_TRUE(parsed.has_value()) << response;
-  return parsed.value_or(JsonValue::MakeNull());
+  return parsed.value_or(JsonValue());
 }
 
 void ExpectErrorCode(const std::string& response, std::string_view code) {

@@ -92,7 +92,7 @@ TEST(Schedule, FirInnerLoopPipelinesAtIiOne) {
   forest.AnnotateProfile();
   const ir::Loop* hottest = nullptr;
   for (const auto& loop : forest.loops()) {
-    if (!loop->IsInnermost()) continue;
+    if (!loop->children.empty()) continue;
     if (hottest == nullptr || loop->header_count > hottest->header_count) {
       hottest = loop.get();
     }
@@ -168,7 +168,7 @@ TEST(Schedule, MemPortLimitRaisesIi) {
   forest.AnnotateProfile();
   const ir::Loop* hottest = nullptr;
   for (const auto& loop : forest.loops()) {
-    if (!loop->IsInnermost()) continue;
+    if (!loop->children.empty()) continue;
     if (hottest == nullptr || loop->header_count > hottest->header_count) {
       hottest = loop.get();
     }
@@ -287,7 +287,7 @@ TEST_P(ScheduleLegality, AllLoopsOfBenchmark) {
     forest.AnnotateProfile();
     decomp::AliasAnalysis alias(*function, &prepared.binary.symbols);
     for (const auto& loop : forest.loops()) {
-      if (!loop->IsInnermost()) continue;
+      if (!loop->children.empty()) continue;
       const HwRegion region = ExtractLoopRegion(*function, *loop);
       if (!region.synthesizable) continue;
       const RegionSchedule schedule =

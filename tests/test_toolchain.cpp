@@ -299,7 +299,7 @@ TEST(Toolchain, RunStaysLiveOverAWarmDiskCache) {
   spec.strategies = {"paper-greedy"};
   {
     Toolchain cold;  // the environment gives it a disk-backed cache
-    ASSERT_TRUE(cold.artifact_cache()->disk_enabled());
+    ASSERT_NE(cold.artifact_cache()->disk(), nullptr);
     ASSERT_TRUE(cold.Explore(spec).At(0, 0, 0, 0).status.ok());
     ASSERT_GT(cold.CacheStats().disk_stores, 0u);
   }

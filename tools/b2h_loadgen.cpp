@@ -15,7 +15,7 @@
 //   2. mixed load   — N requests over C connections: warm keys plus K
 //                     unique cold keys (fresh annealing seeds)
 //   3. coalesce burst — C connections fire ONE brand-new key at the same
-//                     instant; single-flight must execute it exactly once
+//                     instant; it must be computed exactly once
 //   4. verify serial — replay every key; reports must be bit-identical to
 //                     the concurrent phase's
 //   5. http replay  — (with --http-port) every key again over POST
@@ -29,7 +29,7 @@
 //   serve_warm_simulations   == 0   phases 2-5 re-simulate nothing
 //   serve_warm_decompilations== 0   ... and re-decompile nothing
 //   serve_extra_partitions   == 0   partitions beyond the unique cold keys
-//   serve_burst_executed     == 1   the burst coalesced onto one execution
+//   serve_burst_partitions   == 1   the burst computed its key once
 //   serve_report_identical   == 1   serial == concurrent, bit for bit
 //   serve_metrics_ok         == 1   `metrics` snapshot matches the load
 //   serve_http_identical     == 1   (with --http-port) HTTP == framed
@@ -443,7 +443,11 @@ int main(int argc, char** argv) {
 
   // ---- phase 3: coalesce burst --------------------------------------------
   // Every connection fires the SAME never-seen request at the same instant;
-  // single-flight admission must run the computation exactly once.
+  // it must be computed exactly once.  The gate counts partitions, not
+  // closure runs: a warm key computes in well under a millisecond, so a
+  // connection whose send trails the first run's end enters a second
+  // closure, which is a memory-tier hit and computes nothing.  Coalescing
+  // itself is tested deterministically in SchedulerTest.
   const std::string burst_request =
       PartitionRequest("crc", "annealing", 999'983, 20'000);
   {
@@ -492,9 +496,11 @@ int main(int argc, char** argv) {
   StatsSnapshot after_burst;
   if (!FetchStats(control, &after_burst)) return 1;
   const double burst_executed = after_burst.executed - after_mixed.executed;
+  const double burst_partitions =
+      after_burst.partitions - after_mixed.partitions;
   std::printf("phase 3 (burst): %u simultaneous identical requests, "
-              "%.0f execution(s)\n",
-              connections, burst_executed);
+              "%.0f execution(s), %.0f partition(s)\n",
+              connections, burst_executed, burst_partitions);
 
   // ---- phase 4: serial verification ---------------------------------------
   b2h::obs::ScopedSpan phase4_span("loadgen.verify", "loadgen");
@@ -632,6 +638,7 @@ int main(int argc, char** argv) {
     json.Record("serve_warm_decompilations", warm_decompilations, "count");
     json.Record("serve_extra_partitions", extra_partitions, "count");
     json.Record("serve_burst_executed", burst_executed, "count");
+    json.Record("serve_burst_partitions", burst_partitions, "count");
     json.Record("serve_report_identical", reports_identical ? 1.0 : 0.0,
                 "bool");
     json.Record("serve_metrics_ok", metrics_ok ? 1.0 : 0.0, "bool");
@@ -667,7 +674,7 @@ int main(int argc, char** argv) {
   gate("serve_warm_simulations==0", warm_simulations == 0.0);
   gate("serve_warm_decompilations==0", warm_decompilations == 0.0);
   gate("serve_extra_partitions==0", extra_partitions == 0.0);
-  gate("serve_burst_executed==1", burst_executed == 1.0);
+  gate("serve_burst_partitions==1", burst_partitions == 1.0);
   gate("serve_report_identical==1", reports_identical);
   gate("serve_metrics_ok==1", metrics_ok);
   if (http_enabled) gate("serve_http_identical==1", http_identical);
