@@ -16,11 +16,18 @@
 // those platforms plus a 40,000-gate copy of mips200-xc2v1000, where the
 // online partitioner runs out of area and evicts.
 //
-// Last, one line per program@O with an `ir` digest of its decompiled,
+// Then one line per program@O with an `ir` digest of its decompiled,
 // profile-annotated module: ir::Print of every function, then every block's
 // id, profile counts and predecessor ids, and every instruction's id, width
 // and signedness.  Reports read only part of the IR, so this line is what
 // holds a decompiler change that promises the same IR to exactly that.
+//
+// Last, one line per program@O with a `synth` digest of synthesizing all of
+// its main as one region (the paper's whole-application synthesis): the
+// VHDL, AreaReport::Summary(), hw_cycles, clock_mhz (%a), total_states and
+// pipeline_ii, or the decompile or reject message.  Reports synthesize
+// selected loops only; this line holds the multi-block, phi-carrying
+// regions that whole-application synthesis and RTL co-simulation run.
 //
 // The file is a review surface: a change that moves a report changes a line
 // here, and the change must explain it.  On a mismatch the test writes the
@@ -36,10 +43,12 @@
 #include <string>
 #include <vector>
 
+#include "decomp/alias.hpp"
 #include "ir/printer.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
 #include "support/serialize.hpp"
+#include "synth/synth.hpp"
 #include "testing_support.hpp"
 #include "toolchain/toolchain.hpp"
 
@@ -124,9 +133,30 @@ std::string IrText(const ir::Module& module) {
   return out;
 }
 
+/// Whole-main synthesis of a decompiled binary as text: the design's
+/// VHDL, area summary and headline numbers, or the reject message.
+std::string MainSynthesisText(const ToolchainRun& run,
+                              const mips::SoftBinary& binary) {
+  const ir::Function& main_fn = *run.program->module.main;
+  const decomp::AliasAnalysis alias(main_fn, &binary.symbols);
+  std::string out;
+  AppendOutcome(
+      synth::Synthesize(synth::ExtractFunctionRegion(main_fn), &alias),
+      [](const synth::SynthesizedRegion& design) {
+        return design.vhdl + design.area.Summary() +
+               std::to_string(design.hw_cycles) + ' ' +
+               Exact(design.clock_mhz) + ' ' +
+               std::to_string(design.schedule.total_states) + ' ' +
+               std::to_string(design.schedule.pipeline_ii);
+      },
+      out);
+  return out;
+}
+
 /// One line per binary: its RunMany slots on the paper platforms and its
 /// RunDynamicOn reports on those plus the 40k-gate platform.  Then one line
-/// per binary digesting the IR its RunMany slots share.
+/// per binary digesting the IR its RunMany slots share, and one digesting
+/// the synthesis of its whole main.
 void AppendViewLines(const Toolchain& toolchain,
                      const std::vector<NamedBinary>& binaries,
                      std::vector<std::string>& lines) {
@@ -166,6 +196,17 @@ void AppendViewLines(const Toolchain& toolchain,
         [](const ToolchainRun& run) { return IrText(run.program->module); },
         ir);
     lines.push_back(binaries[b].name + " ir=" + Hex(support::Fnv1a64(ir)));
+  }
+  for (std::size_t b = 0; b < binaries.size(); ++b) {
+    std::string synthesis;
+    AppendOutcome(
+        batch.At(b, 0),
+        [&](const ToolchainRun& run) {
+          return MainSynthesisText(run, *binaries[b].binary);
+        },
+        synthesis);
+    lines.push_back(binaries[b].name +
+                    " synth=" + Hex(support::Fnv1a64(synthesis)));
   }
 }
 
@@ -226,7 +267,7 @@ TEST(Golden, ReportsMatchCheckedInDigests) {
       std::string(B2H_SOURCE_DIR) + "/tests/golden/reports.txt";
   const std::vector<std::string> expected = ReadLines(path);
   const std::vector<std::string> actual = ComputeGolden();
-  ASSERT_EQ(actual.size(), 2u + 4u * 4u * suite::AllBenchmarks().size());
+  ASSERT_EQ(actual.size(), 2u + 5u * 4u * suite::AllBenchmarks().size());
   if (actual == expected) return;
 
   std::ofstream out("golden_reports.actual");
