@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
                           binary.value().data);
   std::map<unsigned, std::int32_t> inputs;
   inputs[29] = static_cast<std::int32_t>(mips::kStackTop - 64);
-  const auto result = rtl.Run({}, inputs);
+  const auto result = rtl.Run(inputs);
   if (!result.ok) {
     printf("RTL simulation failed: %s\n", result.error.c_str());
     return 1;

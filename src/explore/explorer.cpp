@@ -378,7 +378,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
   // ---- Stage B: one partition per missed partition key -------------------
   std::vector<std::shared_ptr<PartitionArtifact>> partition_slots(
       partition_jobs.size());
-  std::vector<double> partition_job_synth_ms(partition_jobs.size(), 0.0);
+  std::vector<double> partition_job_scan_ms(partition_jobs.size(), 0.0);
   std::vector<double> partition_job_ms(partition_jobs.size(), 0.0);
   std::atomic<std::size_t> partitions_run{0};
   std::atomic<std::uint64_t> partition_progress{0};
@@ -396,13 +396,13 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
           // so a strategy/objective/seed sweep scans once and synthesizes
           // each candidate once total.
           {
-            obs::ScopedSpan synth_span("explore.synth", "partition");
-            synth_span.Arg("binary", spec.binaries[job.binary].name);
-            const obs::Stopwatch synth_watch;
+            obs::ScopedSpan scan_span("explore.scan", "partition");
+            scan_span.Arg("binary", spec.binaries[job.binary].name);
+            const obs::Stopwatch scan_watch;
             strategy_options.candidates = cache_->candidate_pool()->Obtain(
                 job.decomp_key, base->program,
                 base->software_run->profile);
-            partition_job_synth_ms[index] = synth_watch.Millis();
+            partition_job_scan_ms[index] = scan_watch.Millis();
           }
           obs::ScopedSpan span("explore.partition", "partition");
           span.Arg("strategy", spec.strategies[job.strategy])
@@ -433,7 +433,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
             partition_jobs.size());
       });
   for (std::size_t index = 0; index < partition_jobs.size(); ++index) {
-    out.synth_stage_ms += partition_job_synth_ms[index];
+    out.scan_stage_ms += partition_job_scan_ms[index];
     out.partition_stage_ms += partition_job_ms[index];
     cache_->PutPartition(partition_jobs[index].key, partition_slots[index]);
     partitions[partition_jobs[index].key] = std::move(partition_slots[index]);
@@ -638,9 +638,9 @@ std::string ExploreResult::StatsReport() const {
                     : 0.0);
   out << line;
   std::snprintf(line, sizeof line,
-                "stages: %.1f ms decompile, %.1f ms synth, "
+                "stages: %.1f ms decompile, %.1f ms scan, "
                 "%.1f ms partition\n",
-                decompile_stage_ms, synth_stage_ms, partition_stage_ms);
+                decompile_stage_ms, scan_stage_ms, partition_stage_ms);
   out << line;
   std::snprintf(line, sizeof line, "wall: %.1f ms\n", wall_ms);
   out << line;

@@ -151,7 +151,7 @@ struct ExploreResult {
   // Summed host time of the stage jobs this sweep actually ran (cache-warm
   // sweeps report zeros).  Job time, not point time: shared jobs count once.
   double decompile_stage_ms = 0.0;
-  double synth_stage_ms = 0.0;
+  double scan_stage_ms = 0.0;  ///< synthesis runs lazily, in partition
   double partition_stage_ms = 0.0;
 
   [[nodiscard]] const ExplorePoint& At(std::size_t binary,

@@ -25,7 +25,6 @@ class JsonValue {
   /// nullopt on any error; never throws on malformed input.
   [[nodiscard]] static std::optional<JsonValue> Parse(std::string_view text);
 
-  [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }
   [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }

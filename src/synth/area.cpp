@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 namespace b2h::synth {
 
@@ -27,7 +26,7 @@ AreaReport EstimateArea(const HwRegion& region,
       if (!IsBodyOp(instr)) continue;
       const FuClass cls = ClassifyOp(*instr);
       if (cls == FuClass::kNone) continue;
-      const int step = bs.step_of.at(instr);
+      const int step = schedule.StepOf(instr);
       ClassInfo& info = classes[cls];
       ++info.total_ops;
       unsigned width = instr->width;
@@ -69,20 +68,28 @@ AreaReport EstimateArea(const HwRegion& region,
     int end = 0;
     unsigned width = 32;
   };
-  std::vector<Lifetime> lifetimes;
-  std::set<const ir::Instr*> live_out(region.live_outs.begin(),
-                                      region.live_outs.end());
-  for (const auto& bs : schedule.blocks) {
-    std::unordered_map<const ir::Instr*, int> last_use;
-    for (const ir::Instr* instr : bs.block->instrs) {
-      if (!IsBodyOp(instr)) continue;
-      const int step = bs.step_of.at(instr);
-      for (const ir::Value& operand : instr->operands) {
-        if (operand.is_instr() && operand.def->parent == bs.block) {
-          last_use[operand.def] = std::max(last_use[operand.def], step);
+  // Per Instr::id: the last step an op of its own block reads the value in
+  // (-1: none), and whether it is held to its block's end: it is live-out,
+  // or read by a phi, a terminator or another block.
+  std::vector<int> last_use(schedule.steps.size(), -1);
+  std::vector<char> held(schedule.steps.size(), 0);
+  for (const ir::Instr* out : region.live_outs) held[out->id] = 1;
+  for (const ir::Block* block : region.blocks) {
+    for (const ir::Instr* user : block->instrs) {
+      const int step = schedule.StepOf(user);  // -1: phi or terminator
+      for (const ir::Value& operand : user->operands) {
+        if (!operand.is_instr()) continue;
+        const ir::Instr* def = operand.def;
+        if (def->parent != block || step < 0) {
+          held[def->id] = 1;
+        } else {
+          last_use[def->id] = std::max(last_use[def->id], step);
         }
       }
     }
+  }
+  std::vector<Lifetime> lifetimes;
+  for (const auto& bs : schedule.blocks) {
     for (const ir::Instr* instr : bs.block->instrs) {
       if (instr->op == Opcode::kPhi) {
         // Phis are registers live across the whole block.
@@ -90,22 +97,9 @@ AreaReport EstimateArea(const HwRegion& region,
         continue;
       }
       if (!IsBodyOp(instr) || instr->width == 0) continue;
-      const int def_step = bs.step_of.at(instr);
-      int end = last_use.count(instr) != 0 ? last_use[instr] : def_step;
-      if (live_out.count(instr) != 0 ||
-          [&] {  // used by the terminator or another block
-            for (const ir::Block* other : region.blocks) {
-              for (const ir::Instr* user : other->instrs) {
-                if (other == bs.block && IsBodyOp(user)) continue;
-                for (const ir::Value& operand : user->operands) {
-                  if (operand.is_instr() && operand.def == instr) return true;
-                }
-              }
-            }
-            return false;
-          }()) {
-        end = bs.num_steps;
-      }
+      const int def_step = schedule.StepOf(instr);
+      int end = last_use[instr->id] >= 0 ? last_use[instr->id] : def_step;
+      if (held[instr->id] != 0) end = bs.num_steps;
       if (end > def_step) {
         lifetimes.push_back({def_step + 1, end, instr->width});
       }

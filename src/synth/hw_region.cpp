@@ -1,42 +1,41 @@
 #include "synth/hw_region.hpp"
 
-#include <algorithm>
-#include <set>
 #include <sstream>
 
 namespace b2h::synth {
 namespace {
 
 void ComputeLiveSets(HwRegion& region) {
-  std::set<const ir::Block*> inside(region.blocks.begin(),
-                                    region.blocks.end());
-  std::set<const ir::Instr*> live_in;
-  std::set<const ir::Instr*> defined;
-  for (const ir::Block* block : region.blocks) {
-    for (const ir::Instr* instr : block->instrs) defined.insert(instr);
-  }
-  // Live-in: operand defined outside; live-out: defined inside, used outside.
-  std::set<const ir::Instr*> live_out;
-  for (const auto& block : region.function->blocks()) {
-    const bool is_inside = inside.count(block.get()) != 0;
+  const ir::Function& function = *region.function;
+  std::vector<char> inside(function.blocks().size(), 0);  // by Block::id
+  for (const ir::Block* block : region.blocks) inside[block->id] = 1;
+  // Live-in: operand defined outside; live-out: defined inside, used
+  // outside.  Flags by Instr::id.
+  constexpr char kLiveIn = 1;
+  constexpr char kLiveOut = 2;
+  std::vector<char> live(function.NumInstrs(), 0);
+  int next_id = 0;
+  for (const auto& block : function.blocks()) {
+    const bool use_inside = inside[block->id] != 0;
     for (const ir::Instr* instr : block->instrs) {
+      Check(instr->id == next_id++,
+            "region extraction needs the function's block-order numbering");
       for (const ir::Value& operand : instr->operands) {
         if (!operand.is_instr()) continue;
-        const bool def_inside = defined.count(operand.def) != 0;
-        if (is_inside && !def_inside) live_in.insert(operand.def);
-        if (!is_inside && def_inside) live_out.insert(operand.def);
+        const bool def_inside = inside[operand.def->parent->id] != 0;
+        if (use_inside && !def_inside) live[operand.def->id] |= kLiveIn;
+        if (!use_inside && def_inside) live[operand.def->id] |= kLiveOut;
       }
     }
   }
-  // The sets order by heap address; ports (VHDL, RTL simulation) follow
-  // these vectors, so order them by the function's dense instruction ids.
-  const auto by_id = [](const ir::Instr* a, const ir::Instr* b) {
-    return a->id < b->id;
-  };
-  region.live_ins.assign(live_in.begin(), live_in.end());
-  region.live_outs.assign(live_out.begin(), live_out.end());
-  std::sort(region.live_ins.begin(), region.live_ins.end(), by_id);
-  std::sort(region.live_outs.begin(), region.live_outs.end(), by_id);
+  // Ports (VHDL, RTL simulation) follow these vectors; listing them in
+  // block order lists them by ascending id.
+  for (const auto& block : function.blocks()) {
+    for (const ir::Instr* instr : block->instrs) {
+      if (live[instr->id] & kLiveIn) region.live_ins.push_back(instr);
+      if (live[instr->id] & kLiveOut) region.live_outs.push_back(instr);
+    }
+  }
 }
 
 void CheckSynthesizable(HwRegion& region) {

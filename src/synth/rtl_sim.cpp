@@ -1,7 +1,7 @@
 #include "synth/rtl_sim.hpp"
 
-#include <algorithm>
-#include <unordered_map>
+#include <optional>
+#include <vector>
 
 #include "ir/eval.hpp"
 
@@ -20,20 +20,28 @@ RtlSimulator::RtlSimulator(const HwRegion& region,
                            std::span<const std::uint8_t> initial_data)
     : region_(region), schedule_(schedule), memory_(initial_data) {}
 
-RtlResult RtlSimulator::Run(
-    const std::map<const ir::Instr*, std::int32_t>& live_in_values,
-    const std::map<unsigned, std::int32_t>& inputs) {
+RtlResult RtlSimulator::Run(const std::map<unsigned, std::int32_t>& inputs) {
   RtlResult result;
   const auto fail = [&](const std::string& message) {
     result.ok = false;
     result.error = message;
     return result;
   };
+  if (!region_.live_ins.empty()) {
+    return fail("rtl: " + region_.name +
+                " has live-in values and the model has no input ports");
+  }
 
-  // Register file: values produced by instructions.  Availability tracking
-  // enforces schedule legality during execution.
-  std::unordered_map<const ir::Instr*, std::int32_t> values;
-  for (const auto& [instr, value] : live_in_values) values[instr] = value;
+  // Each region block's schedule, indexed by Block::id (null outside the
+  // region).
+  std::vector<const BlockSchedule*> block_schedule(
+      region_.function->blocks().size(), nullptr);
+  for (const BlockSchedule& bs : schedule_.blocks) {
+    block_schedule[bs.block->id] = &bs;
+  }
+  // Register file indexed by Instr::id: the values produced so far.
+  // Availability tracking enforces schedule legality during execution.
+  std::vector<std::optional<std::int32_t>> values(schedule_.steps.size());
 
   const ir::Block* block = region_.blocks.front();
   const ir::Block* prev_block = nullptr;
@@ -42,8 +50,7 @@ RtlResult RtlSimulator::Run(
     if (result.fsm_cycles >= kMaxFsmCycles) {
       return fail("rtl: cycle budget exhausted");
     }
-    const BlockSchedule* bs = schedule_.ForBlock(block);
-    if (bs == nullptr) return fail("rtl: control left the region unexpectedly");
+    const BlockSchedule& bs = *block_schedule[block->id];
 
     // Phi update at block entry (parallel register load).
     if (!block->instrs.empty() &&
@@ -75,28 +82,14 @@ RtlResult RtlSimulator::Run(
         if (operand.is_const()) {
           value = operand.imm;
         } else {
-          const auto it = values.find(operand.def);
-          if (it == values.end()) return fail("rtl: phi reads unknown value");
-          value = it->second;
+          const auto& produced = values[operand.def->id];
+          if (!produced) return fail("rtl: phi reads unknown value");
+          value = *produced;
         }
         staged.emplace_back(phi, value);
       }
-      for (const auto& [phi, value] : staged) values[phi] = value;
+      for (const auto& [phi, value] : staged) values[phi->id] = value;
     }
-
-    // Execute body ops in (step, chain position) order.
-    std::vector<const ir::Instr*> order;
-    for (const ir::Instr* instr : block->instrs) {
-      if (!IsBodyOp(instr)) continue;
-      order.push_back(instr);
-    }
-    std::sort(order.begin(), order.end(),
-              [&](const ir::Instr* a, const ir::Instr* b) {
-                const int sa = bs->step_of.at(a);
-                const int sb = bs->step_of.at(b);
-                if (sa != sb) return sa < sb;
-                return bs->chain_pos.at(a) < bs->chain_pos.at(b);
-              });
 
     const auto read = [&](const ir::Value& operand,
                           std::int32_t& out) -> bool {
@@ -104,8 +97,8 @@ RtlResult RtlSimulator::Run(
         out = operand.imm;
         return true;
       }
-      const auto it = values.find(operand.def);
-      if (it == values.end()) {
+      const auto& produced = values[operand.def->id];
+      if (!produced) {
         // kInput ports of function regions.
         if (operand.def->op == Opcode::kInput) {
           const auto in = inputs.find(operand.def->input_index);
@@ -118,56 +111,61 @@ RtlResult RtlSimulator::Run(
         }
         return false;
       }
-      out = it->second;
+      out = *produced;
       return true;
     };
 
-    for (const ir::Instr* instr : order) {
-      std::int32_t operand[3] = {};
-      for (std::size_t i = 0; i < instr->operands.size() && i < 3; ++i) {
-        if (!read(instr->operands[i], operand[i])) {
-          return fail("rtl: operand not yet available (schedule bug)");
-        }
-      }
-      const auto [a, b, c] = operand;
-      std::int32_t out = 0;
-      switch (instr->op) {
-        case Opcode::kInput: {
-          const auto in = inputs.find(instr->input_index);
-          out = in == inputs.end() ? 0 : in->second;
-          break;
-        }
-        case Opcode::kUndef: break;
-        case Opcode::kLoad: {
-          const auto loaded = memory_.Load(static_cast<std::uint32_t>(a),
-                                           instr->mem_bytes,
-                                           instr->mem_signed);
-          if (!loaded.has_value()) return fail("rtl: bad load address");
-          out = *loaded;
-          break;
-        }
-        case Opcode::kStore:
-          if (!memory_.Store(static_cast<std::uint32_t>(a), instr->mem_bytes,
-                             static_cast<std::uint32_t>(b))) {
-            return fail("rtl: bad store address");
+    // Execute body ops step by step, a step's ops in issue (block) order.
+    for (int step = 0; step < bs.num_steps; ++step) {
+      for (const ir::Instr* instr : block->instrs) {
+        if (schedule_.StepOf(instr) != step) continue;
+        std::int32_t operand[3] = {};
+        for (std::size_t i = 0; i < instr->operands.size() && i < 3; ++i) {
+          if (!read(instr->operands[i], operand[i])) {
+            return fail("rtl: operand not yet available (schedule bug)");
           }
-          break;
-        case Opcode::kPhi:
-        case Opcode::kBr:
-        case Opcode::kCondBr:
-        case Opcode::kRet:
-        case Opcode::kCall:
-          return fail("rtl: unexpected op in datapath order");
-        default:
-          // Every other operator's value depends on its operands alone.
-          out = ir::Evaluate(*instr, a, b, c).value();
-          break;
+        }
+        const auto [a, b, c] = operand;
+        std::int32_t out = 0;
+        switch (instr->op) {
+          case Opcode::kInput: {
+            const auto in = inputs.find(instr->input_index);
+            out = in == inputs.end() ? 0 : in->second;
+            break;
+          }
+          case Opcode::kUndef: break;
+          case Opcode::kLoad: {
+            const auto loaded = memory_.Load(static_cast<std::uint32_t>(a),
+                                             instr->mem_bytes,
+                                             instr->mem_signed);
+            if (!loaded.has_value()) return fail("rtl: bad load address");
+            out = *loaded;
+            break;
+          }
+          case Opcode::kStore:
+            if (!memory_.Store(static_cast<std::uint32_t>(a),
+                               instr->mem_bytes,
+                               static_cast<std::uint32_t>(b))) {
+              return fail("rtl: bad store address");
+            }
+            break;
+          case Opcode::kPhi:
+          case Opcode::kBr:
+          case Opcode::kCondBr:
+          case Opcode::kRet:
+          case Opcode::kCall:
+            return fail("rtl: unexpected op in datapath order");
+          default:
+            // Every other operator's value depends on its operands alone.
+            out = ir::Evaluate(*instr, a, b, c).value();
+            break;
+        }
+        // Registers are sized to the claimed width.
+        if (instr->width > 0) values[instr->id] = ir::FitToWidth(*instr, out);
       }
-      // Registers are sized to the claimed width.
-      if (instr->width > 0) values[instr] = ir::FitToWidth(*instr, out);
     }
 
-    result.fsm_cycles += static_cast<std::uint64_t>(bs->num_steps);
+    result.fsm_cycles += static_cast<std::uint64_t>(bs.num_steps);
 
     // Terminator: FSM transition.
     const ir::Instr* term = block->terminator();
@@ -193,14 +191,9 @@ RtlResult RtlSimulator::Run(
     } else {
       return fail("rtl: bad terminator");
     }
-    if (!region_.Contains(next)) break;  // region exit -> done
+    if (block_schedule[next->id] == nullptr) break;  // region exit -> done
     prev_block = block;
     block = next;
-  }
-
-  for (const ir::Instr* out : region_.live_outs) {
-    const auto it = values.find(out);
-    if (it != values.end()) result.live_out_values[out] = it->second;
   }
   result.ok = true;
   return result;

@@ -3,10 +3,13 @@
 // The paper's flow hands RT-level VHDL to Xilinx ISE; ours additionally
 // emits an executable model so the synthesized design can be *run* against
 // the decompiled CDFG and the original binary (co-simulation, DESIGN.md
-// §5).  The simulator executes ops strictly in (step, chain position) order
-// and refuses to read values the schedule has not produced yet, so
-// scheduler bugs surface as simulation failures rather than as
-// silently-correct software semantics.
+// §5).  The simulator executes each block's ops step by step, a step's ops
+// in issue (block) order, and refuses to read values the schedule has not
+// produced yet, so scheduler bugs surface as simulation failures rather
+// than as silently-correct software semantics.
+//
+// The model has no input ports: it runs regions without live-ins, which
+// whole-function regions are (kInput registers come from Run's `inputs`).
 //
 // Shared with the IR interpreter: each operator's value (ir::Evaluate),
 // register widths (ir::FitToWidth) and memory accesses
@@ -29,7 +32,6 @@ struct RtlResult {
   std::string error;
   std::int32_t return_value = 0;       ///< function regions: kRet value
   std::uint64_t fsm_cycles = 0;        ///< sequential FSM cycle count
-  std::map<const ir::Instr*, std::int32_t> live_out_values;
 };
 
 /// Runs over the MIPS platform's memory (mips/memory.hpp), with
@@ -39,11 +41,10 @@ class RtlSimulator {
   RtlSimulator(const HwRegion& region, const RegionSchedule& schedule,
                std::span<const std::uint8_t> initial_data);
 
-  /// `live_in_values`: value for every live-in instruction (input ports);
-  /// `inputs` additionally provides kInput registers for function regions
-  /// (index = machine register number).
+  /// Runs the region from its entry block until it returns or leaves.
+  /// `inputs` provides kInput registers (index = machine register number).
+  /// A region with live-ins fails without running.
   [[nodiscard]] RtlResult Run(
-      const std::map<const ir::Instr*, std::int32_t>& live_in_values = {},
       const std::map<unsigned, std::int32_t>& inputs = {});
 
  private:

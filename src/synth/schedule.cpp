@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <map>
 
 namespace b2h::synth {
 namespace {
@@ -14,42 +14,6 @@ constexpr unsigned kMaxDivs = 1;   ///< divider budget per step
 
 bool IsMemOp(const ir::Instr* instr) {
   return instr->op == Opcode::kLoad || instr->op == Opcode::kStore;
-}
-
-/// Dependence edges within a block: data (SSA operands defined in the same
-/// block) and memory program-order edges, relaxed by alias information.
-struct BlockDeps {
-  // For each instr: list of (producer, is_data) it must wait for.
-  std::unordered_map<const ir::Instr*, std::vector<const ir::Instr*>> preds;
-};
-
-BlockDeps ComputeDeps(const ir::Block* block,
-                      const decomp::AliasAnalysis* alias) {
-  BlockDeps deps;
-  std::vector<const ir::Instr*> mem_ops;
-  for (const ir::Instr* instr : block->instrs) {
-    if (!IsBodyOp(instr)) continue;
-    auto& list = deps.preds[instr];
-    for (const ir::Value& operand : instr->operands) {
-      if (operand.is_instr() && operand.def->parent == block &&
-          IsBodyOp(operand.def)) {
-        list.push_back(operand.def);
-      }
-    }
-    if (IsMemOp(instr)) {
-      const bool is_store = instr->op == Opcode::kStore;
-      for (const ir::Instr* prior : mem_ops) {
-        const bool prior_store = prior->op == Opcode::kStore;
-        if (!is_store && !prior_store) continue;  // load-load: no edge
-        const bool may_alias =
-            alias == nullptr ||
-            alias->MayAlias(instr, prior);
-        if (may_alias) list.push_back(prior);
-      }
-      mem_ops.push_back(instr);
-    }
-  }
-  return deps;
 }
 
 struct StepUsage {
@@ -65,15 +29,15 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
                               const ResourceLibrary& lib,
                               const ScheduleOptions& options) {
   RegionSchedule schedule;
+  schedule.steps.assign(region.function->NumInstrs(), -1);
+  // Each op's chained delay within its step, indexed by Instr::id.
+  std::vector<double> out_ns(schedule.steps.size(), 0.0);
 
   for (const ir::Block* block : region.blocks) {
     BlockSchedule bs;
     bs.block = block;
-    const BlockDeps deps = ComputeDeps(block, alias);
     std::vector<StepUsage> usage;
-    // Per-instr chained delay within its step, and per-step chain position.
-    std::unordered_map<const ir::Instr*, double> slack_delay;
-    std::map<int, int> chain_next;
+    std::vector<const ir::Instr*> mem_ops;  // earlier loads and stores
 
     for (const ir::Instr* instr : block->instrs) {
       if (!IsBodyOp(instr)) continue;
@@ -83,8 +47,8 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
       // Earliest step from dependences, with chaining.
       int step = 0;
       double chain_in = 0.0;  // accumulated delay feeding this op
-      for (const ir::Instr* producer : deps.preds.at(instr)) {
-        const int p_step = bs.step_of.at(producer);
+      const auto wait_for = [&](const ir::Instr* producer) {
+        const int p_step = schedule.steps[producer->id];
         const unsigned p_latency = lib.OpLatencyCycles(*producer);
         int earliest;
         double producer_out = 0.0;
@@ -92,7 +56,7 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
           earliest = p_step + static_cast<int>(p_latency);
         } else if (options.enable_chaining) {
           earliest = p_step;  // may chain in the same step
-          producer_out = slack_delay.at(producer);
+          producer_out = out_ns[producer->id];
         } else {
           earliest = p_step + 1;
         }
@@ -102,10 +66,26 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
         } else if (earliest == step) {
           chain_in = std::max(chain_in, producer_out);
         }
+      };
+      // Data edges: operands defined earlier in the block.
+      for (const ir::Value& operand : instr->operands) {
+        if (operand.is_instr() && operand.def->parent == block &&
+            IsBodyOp(operand.def)) {
+          wait_for(operand.def);
+        }
       }
-      // Memory ordering edges force at least the next step after a store
-      // (stores commit at end of step) — handled via latency 0 + chaining
-      // rule below: memory ops never chain with each other.
+      // Memory edges: program order against earlier accesses that may
+      // touch the same location, unless both are loads.
+      if (IsMemOp(instr)) {
+        const bool is_store = instr->op == Opcode::kStore;
+        for (const ir::Instr* prior : mem_ops) {
+          if (!is_store && prior->op != Opcode::kStore) continue;
+          if (alias == nullptr || alias->MayAlias(instr, prior)) {
+            wait_for(prior);
+          }
+        }
+        mem_ops.push_back(instr);
+      }
       // Chaining feasibility: total delay must fit the clock period.
       while (true) {
         if (options.enable_chaining && chain_in > 0.0 &&
@@ -141,96 +121,81 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
         break;
       }
 
-      bs.step_of[instr] = step;
-      bs.chain_pos[instr] = chain_next[step]++;
-      const double total_delay = chain_in + delay;
-      slack_delay[instr] = total_delay;
-      bs.max_step_delay_ns = std::max(bs.max_step_delay_ns, total_delay);
-      if (static_cast<int>(bs.num_steps) <= step) bs.num_steps = step + 1;
+      schedule.steps[instr->id] = step;
+      out_ns[instr->id] = chain_in + delay;
+      schedule.critical_path_ns =
+          std::max(schedule.critical_path_ns, out_ns[instr->id]);
+      if (bs.num_steps <= step) bs.num_steps = step + 1;
     }
 
     // Account for load latency: a load issued in the last step still needs
-    // its data cycle before the block can exit.
-    for (const auto& [instr, step] : bs.step_of) {
-      const unsigned latency = lib.OpLatencyCycles(*instr);
-      if (latency > 0 &&
-          step + static_cast<int>(latency) >= bs.num_steps) {
-        bs.num_steps = step + static_cast<int>(latency);
-        // The value is consumed by a later block; it is registered at the
-        // end of its data cycle, which the +latency above covers.
+    // its data cycle before the block can exit (the value is registered at
+    // the end of that cycle).
+    for (const ir::Instr* instr : block->instrs) {
+      const int step = schedule.StepOf(instr);
+      const int latency = static_cast<int>(lib.OpLatencyCycles(*instr));
+      if (step >= 0 && latency > 0) {
+        bs.num_steps = std::max(bs.num_steps, step + latency);
       }
     }
-    schedule.critical_path_ns =
-        std::max(schedule.critical_path_ns, bs.max_step_delay_ns);
     schedule.total_states += bs.num_steps;
-    schedule.blocks.push_back(std::move(bs));
+    schedule.blocks.push_back(bs);
   }
 
-  // Loop pipelining for a single-block self-loop region.
+  // Loop pipelining for a single-block self-loop region, whose one block is
+  // the header.
   if (region.loop != nullptr && region.loop->blocks.size() == 1) {
     const ir::Block* body = region.loop->header;
-    const BlockSchedule* bs = schedule.ForBlock(body);
-    if (bs != nullptr) {
-      // Resource-constrained II.
-      unsigned mem_ops = 0;
-      unsigned muls = 0;
-      unsigned divs = 0;
+    // Resource-constrained II.
+    unsigned mem_ops = 0;
+    unsigned muls = 0;
+    unsigned divs = 0;
+    for (const ir::Instr* instr : body->instrs) {
+      if (!IsBodyOp(instr)) continue;
+      switch (ClassifyOp(*instr)) {
+        case FuClass::kMemPort: ++mem_ops; break;
+        case FuClass::kMul: ++muls; break;
+        case FuClass::kDiv: ++divs; break;
+        default: break;
+      }
+    }
+    unsigned ii = 1;
+    ii = std::max(ii, (mem_ops + options.mem_ports - 1) / options.mem_ports);
+    ii = std::max(ii, (muls + kMaxMults - 1) / kMaxMults);
+    if (divs > 0) ii = std::max(ii, lib.div_latency_cycles);
+
+    // Recurrence II: longest latency cycle phi -> ... -> latch operand.
+    const std::size_t latch_index = body->PredIndex(body);
+    // Longest path (in ns + whole-cycle latencies) from one phi over
+    // in-block dependences, indexed by Instr::id; -1: not reached.
+    std::vector<double> dist;
+    for (const ir::Instr* phi : body->Phis()) {
+      dist.assign(schedule.steps.size(), -1.0);
+      dist[phi->id] = 0.0;
       for (const ir::Instr* instr : body->instrs) {
         if (!IsBodyOp(instr)) continue;
-        switch (ClassifyOp(*instr)) {
-          case FuClass::kMemPort: ++mem_ops; break;
-          case FuClass::kMul: ++muls; break;
-          case FuClass::kDiv: ++divs; break;
-          default: break;
+        double best = -1.0;
+        for (const ir::Value& operand : instr->operands) {
+          if (operand.is_instr()) best = std::max(best, dist[operand.def->id]);
         }
+        if (best < 0.0) continue;  // not reachable from phi
+        const double op_cost =
+            lib.OpLatencyCycles(*instr) > 0
+                ? lib.OpLatencyCycles(*instr) * options.clock_ns
+                : lib.OpDelayNs(*instr);
+        dist[instr->id] = best + op_cost;
       }
-      unsigned ii = 1;
-      ii = std::max(ii, (mem_ops + options.mem_ports - 1) / options.mem_ports);
-      ii = std::max(ii, (muls + kMaxMults - 1) / kMaxMults);
-      if (divs > 0) ii = std::max(ii, lib.div_latency_cycles);
-
-      // Recurrence II: longest latency cycle phi -> ... -> latch operand.
-      const std::size_t latch_index = [&]() -> std::size_t {
-        for (std::size_t i = 0; i < body->preds.size(); ++i) {
-          if (body->preds[i] == body) return i;
-        }
-        return 0;
-      }();
-      for (const ir::Instr* phi : body->Phis()) {
-        // Longest path (in ns + whole-cycle latencies) from this phi to the
-        // latch operand over in-block dependences.
-        std::unordered_map<const ir::Instr*, double> dist;  // in ns
-        dist[phi] = 0.0;
-        double worst_ns = 0.0;
-        for (const ir::Instr* instr : body->instrs) {
-          if (!IsBodyOp(instr)) continue;
-          double best = -1.0;
-          for (const ir::Value& operand : instr->operands) {
-            if (!operand.is_instr()) continue;
-            const auto it = dist.find(operand.def);
-            if (it != dist.end()) best = std::max(best, it->second);
-          }
-          if (best < 0.0) continue;  // not reachable from phi
-          const double op_cost =
-              lib.OpLatencyCycles(*instr) > 0
-                  ? lib.OpLatencyCycles(*instr) * options.clock_ns
-                  : lib.OpDelayNs(*instr);
-          dist[instr] = best + op_cost;
-        }
-        const ir::Value latch = phi->operands.size() > latch_index
-                                    ? phi->operands[latch_index]
-                                    : ir::Value::None();
-        if (latch.is_instr()) {
-          const auto it = dist.find(latch.def);
-          if (it != dist.end()) worst_ns = std::max(worst_ns, it->second);
-        }
-        const unsigned rec_ii = std::max(
-            1u, static_cast<unsigned>(std::ceil(worst_ns / options.clock_ns)));
-        ii = std::max(ii, rec_ii);
-      }
-      schedule.pipeline_ii = static_cast<int>(ii);
-      schedule.pipeline_depth = bs->num_steps;
+      const ir::Value latch = phi->operands.size() > latch_index
+                                  ? phi->operands[latch_index]
+                                  : ir::Value::None();
+      const double worst_ns =
+          latch.is_instr() ? std::max(0.0, dist[latch.def->id]) : 0.0;
+      const unsigned rec_ii = std::max(
+          1u, static_cast<unsigned>(std::ceil(worst_ns / options.clock_ns)));
+      ii = std::max(ii, rec_ii);
     }
+    schedule.pipeline_ii = static_cast<int>(ii);
+    schedule.pipeline_depth = schedule.blocks.front().num_steps;
   }
   return schedule;
 }
@@ -273,12 +238,11 @@ Status VerifySchedule(const HwRegion& region, const RegionSchedule& schedule,
     std::map<int, StepUsage> usage;
     for (const ir::Instr* instr : bs.block->instrs) {
       if (!IsBodyOp(instr)) continue;
-      const auto it = bs.step_of.find(instr);
-      if (it == bs.step_of.end()) {
+      const int step = schedule.StepOf(instr);
+      if (step < 0) {
         return Status::Error(ErrorKind::kUnsupported,
                              "unscheduled instruction in " + region.name);
       }
-      const int step = it->second;
       const FuClass cls = ClassifyOp(*instr);
       if (cls == FuClass::kMemPort) ++usage[step].mem;
       if (cls == FuClass::kMul) ++usage[step].mul;
@@ -291,19 +255,18 @@ Status VerifySchedule(const HwRegion& region, const RegionSchedule& schedule,
             producer->op == Opcode::kPhi) {
           continue;  // register/port input
         }
-        const auto p = bs.step_of.find(producer);
-        if (p == bs.step_of.end()) continue;
+        const int p_step = schedule.StepOf(producer);
+        if (p_step < 0) continue;
         const unsigned p_latency = lib.OpLatencyCycles(*producer);
         if (p_latency > 0) {
-          if (step < p->second + static_cast<int>(p_latency)) {
+          if (step < p_step + static_cast<int>(p_latency)) {
             return Status::Error(ErrorKind::kUnsupported,
                                  "latency violation in " + region.name);
           }
-        } else if (step < p->second) {
+        } else if (step < p_step) {
           return Status::Error(ErrorKind::kUnsupported,
                                "dependence violation in " + region.name);
-        } else if (step == p->second &&
-                   bs.chain_pos.at(producer) >= bs.chain_pos.at(instr)) {
+        } else if (step == p_step && producer->id >= instr->id) {
           return Status::Error(ErrorKind::kUnsupported,
                                "chain order violation in " + region.name);
         }

@@ -7,9 +7,14 @@
 // memory-port pressure, multiplier pressure, and the loop-carried
 // recurrence delay.  Pipelining is what gives hardware kernels their large
 // speedups over the in-order MIPS (paper: average kernel speedup 44.8x).
+//
+// A schedule is one table: the control step of every body op, indexed by
+// Instr::id.  The ops of a step issue in block order, so a chained op comes
+// after the producers it reads in the same step; area binding, VHDL
+// emission and RTL simulation read the table and that order, and derive
+// nothing else.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "decomp/alias.hpp"
@@ -36,14 +41,14 @@ struct ScheduleOptions {
 
 struct BlockSchedule {
   const ir::Block* block = nullptr;
-  int num_steps = 1;
-  std::map<const ir::Instr*, int> step_of;   ///< body ops only (no phis)
-  std::map<const ir::Instr*, int> chain_pos; ///< order within a step
-  double max_step_delay_ns = 0.0;
+  int num_steps = 1;  ///< FSM states of the block (at least one)
 };
 
 struct RegionSchedule {
-  std::vector<BlockSchedule> blocks;
+  std::vector<BlockSchedule> blocks;  ///< one per region block, same order
+  /// Control step of every body op, indexed by Instr::id; -1 for phis,
+  /// terminators and instructions outside the region.
+  std::vector<int> steps;
   /// >0: the region's primary loop is a pipelined single-block loop with
   /// this initiation interval.
   int pipeline_ii = 0;
@@ -51,11 +56,10 @@ struct RegionSchedule {
   double critical_path_ns = 0; ///< max chained delay in any step
   int total_states = 0;        ///< FSM states
 
-  [[nodiscard]] const BlockSchedule* ForBlock(const ir::Block* block) const {
-    for (const auto& bs : blocks) {
-      if (bs.block == block) return &bs;
-    }
-    return nullptr;
+  /// The control step of `instr`, or -1 when it has none.
+  [[nodiscard]] int StepOf(const ir::Instr* instr) const {
+    const auto id = static_cast<std::size_t>(instr->id);
+    return id < steps.size() ? steps[id] : -1;
   }
 };
 
@@ -75,8 +79,9 @@ struct RegionSchedule {
                                         const ScheduleOptions& options);
 
 /// Scheduler legality check, run by Synthesize on every schedule: every
-/// operand is produced in an earlier step, or in the same step at an
-/// earlier chain position with a combinational producer; per-step resource
+/// body op has a step; every operand is produced in an earlier step (for a
+/// multi-cycle producer, at least its latency earlier), or in the same step
+/// earlier in block order by a combinational producer; per-step resource
 /// limits hold.
 [[nodiscard]] Status VerifySchedule(const HwRegion& region,
                                     const RegionSchedule& schedule,

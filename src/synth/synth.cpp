@@ -1,10 +1,14 @@
 #include "synth/synth.hpp"
 
+#include "obs/obs.hpp"
+
 namespace b2h::synth {
 
 Result<SynthesizedRegion> Synthesize(const HwRegion& region,
                                      const decomp::AliasAnalysis* alias,
                                      const SynthOptions& options) {
+  obs::ScopedSpan span("synth.region", "synth");
+  span.Arg("region", region.name);
   if (!region.synthesizable) {
     return Status::Error(ErrorKind::kUnsupported,
                          region.name + ": " + region.reject_reason);

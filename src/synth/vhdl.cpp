@@ -1,8 +1,6 @@
 #include "synth/vhdl.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <map>
 #include <sstream>
 
 namespace b2h::synth {
@@ -25,6 +23,11 @@ std::string Sig(const ir::Instr* instr) {
   std::string name = "v";
   name += std::to_string(instr->id);
   return name;
+}
+
+/// The FSM state of `block`'s control step `step`.
+std::string StateName(const ir::Block* block, int step) {
+  return "S_" + Sanitize(block->name) + "_" + std::to_string(step);
 }
 
 std::string OperandExpr(const ir::Value& value) {
@@ -135,13 +138,9 @@ std::string EmitVhdl(const HwRegion& region, const RegionSchedule& schedule) {
 
   // State enumeration: one per (block, step) pair.
   out << "  type state_t is (S_IDLE, S_DONE";
-  std::map<const ir::Block*, std::vector<std::string>> state_names;
   for (const auto& bs : schedule.blocks) {
     for (int s = 0; s < bs.num_steps; ++s) {
-      std::string name = "S_" + Sanitize(bs.block->name) + "_" +
-                         std::to_string(s);
-      state_names[bs.block].push_back(name);
-      out << ", " << name;
+      out << ", " << StateName(bs.block, s);
     }
   }
   out << ");\n";
@@ -218,21 +217,14 @@ std::string EmitVhdl(const HwRegion& region, const RegionSchedule& schedule) {
   for (const ir::Instr* in : region.live_ins) {
     out << "              " << Sig(in) << " <= in_" << Sig(in) << ";\n";
   }
-  const auto first_state = [&](const ir::Block* block) -> std::string {
-    const auto it = state_names.find(block);
-    if (it == state_names.end() || it->second.empty()) return "S_DONE";
-    return it->second.front();
-  };
-  out << "              state <= " << first_state(region.blocks.front())
+  out << "              state <= " << StateName(region.blocks.front(), 0)
       << ";\n";
   out << "            end if;\n";
 
   // Per-(block, step) states.
   for (const auto& bs : schedule.blocks) {
-    const auto& names = state_names[bs.block];
     for (int step = 0; step < bs.num_steps; ++step) {
-      out << "          when " << names[static_cast<std::size_t>(step)]
-          << " =>\n";
+      out << "          when " << StateName(bs.block, step) << " =>\n";
       // Phi updates happen on entry to step 0 — emitted as part of the
       // transition INTO the block (VHDL: previous state's assignment);
       // for readability we annotate them here as comments.
@@ -242,17 +234,9 @@ std::string EmitVhdl(const HwRegion& region, const RegionSchedule& schedule) {
               << " loaded on entry transition\n";
         }
       }
-      // Ops scheduled in this step, in chain order.
-      std::vector<const ir::Instr*> ops;
+      // Ops scheduled in this step, in issue (block) order.
       for (const ir::Instr* instr : bs.block->instrs) {
-        if (!IsBodyOp(instr)) continue;
-        if (bs.step_of.at(instr) == step) ops.push_back(instr);
-      }
-      std::sort(ops.begin(), ops.end(),
-                [&](const ir::Instr* a, const ir::Instr* b) {
-                  return bs.chain_pos.at(a) < bs.chain_pos.at(b);
-                });
-      for (const ir::Instr* instr : ops) {
+        if (schedule.StepOf(instr) != step) continue;
         if (instr->op == Opcode::kLoad) {
           out << "            mem_addr <= unsigned("
               << OperandExpr(instr->operands[0]) << ");\n";
@@ -275,8 +259,8 @@ std::string EmitVhdl(const HwRegion& region, const RegionSchedule& schedule) {
       }
       // Transition.
       if (step + 1 < bs.num_steps) {
-        out << "            state <= "
-            << names[static_cast<std::size_t>(step) + 1] << ";\n";
+        out << "            state <= " << StateName(bs.block, step + 1)
+            << ";\n";
       } else {
         const ir::Instr* term = bs.block->terminator();
         const auto transition = [&](const ir::Block* target,
@@ -290,7 +274,7 @@ std::string EmitVhdl(const HwRegion& region, const RegionSchedule& schedule) {
                     << OperandExpr(phi->operands[index]) << ";\n";
               }
             }
-            out << indent << "state <= " << first_state(target) << ";\n";
+            out << indent << "state <= " << StateName(target, 0) << ";\n";
           } else {
             out << indent << "state <= S_DONE;\n";
           }

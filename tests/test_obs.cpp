@@ -414,8 +414,8 @@ TEST(ObsEndToEnd, TracedExploreEmitsSpansFromEveryLayer) {
   obs::Tracer::Global().Disable();
 
   // The cold sweep exercised every instrumented subsystem: the exported
-  // trace must carry spans from the decompiler, the partitioner, the sweep
-  // engine, the artifact cache, and the simulator.
+  // trace must carry spans from the decompiler, the partitioner, synthesis,
+  // the sweep engine, the artifact cache, and the simulator.
   std::string text;
   {
     std::ifstream in(trace_path);
@@ -447,7 +447,7 @@ TEST(ObsEndToEnd, TracedExploreEmitsSpansFromEveryLayer) {
     EXPECT_TRUE(span_ids.insert(span_id).second) << "duplicate span id";
   }
   for (const char* required :
-       {"decomp", "partition", "explore", "cache", "sim"}) {
+       {"decomp", "partition", "synth", "explore", "cache", "sim"}) {
     EXPECT_EQ(categories.count(required), 1u)
         << "no spans from the '" << required << "' layer";
   }

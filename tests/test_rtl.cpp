@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/dominators.hpp"
+#include "ir/loops.hpp"
 #include "mips/assembler.hpp"
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
@@ -52,7 +54,7 @@ TEST_P(RtlCosim, WholeMainMatchesSoftware) {
                    binary.value().data);
   std::map<unsigned, std::int32_t> inputs;
   inputs[29] = static_cast<std::int32_t>(mips::kStackTop - 64);  // sp
-  const auto result = rtl.Run({}, inputs);
+  const auto result = rtl.Run(inputs);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.return_value, bench->reference())
       << "RTL result diverged from software";
@@ -87,15 +89,15 @@ TEST(RtlSim, SequentialFsmIsSlowerThanSoftwareClaims) {
                    binary.value().data);
   std::map<unsigned, std::int32_t> inputs;
   inputs[29] = static_cast<std::int32_t>(mips::kStackTop - 64);
-  const auto result = rtl.Run({}, inputs);
+  const auto result = rtl.Run(inputs);
   ASSERT_TRUE(result.ok) << result.error;
   // Chaining compresses the bit-reversal tree: far fewer cycles than the
   // MIPS instruction count.
   EXPECT_LT(result.fsm_cycles, run.instructions);
 }
 
-TEST(RtlSim, LiveOutValuesExposed) {
-  // Build a small kernel whose loop produces a live-out accumulator.
+TEST(RtlSim, WholeFunctionRegionHasNoPorts) {
+  // checksum's loop produces an accumulator, which main returns.
   const suite::Benchmark* bench = suite::FindBenchmark("checksum");
   auto binary = suite::BuildBinary(*bench, 1);
   ASSERT_TRUE(binary.ok());
@@ -109,6 +111,38 @@ TEST(RtlSim, LiveOutValuesExposed) {
   // A whole-function region has no live-outs (the ret consumes them).
   EXPECT_TRUE(region.live_outs.empty());
   EXPECT_TRUE(region.live_ins.empty());
+}
+
+TEST(RtlSim, RefusesRegionsWithLiveIns) {
+  // The model has no input ports: a loop region that reads values defined
+  // before it fails up front rather than at its first read.
+  const suite::Benchmark* bench = suite::FindBenchmark("fir");
+  auto binary = suite::BuildBinary(*bench, 1);
+  ASSERT_TRUE(binary.ok());
+  mips::Simulator sim(binary.value());
+  const auto run = sim.Run();
+  auto program = DecompileWith("default", binary.value(), &run.profile);
+  ASSERT_TRUE(program.ok());
+  std::size_t refused = 0;
+  for (const auto& function : program.value().module.functions) {
+    const ir::DominatorTree dom(*function);
+    const ir::LoopForest forest(*function, dom);
+    for (const auto& loop : forest.loops()) {
+      const HwRegion region = ExtractLoopRegion(*function, *loop);
+      if (region.live_ins.empty() || !region.synthesizable) continue;
+      auto synthesized = Synthesize(region, nullptr);
+      ASSERT_TRUE(synthesized.ok()) << synthesized.status().message();
+      RtlSimulator rtl(region, synthesized.value().schedule,
+                       binary.value().data);
+      const RtlResult result = rtl.Run();
+      EXPECT_FALSE(result.ok) << region.name;
+      EXPECT_NE(result.error.find("has live-in values"), std::string::npos)
+          << result.error;
+      EXPECT_EQ(result.fsm_cycles, 0u);
+      ++refused;
+    }
+  }
+  EXPECT_GT(refused, 0u);
 }
 
 TEST(RtlSim, LoadAtTopOfAddressSpaceFailsCleanly) {
@@ -134,7 +168,7 @@ TEST(RtlSim, LoadAtTopOfAddressSpaceFailsCleanly) {
   RtlSimulator rtl(region, synthesized.value().schedule, binary.data);
   std::map<unsigned, std::int32_t> inputs;
   inputs[29] = static_cast<std::int32_t>(mips::kStackTop - 64);
-  const RtlResult result = rtl.Run({}, inputs);
+  const RtlResult result = rtl.Run(inputs);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("bad load address"), std::string::npos)
       << result.error;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "ir/dominators.hpp"
 #include "ir/loops.hpp"
 #include "mips/simulator.hpp"
@@ -79,6 +81,18 @@ Prepared Prepare(const std::string& name, int opt_level = 1) {
   return prepared;
 }
 
+/// The innermost loop whose header runs most often, or null.
+const ir::Loop* HottestInnermostLoop(const ir::LoopForest& forest) {
+  const ir::Loop* hottest = nullptr;
+  for (const auto& loop : forest.loops()) {
+    if (!loop->children.empty()) continue;
+    if (hottest == nullptr || loop->header_count > hottest->header_count) {
+      hottest = loop.get();
+    }
+  }
+  return hottest;
+}
+
 TEST(Schedule, FirInnerLoopPipelinesAtIiOne) {
   Prepared prepared = Prepare("fir");
   // Find the hottest innermost loop of the fir function.
@@ -90,13 +104,7 @@ TEST(Schedule, FirInnerLoopPipelinesAtIiOne) {
   const ir::DominatorTree dom(*fir);
   ir::LoopForest forest(*fir, dom);
   forest.AnnotateProfile();
-  const ir::Loop* hottest = nullptr;
-  for (const auto& loop : forest.loops()) {
-    if (!loop->children.empty()) continue;
-    if (hottest == nullptr || loop->header_count > hottest->header_count) {
-      hottest = loop.get();
-    }
-  }
+  const ir::Loop* hottest = HottestInnermostLoop(forest);
   ASSERT_NE(hottest, nullptr);
   ASSERT_EQ(hottest->blocks.size(), 1u) << "rotated loops are single-block";
 
@@ -110,6 +118,85 @@ TEST(Schedule, FirInnerLoopPipelinesAtIiOne) {
   EXPECT_EQ(schedule.pipeline_ii, 1);
   EXPECT_GE(schedule.pipeline_depth, 2);
   EXPECT_TRUE(VerifySchedule(region, schedule, lib, options).ok());
+}
+
+// Each error VerifySchedule can return on SSA-valid IR, made by editing the
+// step table of a legal schedule of fir's inner loop.  ("chain order
+// violation" needs a producer after its consumer in block order, which SSA
+// rules out within a block.)
+TEST(Schedule, VerifyRejectsIllegalSchedules) {
+  Prepared prepared = Prepare("fir");
+  const ir::Function* fir = nullptr;
+  for (const auto& function : prepared.program.module.functions) {
+    if (function->name() == "fir") fir = function.get();
+  }
+  ASSERT_NE(fir, nullptr);
+  const ir::DominatorTree dom(*fir);
+  ir::LoopForest forest(*fir, dom);
+  forest.AnnotateProfile();
+  const ir::Loop* hottest = HottestInnermostLoop(forest);
+  ASSERT_NE(hottest, nullptr);
+  const HwRegion region = ExtractLoopRegion(*fir, *hottest);
+  decomp::AliasAnalysis alias(*fir, &prepared.binary.symbols);
+  const ResourceLibrary lib;
+  const ScheduleOptions options;
+  const RegionSchedule schedule = ScheduleRegion(region, &alias, lib, options);
+  ASSERT_TRUE(VerifySchedule(region, schedule, lib, options).ok());
+
+  // A combinational producer and a consumer in the block, a load and a
+  // reader of it, and two memory ops issued in one step.
+  const ir::Instr* producer = nullptr;
+  const ir::Instr* consumer = nullptr;
+  const ir::Instr* load = nullptr;
+  const ir::Instr* load_user = nullptr;
+  std::vector<const ir::Instr*> mem_ops;
+  for (const ir::Instr* instr : region.blocks.front()->instrs) {
+    if (!IsBodyOp(instr)) continue;
+    if (ClassifyOp(*instr) == FuClass::kMemPort) mem_ops.push_back(instr);
+    for (const ir::Value& operand : instr->operands) {
+      if (!operand.is_instr() || schedule.StepOf(operand.def) < 0) continue;
+      if (lib.OpLatencyCycles(*operand.def) == 0 && consumer == nullptr) {
+        producer = operand.def;
+        consumer = instr;
+      }
+      if (operand.def->op == ir::Opcode::kLoad && load_user == nullptr) {
+        load = operand.def;
+        load_user = instr;
+      }
+    }
+  }
+  ASSERT_NE(consumer, nullptr);
+  ASSERT_NE(load_user, nullptr);
+  ASSERT_GE(mem_ops.size(), 2u);
+  ASSERT_EQ(schedule.StepOf(mem_ops[0]), schedule.StepOf(mem_ops[1]))
+      << "the dual-port schedule issues fir's two loads in one step";
+
+  const auto verify = [&](const std::function<void(std::vector<int>&)>& edit,
+                          unsigned mem_ports) {
+    RegionSchedule edited = schedule;
+    edit(edited.steps);
+    ScheduleOptions edited_options = options;
+    edited_options.mem_ports = mem_ports;
+    const Status status = VerifySchedule(region, edited, lib, edited_options);
+    return status.ok() ? std::string("ok") : status.message();
+  };
+  EXPECT_EQ(verify([&](std::vector<int>& steps) { steps[consumer->id] = -1; },
+                   options.mem_ports),
+            "unscheduled instruction in " + region.name);
+  EXPECT_EQ(verify(
+                [&](std::vector<int>& steps) {
+                  steps[producer->id] = steps[consumer->id] + 1;
+                },
+                options.mem_ports),
+            "dependence violation in " + region.name);
+  EXPECT_EQ(verify(
+                [&](std::vector<int>& steps) {
+                  steps[load->id] = steps[load_user->id];
+                },
+                options.mem_ports),
+            "latency violation in " + region.name);
+  EXPECT_EQ(verify([](std::vector<int>&) {}, 1),
+            "resource overuse in " + region.name);
 }
 
 TEST(Schedule, ChainingRespectsClockPeriod) {
@@ -166,13 +253,7 @@ TEST(Schedule, MemPortLimitRaisesIi) {
   const ir::DominatorTree dom(*fir);
   ir::LoopForest forest(*fir, dom);
   forest.AnnotateProfile();
-  const ir::Loop* hottest = nullptr;
-  for (const auto& loop : forest.loops()) {
-    if (!loop->children.empty()) continue;
-    if (hottest == nullptr || loop->header_count > hottest->header_count) {
-      hottest = loop.get();
-    }
-  }
+  const ir::Loop* hottest = HottestInnermostLoop(forest);
   ASSERT_NE(hottest, nullptr);
   const HwRegion region = ExtractLoopRegion(*fir, *hottest);
   decomp::AliasAnalysis alias(*fir, &prepared.binary.symbols);
