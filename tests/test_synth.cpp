@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
-
 #include "ir/dominators.hpp"
 #include "ir/loops.hpp"
 #include "mips/simulator.hpp"
@@ -171,8 +169,7 @@ TEST(Schedule, VerifyRejectsIllegalSchedules) {
   ASSERT_EQ(schedule.StepOf(mem_ops[0]), schedule.StepOf(mem_ops[1]))
       << "the dual-port schedule issues fir's two loads in one step";
 
-  const auto verify = [&](const std::function<void(std::vector<int>&)>& edit,
-                          unsigned mem_ports) {
+  const auto verify = [&](const auto& edit, unsigned mem_ports) {
     RegionSchedule edited = schedule;
     edit(edited.steps);
     ScheduleOptions edited_options = options;
