@@ -64,6 +64,48 @@ TEST(Alias, SeparatesDistinctArrays) {
   EXPECT_EQ(alias.regions()[static_cast<std::size_t>(region)].name, "arr_a");
 }
 
+TEST(Alias, AccessOfAnotherFunctionIsUnclassified) {
+  // Two lifts of one program number their accesses alike: an access of the
+  // second lift is no access of the first's function, whatever its id.
+  const std::string source = R"(
+    main:
+      la $t0, arr_a
+      la $t1, arr_b
+      lw $t2, 0($t0)
+      sw $t2, 4($t1)
+      jr $ra
+    .data
+    arr_a: .word 1, 2, 3, 4
+    arr_b: .word 0, 0, 0, 0
+  )";
+  const auto memory_ops = [](const ir::Function& function) {
+    std::vector<const ir::Instr*> mems;
+    for (const auto& block : function.blocks()) {
+      for (const ir::Instr* instr : block->instrs) {
+        if (instr->op == ir::Opcode::kLoad ||
+            instr->op == ir::Opcode::kStore) {
+          mems.push_back(instr);
+        }
+      }
+    }
+    return mems;
+  };
+  auto lifted = LiftAsm(source);
+  auto other = LiftAsm(source);
+  SimplifyConstants(*lifted.module.main);
+  SimplifyConstants(*other.module.main);
+  AliasAnalysis alias(*lifted.module.main, &lifted.binary.symbols);
+  const auto mems = memory_ops(*lifted.module.main);
+  const auto foreign = memory_ops(*other.module.main);
+  ASSERT_EQ(mems.size(), 2u);
+  ASSERT_EQ(foreign.size(), 2u);
+  ASSERT_EQ(foreign[0]->id, mems[0]->id);
+  ASSERT_GE(alias.RegionIdOf(mems[0]), 0);
+  ASSERT_FALSE(alias.MayAlias(mems[0], mems[1]));
+  EXPECT_EQ(alias.RegionIdOf(foreign[0]), -1);
+  EXPECT_TRUE(alias.MayAlias(mems[1], foreign[0]));
+}
+
 TEST(Alias, VariableIndexStaysInArrayRegion) {
   auto lifted = LiftAsm(R"(
     main:

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "decomp/pass_manager.hpp"
@@ -411,10 +412,74 @@ TEST(Verifier, CatchesUseBeforeDef) {
   EXPECT_NE(status.message().find("use before def"), std::string::npos);
 }
 
+/// Verify rejects `function` with a message that contains `what`.
+void ExpectRejected(const Function& function, const std::string& what) {
+  const Status status = Verify(function);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(what), std::string::npos)
+      << status.message();
+}
+
 TEST(Verifier, CatchesStalePreds) {
   Diamond d;
   d.merge->preds.pop_back();
-  EXPECT_FALSE(Verify(d.function).ok());
+  ExpectRejected(d.function, "preds out of date");
+}
+
+TEST(Verifier, CatchesAnInstructionListedTwice) {
+  Diamond d;
+  d.left->instrs.insert(d.left->instrs.begin(), d.left->instrs.front());
+  ExpectRejected(d.function, "instruction appears twice");
+}
+
+TEST(Verifier, CatchesAWrongParent) {
+  Diamond d;
+  d.left->instrs.front()->parent = d.right;
+  ExpectRejected(d.function, "wrong parent");
+}
+
+TEST(Verifier, CatchesAnOperandWhoseDefinitionWasErased) {
+  Diamond d;
+  d.entry->Remove(d.input);
+  ExpectRejected(d.function,
+                 "operand defined by instruction outside function");
+}
+
+TEST(Verifier, CatchesAnOperandDefinedInAnotherFunction) {
+  // The other diamond numbers its instructions alike, so its input has the
+  // id of this diamond's input.
+  Diamond d;
+  Diamond other;
+  ASSERT_EQ(other.input->id, d.input->id);
+  d.left->instrs.front()->operands[0] = Value::Of(other.input);
+  ExpectRejected(d.function,
+                 "operand defined by instruction outside function");
+}
+
+TEST(Verifier, CatchesAnOperandDefinedInAnUnreachableBlock) {
+  Diamond d;
+  Block* dead = d.function.CreateBlock("dead", 0x140);
+  Instr* value = d.function.Emit(dead, Opcode::kAdd,
+                                 {Value::Const(1), Value::Const(2)});
+  dead->Append(d.function.Create(Opcode::kRet));
+  d.merge->terminator()->operands = {Value::Of(value)};
+  d.function.RecomputeCfg();
+  ExpectRejected(d.function, "operand defined in unreachable block");
+}
+
+TEST(Verifier, CatchesAPhiOperandThatDoesNotDominateItsEdge) {
+  Diamond d;
+  std::swap(d.phi->operands[0], d.phi->operands[1]);
+  ExpectRejected(d.function, "phi operand does not dominate incoming edge");
+}
+
+TEST(Verifier, CatchesADefThatDoesNotDominateItsUse) {
+  Diamond d;
+  Instr* doubled = d.left->instrs.front();
+  d.function.Emit(d.merge, Opcode::kAdd,
+                  {Value::Of(doubled), Value::Const(1)});
+  d.function.RecomputeCfg();
+  ExpectRejected(d.function, "def does not dominate use");
 }
 
 TEST(Verifier, CatchesAnEdgeIntoTheEntryBlock) {
