@@ -63,10 +63,14 @@ AliasAnalysis::AliasAnalysis(
     }
     std::sort(sorted_symbols_.begin(), sorted_symbols_.end());
   }
+  // Ids strictly increase in block order, so the last is the largest.
+  const int last_id = function.blocks().back()->terminator()->id;
+  region_of_.assign(static_cast<std::size_t>(last_id + 1), -1);
   for (const auto& block : function.blocks()) {
     for (const ir::Instr* instr : block->instrs) {
       if (instr->op != Opcode::kLoad && instr->op != Opcode::kStore) continue;
-      region_of_[instr] = ClassifyAddress(instr->operands[0]);
+      region_of_.at(static_cast<std::size_t>(instr->id)) =
+          ClassifyAddress(instr->operands[0]);
     }
   }
 }
@@ -123,8 +127,7 @@ int AliasAnalysis::ClassifyAddress(const Value& addr) {
        decomp.leaves[0]->op == Opcode::kCall)) {
     MemRegion region;
     region.kind = MemRegion::Kind::kParam;
-    region.key = static_cast<std::uint64_t>(
-        reinterpret_cast<std::uintptr_t>(decomp.leaves[0]));
+    region.key = static_cast<std::uint64_t>(decomp.leaves[0]->id);
     region.name = "<param>";
     return InternRegion(std::move(region));
   }
@@ -132,8 +135,10 @@ int AliasAnalysis::ClassifyAddress(const Value& addr) {
 }
 
 int AliasAnalysis::RegionIdOf(const ir::Instr* instr) const {
-  const auto it = region_of_.find(instr);
-  return it == region_of_.end() ? -1 : it->second;
+  const auto id = static_cast<std::size_t>(instr->id);
+  const bool ours =
+      instr->parent != nullptr && instr->parent->parent == &function_;
+  return ours && id < region_of_.size() ? region_of_[id] : -1;
 }
 
 std::set<int> AliasAnalysis::RegionsIn(const ir::Loop& loop) const {

@@ -16,7 +16,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/ir.hpp"
@@ -34,13 +33,16 @@ struct MemRegion {
 class AliasAnalysis {
  public:
   /// `data_symbols` (optional): label -> address map from the binary.
+  /// Reads the function's numbering (Instr::id) and never renumbers: a
+  /// finished program is shared between threads.
   AliasAnalysis(const ir::Function& function,
                 const std::map<std::string, std::uint32_t>* data_symbols);
 
   [[nodiscard]] const std::vector<MemRegion>& regions() const {
     return regions_;
   }
-  /// Region index of a load/store, or -1 when unclassifiable.
+  /// Region index of a load/store, or -1 when unclassifiable or not an
+  /// access of the analysed function.
   [[nodiscard]] int RegionIdOf(const ir::Instr* instr) const;
 
   /// Region ids touched by any load/store in `loop`.
@@ -56,7 +58,7 @@ class AliasAnalysis {
   const ir::Function& function_;
   std::vector<std::pair<std::uint32_t, std::string>> sorted_symbols_;
   std::vector<MemRegion> regions_;
-  std::unordered_map<const ir::Instr*, int> region_of_;
+  std::vector<int> region_of_;  ///< by Instr::id; -1 unclassified
 };
 
 }  // namespace b2h::decomp

@@ -36,7 +36,7 @@ bool IsLeaf(const ir::Function& function) {
 
 /// Inline one call site.
 void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
-                const ir::Function& callee) {
+                ir::Function& callee) {
   // Split the caller block at the call: the continuation block takes over
   // everything after the call, out-edges included.  The call itself stays
   // (replaced at the end once the return value is known).
@@ -47,33 +47,30 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
   caller.MoveTail(block, static_cast<std::size_t>(call_it - instrs.begin()) + 1,
                   cont);
 
-  // Clone callee blocks and instructions.
-  std::unordered_map<const ir::Block*, ir::Block*> block_map;
-  std::unordered_map<const ir::Instr*, ir::Instr*> instr_map;
+  // Clone callee blocks and instructions; each clone sits at its
+  // original's Block::id or Instr::id.
+  const std::vector<ir::Instr*> callee_instrs = callee.Renumber();
+  std::vector<ir::Block*> block_map;
   for (const auto& cb : callee.blocks()) {
-    block_map[cb.get()] = caller.CreateBlock(
-        callee.name() + "_" + cb->name, cb->start_pc);
+    block_map.push_back(caller.CreateBlock(callee.name() + "_" + cb->name,
+                                           cb->start_pc));
   }
+  std::vector<ir::Instr*> instr_map(callee_instrs.size(), nullptr);
+  const auto clone_of = [&](const ir::Instr* ci) -> ir::Instr*& {
+    return instr_map[ir::IdIn(callee_instrs, ci)];
+  };
   // Return values collected for the merge phi.
   std::vector<std::pair<ir::Block*, Value>> returns;
 
-  const auto map_value = [&](const Value& value) -> Value {
+  const auto map_value = [&](const Value& value) {
     if (!value.is_instr()) return value;
-    const auto it = instr_map.find(value.def);
-    if (it == instr_map.end()) {
-      throw InternalError(std::string("InlineCall: unmapped operand op=") +
-                          ir::OpcodeName(value.def->op) +
-                          " id=" + std::to_string(value.def->id) +
-                          " parent=" +
-                          (value.def->parent != nullptr
-                               ? value.def->parent->name
-                               : std::string("<none>")));
-    }
-    return Value::Of(it->second);
+    ir::Instr* clone = clone_of(value.def);
+    Check(clone != nullptr, "InlineCall: operand of an unmapped instruction");
+    return Value::Of(clone);
   };
 
   for (const auto& cb : callee.blocks()) {
-    ir::Block* nb = block_map[cb.get()];
+    ir::Block* nb = block_map[static_cast<std::size_t>(cb->id)];
     for (const ir::Instr* ci : cb->instrs) {
       if (ci->op == Opcode::kInput) {
         // Map callee inputs to call operands (a0..a3 = 0..3, sp = 4).
@@ -93,7 +90,7 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
         shim->operands = {replacement, Value::Const(0)};
         shim->src_pc = ci->src_pc;
         nb->Append(shim);
-        instr_map[ci] = shim;
+        clone_of(ci) = shim;
         continue;
       }
       if (ci->op == Opcode::kRet) {
@@ -120,59 +117,51 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
       ni->src_pc = ci->src_pc;
       ni->target0 = ci->target0;  // remapped to cloned blocks below
       ni->target1 = ci->target1;
-      for (const Value& operand : ci->operands) {
-        // Phi operands may reference not-yet-cloned instrs; fill later.
-        if (operand.is_instr() && instr_map.count(operand.def) == 0) {
-          ni->operands.push_back(Value::None());
-          continue;
-        }
-        ni->operands.push_back(map_value(operand));
-      }
+      ni->operands = ci->operands;  // remapped below
       if (ci->op == Opcode::kPhi) {
         nb->PrependPhi(ni);
       } else {
         nb->Append(ni);
       }
-      instr_map[ci] = ni;
+      clone_of(ci) = ni;
     }
   }
-  // Fix forward references (phi operands and any cross-block forward uses).
-  for (const auto& [ci, ni] : instr_map) {
-    for (std::size_t i = 0; i < ni->operands.size(); ++i) {
-      if (ni->operands[i].is_none()) {
-        ni->operands[i] = map_value(ci->operands[i]);
-      }
-    }
+  // Map operands, which may be defined in a block cloned later (phi
+  // operands, forward uses), and the deferred return values.  Input shims
+  // already hold caller values.
+  for (const ir::Instr* ci : callee_instrs) {
+    if (ci->op == Opcode::kInput || ci->op == Opcode::kRet) continue;
+    for (Value& operand : clone_of(ci)->operands) operand = map_value(operand);
   }
-  // Resolve the deferred return values.
   for (auto& [rb, rv] : returns) rv = map_value(rv);
-  // Map branch targets, and predecessors so the cloned phis keep their
-  // operands across the next RecomputeCfg.
+  // Map branch targets (a return's branch to `cont` stays), and
+  // predecessors so the cloned phis keep their operands across the next
+  // RecomputeCfg.
+  const auto clone_target = [&](ir::Block* target) {
+    return target != nullptr && target->parent == &callee
+               ? block_map[static_cast<std::size_t>(target->id)]
+               : target;
+  };
   for (const auto& cb : callee.blocks()) {
-    ir::Block* nb = block_map[cb.get()];
-    for (const ir::Block* pred : cb->preds) {
-      nb->preds.push_back(block_map.at(pred));
-    }
+    ir::Block* nb = block_map[static_cast<std::size_t>(cb->id)];
+    for (ir::Block* pred : cb->preds) nb->preds.push_back(clone_target(pred));
     if (!nb->has_terminator()) continue;
     ir::Instr* term = nb->terminator();
-    if (term->target0 != nullptr && block_map.count(term->target0) != 0) {
-      term->target0 = block_map[term->target0];
-    }
-    if (term->target1 != nullptr && block_map.count(term->target1) != 0) {
-      term->target1 = block_map[term->target1];
-    }
+    term->target0 = clone_target(term->target0);
+    term->target1 = clone_target(term->target1);
   }
   // Profile annotations: scale callee counts into the caller by call count.
   // (Approximation: the call instruction's own block count.)
   for (const auto& cb : callee.blocks()) {
-    block_map[cb.get()]->exec_count = cb->exec_count;
-    block_map[cb.get()]->taken_count = cb->taken_count;
-    block_map[cb.get()]->not_taken_count = cb->not_taken_count;
+    ir::Block* nb = block_map[static_cast<std::size_t>(cb->id)];
+    nb->exec_count = cb->exec_count;
+    nb->taken_count = cb->taken_count;
+    nb->not_taken_count = cb->not_taken_count;
   }
 
   // Branch from the call block into the inlined entry.
   ir::Instr* enter = caller.Create(Opcode::kBr);
-  enter->target0 = block_map[callee.entry()];
+  enter->target0 = block_map.front();
   block->Append(enter);
   cont->exec_count = block->exec_count;
 
@@ -228,8 +217,7 @@ InlineStats InlineSmallFunctions(ir::Module& module) {
         for (const auto& block : function->blocks()) {
           for (ir::Instr* instr : block->instrs) {
             if (instr->op != Opcode::kCall) continue;
-            const ir::Function* callee =
-                module.FindByEntry(instr->call_target);
+            ir::Function* callee = module.FindByEntry(instr->call_target);
             if (callee == nullptr || callee == function.get()) continue;
             if (!IsLeaf(*callee)) continue;
             const bool single_site = call_sites[instr->call_target] == 1;

@@ -24,15 +24,13 @@
 // On a match, sections 1..U-1 are deleted, the induction step S becomes
 // S/U, phi latch operands are rewired into section 0, and profile counts
 // are rescaled (the rerolled loop iterates U times more often).
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "decomp/passes.hpp"
-#include "ir/dominators.hpp"
-#include "ir/loops.hpp"
 
 namespace b2h::decomp {
 namespace {
@@ -198,21 +196,21 @@ class RerollAttempt {
     // First find, for every loop phi, the position of its latch value in
     // the final section (the "version position").  The induction phi is
     // handled separately via the tail add.
-    for (ir::Instr* phi : shape_.phis) {
+    version_pos_.assign(shape_.phis.size(), std::nullopt);
+    for (std::size_t p = 0; p < shape_.phis.size(); ++p) {
+      ir::Instr* phi = shape_.phis[p];
       if (phi == shape_.induction_phi) continue;
       const Value latch = phi->operands[shape_.latch_index];
       if (latch == Value::Of(phi)) continue;  // loop-invariant phi
       if (!latch.is_instr()) return false;
       // Locate in last section.
-      bool found = false;
       for (std::size_t k = 0; k < section_len_; ++k) {
         if (at(factor_ - 1, k) == latch.def) {
-          version_pos_[phi] = k;
-          found = true;
+          version_pos_[p] = k;
           break;
         }
       }
-      if (!found) return false;
+      if (!version_pos_[p]) return false;
     }
 
     // Position-wise isomorphism with constant progressions.
@@ -252,11 +250,10 @@ class RerollAttempt {
       return shape_.body[section * section_len_ + k];
     };
     // Rewire phi latch operands into section 0.
-    for (ir::Instr* phi : shape_.phis) {
-      if (phi == shape_.induction_phi) continue;
-      const auto it = version_pos_.find(phi);
-      if (it == version_pos_.end()) continue;
-      phi->operands[shape_.latch_index] = Value::Of(at(0, it->second));
+    for (std::size_t p = 0; p < shape_.phis.size(); ++p) {
+      if (!version_pos_[p]) continue;
+      shape_.phis[p]->operands[shape_.latch_index] =
+          Value::Of(at(0, *version_pos_[p]));
     }
     // Induction step S -> S/U.
     shape_.induction_add->operands[1] = Value::Const(new_step_);
@@ -343,10 +340,14 @@ class RerollAttempt {
       // produced at the phi's version position.
       if (x.def->op == Opcode::kPhi && x.def->parent == shape_.block &&
           x.def != shape_.induction_phi) {
-        const auto vp = version_pos_.find(x.def);
-        if (vp == version_pos_.end()) return false;
+        const auto phi = std::find(shape_.phis.begin(), shape_.phis.end(),
+                                   x.def);
+        if (phi == shape_.phis.end()) return false;
+        const std::optional<std::size_t> version =
+            version_pos_[static_cast<std::size_t>(phi - shape_.phis.begin())];
+        if (!version) return false;
         const ir::Instr* expected =
-            shape_.body[(j - 1) * section_len_ + vp->second];
+            shape_.body[(j - 1) * section_len_ + *version];
         if (y.def != expected) return false;
         continue;
       }
@@ -370,7 +371,8 @@ class RerollAttempt {
   std::int32_t new_step_ = 0;
   // Per position k: operand index -> per-section constant delta.
   std::vector<std::map<std::size_t, std::int64_t>> deltas_;
-  std::unordered_map<const ir::Instr*, std::size_t> version_pos_;
+  // Per phi of shape_.phis: its version position, if any.
+  std::vector<std::optional<std::size_t>> version_pos_;
 };
 
 }  // namespace

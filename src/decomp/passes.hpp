@@ -63,7 +63,6 @@ StrengthReductionStats ReduceStrength(ir::Function& function);
 
 struct StrengthPromotionStats {
   std::size_t muls_recovered = 0;
-  std::size_t ops_collapsed = 0;
 };
 
 /// Strength promotion: recognize shift/add/sub trees computing c*x (the

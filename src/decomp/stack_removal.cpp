@@ -20,7 +20,7 @@
 #include <iterator>
 #include <map>
 #include <set>
-#include <unordered_map>
+#include <vector>
 
 #include "decomp/passes.hpp"
 #include "ir/ssa.hpp"
@@ -60,6 +60,8 @@ AddrClass Join(const AddrClass& a, const AddrClass& b) {
   return AddrClass::Unknown();
 }
 
+/// Classes are kept by the Instr::id taken at construction; the pass's
+/// RecomputeCfg renumbers alike, and its kUndef is never classified.
 class StackAnalysis {
  public:
   explicit StackAnalysis(ir::Function& function) : function_(function) {}
@@ -73,7 +75,7 @@ class StackAnalysis {
       for (const auto& block : function_.blocks()) {
         for (ir::Instr* instr : block->instrs) {
           const AddrClass next = Transfer(*instr);
-          AddrClass& current = class_[instr];
+          AddrClass& current = class_[ir::IdIn(by_id_, instr)];
           const AddrClass joined = Join(current, next);
           if (!(joined == current)) {
             current = joined;
@@ -87,8 +89,7 @@ class StackAnalysis {
 
   [[nodiscard]] AddrClass ClassOf(const Value& value) const {
     if (value.is_const()) return AddrClass::NotStack();
-    const auto it = class_.find(value.def);
-    return it == class_.end() ? AddrClass::Top() : it->second;
+    return class_[ir::IdIn(by_id_, value.def)];
   }
 
  private:
@@ -187,7 +188,8 @@ class StackAnalysis {
   }
 
   ir::Function& function_;
-  std::unordered_map<const ir::Instr*, AddrClass> class_;
+  std::vector<ir::Instr*> by_id_ = function_.Renumber();
+  std::vector<AddrClass> class_ = std::vector<AddrClass>(by_id_.size());
 };
 
 }  // namespace

@@ -14,10 +14,9 @@
 // multiplication so the synthesis tool can decide the implementation
 // ("to give the synthesis tool this added flexibility, we perform strength
 // promotion").
+#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "decomp/passes.hpp"
@@ -161,17 +160,19 @@ std::optional<LinearTerm> MatchLinear(const Value& value, int depth) {
 StrengthPromotionStats PromoteStrength(ir::Function& function) {
   StrengthPromotionStats stats;
 
-  // Use counts so we only collapse single-use chains (otherwise the chain
-  // stays alive and the new multiplier is pure area overhead).
-  std::unordered_map<const ir::Instr*, unsigned> use_count;
-  for (const auto& block : function.blocks()) {
-    for (const ir::Instr* instr : block->instrs) {
-      for (const Value& operand : instr->operands) {
-        if (operand.is_instr()) ++use_count[operand.def];
-      }
+  // Use counts by Instr::id, so we only collapse single-use chains
+  // (otherwise the chain stays alive and the new multiplier is pure area
+  // overhead).  Collapsing moves no instruction, so the ids hold.
+  const std::vector<ir::Instr*> by_id = function.Renumber();
+  std::vector<int> use_count(by_id.size(), 0);
+  for (const ir::Instr* instr : by_id) {
+    for (const Value& operand : instr->operands) {
+      if (operand.is_instr()) ++use_count[ir::IdIn(by_id, operand.def)];
     }
   }
 
+  // Uses inside the current tree by id; -1 outside it.
+  std::vector<int> in_tree_uses(by_id.size(), -1);
   for (const auto& block : function.blocks()) {
     for (ir::Instr* instr : block->instrs) {
       if (instr->op != Opcode::kAdd && instr->op != Opcode::kSub) continue;
@@ -187,25 +188,30 @@ StrengthPromotionStats PromoteStrength(ir::Function& function) {
           (c > 0 && IsPowerOfTwo(static_cast<std::uint32_t>(c)))) {
         continue;
       }
-      // Every non-root tree node must be used only inside the tree (the
+      // Every non-root tree node must be used only inside the tree.  The
       // tree may be a DAG: a subterm like t = 5x in 25x = (t<<2)+t is used
-      // twice within it, which is fine).
-      const std::unordered_set<const ir::Instr*> tree(term->internal.begin(),
-                                                      term->internal.end());
-      std::unordered_map<const ir::Instr*, unsigned> in_tree_uses;
+      // twice within it, which is fine, and is listed twice in `internal`,
+      // so count each node's operands once.
+      std::vector<ir::Instr*>& tree = term->internal;
+      std::sort(tree.begin(), tree.end(),
+                [](const ir::Instr* a, const ir::Instr* b) {
+                  return a->id < b->id;
+                });
+      tree.erase(std::unique(tree.begin(), tree.end()), tree.end());
+      for (const ir::Instr* node : tree) in_tree_uses[node->id] = 0;
       for (const ir::Instr* node : tree) {
         for (const Value& operand : node->operands) {
-          if (operand.is_instr() && tree.count(operand.def) != 0) {
-            ++in_tree_uses[operand.def];
-          }
+          if (!operand.is_instr()) continue;
+          int& uses = in_tree_uses[ir::IdIn(by_id, operand.def)];
+          if (uses >= 0) ++uses;
         }
       }
       bool sharable = false;
       for (const ir::Instr* node : tree) {
-        if (node != instr && use_count[node] != in_tree_uses[node]) {
+        if (node != instr && use_count[node->id] != in_tree_uses[node->id]) {
           sharable = true;
-          break;
         }
+        in_tree_uses[node->id] = -1;
       }
       if (sharable) continue;
       // All tree nodes must live in the same block as the root so the
@@ -219,7 +225,6 @@ StrengthPromotionStats PromoteStrength(ir::Function& function) {
       }
       if (!same_block) continue;
 
-      stats.ops_collapsed += tree.size() - 1;
       instr->op = Opcode::kMul;
       instr->operands = {term->base,
                          Value::Const(static_cast<std::int32_t>(c))};

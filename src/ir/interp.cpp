@@ -1,7 +1,8 @@
 #include "ir/interp.hpp"
 
 #include <array>
-#include <unordered_map>
+#include <optional>
+#include <vector>
 
 #include "ir/eval.hpp"
 
@@ -28,7 +29,7 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
 
   // Explicit call stack (recursion depth bounded only by memory).
   struct Activation {
-    std::unordered_map<const Instr*, std::int32_t> values;
+    std::vector<std::optional<std::int32_t>> values;  ///< by Instr::id
     const Block* block = nullptr;
     const Block* prev_block = nullptr;
     std::size_t next_instr = 0;
@@ -42,6 +43,9 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
     Activation activation;
     activation.block = function->entry();
     activation.inputs = inputs;
+    // Ids strictly increase in block order, so the last is the largest.
+    activation.values.resize(static_cast<std::size_t>(
+        function->blocks().back()->terminator()->id + 1));
     stack.push_back(std::move(activation));
   };
 
@@ -57,9 +61,10 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
   const auto value_of = [&](Activation& act, const Value& v) -> std::int32_t {
     if (v.is_const()) return v.imm;
     Check(v.is_instr(), "interp: none operand");
-    const auto it = act.values.find(v.def);
-    Check(it != act.values.end(), "interp: use of unevaluated value");
-    return it->second;
+    const auto id = static_cast<std::size_t>(v.def->id);
+    Check(id < act.values.size() && act.values[id].has_value(),
+          "interp: use of unevaluated value");
+    return *act.values[id];
   };
 
   while (!stack.empty()) {
@@ -80,7 +85,7 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
         staged.emplace_back(phi,
                             value_of(act, phi->operands[pred_index]));
       }
-      for (const auto& [phi, value] : staged) act.values[phi] = value;
+      for (const auto& [phi, value] : staged) act.values.at(phi->id) = value;
       act.next_instr = staged.size();
     }
 
@@ -92,7 +97,7 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
 
     // Resume after a call: store the callee's return value.
     if (act.pending_call != nullptr) {
-      act.values[act.pending_call] = last_return;
+      act.values.at(act.pending_call->id) = last_return;
       act.pending_call = nullptr;
       ++act.next_instr;
       continue;
@@ -183,7 +188,7 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
     }
 
     // A value is kept at its claimed width, as the circuit's register is.
-    if (in->width > 0) act.values[in] = FitToWidth(*in, out);
+    if (in->width > 0) act.values.at(in->id) = FitToWidth(*in, out);
     if (in->op != Opcode::kPhi) ++result.steps;
     ++act.next_instr;
   }

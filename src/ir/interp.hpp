@@ -46,7 +46,8 @@ struct InterpResult {
 
 /// Runs over the MIPS platform's memory (mips/memory.hpp): `initial_data`
 /// is the binary's .data image, and main's stack pointer starts just below
-/// mips::kStackTop, as the simulator's does.
+/// mips::kStackTop, as the simulator's does.  The module must pass
+/// ir::Verify: each call keeps its values by Instr::id.
 class Interpreter {
  public:
   Interpreter(const Module& module, std::span<const std::uint8_t> initial_data,

@@ -16,8 +16,8 @@
 //    replaced instruction behind to delete by hand.
 //  - Side tables are vectors indexed by Instr::id or Block::id, never maps
 //    keyed by pointer.  Both ids come from one numbering in block order,
-//    which Function::Renumber() assigns (RecomputeCfg() ends with it); an
-//    operand whose definition lies outside that numbering is an error.
+//    which Function::Renumber() assigns (RecomputeCfg() ends with it) and
+//    ir::Verify checks; an operand defined outside it is an error.
 //  - Phi operands follow their predecessor blocks.  A phi's operand i
 //    belongs to Block::preds[i]; RecomputeCfg() rebuilds every preds list in
 //    block order and carries each operand along with its block: operands of

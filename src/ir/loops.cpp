@@ -1,12 +1,17 @@
 #include "ir/loops.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace b2h::ir {
 
+bool Loop::Contains(const Block* block) const {
+  const auto it = std::lower_bound(
+      blocks.begin(), blocks.end(), block->id,
+      [](const Block* member, int id) { return member->id < id; });
+  return it != blocks.end() && *it == block;
+}
+
 LoopForest::LoopForest(const Function& function, const DominatorTree& dom) {
-  (void)function;  // identification works purely off the dominator tree
   // Collect back edges (a -> h where h dominates a) grouped by the header's
   // reverse-post-order position, latches in RPO order.  loops() therefore
   // comes out in header RPO order, never in heap-address order: candidate
@@ -24,34 +29,31 @@ LoopForest::LoopForest(const Function& function, const DominatorTree& dom) {
   }
 
   // One natural loop per header: union of all blocks that can reach a latch
-  // without passing through the header.
+  // without passing through the header.  Marks are by Block::id; the blocks
+  // found so far are the work list, the header first (not followed).
+  std::vector<char> in_loop(function.blocks().size(), 0);
   for (std::size_t position = 0; position < rpo.size(); ++position) {
     const std::vector<const Block*>& latches = latches_of[position];
     if (latches.empty()) continue;
-    const Block* header = rpo[position];
     auto loop = std::make_unique<Loop>();
-    loop->header = header;
+    loop->header = rpo[position];
     loop->latches = latches;
-    loop->blocks.insert(header);
-    std::deque<const Block*> work(latches.begin(), latches.end());
-    for (const Block* latch : latches) loop->blocks.insert(latch);
-    while (!work.empty()) {
-      const Block* block = work.front();
-      work.pop_front();
-      if (block == header) continue;
-      for (const Block* pred : block->preds) {
-        if (loop->blocks.insert(pred).second) work.push_back(pred);
-      }
+    std::vector<const Block*>& blocks = loop->blocks;
+    const auto add = [&in_loop, &blocks](const Block* block) {
+      char& mark = in_loop[static_cast<std::size_t>(block->id)];
+      if (mark == 0) blocks.push_back(block);
+      mark = 1;
+    };
+    add(loop->header);
+    for (const Block* latch : latches) add(latch);
+    for (std::size_t i = 1; i < blocks.size(); ++i) {
+      for (const Block* pred : blocks[i]->preds) add(pred);
     }
-    for (const Block* block : loop->blocks) {
-      for (const Block* succ : block->succs()) {
-        if (loop->blocks.count(succ) == 0 &&
-            std::find(loop->exit_blocks.begin(), loop->exit_blocks.end(),
-                      succ) == loop->exit_blocks.end()) {
-          loop->exit_blocks.push_back(succ);
-        }
-      }
+    for (const Block* block : blocks) {
+      in_loop[static_cast<std::size_t>(block->id)] = 0;
     }
+    std::sort(blocks.begin(), blocks.end(),
+              [](const Block* a, const Block* b) { return a->id < b->id; });
     loops_.push_back(std::move(loop));
   }
 
@@ -69,12 +71,6 @@ LoopForest::LoopForest(const Function& function, const DominatorTree& dom) {
       }
     }
     loop->parent = best;
-    if (best != nullptr) best->children.push_back(loop.get());
-  }
-  for (auto& loop : loops_) {
-    int depth = 1;
-    for (Loop* up = loop->parent; up != nullptr; up = up->parent) ++depth;
-    loop->depth = depth;
   }
 }
 

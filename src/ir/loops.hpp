@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "ir/dominators.hpp"
@@ -18,16 +17,12 @@ namespace b2h::ir {
 
 struct Loop {
   const Block* header = nullptr;
-  std::vector<const Block*> latches;      ///< sources of back edges
-  std::unordered_set<const Block*> blocks;
-  std::vector<const Block*> exit_blocks;  ///< blocks outside with pred inside
-  Loop* parent = nullptr;                 ///< enclosing loop (nullptr = top)
-  std::vector<Loop*> children;
-  int depth = 1;
+  std::vector<const Block*> latches;  ///< sources of back edges
+  std::vector<const Block*> blocks;   ///< header included, in block order
+  Loop* parent = nullptr;             ///< enclosing loop (nullptr = top)
 
-  [[nodiscard]] bool Contains(const Block* block) const {
-    return blocks.count(block) != 0;
-  }
+  /// Whether `block`, one of the function's blocks, is in the loop.
+  [[nodiscard]] bool Contains(const Block* block) const;
 
   /// Profile-derived estimates (filled by AnnotateProfile).
   std::uint64_t header_count = 0;  ///< times the header executed

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "ir/dominators.hpp"
 
@@ -45,14 +44,24 @@ Status Fail(const Function& function, const Block* block, const Instr* instr,
 }  // namespace
 
 Status Verify(const Function& function) {
-  if (function.blocks().empty()) {
+  const auto& blocks = function.blocks();
+  if (blocks.empty()) {
     return Fail(function, nullptr, nullptr, "function has no blocks");
   }
 
-  // Pred/succ consistency and structural checks.
-  std::unordered_map<const Block*, std::vector<const Block*>> expected_preds;
-  std::unordered_set<const Instr*> all_instrs;
-  for (const auto& block : function.blocks()) {
+  // The numbering the tables here are indexed by: block ids are positions,
+  // and instruction ids strictly increase in block order (erasing leaves
+  // gaps).  by_id holds each instruction at its id, up to the last seen.
+  std::vector<const Instr*> by_id;
+  by_id.reserve(function.NumInstrs());
+  std::vector<std::vector<const Block*>> expected_preds(blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    if (blocks[b]->id != static_cast<int>(b)) {
+      return Fail(function, blocks[b].get(), nullptr,
+                  "numbering out of date (run Renumber)");
+    }
+  }
+  for (const auto& block : blocks) {
     if (!block->has_terminator()) {
       return Fail(function, block.get(), nullptr, "missing terminator");
     }
@@ -62,9 +71,16 @@ Status Verify(const Function& function) {
       if (instr->parent != block.get()) {
         return Fail(function, block.get(), instr, "wrong parent");
       }
-      if (!all_instrs.insert(instr).second) {
+      const auto id = static_cast<std::size_t>(instr->id);
+      if (id < by_id.size() && by_id[id] == instr) {
         return Fail(function, block.get(), instr, "instruction appears twice");
       }
+      if (instr->id < 0 || id < by_id.size()) {
+        return Fail(function, block.get(), instr,
+                    "numbering out of date (run Renumber)");
+      }
+      by_id.resize(id, nullptr);
+      by_id.push_back(instr);
       if (instr->op == Opcode::kPhi) {
         if (seen_non_phi) {
           return Fail(function, block.get(), instr, "phi after non-phi");
@@ -104,11 +120,18 @@ Status Verify(const Function& function) {
       }
     }
     for (const Block* succ : block->succs()) {
-      expected_preds[succ].push_back(block.get());
+      const auto succ_id = static_cast<std::size_t>(succ->id);
+      if (succ_id >= blocks.size() || blocks[succ_id].get() != succ) {
+        return Fail(function, block.get(), block->terminator(),
+                    "branch target outside function");
+      }
+      expected_preds[succ_id].push_back(block.get());
     }
   }
-  for (const auto& block : function.blocks()) {
-    auto expected = expected_preds[block.get()];
+  // Compared as multisets (MoveTail leaves preds out of block order), by
+  // address: a stale pred may be a block that no longer exists.
+  for (const auto& block : blocks) {
+    auto& expected = expected_preds[static_cast<std::size_t>(block->id)];
     std::vector<const Block*> actual(block->preds.begin(),
                                      block->preds.end());
     std::sort(expected.begin(), expected.end());
@@ -116,6 +139,12 @@ Status Verify(const Function& function) {
     if (expected != actual) {
       return Fail(function, block.get(), nullptr,
                   "preds out of date (run RecomputeCfg)");
+    }
+    for (const Instr* phi : block->Phis()) {
+      if (phi->operands.size() != block->preds.size()) {
+        return Fail(function, block.get(), phi,
+                    "phi operand count != predecessor count");
+      }
     }
   }
   // SSA construction (ir/ssa.hpp) reads a variable in the entry block as
@@ -125,39 +154,24 @@ Status Verify(const Function& function) {
                 "an edge enters the entry block");
   }
 
-  // Phi arity matches preds.
-  for (const auto& block : function.blocks()) {
-    for (const Instr* phi : block->Phis()) {
-      if (phi->operands.size() != block->preds.size()) {
-        return Fail(function, block.get(), phi,
-                    "phi operand count != predecessor count");
-      }
-    }
-  }
-
-  // Def-dominates-use over reachable blocks.
+  // Def-dominates-use over reachable blocks; within a block, ids give the
+  // order.
   const DominatorTree dom(function);
-  std::unordered_set<const Block*> reachable(dom.ReversePostOrder().begin(),
-                                             dom.ReversePostOrder().end());
-  // Map instruction -> position for same-block ordering checks.
-  std::unordered_map<const Instr*, std::size_t> position;
-  for (const auto& block : function.blocks()) {
-    for (std::size_t i = 0; i < block->instrs.size(); ++i) {
-      position[block->instrs[i]] = i;
-    }
-  }
+  std::vector<char> reachable(blocks.size(), 0);  // by Block::id
+  for (const Block* block : dom.ReversePostOrder()) reachable[block->id] = 1;
   for (const Block* block : dom.ReversePostOrder()) {
     for (const Instr* instr : block->instrs) {
       for (std::size_t oi = 0; oi < instr->operands.size(); ++oi) {
         const Value& operand = instr->operands[oi];
         if (!operand.is_instr()) continue;
         const Instr* def = operand.def;
-        if (all_instrs.count(def) == 0) {
+        const auto def_id = static_cast<std::size_t>(def->id);
+        if (def_id >= by_id.size() || by_id[def_id] != def) {
           return Fail(function, block, instr,
                       "operand defined by instruction outside function");
         }
         const Block* def_block = def->parent;
-        if (reachable.count(def_block) == 0) {
+        if (reachable[def_block->id] == 0) {
           return Fail(function, block, instr,
                       "operand defined in unreachable block");
         }
@@ -168,7 +182,7 @@ Status Verify(const Function& function) {
                         "phi operand does not dominate incoming edge");
           }
         } else if (def_block == block) {
-          if (position[def] >= position[instr]) {
+          if (def->id >= instr->id) {
             return Fail(function, block, instr,
                         "use before def within block");
           }

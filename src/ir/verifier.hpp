@@ -7,10 +7,11 @@
 namespace b2h::ir {
 
 /// Returns OK or a description of the first violated invariant.
-/// Checks: block/terminator structure, phi placement and arity,
-/// def-dominates-use (including phi edge semantics), operand sanity,
-/// width ranges, CFG pred/succ consistency, and that no edge enters the
-/// entry block.
+/// Checks: the numbering side tables are indexed by (block ids are
+/// positions, instruction ids strictly increase in block order),
+/// block/terminator structure, phi placement and arity, def-dominates-use
+/// (including phi edge semantics), operand sanity, width ranges, CFG
+/// pred/succ consistency, and that no edge enters the entry block.
 [[nodiscard]] Status Verify(const Function& function);
 
 /// Verifies every function in the module.

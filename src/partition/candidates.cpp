@@ -1,7 +1,7 @@
 #include "partition/candidates.hpp"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 #include "ir/dominators.hpp"
 #include "ir/loops.hpp"
@@ -11,23 +11,29 @@ namespace b2h::partition {
 
 namespace {
 
-/// Functions reachable from main via surviving calls (inlined-away callees
-/// would otherwise be double-counted: their blocks share binary addresses
-/// with the inlined copies).
-std::set<const ir::Function*> ReachableFunctions(const ir::Module& module) {
-  std::set<const ir::Function*> reachable;
+/// Functions reachable from main via surviving calls, flagged by position
+/// in Module::functions (inlined-away callees would otherwise be
+/// double-counted: their blocks share binary addresses with the inlined
+/// copies).
+std::vector<char> ReachableFunctions(const ir::Module& module) {
+  const auto& functions = module.functions;
+  std::vector<char> reachable(functions.size(), 0);
   std::vector<const ir::Function*> work{module.main};
-  reachable.insert(module.main);
   while (!work.empty()) {
     const ir::Function* function = work.back();
     work.pop_back();
+    const auto it = std::find_if(
+        functions.begin(), functions.end(),
+        [function](const auto& entry) { return entry.get() == function; });
+    if (it == functions.end() ||
+        std::exchange(reachable[it - functions.begin()], 1) != 0) {
+      continue;
+    }
     for (const auto& block : function->blocks()) {
       for (const ir::Instr* instr : block->instrs) {
         if (instr->op != ir::Opcode::kCall) continue;
         const ir::Function* callee = module.FindByEntry(instr->call_target);
-        if (callee != nullptr && reachable.insert(callee).second) {
-          work.push_back(callee);
-        }
+        if (callee != nullptr) work.push_back(callee);
       }
     }
   }
@@ -70,10 +76,10 @@ CandidateSet CandidateSet::Scan(const decomp::DecompiledProgram& program,
     }
   }
 
-  const std::set<const ir::Function*> reachable =
-      ReachableFunctions(program.module);
-  for (const auto& function : program.module.functions) {
-    if (reachable.count(function.get()) == 0) continue;
+  const std::vector<char> reachable = ReachableFunctions(program.module);
+  for (std::size_t f = 0; f < program.module.functions.size(); ++f) {
+    if (reachable[f] == 0) continue;
+    const auto& function = program.module.functions[f];
     FunctionAnalyses analyses;
     analyses.function = function.get();
     analyses.dom = std::make_unique<ir::DominatorTree>(*function);
@@ -346,29 +352,15 @@ void SelectionState::ComputeResidency() {
   // Arrays shared only among hardware kernels become FPGA-resident: no
   // DMA per invocation.  An array also touched by software code that
   // remains on the CPU must stay in main memory.
-  std::map<std::pair<const ir::Function*, int>, bool> only_hw;
-  for (const SelectedRegion& selected : result_.hw) {
-    for (int id : selected.alias_regions) {
-      only_hw[{selected.synthesized.region.function, id}] = true;
-    }
-  }
+  std::vector<std::uint64_t> software(set_.row_words(), 0);
   for (std::size_t id = 0; id < set_.size(); ++id) {
-    if (selected_[id]) continue;
-    const Candidate& candidate = set_.candidates()[id];
-    for (int region : candidate.alias_regions) {
-      only_hw[{candidate.function, region}] = false;
-    }
+    if (!selected_[id]) SetBit(software, id);
   }
-  for (SelectedRegion& selected : result_.hw) {
-    bool resident = true;
-    for (int id : selected.alias_regions) {
-      const auto it = only_hw.find({selected.synthesized.region.function, id});
-      if (it == only_hw.end() || !it->second) {
-        resident = false;
-        break;
-      }
-    }
-    selected.arrays_resident = resident && !selected.alias_regions.empty();
+  for (std::size_t k = 0; k < chosen_.size(); ++k) {
+    SelectedRegion& selected = result_.hw[k];  // committed with chosen_[k]
+    selected.arrays_resident = !selected.alias_regions.empty() &&
+                               !Intersects(set_.array_row(chosen_[k]),
+                                           software);
   }
 }
 

@@ -4,8 +4,9 @@
 // onto the shared CandidateSet/SelectionState machinery: same candidate
 // order, same attempt order, same rejection wording, so its results are
 // bit-identical to the pre-strategy implementation.
-#include <set>
-#include <utility>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "partition/candidates.hpp"
 #include "partition/strategy.hpp"
@@ -37,25 +38,18 @@ void PaperGreedySelect(const CandidateSet& set, SelectionState& state) {
   }
 
   // ---- Step 2: alias-connected regions -----------------------------------
-  // Arrays touched by the current hardware partition.
-  std::set<std::pair<const ir::Function*, int>> hw_arrays;
+  // The current hardware partition, a bitset row over candidate ids.
+  std::vector<std::uint64_t> hw_row(set.row_words(), 0);
   for (std::size_t id : state.chosen()) {
-    for (int region : candidates[id].alias_regions) {
-      hw_arrays.insert({candidates[id].function, region});
-    }
+    hw_row[id / 64] |= std::uint64_t{1} << (id % 64);
   }
   for (std::size_t id = 0; id < candidates.size(); ++id) {
     if (state.selected(id)) continue;
-    bool shares = false;
-    for (int region : candidates[id].alias_regions) {
-      if (hw_arrays.count({candidates[id].function, region}) != 0) {
-        shares = true;
+    const std::span<const std::uint64_t> arrays = set.array_row(id);
+    for (std::size_t w = 0; w < arrays.size(); ++w) {
+      if ((arrays[w] & hw_row[w]) != 0) {
+        (void)state.TrySelect(id, SelectedBy::kAlias);
         break;
-      }
-    }
-    if (shares) {
-      if (state.TrySelect(id, SelectedBy::kAlias)) {
-        // All kernels touching these arrays can now keep them resident.
       }
     }
   }

@@ -59,10 +59,8 @@ HwRegion ExtractLoopRegion(const ir::Function& function,
   region.loop = &loop;
   // Header first, body blocks in function order after it.
   region.blocks.push_back(loop.header);
-  for (const auto& block : function.blocks()) {
-    if (block.get() != loop.header && loop.Contains(block.get())) {
-      region.blocks.push_back(block.get());
-    }
+  for (const ir::Block* block : loop.blocks) {
+    if (block != loop.header) region.blocks.push_back(block);
   }
   std::ostringstream name;
   name << function.name() << ":" << loop.header->name;

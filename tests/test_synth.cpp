@@ -80,10 +80,18 @@ Prepared Prepare(const std::string& name, int opt_level = 1) {
 }
 
 /// The innermost loop whose header runs most often, or null.
+/// Whether no loop of `forest` nests inside `loop`.
+bool IsInnermost(const ir::LoopForest& forest, const ir::Loop& loop) {
+  for (const auto& other : forest.loops()) {
+    if (other->parent == &loop) return false;
+  }
+  return true;
+}
+
 const ir::Loop* HottestInnermostLoop(const ir::LoopForest& forest) {
   const ir::Loop* hottest = nullptr;
   for (const auto& loop : forest.loops()) {
-    if (!loop->children.empty()) continue;
+    if (!IsInnermost(forest, *loop)) continue;
     if (hottest == nullptr || loop->header_count > hottest->header_count) {
       hottest = loop.get();
     }
@@ -365,7 +373,7 @@ TEST_P(ScheduleLegality, AllLoopsOfBenchmark) {
     forest.AnnotateProfile();
     decomp::AliasAnalysis alias(*function, &prepared.binary.symbols);
     for (const auto& loop : forest.loops()) {
-      if (!loop->children.empty()) continue;
+      if (!IsInnermost(forest, *loop)) continue;
       const HwRegion region = ExtractLoopRegion(*function, *loop);
       if (!region.synthesizable) continue;
       const RegionSchedule schedule =
