@@ -176,8 +176,9 @@ Status Verify(const Function& function) {
                       "operand defined in unreachable block");
         }
         if (instr->op == Opcode::kPhi) {
+          // An edge from an unreachable block never runs.
           const Block* pred = block->preds[oi];
-          if (!dom.Dominates(def_block, pred)) {
+          if (reachable[pred->id] != 0 && !dom.Dominates(def_block, pred)) {
             return Fail(function, block, instr,
                         "phi operand does not dominate incoming edge");
           }

@@ -477,6 +477,33 @@ TEST(Verifier, CatchesAPhiOperandThatDoesNotDominateItsEdge) {
   ExpectRejected(d.function, "phi operand does not dominate incoming edge");
 }
 
+TEST(Verifier, AcceptsAPhiOperandOverAnEdgeFromAnUnreachableBlock) {
+  // The edge from `dead` never runs, so its operand need not dominate it,
+  // and the dominator tree has no position for `dead`.
+  Function function("dead_edge");
+  Block* entry = function.CreateBlock("entry");
+  Block* dead = function.CreateBlock("dead");
+  Block* merge = function.CreateBlock("merge");
+  Instr* input = function.Create(Opcode::kInput);
+  input->input_index = 4;
+  entry->Append(input);
+  for (Block* from : {entry, dead}) {
+    Instr* br = function.Create(Opcode::kBr);
+    br->target0 = merge;
+    from->Append(br);
+  }
+  function.RecomputeCfg();
+  Instr* phi = function.Create(Opcode::kPhi);
+  phi->operands = {Value::Of(input), Value::Of(input)};
+  merge->PrependPhi(phi);
+  Instr* ret = function.Create(Opcode::kRet);
+  ret->operands = {Value::Of(phi)};
+  merge->Append(ret);
+  function.RecomputeCfg();
+  const Status status = Verify(function);
+  EXPECT_TRUE(status.ok()) << status.message();
+}
+
 TEST(Verifier, CatchesADefThatDoesNotDominateItsUse) {
   Diamond d;
   Instr* doubled = d.left->instrs.front();
